@@ -14,6 +14,7 @@ trials", never a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -289,56 +290,39 @@ def find_risk_invariant(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = smp.as_rng(seed)
-    n = space.n_atoms
-    done = 0
+    gaps: list[float] = []
 
-    def is_invariant(w: RandVar) -> bool:
-        return w.max_abs > 0.0 and accepts(spec, w) and accepts(spec, -w)
-
-    probes: list[RandVar] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
+    def candidates():
+        for i, j in permutations(range(space.n_atoms), 2):
             one_i = RandVar.indicator(space, [i])
             one_j = RandVar.indicator(space, [j])
             for c in (1.0, 2.0):
-                probes.append(c * (one_i - one_j))
-            pi = float(space.probs[i])
-            pj = float(space.probs[j])
-            probes.append(pj * one_i - pi * one_j)
+                yield c * (one_i - one_j)
+            yield float(space.probs[j]) * one_i - float(space.probs[i]) * one_j
+        for _ in range(trials):
+            x = smp.grid_randvar(space, rng)
+            yield x
+            yield x - expectation(x)
+            if spec.is_pointed_kind and not x.is_constant:
+                gaps.append(spec.functional_value(x) + spec.functional_value(-x))
 
-    certificate_min = float("inf")
-    certified = 0
-    for w in probes:
+    done = 0
+    for w in candidates():
         done += 1
-        if is_invariant(w):
+        if w.max_abs > 0.0 and accepts(spec, w) and accepts(spec, -w):
             return CheckReport(
                 "risk-invariant", False, done, seed,
                 witness={"w": w},
                 note="nonzero risk invariant found",
             )
-    for _ in range(trials):
-        x = smp.grid_randvar(space, rng)
-        for w in (x, x - expectation(x)):
-            done += 1
-            if is_invariant(w):
-                return CheckReport(
-                    "risk-invariant", False, done, seed,
-                    witness={"w": w},
-                    note="nonzero risk invariant found",
-                )
-        if spec.is_pointed_kind and not x.is_constant:
-            gap = spec.functional_value(x) + spec.functional_value(-x)
-            certificate_min = min(certificate_min, gap)
-            certified += 1
 
     data: dict = {}
     if spec.is_pointed_kind:
+        certificate_min = min(gaps, default=float("inf"))
         data["pointedness_certificate"] = {
-            "samples": certified,
+            "samples": len(gaps),
             "min_gap": certificate_min,
-            "holds": certified > 0 and certificate_min > 0.0,
+            "holds": bool(gaps) and certificate_min > 0.0,
         }
     return CheckReport(
         "risk-invariant", True, done, seed,

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .acceptance import (
@@ -33,7 +33,7 @@ from .engine import (
     rho,
     s_additivity_check,
 )
-from .measures import DistortionWeights
+from .measures import DistortionWeights, Level
 from .spaces import FiniteSpace, RandVar
 from .theorems import (
     check_corollary_convex,
@@ -45,7 +45,7 @@ from .theorems import (
     find_additivity_violation,
     run_replication_suite,
 )
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "main"]
+__all__ = ["STATEMENTS", "Scenario", "ScenarioError", "load_scenario", "main"]
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -79,12 +79,16 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number_list(raw, path: str, length: int | None = None) -> list[float]:
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(path, "must be a nonempty array of numbers")
     out = []
     for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ScenarioError(f"{path}[{i}]", f"expected a number, got {v!r}")
         out.append(float(v))
     if length is not None and len(out) != length:
@@ -98,7 +102,7 @@ def _parse_acceptance(raw, path: str) -> AcceptanceSpec:
     kind = _require(raw, "kind", path)
     if kind == "var" or kind == "es":
         alpha = _require(raw, "alpha", path)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+        if not _is_number(alpha) or not 0.0 < alpha < 1.0:
             raise ScenarioError(f"{path}.alpha", f"must be a number in (0, 1), got {alpha!r}")
         return AcceptanceSpec.var_level(alpha) if kind == "var" else AcceptanceSpec.es_level(alpha)
     if kind == "distortion":
@@ -111,6 +115,11 @@ def _parse_acceptance(raw, path: str) -> AcceptanceSpec:
                 raise ScenarioError(
                     f"{path}.weights[{i}]", "must be an object with 'alpha' and 'w'"
                 )
+            for key in ("alpha", "w"):
+                if not _is_number(item[key]):
+                    raise ScenarioError(
+                        f"{path}.weights[{i}].{key}", f"expected a number, got {item[key]!r}"
+                    )
             points.append((item["alpha"], item["w"]))
         try:
             mix = DistortionWeights(tuple(points))
@@ -128,7 +137,7 @@ def _parse_asset(raw, path: str, space: FiniteSpace) -> EligibleAsset:
     if not isinstance(raw, dict):
         raise ScenarioError(path, "must be an object")
     price = _require(raw, "price", path)
-    if isinstance(price, bool) or not isinstance(price, (int, float)) or not price > 0:
+    if not _is_number(price) or not price > 0:
         raise ScenarioError(f"{path}.price", f"must be a positive number, got {price!r}")
     payoff = _number_list(_require(raw, "payoff", path), f"{path}.payoff", space.n_atoms)
     if min(payoff) <= 0.0:
@@ -175,12 +184,13 @@ def parse_scenario(doc: Any) -> Scenario:
         raise ScenarioError("scenario.options", "must be an object")
     for key, val in options.items():
         if key == "tol":
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+            if not _is_number(val) or not val > 0:
                 raise ScenarioError("scenario.options.tol", f"must be a positive number, got {val!r}")
         elif key in ("seed", "trials", "budget"):
-            if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+            least, word = (0, "nonnegative") if key == "seed" else (1, "positive")
+            if isinstance(val, bool) or not isinstance(val, int) or val < least:
                 raise ScenarioError(
-                    f"scenario.options.{key}", f"must be a nonnegative integer, got {val!r}"
+                    f"scenario.options.{key}", f"must be a {word} integer, got {val!r}"
                 )
         else:
             raise ScenarioError(f"scenario.options.{key}", "unknown option")
@@ -243,41 +253,47 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _run_statement(scenario: Scenario, statement: str, trials: int, seed: int, tol: float):
-    spec, asset, space = scenario.acceptance, scenario.asset, scenario.space
-    if statement == "theorem-b":
-        return check_theorem_condition_b(spec, asset, trials, seed)
-    if statement == "corollary-convex":
-        return check_corollary_convex(spec, asset)
-    if statement == "cash-reduction":
-        return check_cash_reduction_identity(spec, asset, trials, seed, tol)
-    if statement == "lemma-equality":
-        if scenario.asset_r is None:
-            raise ScenarioError("scenario.asset_r", "lemma-equality needs a second asset")
-        return check_lemma_equality(spec, asset, scenario.asset_r, trials, seed, tol)
-    if statement == "var-necessary":
-        return check_var_necessary_condition(spec, asset)
-    if statement == "var-condition-b":
-        if spec.kind != "var":
-            raise ScenarioError("scenario.acceptance.kind", "var-condition-b needs kind 'var'")
-        return check_var_condition_b(space, spec.level, trials=trials, seed=seed)
-    if statement == "monotone":
-        return check_monotone(spec, space, trials, seed)
-    if statement == "cone":
-        return check_cone(spec, space, trials, seed)
-    if statement == "convex":
-        return check_convex(spec, space, trials, seed)
-    if statement == "risk-invariant":
-        return find_risk_invariant(spec, space, trials, seed)
-    if statement == "s-additivity":
-        return s_additivity_check(spec, asset, trials, seed, tol)
-    if statement == "numeraire-identity":
-        return numeraire_identity_check(spec, asset, trials, seed, tol)
-    if statement == "s-comonotone-additivity":
-        return additivity_on_S_comonotone(spec, asset, trials, seed)
-    if statement == "comono-preservation":
-        return comono_preservation_under_numeraire(asset, trials, seed)
-    raise ScenarioError("statement", f"unknown statement id {statement!r}")
+def _asset_r(scenario: Scenario) -> EligibleAsset:
+    if scenario.asset_r is None:
+        raise ScenarioError("scenario.asset_r", "lemma-equality needs a second asset")
+    return scenario.asset_r
+
+
+def _var_level(scenario: Scenario) -> Level:
+    if scenario.acceptance.kind != "var":
+        raise ScenarioError("scenario.acceptance.kind", "var-condition-b needs kind 'var'")
+    return scenario.acceptance.level
+
+
+#: Statement id -> checker call on (scenario, trials, seed, tol).  The ids are
+#: the choices of ``check --statement``.
+STATEMENTS: dict[str, Callable[[Scenario, int, int, float], Any]] = {
+    "theorem-b": lambda sc, trials, seed, tol: check_theorem_condition_b(
+        sc.acceptance, sc.asset, trials, seed),
+    "corollary-convex": lambda sc, trials, seed, tol: check_corollary_convex(
+        sc.acceptance, sc.asset),
+    "cash-reduction": lambda sc, trials, seed, tol: check_cash_reduction_identity(
+        sc.acceptance, sc.asset, trials, seed, tol),
+    "lemma-equality": lambda sc, trials, seed, tol: check_lemma_equality(
+        sc.acceptance, sc.asset, _asset_r(sc), trials, seed, tol),
+    "var-necessary": lambda sc, trials, seed, tol: check_var_necessary_condition(
+        sc.acceptance, sc.asset),
+    "var-condition-b": lambda sc, trials, seed, tol: check_var_condition_b(
+        sc.space, _var_level(sc), trials=trials, seed=seed),
+    "monotone": lambda sc, trials, seed, tol: check_monotone(sc.acceptance, sc.space, trials, seed),
+    "cone": lambda sc, trials, seed, tol: check_cone(sc.acceptance, sc.space, trials, seed),
+    "convex": lambda sc, trials, seed, tol: check_convex(sc.acceptance, sc.space, trials, seed),
+    "risk-invariant": lambda sc, trials, seed, tol: find_risk_invariant(
+        sc.acceptance, sc.space, trials, seed),
+    "s-additivity": lambda sc, trials, seed, tol: s_additivity_check(
+        sc.acceptance, sc.asset, trials, seed, tol),
+    "numeraire-identity": lambda sc, trials, seed, tol: numeraire_identity_check(
+        sc.acceptance, sc.asset, trials, seed, tol),
+    "s-comonotone-additivity": lambda sc, trials, seed, tol: additivity_on_S_comonotone(
+        sc.acceptance, sc.asset, trials, seed),
+    "comono-preservation": lambda sc, trials, seed, tol: comono_preservation_under_numeraire(
+        sc.asset, trials, seed),
+}
 
 
 def cmd_check(args) -> int:
@@ -285,7 +301,7 @@ def cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else scenario.options.get("seed", 0)
     trials = args.trials if args.trials is not None else scenario.options.get("trials", 500)
     tol = args.tol if args.tol is not None else scenario.options.get("tol", 1e-9)
-    result = _run_statement(scenario, args.statement, trials, seed, tol)
+    result = STATEMENTS[args.statement](scenario, trials, seed, tol)
     report = _base_report(
         "check", seed, scenario=args.scenario, statement=args.statement,
         trials=trials, tol=tol,
@@ -335,6 +351,13 @@ def cmd_replicate(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_WITNESS
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eligirisk",
@@ -360,13 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a statement checker")
     common(p_check)
-    p_check.add_argument("--statement", required=True, help="statement id")
-    p_check.add_argument("--trials", type=int, default=None)
+    p_check.add_argument(
+        "--statement", required=True, choices=STATEMENTS, metavar="ID",
+        help="statement id: " + ", ".join(sorted(STATEMENTS)),
+    )
+    p_check.add_argument("--trials", type=positive_int, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_search = sub.add_parser("search", help="search for additivity and numeraire witnesses")
     common(p_search)
-    p_search.add_argument("--budget", type=int, default=None)
+    p_search.add_argument("--budget", type=positive_int, default=None)
     p_search.set_defaults(func=cmd_search)
 
     p_rep = sub.add_parser("replicate", help="recompute the reference examples")

@@ -44,6 +44,7 @@ __all__ = [
     "rho_cash",
     "s_additivity_check",
     "change_numeraire",
+    "discounted_acceptance",
     "numeraire_identity_check",
 ]
 

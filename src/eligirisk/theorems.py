@@ -20,7 +20,13 @@ import numpy as np
 
 from . import _sampling as smp
 from .acceptance import AcceptanceSpec, accepts, boundary_member
-from .comonotone import additivity_on_comonotone, generate_comonotone_pair, is_comonotone
+from .comonotone import (
+    _payoff_steps,
+    _requirement,
+    additivity_on_comonotone,
+    generate_comonotone_pair,
+    is_comonotone,
+)
 from .engine import EligibleAsset, rho, rho_cash
 from .measures import Level, var
 from .reporting import witness_to_jsonable
@@ -115,6 +121,8 @@ def check_theorem_condition_b(
     known counterexamples live.  The verdict also records the necessary
     condition that S1 + S0 / r1 is a risk invariant.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if not spec.is_builtin:
         raise ValueError("stability check requires a comonotonic built-in criterion")
     if spec.is_convex_kind:
@@ -245,14 +253,12 @@ def check_cash_reduction_identity(
     position; when additivity fails, the identity must fail somewhere too.
     The verdict is "pass" when the two observations are consistent.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     space = asset.payoff.space
     rng = smp.as_rng(seed)
     r1 = _rho_one(spec, asset)
-    solver_tol = min(tol * 1e-2, 1e-12)
-
-    def rho_fn(v: RandVar) -> float:
-        return rho(spec, asset, v, tol=solver_tol).value
-
+    rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
     additivity = additivity_on_comonotone(rho_fn, space, max(trials // 2, 1), seed, tol)
 
     identity_witness = None
@@ -309,6 +315,8 @@ def check_lemma_equality(
     S1/S0 - R1/R0 and tests membership.  The verdict is "pass" when the two
     sampled sides agree.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     space = asset_s.payoff.space
     rng = smp.as_rng(seed)
     solver_tol = min(tol * 1e-2, 1e-12)
@@ -461,11 +469,7 @@ def check_var_condition_b(
     payoff = RandVar.constant(space, 1.0) + RandVar.indicator(space, event)
     asset = EligibleAsset(1.0, payoff)
     spec = AcceptanceSpec.var_level(alpha)
-
-    def rho_fn(v: RandVar) -> float:
-        return rho(spec, asset, v).value
-
-    additivity = additivity_on_comonotone(rho_fn, space, trials, seed, tol=1e-10)
+    additivity = additivity_on_comonotone(_requirement(spec, asset), space, trials, seed, tol=1e-10)
     verdict = "pass" if additivity.passed else "fail"
     return TheoremVerdict(
         "var-condition-b", verdict, examined, seed,
@@ -511,9 +515,7 @@ def find_additivity_violation(
     space = asset.payoff.space
     rng = smp.as_rng(seed)
     solver_tol = min(threshold * 1e-3, 1e-12)
-
-    def rho_fn(v: RandVar) -> float:
-        return rho(spec, asset, v, tol=solver_tol).value
+    rho_fn = _requirement(spec, asset, solver_tol)
 
     def gap_of(x: RandVar, y: RandVar) -> float:
         return rho_fn(x + y) - rho_fn(x) - rho_fn(y)
@@ -534,13 +536,7 @@ def find_additivity_violation(
     one = RandVar.constant(space, 1.0)
     probes: list[tuple[RandVar, RandVar]] = list(seed_pairs or [])
     probes.append((one, -one))
-    levels = np.unique(asset.payoff.values)
-    steps = [
-        RandVar(space, np.where(asset.payoff.values <= t, -c, 0.0))
-        for t in levels[:-1]
-        for c in (1.0, 2.0)
-    ]
-    for s in steps:
+    for s in _payoff_steps(asset):
         probes.append((s, one))
         probes.append((s, -one))
         probes.append((s, 2.0 * s))
@@ -667,8 +663,16 @@ def _verdict(statement: str, mismatches: list[str], values: dict) -> TheoremVerd
     )
 
 
-def _close(a: float, b: float, tol: float = 1e-12) -> bool:
-    return abs(a - b) <= tol
+def _mismatches(expected: dict, got: dict) -> list[str]:
+    """One message per computed value that misses its expected value.
+
+    Floats match within 1e-12, every other value by equality.
+    """
+    return [
+        f"{k}: expected {expected[k]!r}, computed {v!r}"
+        for k, v in got.items()
+        if not (abs(v - expected[k]) <= 1e-12 if isinstance(v, float) else v == expected[k])
+    ]
 
 
 def _replicate_superadditivity(exp: dict) -> TheoremVerdict:
@@ -683,11 +687,7 @@ def _replicate_superadditivity(exp: dict) -> TheoremVerdict:
         "rho_sum": rho(spec, asset, x + y).value,
         "pairs_comonotone": is_comonotone(x, y),
     }
-    mismatches = [
-        f"{k}: expected {exp[k]!r}, computed {got[k]!r}"
-        for k in got
-        if (got[k] != exp[k] if isinstance(exp[k], bool) else not _close(got[k], exp[k]))
-    ]
+    mismatches = _mismatches(exp, got)
     if got["rho_sum"] <= got["rho_x"] + got["rho_y"]:
         mismatches.append("aggregated requirement is not strictly superadditive")
     return _verdict("replicate-svar-superadditivity", mismatches, got)
@@ -707,18 +707,7 @@ def _replicate_near_risk_free(exp: dict) -> TheoremVerdict:
         "witness_x": stability.witness["x"].tolist() if stability.witness else None,
         "witness_shifted": stability.witness["shifted"].tolist() if stability.witness else None,
     }
-    mismatches = []
-    if not _close(got["rho_one"], exp["rho_one"]):
-        mismatches.append(f"rho_one: expected {exp['rho_one']}, computed {got['rho_one']}")
-    for key in ("necessary_condition", "theorem_b"):
-        if got[key] != exp[key]:
-            mismatches.append(f"{key}: expected {exp[key]!r}, computed {got[key]!r}")
-    if got["witness_x"] != exp["witness_x"]:
-        mismatches.append(f"witness_x: expected {exp['witness_x']}, computed {got['witness_x']}")
-    if got["witness_shifted"] != exp["witness_shifted"]:
-        mismatches.append(
-            f"witness_shifted: expected {exp['witness_shifted']}, computed {got['witness_shifted']}"
-        )
+    mismatches = _mismatches(exp, got)
     if stability.witness is not None:
         x = stability.witness["x"]
         shifted = stability.witness["shifted"]
@@ -736,10 +725,7 @@ def _replicate_indicators(exp: dict) -> TheoremVerdict:
         "single_event_accepted": accepts(spec, single),
         "double_event_accepted": accepts(spec, double),
     }
-    mismatches = [
-        f"{k}: expected {exp[k]!r}, computed {got[k]!r}" for k in got if got[k] != exp[k]
-    ]
-    return _verdict("replicate-accept-indicators", mismatches, got)
+    return _verdict("replicate-accept-indicators", _mismatches(exp, got), got)
 
 
 def _replicate_es_pointedness(exp: dict) -> TheoremVerdict:
@@ -757,10 +743,7 @@ def _replicate_es_pointedness(exp: dict) -> TheoremVerdict:
         x = smp.nonconstant_grid_randvar(space, rng)
         min_gap = min(min_gap, spec.functional_value(x) + spec.functional_value(-x))
     got["certificate_strictly_positive"] = min_gap > 0.0
-    mismatches = [
-        f"{k}: expected {exp[k]!r}, computed {got[k]!r}" for k in exp
-        if k in got and got[k] != exp[k]
-    ]
+    mismatches = _mismatches(exp, got)
     got["certificate_min_gap"] = min_gap
     return _verdict("replicate-es-pointedness", mismatches, got)
 
@@ -776,14 +759,7 @@ def _replicate_distortion_expectation(exp: dict) -> TheoremVerdict:
         "verdict": check_corollary_convex(spec, risky).verdict,
         "value_example": distortion(RandVar(space, exp["value_example_x"]), mu),
     }
-    mismatches = []
-    if got["verdict"] != exp["verdict"]:
-        mismatches.append(f"verdict: expected {exp['verdict']!r}, computed {got['verdict']!r}")
-    if not _close(got["value_example"], exp["value_example"]):
-        mismatches.append(
-            f"value_example: expected {exp['value_example']}, computed {got['value_example']}"
-        )
-    return _verdict("replicate-distortion-expectation", mismatches, got)
+    return _verdict("replicate-distortion-expectation", _mismatches(exp, got), got)
 
 
 def run_replication_suite(overrides: dict | None = None) -> list[TheoremVerdict]:

@@ -169,6 +169,19 @@ class TestFindRiskInvariant:
         cert = report.data["pointedness_certificate"]
         assert cert["holds"] and cert["min_gap"] > 0.0
 
+    def test_probes_are_generated_lazily(self, monkeypatch):
+        # the first indicator-difference probe is already an invariant, so only
+        # its two indicators get built, not all 3n(n-1) probes up front
+        built = []
+        indicator = RandVar.indicator
+        monkeypatch.setattr(
+            RandVar, "indicator", classmethod(lambda cls, *a: built.append(a) or indicator(*a))
+        )
+        sp = FiniteSpace(np.full(40, 1.0 / 40))
+        report = find_risk_invariant(AcceptanceSpec.var_level(0.1), sp, trials=1, seed=0)
+        assert not report.passed and report.trials == 1
+        assert len(built) == 2
+
     def test_expectation_has_invariant(self):
         sp = FiniteSpace([0.5, 0.5])
         report = find_risk_invariant(AcceptanceSpec.expectation_floor(), sp, trials=200, seed=10)

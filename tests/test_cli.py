@@ -1,15 +1,17 @@
 """Tests for the command-line interface: contracts, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from eligirisk.cli import main
+from eligirisk.cli import STATEMENTS, main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def run_cli(argv, capsys):
@@ -135,6 +137,20 @@ class TestCheck:
         assert code == 2
         assert "statement" in err
 
+    def test_theorem_b_zero_trials_exits_2(self, capsys):
+        # with zero trials the sampled check would pass without a sample
+        code, out, err = run_cli(
+            [
+                "check",
+                "--scenario", str(SCENARIOS / "near_risk_free_var.json"),
+                "--statement", "theorem-b",
+                "--trials", "0",
+            ],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "--trials" in err
+
 
 class TestSearch:
     def test_superadditive_fixture_finds_gap(self, capsys):
@@ -161,6 +177,15 @@ class TestSearch:
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(["search", "--scenario", str(path)], capsys)
         assert code == 0
+
+    def test_zero_budget_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["search", "--scenario", str(SCENARIOS / "superadditive_var.json"),
+             "--budget", "0"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "--budget" in err
 
     def test_risky_es_scenario_finds_witness(self, capsys):
         code, out, _ = run_cli(
@@ -296,6 +321,31 @@ MALFORMED = [
         json.dumps(
             {
                 "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "distortion", "weights": [{"alpha": "0.5", "w": True}]},
+            }
+        ),
+        "scenario.acceptance.weights[0].alpha",
+    ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {
+                    "kind": "distortion",
+                    "weights": [{"alpha": 0.25, "w": 0.5}, {"alpha": 0.5, "w": True}],
+                },
+            }
+        ),
+        "scenario.acceptance.weights[1].w",
+    ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
                 "positions": {"x": [0.0, "zero"]},
                 "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
                 "acceptance": {"kind": "var", "alpha": 0.1},
@@ -315,6 +365,30 @@ MALFORMED = [
         ),
         "scenario.options.tol",
     ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+                "options": {"trials": 0},
+            }
+        ),
+        "scenario.options.trials",
+    ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+                "options": {"budget": 0},
+            }
+        ),
+        "scenario.options.budget",
+    ),
 ]
 
 
@@ -331,6 +405,11 @@ class TestMalformedScenarios:
 class TestUsage:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+    def test_readme_lists_every_statement_id(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("Statement ids:", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"`([a-z-]+)`", paragraph) == sorted(STATEMENTS)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -73,7 +73,7 @@ class TestIsComonotone:
             sp = FiniteSpace(w / w.sum())
             x = RandVar(sp, rng.integers(-3, 4, n).astype(float))
             y = RandVar(sp, rng.integers(-3, 4, n).astype(float))
-            assert is_comonotone(x, y) == is_comonotone(x, y, method="sorted")
+            assert is_comonotone(x, y, method="pairwise") == is_comonotone(x, y, method="sorted")
 
     def test_unknown_method(self, space3):
         c = RandVar.constant(space3, 0.0)

@@ -209,6 +209,22 @@ class TestLemmaEquality:
         assert verdict.condition_values["stability_holds"]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize(
+    "checker",
+    [
+        lambda spec, asset, trials: check_theorem_condition_b(spec, asset, trials),
+        lambda spec, asset, trials: check_cash_reduction_identity(spec, asset, trials),
+        lambda spec, asset, trials: check_lemma_equality(spec, asset, asset, trials),
+    ],
+    ids=["theorem-b", "cash-reduction", "lemma-equality"],
+)
+def test_sampled_checkers_reject_fewer_than_one_trial(checker, trials, a_var01, near_rf_asset):
+    # with zero trials the sampled check would pass without a sample
+    with pytest.raises(ValueError, match="trials"):
+        checker(a_var01, near_rf_asset, trials)
+
+
 class TestVarNecessaryCondition:
     def test_near_rf_asset_satisfies_condition(self, a_var01, near_rf_asset):
         verdict = check_var_necessary_condition(a_var01, near_rf_asset)
