@@ -203,6 +203,25 @@ def discounted_acceptance(spec: AcceptanceSpec, asset: EligibleAsset) -> Accepta
     )
 
 
+def _identity_check(statement: str, trials: int, seed: int, draw_sides) -> CheckReport:
+    """Sample ``draw_sides(rng) -> (witness fields, lhs, rhs, tol)``; fail at a gap over 10 tol."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = smp.as_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        fields, left, right, tol_eff = draw_sides(rng)
+        err = abs(left - right)
+        worst = max(worst, err)
+        if err > 10.0 * tol_eff:
+            return CheckReport(
+                statement, False, trials, seed,
+                witness={**fields, "lhs": left, "rhs": right},
+                data={"worst_error": worst},
+            )
+    return CheckReport(statement, True, trials, seed, data={"worst_error": worst})
+
+
 def s_additivity_check(
     spec: AcceptanceSpec,
     asset: EligibleAsset,
@@ -211,27 +230,18 @@ def s_additivity_check(
     tol: float | None = None,
 ) -> CheckReport:
     """Sampled check that shifting by lambda * payoff moves the quote by -lambda * price."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
     space = asset.payoff.space
-    worst = 0.0
-    for _ in range(trials):
+
+    def draw_sides(rng):
         x = smp.grid_randvar(space, rng)
         lam = smp.grid_scalar(rng)
         shifted = x + lam * asset.payoff
         tol_eff = tol if tol is not None else max(default_tol(asset, x), default_tol(asset, shifted))
         left = rho(spec, asset, shifted, tol_eff).value
         right = rho(spec, asset, x, tol_eff).value - lam * asset.price
-        err = abs(left - right)
-        worst = max(worst, err)
-        if err > 10.0 * tol_eff:
-            return CheckReport(
-                "s-additivity", False, trials, seed,
-                witness={"x": x, "lambda": lam, "lhs": left, "rhs": right},
-                data={"worst_error": worst},
-            )
-    return CheckReport("s-additivity", True, trials, seed, data={"worst_error": worst})
+        return {"x": x, "lambda": lam}, left, right, tol_eff
+
+    return _identity_check("s-additivity", trials, seed, draw_sides)
 
 
 def numeraire_identity_check(
@@ -248,25 +258,16 @@ def numeraire_identity_check(
     computed independently (the right side always through the bracketed
     solver on the wrapped membership).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
     space = asset.payoff.space
     disc = discounted_acceptance(spec, asset)
     cash = cash_asset(space)
-    worst = 0.0
-    for _ in range(trials):
+
+    def draw_sides(rng):
         x = smp.grid_randvar(space, rng)
         tol_eff = tol if tol is not None else default_tol(asset, x)
         left = rho(spec, asset, x, tol_eff).value
         inner_tol = tol_eff / max(asset.price, 1.0)
         right = asset.price * rho(disc, cash, change_numeraire(x, asset), inner_tol).value
-        err = abs(left - right)
-        worst = max(worst, err)
-        if err > 10.0 * tol_eff:
-            return CheckReport(
-                "numeraire-identity", False, trials, seed,
-                witness={"x": x, "lhs": left, "rhs": right},
-                data={"worst_error": worst},
-            )
-    return CheckReport("numeraire-identity", True, trials, seed, data={"worst_error": worst})
+        return {"x": x}, left, right, tol_eff
+
+    return _identity_check("numeraire-identity", trials, seed, draw_sides)

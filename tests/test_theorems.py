@@ -1,7 +1,12 @@
 """Tests for the statement checkers and the reference-example replication suite."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eligirisk import (
     AcceptanceSpec,
@@ -23,6 +28,23 @@ from eligirisk import (
     rho_cash,
     run_replication_suite,
 )
+
+
+def condition_b_events(probs: list[float], alpha: float) -> list[int]:
+    """Bitmasks of the events A meeting the VaR condition, by brute force in exact rationals.
+
+    A qualifies iff 0 < P(A) <= alpha and no subset B of its complement has
+    alpha - P(A) < P(B) <= alpha.
+    """
+    a = Fraction(alpha)
+    sums = [Fraction(0)]
+    for p in probs:
+        sums += [s + Fraction(p) for s in sums]
+    return [
+        m for m in range(1, len(sums))
+        if 0 < sums[m] <= a
+        and not any(a - sums[m] < sums[b] <= a for b in range(len(sums)) if b & m == 0)
+    ]
 
 
 @pytest.fixture
@@ -216,8 +238,11 @@ class TestLemmaEquality:
         lambda spec, asset, trials: check_theorem_condition_b(spec, asset, trials),
         lambda spec, asset, trials: check_cash_reduction_identity(spec, asset, trials),
         lambda spec, asset, trials: check_lemma_equality(spec, asset, asset, trials),
+        lambda spec, asset, trials: check_var_condition_b(
+            asset.payoff.space, spec.level, trials=trials
+        ),
     ],
-    ids=["theorem-b", "cash-reduction", "lemma-equality"],
+    ids=["theorem-b", "cash-reduction", "lemma-equality", "var-condition-b"],
 )
 def test_sampled_checkers_reject_fewer_than_one_trial(checker, trials, a_var01, near_rf_asset):
     # with zero trials the sampled check would pass without a sample
@@ -281,7 +306,49 @@ class TestVarConditionB:
     def test_rejects_oversized_space(self):
         sp = FiniteSpace([1.0 / 25] * 25)
         with pytest.raises(ValueError):
-            check_var_condition_b(sp, Level(0.1), max_atoms=20)
+            check_var_condition_b(sp, Level(0.1))
+
+    @pytest.mark.parametrize("order", ["given", "sorted", "reversed"])
+    def test_verdict_is_exact_in_every_atom_order(self, order):
+        # float subset sums taken in index order put event [0] within alpha in
+        # the sorted order; in exact arithmetic every event is spoiled
+        weights = np.array([1, 3, 2, 2, 2, 2, 4, 2, 3, 3, 1], dtype=float)
+        weights = {"given": weights, "sorted": np.sort(weights), "reversed": weights[::-1]}[order]
+        sp = FiniteSpace(weights / weights.sum())
+        alpha = 0.27999999999999997
+        verdict = check_var_condition_b(sp, Level(alpha), trials=10, seed=3)
+        assert not condition_b_events(sp.probs.tolist(), alpha)
+        assert verdict.verdict == "fail"
+        assert "event" not in verdict.condition_values
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        # small whole weights make many events tie in exact arithmetic
+        weights=st.lists(
+            st.one_of(st.floats(0.01, 1.0), st.integers(1, 4).map(float)), min_size=1, max_size=8
+        ),
+        picks=st.sets(st.integers(0, 7), min_size=1, max_size=3),
+        nudge=st.sampled_from([-1.0, 0.0, 1.0]),
+        perm_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_oracle(self, weights, picks, nudge, perm_seed):
+        total = sum(weights)
+        raw = [w / total for w in weights]
+        space = FiniteSpace(raw)
+        probs = space.probs.tolist()
+        # alpha is a subset sum, or one ulp either side of it
+        alpha = float(sum((Fraction(p) for i, p in enumerate(probs) if i in picks), Fraction(0)))
+        alpha = math.nextafter(alpha, alpha + nudge) if nudge else alpha
+        if not 0.0 < alpha < 1.0:
+            return
+        holds = bool(condition_b_events(probs, alpha))
+        perm = np.random.default_rng(perm_seed).permutation(len(raw)).tolist()
+        for sp in (space, FiniteSpace([raw[i] for i in perm])):
+            verdict = check_var_condition_b(sp, Level(alpha), trials=1, seed=0)
+            assert ("event" in verdict.condition_values) == holds
+            if holds:
+                mask = sum(1 << i for i in verdict.condition_values["event"])
+                assert mask in condition_b_events(sp.probs.tolist(), alpha)
 
 
 class TestFindAdditivityViolation:
