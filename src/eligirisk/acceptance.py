@@ -106,18 +106,16 @@ class AcceptanceSpec:
         return self.kind in ("es", "distortion", "expectation")
 
     @property
-    def is_pointed_kind(self) -> bool:
-        """Kinds whose set meets its negation only at zero.
+    def is_linear_kind(self) -> bool:
+        """Negated-expectation kinds: expectation, and a distortion that is the point mass at 1."""
+        return self.kind == "expectation" or (
+            self.kind == "distortion" and self.weights.is_pure_expectation
+        )
 
-        Expected shortfall always qualifies; a distortion mixture does unless
-        all its mass sits at level 1, where it degenerates to the expectation
-        kernel.
-        """
-        if self.kind == "es":
-            return True
-        if self.kind == "distortion":
-            return self.weights.weight_at_one < 1.0
-        return False
+    @property
+    def is_pointed_kind(self) -> bool:
+        """Kinds whose set meets its negation only at zero: convex, not linear."""
+        return self.is_convex_kind and not self.is_linear_kind
 
 
 def accepts(spec: AcceptanceSpec, x: RandVar) -> bool:

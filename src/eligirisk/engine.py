@@ -162,9 +162,7 @@ def rho(
         if spec.kind == "var":
             value = asset.price * var(x / asset.payoff, spec.level)
             return RiskQuote(value, "closed_form", 0, 0.0)
-        if spec.kind == "expectation" or (
-            spec.kind == "distortion" and spec.weights.is_pure_expectation
-        ):
+        if spec.is_linear_kind:
             value = -asset.price * expectation(x) / expectation(asset.payoff)
             return RiskQuote(value, "closed_form", 0, 0.0)
         if asset.risk_free and spec.is_builtin:

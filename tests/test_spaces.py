@@ -1,9 +1,12 @@
 """Tests for finite spaces, random variables, and the quantile machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eligirisk import (
     FiniteSpace,
@@ -55,6 +58,14 @@ class TestFiniteSpace:
 
     def test_event_prob(self, space3):
         assert space3.event_prob([0, 1]) == pytest.approx(0.2, abs=1e-15)
+
+    @pytest.mark.parametrize("atom", [-1, 3, 10])
+    def test_out_of_range_atom_rejected(self, atom):
+        sp = FiniteSpace([0.1, 0.2, 0.7])
+        with pytest.raises(ValueError, match=f"atom index {atom} "):
+            sp.event_prob([0, atom])
+        with pytest.raises(ValueError, match=f"atom index {atom} "):
+            RandVar.indicator(sp, [atom])
 
     def test_probs_immutable(self, space3):
         with pytest.raises(ValueError):
@@ -198,3 +209,68 @@ class TestSameDistribution:
         assert same_distribution(x, y)
         z = RandVar(sp, [7.0, 7.0, 5.0, 1.0])
         assert not same_distribution(x, z)
+
+
+def exact_profile(values: list[float], probs: list[float]) -> tuple[list[float], list[Fraction]]:
+    """Distinct values ascending, with their cumulative probabilities as exact rationals."""
+    distinct: list[float] = []
+    cum: list[Fraction] = []
+    acc = Fraction(0)
+    for v, p in sorted(zip(values, probs)):
+        acc += Fraction(p)
+        if distinct and v == distinct[-1]:
+            cum[-1] = acc
+        else:
+            distinct.append(v)
+            cum.append(acc)
+    return distinct, cum
+
+
+def assert_profile_exact(x: RandVar) -> None:
+    distinct, cum = exact_profile(x.values.tolist(), x.space.probs.tolist())
+    assert x.profile.values.tolist() == distinct
+    # the last entry is pinned to 1; every earlier one is the rounded exact sum
+    assert x.profile.cum[:-1].tolist() == [float(c) for c in cum[:-1]]
+    assert x.profile.cum[-1] == 1.0
+
+
+class TestExactProfile:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(1, 50).map(float),
+                    st.floats(1e-30, 1.0).map(lambda u: u**8),
+                    st.floats(-700.0, 0.0).map(math.exp),
+                ),
+                # few distinct values, so that atoms share them
+                st.integers(-3, 3).map(float),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        event=st.sets(st.integers(0, 39)),
+        perm_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exact_oracle(self, atoms, event, perm_seed):
+        total = math.fsum(w for w, _ in atoms)
+        raw = np.array([w / total for w, _ in atoms])
+        space = FiniteSpace(raw)
+        x = RandVar(space, [v for _, v in atoms])
+        assert_profile_exact(x)
+
+        perm = np.random.default_rng(perm_seed).permutation(len(atoms))
+        y = RandVar(FiniteSpace(raw[perm]), x.values[perm])
+        assert y.profile.values.tolist() == x.profile.values.tolist()
+        assert y.profile.cum.tolist() == x.profile.cum.tolist()
+
+        event = [i for i in event if i < len(atoms)]
+        probs = space.probs.tolist()
+        assert space.event_prob(event) == float(sum((Fraction(probs[i]) for i in event), Fraction(0)))
+
+    def test_twenty_thousand_atoms(self):
+        rng = np.random.default_rng(20000)
+        weights = rng.random(20000) ** 8 + 1e-6
+        space = FiniteSpace(weights / math.fsum(weights.tolist()))
+        assert_profile_exact(RandVar(space, rng.integers(0, 500, 20000).astype(float)))
