@@ -43,14 +43,6 @@ def grid_scalar(rng: np.random.Generator, span: float = 4.0) -> float:
     return float(rng.integers(-k, k + 1)) / GRID
 
 
-def random_event(rng: np.random.Generator, n: int) -> list[int]:
-    """A uniformly random nonempty proper subset of atom indices (n >= 2)."""
-    while True:
-        mask = rng.integers(0, 2, n).astype(bool)
-        if mask.any() and not mask.all():
-            return [int(i) for i in np.flatnonzero(mask)]
-
-
 def random_space(rng: np.random.Generator, n_min: int = 2, n_max: int = 8) -> FiniteSpace:
     """Random space with grid-friendly weights (positive 1/64 multiples, renormalized)."""
     n = int(rng.integers(n_min, n_max + 1))

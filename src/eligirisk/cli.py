@@ -269,7 +269,7 @@ def _var_level(scenario: Scenario) -> Level:
 #: the choices of ``check --statement``.
 STATEMENTS: dict[str, Callable[[Scenario, int, int, float], Any]] = {
     "theorem-b": lambda sc, trials, seed, tol: check_theorem_condition_b(
-        sc.acceptance, sc.asset, trials, seed),
+        sc.acceptance, sc.asset),
     "corollary-convex": lambda sc, trials, seed, tol: check_corollary_convex(
         sc.acceptance, sc.asset),
     "cash-reduction": lambda sc, trials, seed, tol: check_cash_reduction_identity(

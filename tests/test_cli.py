@@ -125,6 +125,21 @@ class TestCheck:
         )
         assert code == 0
 
+    def test_theorem_b_over_the_atom_cap_exits_2(self, tmp_path, capsys):
+        doc = {
+            "space": {"probs": [1.0 / 22] * 22},
+            "positions": {"zero": [0.0] * 22},
+            "asset": {"price": 1.0, "payoff": [2.0] + [1.0] * 21},
+            "acceptance": {"kind": "var", "alpha": 0.1},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["check", "--scenario", str(path), "--statement", "theorem-b"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "cap 20" in err
+
     def test_unknown_statement_exits_2(self, capsys):
         code, _, err = run_cli(
             [

@@ -76,7 +76,7 @@ def constructed_asset(two_atom_space):
 
 class TestTheoremConditionB:
     def test_near_risk_free_asset_fails_with_indicator_witness(self, a_var01, near_rf_asset):
-        verdict = check_theorem_condition_b(a_var01, near_rf_asset, trials=300, seed=1)
+        verdict = check_theorem_condition_b(a_var01, near_rf_asset)
         assert verdict.verdict == "fail"
         assert verdict.condition_values["rho_one"] == -1.0
         x = verdict.witness["x"]
@@ -87,15 +87,15 @@ class TestTheoremConditionB:
 
     def test_constructed_two_atom_asset_passes(self, constructed_asset, two_atom_space):
         spec = AcceptanceSpec.var_level(0.1)
-        verdict = check_theorem_condition_b(spec, constructed_asset, trials=10000, seed=2)
+        verdict = check_theorem_condition_b(spec, constructed_asset)
         assert verdict.verdict == "pass"
-        assert verdict.samples >= 5000
+        assert verdict.samples == 1
         assert verdict.condition_values["invariant_candidate_ok"]
 
     def test_convex_kind_delegates_to_exact_test(self, near_rf_space):
         spec = AcceptanceSpec.es_level(0.1)
         asset = EligibleAsset(1.0, RandVar(near_rf_space, [1.0, 2.0, 1.0]))
-        verdict = check_theorem_condition_b(spec, asset, trials=50, seed=3)
+        verdict = check_theorem_condition_b(spec, asset)
         assert verdict.statement == "theorem-b"
         assert verdict.verdict == "fail"
         assert "exact single membership" in verdict.note
@@ -110,11 +110,107 @@ class TestTheoremConditionB:
     def test_failure_implies_violation_findable(self, a_var01, near_rf_asset):
         # stability failure certifies non-additivity, so the searcher must
         # realize a concrete violating pair on the same fixture
-        assert check_theorem_condition_b(a_var01, near_rf_asset, trials=200, seed=4).verdict == "fail"
+        assert check_theorem_condition_b(a_var01, near_rf_asset).verdict == "fail"
         found = find_additivity_violation(a_var01, near_rf_asset, budget=2000, seed=67)
         assert found.verdict == "fail"
         assert is_comonotone(found.witness["x"], found.witness["y"])
         assert abs(found.witness["gap"]) > 1e-7
+
+    @staticmethod
+    def assert_witness_reverifies(spec, verdict):
+        x, shifted = verdict.witness["x"], verdict.witness["shifted"]
+        w = verdict.condition_values["w"]
+        moved = x + w if verdict.witness["direction"] == "+" else x - w
+        assert shifted.tolist() == moved.tolist()
+        assert accepts(spec, x) and not accepts(spec, shifted)
+
+    def test_sixteen_atom_near_pass_fails(self):
+        # a sampled search with 200 trials missed every ejected position here
+        weights = np.array([21, 20, 26, 9, 54, 4, 62, 11, 23, 28, 53, 16, 6, 43, 8, 57], float)
+        space = FiniteSpace(weights / weights.sum())
+        payoff = np.ones(16)
+        payoff[5] = 2.0
+        spec = AcceptanceSpec.var_level(0.3)
+        asset = EligibleAsset(1.0, RandVar(space, payoff))
+        verdict = check_theorem_condition_b(spec, asset)
+        assert (verdict.verdict, verdict.samples, verdict.seed) == ("fail", 1, None)
+        self.assert_witness_reverifies(spec, verdict)
+
+    def test_whole_space_is_rejected_at_alpha_below_one(self):
+        # the first draw whose stored probabilities sum, correctly rounded, to
+        # 1 - 2**-53: at that alpha every proper event passes accepts, but the
+        # whole space is rejected, so W ejects -1 on the payoff's low atoms
+        rng = np.random.default_rng(2)
+        alpha = math.nextafter(1.0, 0.0)
+        for _ in range(5):
+            w = rng.random(int(rng.integers(20, 300))) ** 4
+            space = FiniteSpace((w / w.sum()).tolist())
+            nums, den = space.int_probs
+            if sum(nums) / den == alpha:
+                break
+        assert sum(nums) / den == alpha
+        payoff = np.full(space.n_atoms, 2.0)
+        payoff[:10] = 1.0
+        spec = AcceptanceSpec.var_level(alpha)
+        asset = EligibleAsset(1.0, RandVar(space, payoff))
+        verdict = check_theorem_condition_b(spec, asset)
+        assert verdict.verdict == "fail"
+        assert verdict.witness["direction"] == "+"
+        assert verdict.witness["x"].tolist() == [-1.0] * 10 + [0.0] * (space.n_atoms - 10)
+        self.assert_witness_reverifies(spec, verdict)
+
+    def test_rejects_more_than_twenty_atoms_outside_the_loss_event(self):
+        space = FiniteSpace([1.0 / 22] * 22)
+        asset = EligibleAsset(1.0, RandVar(space, [2.0] + [1.0] * 21))
+        with pytest.raises(ValueError, match="cap 20"):
+            check_theorem_condition_b(AcceptanceSpec.var_level(0.1), asset)
+
+    def test_rejected_loss_event_needs_no_enumeration(self):
+        # -W is negative on the three payoff-1 atoms, which alone exceed alpha,
+        # so X = 0 is ejected without enumerating the 22 atoms outside them
+        space = FiniteSpace([1.0 / 25] * 25)
+        asset = EligibleAsset(1.0, RandVar(space, [1.0] * 3 + [2.0] * 22))
+        spec = AcceptanceSpec.var_level(0.1)
+        verdict = check_theorem_condition_b(spec, asset)
+        assert verdict.verdict == "fail"
+        assert (verdict.witness["direction"], verdict.witness["x"].max_abs) == ("-", 0.0)
+        self.assert_witness_reverifies(spec, verdict)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.floats(0.01, 1.0), st.integers(1, 4).map(float)), min_size=2, max_size=7
+        ),
+        picks=st.sets(st.integers(0, 6), min_size=1, max_size=4),
+        nudge=st.sampled_from([-1.0, 0.0, 1.0]),
+        payoff=st.lists(st.integers(1, 8), min_size=7, max_size=7),
+        price=st.integers(1, 3),
+    )
+    def test_matches_brute_force_oracle(self, weights, picks, nudge, payoff, price):
+        total = sum(weights)
+        space = FiniteSpace([w / total for w in weights])
+        n = space.n_atoms
+        probs = space.probs.tolist()
+        # alpha is an event's float probability, or one ulp either side of it
+        alpha = float(sum((Fraction(p) for i, p in enumerate(probs) if i in picks), Fraction(0)))
+        alpha = math.nextafter(alpha, alpha + nudge) if nudge else alpha
+        if not 0.0 < alpha < 1.0:
+            return
+        spec = AcceptanceSpec.var_level(alpha)
+        asset = EligibleAsset(float(price), RandVar(space, [float(v) for v in payoff[:n]]))
+        one = RandVar.constant(space, 1.0)
+        w = one + (rho(spec, asset, one).value / asset.price) * asset.payoff
+        c = 1.0 + 2.0 * w.max_abs
+        ejected = False
+        for mask in range(2**n):
+            x = -c * RandVar.indicator(space, [i for i in range(n) if mask >> i & 1])
+            if accepts(spec, x) and not (accepts(spec, x + w) and accepts(spec, x - w)):
+                ejected = True
+                break
+        verdict = check_theorem_condition_b(spec, asset)
+        assert verdict.verdict == ("fail" if ejected else "pass")
+        if ejected:
+            self.assert_witness_reverifies(spec, verdict)
 
 
 class TestCorollaryConvex:
@@ -235,14 +331,13 @@ class TestLemmaEquality:
 @pytest.mark.parametrize(
     "checker",
     [
-        lambda spec, asset, trials: check_theorem_condition_b(spec, asset, trials),
         lambda spec, asset, trials: check_cash_reduction_identity(spec, asset, trials),
         lambda spec, asset, trials: check_lemma_equality(spec, asset, asset, trials),
         lambda spec, asset, trials: check_var_condition_b(
             asset.payoff.space, spec.level, trials=trials
         ),
     ],
-    ids=["theorem-b", "cash-reduction", "lemma-equality", "var-condition-b"],
+    ids=["cash-reduction", "lemma-equality", "var-condition-b"],
 )
 def test_sampled_checkers_reject_fewer_than_one_trial(checker, trials, a_var01, near_rf_asset):
     # with zero trials the sampled check would pass without a sample
@@ -270,6 +365,17 @@ class TestVarNecessaryCondition:
         verdict = check_var_necessary_condition(spec, asset)
         assert verdict.verdict == "fail"
         assert verdict.condition_values["mass_at_constant"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_threshold_is_compared_exactly(self):
+        # P = 0.5 misses 1 - 2 * alpha = 0.5 + 2**-54 exactly, though the
+        # float 1.0 - 2.0 * alpha rounds to 0.5
+        sp = FiniteSpace([0.5, 0.5])
+        spec = AcceptanceSpec.var_level(math.nextafter(0.25, 0.0))
+        asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
+        verdict = check_var_necessary_condition(spec, asset)
+        assert verdict.verdict == "fail"
+        assert verdict.condition_values["mass_at_constant"] == 0.5
+        assert verdict.condition_values["threshold"] == 0.5
 
     def test_rejects_non_var_kind(self, near_rf_asset):
         with pytest.raises(ValueError):
