@@ -29,7 +29,7 @@ CASES = [
 
 for name, probs, alpha in CASES:
     space = FiniteSpace(probs)
-    verdict = check_var_condition_b(space, Level(alpha), trials=400, seed=5)
+    verdict = check_var_condition_b(space, Level(alpha))
     print(f"{name} (alpha = {alpha}): {verdict.verdict}")
     if verdict.passed:
         event = verdict.condition_values["event"]
@@ -55,5 +55,5 @@ print("additivity over", report.trials, "sampled comonotone pairs:",
 print("\nfiner uniform grids keep failing, mirroring the atomless limit:")
 for n in (4, 8, 12, 16, 20):
     space = FiniteSpace([1.0 / n] * n)
-    verdict = check_var_condition_b(space, Level(0.05), trials=10, seed=5)
+    verdict = check_var_condition_b(space, Level(0.05))
     print(f"  uniform {n:2d}: {verdict.verdict}")

@@ -42,9 +42,3 @@ def grid_scalar(rng: np.random.Generator, span: float = 4.0) -> float:
     k = int(span * GRID)
     return float(rng.integers(-k, k + 1)) / GRID
 
-
-def random_space(rng: np.random.Generator, n_min: int = 2, n_max: int = 8) -> FiniteSpace:
-    """Random space with grid-friendly weights (positive 1/64 multiples, renormalized)."""
-    n = int(rng.integers(n_min, n_max + 1))
-    w = rng.integers(1, 4 * GRID, n).astype(float)
-    return FiniteSpace(w / w.sum())

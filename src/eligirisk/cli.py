@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -80,7 +81,7 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _number_list(raw, path: str, length: int | None = None) -> list[float]:
@@ -89,7 +90,7 @@ def _number_list(raw, path: str, length: int | None = None) -> list[float]:
     out = []
     for i, v in enumerate(raw):
         if not _is_number(v):
-            raise ScenarioError(f"{path}[{i}]", f"expected a number, got {v!r}")
+            raise ScenarioError(f"{path}[{i}]", f"expected a finite number, got {v!r}")
         out.append(float(v))
     if length is not None and len(out) != length:
         raise ScenarioError(path, f"expected {length} entries, got {len(out)}")
@@ -118,7 +119,8 @@ def _parse_acceptance(raw, path: str) -> AcceptanceSpec:
             for key in ("alpha", "w"):
                 if not _is_number(item[key]):
                     raise ScenarioError(
-                        f"{path}.weights[{i}].{key}", f"expected a number, got {item[key]!r}"
+                        f"{path}.weights[{i}].{key}",
+                        f"expected a finite number, got {item[key]!r}",
                     )
             points.append((item["alpha"], item["w"]))
         try:
@@ -138,7 +140,7 @@ def _parse_asset(raw, path: str, space: FiniteSpace) -> EligibleAsset:
         raise ScenarioError(path, "must be an object")
     price = _require(raw, "price", path)
     if not _is_number(price) or not price > 0:
-        raise ScenarioError(f"{path}.price", f"must be a positive number, got {price!r}")
+        raise ScenarioError(f"{path}.price", f"must be positive and finite, got {price!r}")
     payoff = _number_list(_require(raw, "payoff", path), f"{path}.payoff", space.n_atoms)
     if min(payoff) <= 0.0:
         raise ScenarioError(f"{path}.payoff", "payoff values must be strictly positive")
@@ -185,7 +187,7 @@ def parse_scenario(doc: Any) -> Scenario:
     for key, val in options.items():
         if key == "tol":
             if not _is_number(val) or not val > 0:
-                raise ScenarioError("scenario.options.tol", f"must be a positive number, got {val!r}")
+                raise ScenarioError("scenario.options.tol", f"must be positive and finite, got {val!r}")
         elif key in ("seed", "trials", "budget"):
             least, word = (0, "nonnegative") if key == "seed" else (1, "positive")
             if isinstance(val, bool) or not isinstance(val, int) or val < least:
@@ -279,7 +281,7 @@ STATEMENTS: dict[str, Callable[[Scenario, int, int, float], Any]] = {
     "var-necessary": lambda sc, trials, seed, tol: check_var_necessary_condition(
         sc.acceptance, sc.asset),
     "var-condition-b": lambda sc, trials, seed, tol: check_var_condition_b(
-        sc.space, _var_level(sc), trials=trials, seed=seed),
+        sc.space, _var_level(sc)),
     "monotone": lambda sc, trials, seed, tol: check_monotone(sc.acceptance, sc.space, trials, seed),
     "cone": lambda sc, trials, seed, tol: check_cone(sc.acceptance, sc.space, trials, seed),
     "convex": lambda sc, trials, seed, tol: check_convex(sc.acceptance, sc.space, trials, seed),
@@ -358,6 +360,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eligirisk",
@@ -370,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         if scenario:
             p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized checkers")
-        p.add_argument("--tol", type=float, default=None, help="solver / comparison tolerance")
+        p.add_argument(
+            "--tol", type=positive_float, default=None, help="solver / comparison tolerance"
+        )
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
 

@@ -24,6 +24,7 @@ comparison; the bracket width is the only approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ class EligibleAsset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "price", float(self.price))
-        if not self.price > 0.0:
-            raise ValueError(f"asset price must be strictly positive, got {self.price}")
+        if not 0.0 < self.price < math.inf:
+            raise ValueError(f"asset price must be positive and finite, got {self.price}")
         if not float(np.min(self.payoff.values)) > 0.0:
             raise ValueError("asset payoff must be bounded away from zero (all values > 0)")
 
@@ -149,8 +150,8 @@ def rho(
     method: str = "auto",
 ) -> RiskQuote:
     """Least capital invested in the asset that makes the position acceptable."""
-    if tol is not None and not tol > 0.0:
-        raise ValueError(f"tol must be strictly positive, got {tol}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if method not in ("auto", "bisection"):
         raise ValueError(f"unknown method {method!r}")
     if tol is None:

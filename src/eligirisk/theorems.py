@@ -4,10 +4,10 @@ acceptance set and the asset.
 
 Each checker turns one statement into a finite verification: exact single
 membership tests where the statement reduces to one, one pass over integer
-subset sums for VaR's ``theorem-b`` and ``var-condition-b``, and seeded
-sampling for universally quantified conditions.  Single-pass exact verdicts
-report one sample and no seed; a sampled "pass" means "no violation found",
-never a proof.
+subset sums for VaR's ``theorem-b`` and ``var-condition-b`` (which hands its
+asset to ``theorem-b``), and seeded sampling for universally quantified
+conditions.  Single-pass exact verdicts report one sample and no seed; a
+sampled "pass" means "no violation found", never a proof.
 """
 
 from __future__ import annotations
@@ -415,12 +415,7 @@ def check_var_necessary_condition(spec: AcceptanceSpec, asset: EligibleAsset) ->
     )
 
 
-def check_var_condition_b(
-    space: FiniteSpace,
-    level: Level,
-    trials: int = 1000,
-    seed: int = 0,
-) -> TheoremVerdict:
+def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
     """Existence of a risky asset making the quantile-based measure comonotonic.
 
     The condition asks for an event A with 0 < P(A) <= alpha and
@@ -432,10 +427,9 @@ def check_var_condition_b(
     gives the inner maximum of every complement at once.  The chosen event has
     the least probability (then the least bitmask); ``samples`` counts the
     candidate events.  On success the witness asset (price 1, payoff 2 on A
-    and 1 elsewhere) is checked for additivity on sampled comonotone pairs.
+    and 1 elsewhere, so W = -1_A) is decided by the exact theorem-b pass under
+    the rounding of :func:`accepts`, whose verdict and witness are reported.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = space.n_atoms
     alpha = level.alpha
     weights, scale = space.int_probs
@@ -458,7 +452,7 @@ def check_var_condition_b(
             else "every candidate event is spoiled by a subset of its complement"
         )
         return TheoremVerdict(
-            "var-condition-b", "fail", candidates.size, seed,
+            "var-condition-b", "fail", candidates.size, None,
             condition_values={
                 "alpha": alpha,
                 "candidate_events": candidates.size,
@@ -471,25 +465,22 @@ def check_var_condition_b(
     # argmin keeps the first, i.e. the least bitmask, among equal probabilities
     found = int(holds[np.argmin(sums[holds])])
     event = [i for i in range(n) if found >> i & 1]
-    payoff = RandVar.constant(space, 1.0) + RandVar.indicator(space, event)
-    asset = EligibleAsset(1.0, payoff)
-    spec = AcceptanceSpec.var_level(alpha)
-    additivity = additivity_on_comonotone(_requirement(spec, asset), space, trials, seed, tol=1e-10)
-    verdict = "pass" if additivity.passed else "fail"
+    asset = EligibleAsset(1.0, RandVar.constant(space, 1.0) + RandVar.indicator(space, event))
+    stability = check_theorem_condition_b(AcceptanceSpec.var_level(alpha), asset)
     return TheoremVerdict(
-        "var-condition-b", verdict, candidates.size, seed,
-        witness=None if additivity.passed else additivity.witness,
+        "var-condition-b", stability.verdict, candidates.size, None,
+        witness=stability.witness,
         condition_values={
             "alpha": alpha,
             "event": event,
             "event_prob": sums[found] / scale,
             "inner_max": inner[(sums.size - 1) ^ found] / scale,
-            "witness_payoff": payoff,
-            "additivity_trials": additivity.trials,
+            "witness_payoff": asset.payoff,
         },
-        note="condition holds; constructed risky asset passes sampled comonotonic additivity"
-        if additivity.passed
-        else "condition holds but the constructed asset failed sampled additivity",
+        note="condition holds; constructed risky asset passes the exact theorem-b check"
+        if stability.passed
+        else "condition holds, but under the rounding of accepts the constructed asset "
+        "ejects an accepted position",
     )
 
 

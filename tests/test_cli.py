@@ -1,6 +1,7 @@
 """Tests for the command-line interface: contracts, exit codes, determinism."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -165,6 +166,53 @@ class TestCheck:
         )
         assert (code, out) == (2, "")
         assert "--trials" in err
+
+    def test_infinite_tol_exits_2(self, capsys):
+        # an infinite tolerance would pass the sampled additivity vacuously
+        code, out, err = run_cli(
+            [
+                "check",
+                "--scenario", str(SCENARIOS / "near_risk_free_var.json"),
+                "--statement", "cash-reduction",
+                "--tol", "inf",
+            ],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "--tol" in err
+
+    @pytest.mark.parametrize(
+        "extra", [["--trials", "1"], [], ["--trials", "12", "--seed", "5"]],
+        ids=["trials-1", "defaults", "trials-12-seed-5"],
+    )
+    def test_var_condition_b_fails_exactly_at_a_rounding_boundary(self, tmp_path, capsys, extra):
+        # the condition holds in exact rationals, but under the rounding of
+        # accepts the constructed asset ejects an accepted position; a single
+        # sampled comonotone pair missed it
+        from eligirisk import AcceptanceSpec, FiniteSpace, RandVar, accepts
+
+        probs = [0.1942221981974611, 0.14151299486797725, 0.40351874408036076,
+                 0.26074606285420093]
+        alpha = 0.5977409422778218
+        doc = {
+            "space": {"probs": probs},
+            "positions": {"x": [0.0] * 4},
+            "asset": {"price": 1.0, "payoff": [1.0] * 4},
+            "acceptance": {"kind": "var", "alpha": alpha},
+        }
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            ["check", "--scenario", str(path), "--statement", "var-condition-b", *extra], capsys
+        )
+        result = json.loads(out)["results"][0]
+        assert (code, result["verdict"], result["seed"]) == (1, "fail", None)
+        assert "event" in result["condition_values"]
+        space = FiniteSpace(probs)
+        spec = AcceptanceSpec.var_level(alpha)
+        x = RandVar(space, result["witness"]["x"])
+        assert accepts(spec, x)
+        assert not accepts(spec, RandVar(space, result["witness"]["shifted"]))
 
 
 class TestSearch:
@@ -403,6 +451,53 @@ MALFORMED = [
             }
         ),
         "scenario.options.budget",
+    ),
+    # non-finite numbers load from JSON's Infinity and NaN; the diagnostic
+    # names the field and the value
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [math.inf, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+            }
+        ),
+        "scenario.positions.x[0]: expected a finite number, got inf",
+    ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, math.nan]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+            }
+        ),
+        "scenario.asset.payoff[1]: expected a finite number, got nan",
+    ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": math.inf, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+            }
+        ),
+        "scenario.asset.price: must be positive and finite, got inf",
+    ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+                "options": {"tol": math.inf},
+            }
+        ),
+        "scenario.options.tol: must be positive and finite, got inf",
     ),
 ]
 

@@ -1,5 +1,7 @@
 """Tests for the eligible-asset requirement solver and numeraire transforms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,10 @@ class TestEligibleAsset:
     def test_rejects_nonpositive_price(self, space3):
         with pytest.raises(ValueError):
             EligibleAsset(0.0, RandVar.constant(space3, 1.0))
+
+    def test_rejects_infinite_price(self, space3):
+        with pytest.raises(ValueError, match="finite"):
+            EligibleAsset(math.inf, RandVar.constant(space3, 1.0))
 
     def test_rejects_payoff_touching_zero(self, space3):
         with pytest.raises(ValueError):
@@ -108,6 +114,10 @@ class TestRhoBisection:
     def test_rejects_nonpositive_tol(self, space3, asset3, a_var05):
         with pytest.raises(ValueError):
             rho(a_var05, asset3, RandVar.constant(space3, 1.0), tol=0.0)
+
+    def test_rejects_infinite_tol(self, space3, asset3, a_var05):
+        with pytest.raises(ValueError, match="finite"):
+            rho(a_var05, asset3, RandVar.constant(space3, 1.0), tol=math.inf)
 
     def test_rejects_unknown_method(self, space3, asset3, a_var05):
         with pytest.raises(ValueError):
