@@ -276,8 +276,10 @@ def find_risk_invariant(
 ) -> CheckReport:
     """Search for a nonzero position acceptable together with its negation.
 
-    Deterministic probes cover scaled indicator differences and exactly
-    mean-zero two-atom positions before the randomized phase.  For pointed
+    Deterministic probes cover scaled indicator differences, exactly
+    mean-zero two-atom positions and single-atom indicators before the
+    randomized phase.  A nonzero VaR invariant exists iff some atom's
+    indicator is one, so for VaR the probes alone decide.  For pointed
     kinds (expected shortfall, distortion mixtures with mass off level 1)
     the report additionally carries the analytic certificate: the functional
     applied to X and to -X sums to a strictly positive number on every
@@ -297,6 +299,8 @@ def find_risk_invariant(
             for c in (1.0, 2.0):
                 yield c * (one_i - one_j)
             yield float(space.probs[j]) * one_i - float(space.probs[i]) * one_j
+        for i in range(space.n_atoms):
+            yield RandVar.indicator(space, [i])
         for _ in range(trials):
             x = smp.grid_randvar(space, rng)
             yield x

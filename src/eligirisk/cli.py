@@ -2,14 +2,15 @@
 and replication of the reference examples, with machine-readable reports.
 
 Exit codes: 0 for pass/computed, 1 for a failed check or a found witness,
-2 for usage or scenario-schema errors.  Reports embed the seed and the tool
-version and contain no timestamps, so identical invocations are
-byte-identical.
+2 for usage or scenario-schema errors.  Reports echo the inputs that shaped
+them and the tool version and contain no timestamps, so identical
+invocations are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -69,7 +70,6 @@ class Scenario:
     positions: dict[str, RandVar]
     asset: EligibleAsset
     acceptance: AcceptanceSpec
-    labels: list[str] | None = None
     asset_r: EligibleAsset | None = None
     options: dict[str, Any] = field(default_factory=dict)
 
@@ -159,12 +159,8 @@ def parse_scenario(doc: Any) -> Scenario:
     except ValueError as exc:
         raise ScenarioError("scenario.space.probs", str(exc)) from exc
     labels = raw_space.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != space.n_atoms:
-            raise ScenarioError(
-                "scenario.space.labels", f"must list {space.n_atoms} atom labels"
-            )
-        labels = [str(v) for v in labels]
+    if labels is not None and (not isinstance(labels, list) or len(labels) != space.n_atoms):
+        raise ScenarioError("scenario.space.labels", f"must list {space.n_atoms} atom labels")
 
     raw_positions = _require(doc, "positions", "scenario")
     if not isinstance(raw_positions, dict) or not raw_positions:
@@ -197,7 +193,7 @@ def parse_scenario(doc: Any) -> Scenario:
         else:
             raise ScenarioError(f"scenario.options.{key}", "unknown option")
 
-    return Scenario(space, positions, asset, acceptance, labels, asset_r, dict(options))
+    return Scenario(space, positions, asset, acceptance, asset_r, dict(options))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -226,10 +222,15 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(command: str, seed: int | None, **echo) -> dict:
-    report = {"command": command, "version": __version__, "seed": seed, "results": []}
+def _base_report(command: str, **echo) -> dict:
+    report = {"command": command, "version": __version__, "results": []}
     report.update({k: v for k, v in echo.items() if v is not None})
     return report
+
+
+def _input(args, scenario: Scenario, name: str, default=None):
+    flag = getattr(args, name)
+    return flag if flag is not None else scenario.options.get(name, default)
 
 
 def cmd_eval(args) -> int:
@@ -238,8 +239,8 @@ def cmd_eval(args) -> int:
     for name in names:
         if name not in scenario.positions:
             raise ScenarioError(f"scenario.positions.{name}", "position not defined")
-    tol = args.tol if args.tol is not None else scenario.options.get("tol")
-    report = _base_report("eval", None, scenario=args.scenario, tol=tol)
+    tol = _input(args, scenario, "tol")
+    report = _base_report("eval", scenario=args.scenario, tol=tol)
     for name in names:
         quote = rho(scenario.acceptance, scenario.asset, scenario.positions[name], tol=tol)
         report["results"].append(
@@ -267,47 +268,43 @@ def _var_level(scenario: Scenario) -> Level:
     return scenario.acceptance.level
 
 
-#: Statement id -> checker call on (scenario, trials, seed, tol).  The ids are
-#: the choices of ``check --statement``.
-STATEMENTS: dict[str, Callable[[Scenario, int, int, float], Any]] = {
-    "theorem-b": lambda sc, trials, seed, tol: check_theorem_condition_b(
-        sc.acceptance, sc.asset),
-    "corollary-convex": lambda sc, trials, seed, tol: check_corollary_convex(
-        sc.acceptance, sc.asset),
+#: Inputs that neither a flag nor the scenario's ``options`` set.
+DEFAULTS = {"trials": 500, "seed": 0, "tol": 1e-9, "budget": 2000}
+
+#: Statement id -> checker on ``sc`` and the inputs it reads, which ``check``
+#: passes and echoes.  The ids are the choices of ``check --statement``.
+STATEMENTS: dict[str, Callable[..., Any]] = {
+    "theorem-b": lambda sc: check_theorem_condition_b(sc.acceptance, sc.asset),
+    "corollary-convex": lambda sc: check_corollary_convex(sc.acceptance, sc.asset),
     "cash-reduction": lambda sc, trials, seed, tol: check_cash_reduction_identity(
         sc.acceptance, sc.asset, trials, seed, tol),
     "lemma-equality": lambda sc, trials, seed, tol: check_lemma_equality(
         sc.acceptance, sc.asset, _asset_r(sc), trials, seed, tol),
-    "var-necessary": lambda sc, trials, seed, tol: check_var_necessary_condition(
-        sc.acceptance, sc.asset),
-    "var-condition-b": lambda sc, trials, seed, tol: check_var_condition_b(
-        sc.space, _var_level(sc)),
-    "monotone": lambda sc, trials, seed, tol: check_monotone(sc.acceptance, sc.space, trials, seed),
-    "cone": lambda sc, trials, seed, tol: check_cone(sc.acceptance, sc.space, trials, seed),
-    "convex": lambda sc, trials, seed, tol: check_convex(sc.acceptance, sc.space, trials, seed),
-    "risk-invariant": lambda sc, trials, seed, tol: find_risk_invariant(
+    "var-necessary": lambda sc: check_var_necessary_condition(sc.acceptance, sc.asset),
+    "var-condition-b": lambda sc: check_var_condition_b(sc.space, _var_level(sc)),
+    "monotone": lambda sc, trials, seed: check_monotone(sc.acceptance, sc.space, trials, seed),
+    "cone": lambda sc, trials, seed: check_cone(sc.acceptance, sc.space, trials, seed),
+    "convex": lambda sc, trials, seed: check_convex(sc.acceptance, sc.space, trials, seed),
+    "risk-invariant": lambda sc, trials, seed: find_risk_invariant(
         sc.acceptance, sc.space, trials, seed),
     "s-additivity": lambda sc, trials, seed, tol: s_additivity_check(
         sc.acceptance, sc.asset, trials, seed, tol),
     "numeraire-identity": lambda sc, trials, seed, tol: numeraire_identity_check(
         sc.acceptance, sc.asset, trials, seed, tol),
-    "s-comonotone-additivity": lambda sc, trials, seed, tol: additivity_on_S_comonotone(
+    "s-comonotone-additivity": lambda sc, trials, seed: additivity_on_S_comonotone(
         sc.acceptance, sc.asset, trials, seed),
-    "comono-preservation": lambda sc, trials, seed, tol: comono_preservation_under_numeraire(
+    "comono-preservation": lambda sc, trials, seed: comono_preservation_under_numeraire(
         sc.asset, trials, seed),
 }
 
 
 def cmd_check(args) -> int:
     scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.options.get("seed", 0)
-    trials = args.trials if args.trials is not None else scenario.options.get("trials", 500)
-    tol = args.tol if args.tol is not None else scenario.options.get("tol", 1e-9)
-    result = STATEMENTS[args.statement](scenario, trials, seed, tol)
-    report = _base_report(
-        "check", seed, scenario=args.scenario, statement=args.statement,
-        trials=trials, tol=tol,
-    )
+    checker = STATEMENTS[args.statement]
+    names = list(inspect.signature(checker).parameters)[1:]
+    inputs = {name: _input(args, scenario, name, DEFAULTS[name]) for name in names}
+    result = checker(scenario, **inputs)
+    report = _base_report("check", scenario=args.scenario, statement=args.statement, **inputs)
     report["results"].append(result.to_jsonable())
     _emit(report, args.format, args.out)
     return EXIT_OK if result.passed else EXIT_WITNESS
@@ -315,8 +312,8 @@ def cmd_check(args) -> int:
 
 def cmd_search(args) -> int:
     scenario = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.options.get("seed", 0)
-    budget = args.budget if args.budget is not None else scenario.options.get("budget", 2000)
+    seed = _input(args, scenario, "seed", DEFAULTS["seed"])
+    budget = _input(args, scenario, "budget", DEFAULTS["budget"])
     seed_pairs = []
     names = sorted(scenario.positions)
     for i, a in enumerate(names):
@@ -326,7 +323,7 @@ def cmd_search(args) -> int:
         scenario.acceptance, scenario.asset, budget, seed, seed_pairs=seed_pairs
     )
     preservation = comono_preservation_under_numeraire(scenario.asset, budget, seed)
-    report = _base_report("search", seed, scenario=args.scenario, budget=budget)
+    report = _base_report("search", scenario=args.scenario, seed=seed, budget=budget)
     report["results"].append(violation.to_jsonable())
     report["results"].append(preservation.to_jsonable())
     found = not violation.passed or not preservation.passed
@@ -346,18 +343,24 @@ def cmd_replicate(args) -> int:
         verdicts = run_replication_suite(overrides)
     except KeyError as exc:
         raise ScenarioError("expected", str(exc)) from exc
-    report = _base_report("replicate", None, expected=args.expected)
+    report = _base_report("replicate", expected=args.expected)
     report["results"] = [v.to_jsonable() for v in verdicts]
     report["all_passed"] = all(v.passed for v in verdicts)
     _emit(report, args.format, args.out)
     return EXIT_OK if report["all_passed"] else EXIT_WITNESS
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(least: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
 
 
 def positive_float(text: str) -> float:
@@ -375,39 +378,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eligirisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
-        if scenario:
+    def common(p: argparse.ArgumentParser, *inputs: str) -> None:
+        if "scenario" in inputs:
             p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized checkers")
-        p.add_argument(
-            "--tol", type=positive_float, default=None, help="solver / comparison tolerance"
-        )
+        if "seed" in inputs:
+            p.add_argument("--seed", type=int_at_least(0), help="seed for randomized checkers")
+        if "tol" in inputs:
+            p.add_argument("--tol", type=positive_float, help="solver / comparison tolerance")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_eval = sub.add_parser("eval", help="price named positions")
-    common(p_eval)
+    common(p_eval, "scenario", "tol")
     p_eval.add_argument(
         "--position", action="append", default=None, help="position name (repeatable)"
     )
     p_eval.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="run a statement checker")
-    common(p_check)
+    common(p_check, "scenario", "seed", "tol")
     p_check.add_argument(
         "--statement", required=True, choices=STATEMENTS, metavar="ID",
         help="statement id: " + ", ".join(sorted(STATEMENTS)),
     )
-    p_check.add_argument("--trials", type=positive_int, default=None)
+    p_check.add_argument("--trials", type=int_at_least(1))
     p_check.set_defaults(func=cmd_check)
 
     p_search = sub.add_parser("search", help="search for additivity and numeraire witnesses")
-    common(p_search)
-    p_search.add_argument("--budget", type=positive_int, default=None)
+    common(p_search, "scenario", "seed")
+    p_search.add_argument("--budget", type=int_at_least(1))
     p_search.set_defaults(func=cmd_search)
 
     p_rep = sub.add_parser("replicate", help="recompute the reference examples")
-    common(p_rep, scenario=False)
+    common(p_rep)
     p_rep.add_argument(
         "--expected", default=None, help="JSON file overriding expected fixture values"
     )

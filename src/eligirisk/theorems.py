@@ -50,6 +50,9 @@ __all__ = [
 #: constant position 1 before forming exact membership probes.
 RHO_ONE_TOL = 1e-12
 
+#: Least requirement gap that ``find_additivity_violation`` reports.
+ADDITIVITY_THRESHOLD = 1e-7
+
 
 @dataclass
 class TheoremVerdict:
@@ -490,7 +493,6 @@ def find_additivity_violation(
     budget: int = 2000,
     seed: int = 0,
     seed_pairs: list[tuple[RandVar, RandVar]] | None = None,
-    threshold: float = 1e-7,
 ) -> TheoremVerdict:
     """Search for a comonotone pair breaking additivity of the requirement.
 
@@ -510,8 +512,7 @@ def find_additivity_violation(
     """
     space = asset.payoff.space
     rng = smp.as_rng(seed)
-    solver_tol = min(threshold * 1e-3, 1e-12)
-    rho_fn = _requirement(spec, asset, solver_tol)
+    rho_fn = _requirement(spec, asset, 1e-12)  # far below the threshold
 
     def gap_of(x: RandVar, y: RandVar) -> float:
         return rho_fn(x + y) - rho_fn(x) - rho_fn(y)
@@ -525,9 +526,9 @@ def find_additivity_violation(
             return False
         evaluated += 1
         g = gap_of(x, y)
-        if abs(g) > threshold and (best is None or abs(g) > abs(best[0])):
+        if abs(g) > ADDITIVITY_THRESHOLD and (best is None or abs(g) > abs(best[0])):
             best = (g, x, y)
-        return best is not None and abs(best[0]) > threshold
+        return best is not None and abs(best[0]) > ADDITIVITY_THRESHOLD
 
     one = RandVar.constant(space, 1.0)
     probes: list[tuple[RandVar, RandVar]] = list(seed_pairs or [])
@@ -556,7 +557,7 @@ def find_additivity_violation(
         candidates += [smp.grid_randvar(space, rng) for _ in range(64)]
         for x in candidates:
             dev = rho_fn(x) + r1 * rho_cash(spec, x)
-            if abs(dev) <= max(threshold * 8.0, 64.0 * solver_tol):
+            if abs(dev) <= 8.0 * ADDITIVITY_THRESHOLD:
                 continue
             lam = rho_cash(spec, x)
             delta = abs(dev) / (2.0 * abs(r1))
@@ -569,7 +570,7 @@ def find_additivity_violation(
     if best is None:
         return TheoremVerdict(
             "additivity-violation", "pass", evaluated, seed,
-            condition_values={"threshold": threshold},
+            condition_values={"threshold": ADDITIVITY_THRESHOLD},
             note="no comonotone additivity violation found within the budget",
         )
     g, x, y = best
@@ -578,7 +579,7 @@ def find_additivity_violation(
     return TheoremVerdict(
         "additivity-violation", "fail", evaluated, seed,
         witness={"x": x, "y": y, "gap": g},
-        condition_values={"threshold": threshold,
+        condition_values={"threshold": ADDITIVITY_THRESHOLD,
                           "direction": "superadditive" if g > 0 else "subadditive"},
         note="verified comonotone pair with non-additive requirement",
     )

@@ -1,7 +1,11 @@
 """Tests for acceptance sets, membership, and the structural-property checkers."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eligirisk import (
     AcceptanceSpec,
@@ -206,6 +210,34 @@ class TestFindRiskInvariant:
         report = find_risk_invariant(AcceptanceSpec.var_level(0.1), sp, trials=1, seed=0)
         assert not report.passed and report.trials == 1
         assert len(built) == 2
+
+    def test_var_invariant_on_a_single_small_atom(self):
+        # only atom 0 may be lost at alpha 0.1, so no pair probe is an invariant
+        sp = FiniteSpace([0.05, 0.475, 0.475])
+        spec = AcceptanceSpec.var_level(0.1)
+        report = find_risk_invariant(spec, sp, trials=1000)
+        assert not report.passed
+        w = report.witness["w"]
+        assert w.tolist() == [1.0, 0.0, 0.0] and accepts(spec, w) and accepts(spec, -w)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+        alpha=st.sampled_from([0.05, 0.1, 0.25, 0.4, 0.6]),
+    )
+    def test_var_verdict_matches_sign_vector_oracle(self, weights, alpha):
+        # VaR membership of W depends only on the sign pattern of W, so an
+        # invariant exists iff some nonzero vector in {-1, 0, 1}^n is one
+        sp = FiniteSpace([w / sum(weights) for w in weights])
+        spec = AcceptanceSpec.var_level(alpha)
+        exists = any(
+            accepts(spec, w) and accepts(spec, -w)
+            for signs in product((-1.0, 0.0, 1.0), repeat=sp.n_atoms)
+            if any(signs)
+            for w in [RandVar(sp, list(signs))]
+        )
+        report = find_risk_invariant(spec, sp, trials=1, seed=0)
+        assert report.passed == (not exists)
 
     def test_expectation_has_invariant(self):
         sp = FiniteSpace([0.5, 0.5])

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: contracts, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from eligirisk.cli import STATEMENTS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+EXACT_STATEMENTS = {"theorem-b", "corollary-convex", "var-necessary", "var-condition-b"}
 
 
 def run_cli(argv, capsys):
@@ -58,6 +60,11 @@ class TestEval:
         result = json.loads(out)["results"][0]
         assert result["method"] == "bisection"
         assert abs(result["value"] - 0.5) <= 1e-11
+
+    def test_report_has_no_seed(self, capsys):
+        code, out, _ = run_cli(["eval", "--scenario", str(SCENARIOS / "es_bisection.json")], capsys)
+        assert code == 0
+        assert set(json.loads(out)) == {"command", "version", "results", "scenario", "tol"}
 
     def test_unknown_position_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -214,6 +221,51 @@ class TestCheck:
         assert accepts(spec, x)
         assert not accepts(spec, RandVar(space, result["witness"]["shifted"]))
 
+    def test_risk_invariant_finds_a_single_atom_invariant(self, capsys):
+        # VaR 0.1 on [0.1, 0.9]: only atom 0 may be lost, so no pair probe is
+        # an invariant, but its indicator is
+        from eligirisk import AcceptanceSpec, FiniteSpace, RandVar, accepts
+
+        code, out, _ = run_cli(
+            [
+                "check",
+                "--scenario", str(SCENARIOS / "lemma_two_atom.json"),
+                "--statement", "risk-invariant",
+                "--trials", "12",
+            ],
+            capsys,
+        )
+        result = json.loads(out)["results"][0]
+        assert (code, result["passed"], result["witness"]["w"]) == (1, False, [1.0, 0.0])
+        spec = AcceptanceSpec.var_level(0.1)
+        w = RandVar(FiniteSpace([0.1, 0.9]), result["witness"]["w"])
+        assert accepts(spec, w) and accepts(spec, -w)
+
+    @pytest.mark.parametrize("statement", sorted(STATEMENTS))
+    def test_report_echoes_exactly_the_inputs_the_statement_reads(
+        self, tmp_path, capsys, statement
+    ):
+        # every flag is given; the ones the statement does not read are
+        # ignored and not echoed
+        doc = json.loads((SCENARIOS / "near_risk_free_var.json").read_text())
+        doc["asset_r"] = {"price": 2.0, "payoff": [2, 4, 2]}
+        if statement == "corollary-convex":  # needs a convex criterion
+            doc["acceptance"] = {"kind": "es", "alpha": 0.1}
+        path = tmp_path / "all_inputs.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            ["check", "--scenario", str(path), "--statement", statement,
+             "--trials", "12", "--seed", "5", "--tol", "1e-8"],
+            capsys,
+        )
+        report = json.loads(out)
+        reads = list(inspect.signature(STATEMENTS[statement]).parameters)[1:]
+        assert code in (0, 1)
+        assert (reads == []) == (statement in EXACT_STATEMENTS)
+        assert set(report) == {"command", "version", "results", "scenario", "statement", *reads}
+        flags = {"trials": 12, "seed": 5, "tol": 1e-8}
+        assert {name: report[name] for name in reads} == {name: flags[name] for name in reads}
+
 
 class TestSearch:
     def test_superadditive_fixture_finds_gap(self, capsys):
@@ -266,6 +318,7 @@ class TestReplicate:
         report = json.loads(out)
         assert report["all_passed"]
         assert len(report["results"]) == 5
+        assert "seed" not in report
 
     def test_tampered_expected_fails_naming_fixture(self, tmp_path, capsys):
         tampered = tmp_path / "tampered.json"
@@ -499,6 +552,17 @@ MALFORMED = [
         ),
         "scenario.options.tol: must be positive and finite, got inf",
     ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5], "labels": ["A"]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+            }
+        ),
+        "scenario.space.labels",
+    ),
 ]
 
 
@@ -515,6 +579,35 @@ class TestMalformedScenarios:
 class TestUsage:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--statement", "monotone"], ["check", "--statement", "theorem-b"], ["search"]],
+        ids=["check-sampled", "check-exact", "search"],
+    )
+    def test_negative_seed_exits_2_naming_seed(self, capsys, argv):
+        code, out, err = run_cli(
+            [argv[0], "--scenario", str(SCENARIOS / "lemma_two_atom.json"), *argv[1:],
+             "--seed", "-1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "--seed" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--scenario", str(SCENARIOS / "lemma_two_atom.json"), "--seed", "1"],
+            ["search", "--scenario", str(SCENARIOS / "lemma_two_atom.json"), "--tol", "1e-9"],
+            ["replicate", "--seed", "1"],
+            ["replicate", "--tol", "1e-9"],
+        ],
+        ids=["eval-seed", "search-tol", "replicate-seed", "replicate-tol"],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert argv[-2] in err
 
     def test_readme_lists_every_statement_id(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")

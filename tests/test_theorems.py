@@ -204,6 +204,12 @@ class TestTheoremConditionB:
         payoff=st.lists(st.integers(1, 8), min_size=7, max_size=7),
         price=st.integers(1, 3),
     )
+    # alpha sits where the limit of accepts and var-condition-b's exact floor
+    # part: with the floor in place of the limit the check raises
+    @example(
+        weights=[4.0, 0.6729584199305572, 1.0], picks={1, 2}, nudge=0.0,
+        payoff=[3, 8, 4, 8, 5, 4, 3], price=3,
+    )
     def test_matches_brute_force_oracle(self, weights, picks, nudge, payoff, price):
         total = sum(weights)
         space = FiniteSpace([w / total for w in weights])
