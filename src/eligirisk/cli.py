@@ -35,7 +35,7 @@ from .engine import (
     rho,
     s_additivity_check,
 )
-from .measures import DistortionWeights, Level
+from .measures import DistortionWeights
 from .spaces import FiniteSpace, RandVar
 from .theorems import (
     check_corollary_convex,
@@ -262,10 +262,19 @@ def _asset_r(scenario: Scenario) -> EligibleAsset:
     return scenario.asset_r
 
 
-def _var_level(scenario: Scenario) -> Level:
+def _var_spec(scenario: Scenario, statement: str) -> AcceptanceSpec:
     if scenario.acceptance.kind != "var":
-        raise ScenarioError("scenario.acceptance.kind", "var-condition-b needs kind 'var'")
-    return scenario.acceptance.level
+        raise ScenarioError("scenario.acceptance.kind", f"{statement} needs kind 'var'")
+    return scenario.acceptance
+
+
+def _convex_spec(scenario: Scenario) -> AcceptanceSpec:
+    if not scenario.acceptance.is_convex_kind:
+        raise ScenarioError(
+            "scenario.acceptance.kind",
+            "corollary-convex needs kind 'es', 'distortion' or 'expectation'",
+        )
+    return scenario.acceptance
 
 
 #: Inputs that neither a flag nor the scenario's ``options`` set.
@@ -275,13 +284,15 @@ DEFAULTS = {"trials": 500, "seed": 0, "tol": 1e-9, "budget": 2000}
 #: passes and echoes.  The ids are the choices of ``check --statement``.
 STATEMENTS: dict[str, Callable[..., Any]] = {
     "theorem-b": lambda sc: check_theorem_condition_b(sc.acceptance, sc.asset),
-    "corollary-convex": lambda sc: check_corollary_convex(sc.acceptance, sc.asset),
+    "corollary-convex": lambda sc: check_corollary_convex(_convex_spec(sc), sc.asset),
     "cash-reduction": lambda sc, trials, seed, tol: check_cash_reduction_identity(
         sc.acceptance, sc.asset, trials, seed, tol),
     "lemma-equality": lambda sc, trials, seed, tol: check_lemma_equality(
         sc.acceptance, sc.asset, _asset_r(sc), trials, seed, tol),
-    "var-necessary": lambda sc: check_var_necessary_condition(sc.acceptance, sc.asset),
-    "var-condition-b": lambda sc: check_var_condition_b(sc.space, _var_level(sc)),
+    "var-necessary": lambda sc: check_var_necessary_condition(
+        _var_spec(sc, "var-necessary"), sc.asset),
+    "var-condition-b": lambda sc: check_var_condition_b(
+        sc.space, _var_spec(sc, "var-condition-b").level),
     "monotone": lambda sc, trials, seed: check_monotone(sc.acceptance, sc.space, trials, seed),
     "cone": lambda sc, trials, seed: check_cone(sc.acceptance, sc.space, trials, seed),
     "convex": lambda sc, trials, seed: check_convex(sc.acceptance, sc.space, trials, seed),

@@ -58,8 +58,16 @@ class TestEval:
         )
         assert code == 0
         result = json.loads(out)["results"][0]
-        assert result["method"] == "bisection"
+        assert result["method"] == "newton"
         assert abs(result["value"] - 0.5) <= 1e-11
+
+    def test_es_fixture_takes_at_most_two_newton_steps(self, capsys):
+        code, out, _ = run_cli(["eval", "--scenario", str(SCENARIOS / "es_bisection.json")], capsys)
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["method"] == "newton"
+        assert 1 <= result["iterations"] <= 2
+        assert 0.0 < result["bracket_width"] <= 1e-12
 
     def test_report_has_no_seed(self, capsys):
         code, out, _ = run_cli(["eval", "--scenario", str(SCENARIOS / "es_bisection.json")], capsys)
@@ -108,6 +116,23 @@ class TestCheck:
         )
         assert code == 0
         assert json.loads(out)["results"][0]["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "statement, scenario",
+        [
+            ("corollary-convex", "scenarios/near_risk_free_var.json"),
+            ("var-necessary", "tests/golden/distortion_mix.json"),
+            ("var-condition-b", "tests/golden/distortion_mix.json"),
+        ],
+    )
+    def test_wrong_criterion_kind_exits_2_naming_the_field(self, capsys, statement, scenario):
+        code, out, err = run_cli(
+            ["check", "--scenario", str(ROOT / scenario), "--statement", statement], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("scenario error: scenario.acceptance.kind: ")
+        assert statement in err
 
     def test_var_condition_b_uniform20_exits_1(self, capsys):
         code, out, _ = run_cli(

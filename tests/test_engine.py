@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eligirisk import (
     AcceptanceSpec,
@@ -11,17 +13,21 @@ from eligirisk import (
     DistortionWeights,
     EligibleAsset,
     FiniteSpace,
+    Level,
     RandVar,
     accepts,
     cash_asset,
     change_numeraire,
     es,
+    es_boundary,
+    es_choquet_oracle,
     expectation,
     numeraire_identity_check,
     rho,
     rho_cash,
     s_additivity_check,
 )
+from eligirisk.engine import MAX_NEWTON_STEPS, default_tol
 
 
 @pytest.fixture
@@ -106,7 +112,7 @@ class TestRhoBisection:
         spec = AcceptanceSpec.es_level(0.5)
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
         quote = rho(spec, asset, RandVar(sp, [0.0, -1.0]), tol=1e-11)
-        assert quote.method == "bisection"
+        assert quote.method == "newton"
         assert quote.value == pytest.approx(0.5, abs=1e-11)
         assert quote.bracket_width <= 1e-11
         assert 0.5 <= quote.value  # upper endpoint dominates the infimum
@@ -152,6 +158,96 @@ class TestRhoBisection:
         q1 = rho(spec, asset, x, tol=1e-12)
         q2 = rho(spec, asset, x, tol=1e-12)
         assert q1 == q2
+
+
+#: ES levels and mixtures with a risky payoff: the quotes that run Newton.
+#: ``MIX`` is the benchmark's mixture; ``ENDS`` uses both boundary levels.
+MIX = ((0.01, 0.5), (0.1, 0.3), (0.5, 0.2))
+ENDS = ((0.0, 0.25), (0.5, 0.5), (1.0, 0.25))
+NEWTON_SPECS = [AcceptanceSpec.es_level(a) for a in (0.05, 0.1, 0.25, 0.5, 0.9)] + [
+    AcceptanceSpec.distortion_mix(DistortionWeights(MIX)),
+    AcceptanceSpec.distortion_mix(DistortionWeights(ENDS)),
+]
+
+
+def choquet_oracle(spec, y):
+    """The criterion by the Choquet sums of ``es_choquet_oracle`` (boundary levels closed form)."""
+    points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
+    return math.fsum(
+        w * (es_boundary(y, a) if a in (0.0, 1.0) else es_choquet_oracle(y, Level(a)))
+        for a, w in points
+    )
+
+
+class TestNewton:
+    """Every ES and distortion quote with a risky payoff is a certified Newton bracket."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(st.integers(1, 16), st.integers(-16, 16), st.integers(1, 8)),
+            min_size=2, max_size=8,
+        ),
+        price=st.integers(1, 4),
+        which=st.integers(0, len(NEWTON_SPECS) - 1),
+    )
+    # g(0) = 0 exactly: no step, hi = 0, the probe at -tol gives lo
+    @example(atoms=[(16, 6, 3), (8, -3, 5)], price=1, which=6)
+    # first step from a rejected m = 0 lands one ulp over the root (the oracle's worst case)
+    @example(atoms=[(12, -6, 6), (1, 4, 5)], price=2, which=0)
+    # a long first step overshoots the root -4 by eight ulps; the probe certifies
+    @example(atoms=[(8, 11, 1), (12, 14, 7)], price=4, which=1)
+    # the step from an accepted m = 0 lands on the root: no rejected iterate, the probe gives lo
+    @example(atoms=[(9, 16, 8), (13, 1, 2)], price=1, which=3)
+    # float noise rejects the root; the next float is accepted, so lo and hi are adjacent
+    @example(atoms=[(3, 9, 7), (6, 10, 6)], price=3, which=6)
+    # a step too small to move m, after a tiny one: progress by the next float
+    @example(atoms=[(15, 10, 5), (6, 2, 6)], price=4, which=6)
+    # hi - (hi - tol) rounds above tol: the probe moves up one float
+    @example(atoms=[(2, -4, 7), (7, 9, 3)], price=1, which=5)
+    def test_certified_and_agrees_with_oracles(self, atoms, price, which):
+        weights, xs, pays = zip(*atoms)
+        sp = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        x = RandVar(sp, np.array(xs) / 4)
+        payoff = RandVar(sp, np.array(pays) / 4)
+        assume(not payoff.is_constant and x.max_abs > 0.0)  # else a closed form applies
+        asset = EligibleAsset(price / 2, payoff)
+        spec = NEWTON_SPECS[which]
+        tol = default_tol(asset, x)
+
+        def shift(m):
+            return x + (m / asset.price) * payoff
+
+        quote = rho(spec, asset, x)
+        hi, width = quote.value, quote.bracket_width
+        assert quote.method == "newton"
+        assert quote.iterations <= MAX_NEWTON_STEPS  # no fallback to the halving loop
+        assert 0.0 < width <= tol
+        assert accepts(spec, shift(hi))
+        assert not accepts(spec, shift(hi - width))
+        assert abs(hi - rho(spec, asset, x, method="bisection").value) <= tol
+        # Newton lands on the root up to the rounding of its steps, which move
+        # the position by at most max|X| * max S1 / eps
+        scale = x.max_abs * float(np.max(payoff.values)) / asset.eps
+        assert abs(choquet_oracle(spec, shift(hi))) <= 4 * sp.n_atoms * math.ulp(scale)
+
+    def test_overshoot_wider_than_tol_is_halved(self):
+        # the long first step lands eight ulps over the root -4; at tol 1e-15
+        # the probe at hi - tol is accepted and the halving loop closes the bracket
+        sp = FiniteSpace([0.4, 0.6])
+        x = RandVar(sp, [2.75, 3.5])
+        asset = EligibleAsset(2.0, RandVar(sp, [0.25, 1.75]))
+        spec = AcceptanceSpec.es_level(0.1)
+
+        def shift(m):
+            return x + (m / asset.price) * asset.payoff
+
+        assert rho(spec, asset, x).value == -3.9999999999999964
+        quote = rho(spec, asset, x, tol=1e-15)
+        assert (quote.method, quote.value) == ("newton", -4.0)
+        assert 0.0 < quote.bracket_width <= 1e-15
+        assert accepts(spec, shift(quote.value))
+        assert not accepts(spec, shift(quote.value - quote.bracket_width))
 
 
 class TestRhoProperties:
