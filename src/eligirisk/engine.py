@@ -20,9 +20,10 @@ Newton iteration: their requirement function is convex, decreasing and
 piecewise linear, so a few steps land on the root.  Explicit criteria, and
 ``method="bisection"``, run bracketed bisection.  Both solvers return the
 upper end ``hi`` of a certified bracket: ``hi`` is accepted and
-``hi - bracket_width`` is rejected, with the width at most the requested
-tol.  Membership uses the exact functional comparison; the bracket width is
-the only approximation.
+``hi - bracket_width`` is rejected, with the width at most
+``max(tol, ulp(hi))``: two adjacent floats when the requested tol is finer
+than the float grid at ``hi``.  Membership uses the exact functional
+comparison; the bracket width is the only approximation.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ class RiskQuote:
     """Computed requirement with solver diagnostics.
 
     ``method`` is ``closed_form``, ``newton`` or ``bisection``.  ``iterations``
-    counts Newton steps plus halvings.  ``bracket_width`` is 0 on the
-    closed-form path; a solver returns ``value`` accepted and
-    ``value - bracket_width`` rejected, with the width at most the requested
-    tolerance.
+    counts Newton steps, the levels of Newton's walk down, and halvings.
+    ``bracket_width`` is 0 on the closed-form path; a solver returns
+    ``value`` accepted and ``value - bracket_width`` rejected, with the width
+    at most ``max(tol, ulp(value))`` (two adjacent floats when the requested
+    tol is finer than the float grid at ``value``).
     """
 
     value: float
@@ -192,9 +194,13 @@ def _newton(
     small to move m moves it to the next float.  ``hi`` is the first accepted
     iterate after m = 0 and ``lo`` the last rejected one.  When no iterate was
     rejected, or ``hi - lo`` exceeds ``tol``, one test at ``hi - tol`` closes
-    the bracket.  Returns ``(lo, hi, steps)``.  When the step cap is hit
-    (``hi`` is None) or the test accepts ``hi - tol``, the halving loop of
-    :func:`_bisect` finishes the bracket.
+    the bracket.  If that test accepts, ``hi`` landed more than ``tol`` over
+    the root (a ``tol`` below the landing error); levels are then tested
+    down from the probe by steps doubling from the probe's distance to
+    ``hi`` (at least ``ulp(hi)``) until one is rejected.  Returns
+    ``(lo, hi, steps)``, the walk's levels counted as steps.  When the step
+    cap is hit (``hi`` is None), or the walk leaves a bracket wider than
+    ``tol``, the halving loop of :func:`_bisect` finishes it.
     """
     s0, payoff = asset.price, asset.payoff
     lo = hi = None
@@ -215,10 +221,18 @@ def _newton(
         probe = hi - tol
         while hi - probe > tol:  # rounding widened the step
             probe = math.nextafter(probe, math.inf)
-        if member(probe):
-            hi = probe
-        else:
-            lo = probe
+        if not member(probe):
+            return probe, hi, steps
+        # hi lies over tol above the root: walk down from the probe by doubling steps
+        step = max(hi - probe, math.ulp(hi))
+        hi = probe
+        for _ in range(MAX_BRACKET_DOUBLINGS):
+            steps += 1
+            level = hi - step
+            if not member(level):
+                return level, hi, steps
+            hi, step = level, 2.0 * step
+        raise BracketExpansionError("every capital level is acceptable; criterion is not proper")
     return lo, hi, steps
 
 

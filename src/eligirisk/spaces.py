@@ -101,9 +101,10 @@ class SortedProfile:
     """Distinct values in ascending order with exact cumulative probabilities.
 
     ``cum[k]`` is the correctly rounded probability of the first ``k + 1``
-    distinct values (computed with :func:`math.fsum`, hence independent of
-    atom order), and ``cum[-1]`` equals 1 exactly.  This is the shared cache
-    behind quantiles, shortfall integrals, and distribution comparison.
+    distinct values: an exact integer sum over :attr:`FiniteSpace.int_probs`,
+    rounded once, hence independent of atom order.  ``cum[-1]`` equals 1
+    exactly.  This is the shared cache behind quantiles, shortfall
+    integrals, and distribution comparison.
     """
 
     values: np.ndarray
@@ -115,20 +116,19 @@ class SortedProfile:
 
 
 def _build_profile(space: FiniteSpace, values: np.ndarray) -> SortedProfile:
-    order = np.argsort(values, kind="stable")
-    v_sorted = values[order]
-    p_sorted = space.probs[order]
+    nums, den = space.int_probs
+    vals = values.tolist()
     distinct: list[float] = []
-    prefix: list[float] = []
     cum: list[float] = []
-    for v, p in zip(v_sorted.tolist(), p_sorted.tolist()):
-        prefix.append(p)
-        if distinct and v == distinct[-1]:
-            cum[-1] = math.fsum(prefix)
-        else:
-            distinct.append(v)
-            cum.append(math.fsum(prefix))
-    cum[-1] = 1.0
+    acc = 0
+    for i in np.argsort(values, kind="stable").tolist():
+        if not distinct or vals[i] != distinct[-1]:
+            if distinct:  # the run of the previous value ends: round its sum once
+                cum.append(acc / den)
+            distinct.append(vals[i])
+        acc += nums[i]
+    # the stored probabilities need not sum to exactly 1; the total is pinned
+    cum.append(1.0)
     return SortedProfile(np.array(distinct, dtype=float), np.array(cum, dtype=float))
 
 

@@ -233,7 +233,8 @@ class TestNewton:
 
     def test_overshoot_wider_than_tol_is_halved(self):
         # the long first step lands eight ulps over the root -4; at tol 1e-15
-        # the probe at hi - tol is accepted and the halving loop closes the bracket
+        # the probe at hi - tol is accepted, the walk down by doubling steps
+        # finds a rejected level near the root, and a few halvings close the bracket
         sp = FiniteSpace([0.4, 0.6])
         x = RandVar(sp, [2.75, 3.5])
         asset = EligibleAsset(2.0, RandVar(sp, [0.25, 1.75]))
@@ -245,7 +246,30 @@ class TestNewton:
         assert rho(spec, asset, x).value == -3.9999999999999964
         quote = rho(spec, asset, x, tol=1e-15)
         assert (quote.method, quote.value) == ("newton", -4.0)
+        assert quote.iterations <= 8
         assert 0.0 < quote.bracket_width <= 1e-15
+        assert accepts(spec, shift(quote.value))
+        assert not accepts(spec, shift(quote.value - quote.bracket_width))
+
+    def test_tol_finer_than_the_float_grid_gives_adjacent_floats(self):
+        # below 125 the float spacing is 1.4e-14, so no float lies within tol
+        # 1e-14 under hi = 125: the probe is hi itself, and the walk down
+        # starts from one ulp
+        sp = FiniteSpace([0.5, 0.5])
+        x = RandVar(sp, [-125.0, -145.0])
+        asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
+        spec = AcceptanceSpec.es_level(0.5)
+
+        def shift(m):
+            return x + (m / asset.price) * asset.payoff
+
+        quote = rho(spec, asset, x, tol=1e-14)
+        assert (quote.method, quote.value) == ("newton", 125.0)
+        assert quote.iterations <= 8
+        # the contract: width at most max(tol, ulp(value)), here one ulp over tol
+        assert quote.bracket_width == math.ulp(125.0) > 1e-14
+        assert 0.0 < quote.bracket_width <= max(1e-14, math.ulp(quote.value))
+        assert quote.value - quote.bracket_width == math.nextafter(125.0, -math.inf)
         assert accepts(spec, shift(quote.value))
         assert not accepts(spec, shift(quote.value - quote.bracket_width))
 

@@ -244,8 +244,8 @@ class TestExactProfile:
                     st.floats(1e-30, 1.0).map(lambda u: u**8),
                     st.floats(-700.0, 0.0).map(math.exp),
                 ),
-                # few distinct values, so that atoms share them
-                st.integers(-3, 3).map(float),
+                # few distinct values, so that atoms share them; -0.0 ties with 0.0
+                st.one_of(st.integers(-3, 3).map(float), st.just(-0.0)),
             ),
             min_size=1,
             max_size=40,
@@ -274,3 +274,13 @@ class TestExactProfile:
         weights = rng.random(20000) ** 8 + 1e-6
         space = FiniteSpace(weights / math.fsum(weights.tolist()))
         assert_profile_exact(RandVar(space, rng.integers(0, 500, 20000).astype(float)))
+
+    def test_uniform_ten_thousand_atom_grid(self):
+        # a uniform grid approximating a continuous law, 513 values over 10^4 atoms
+        rng = np.random.default_rng(10_000)
+        space = FiniteSpace(np.full(10_000, 1e-4))
+        x = RandVar(space, rng.integers(-256, 257, 10_000) / 64)
+        assert_profile_exact(x)
+        y = RandVar(space, x.values[rng.permutation(10_000)])
+        assert y.profile.values.tolist() == x.profile.values.tolist()
+        assert y.profile.cum.tolist() == x.profile.cum.tolist()
