@@ -29,7 +29,7 @@ comparison; the bracket width is the only approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,26 +65,27 @@ class BracketExpansionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EligibleAsset:
-    """Traded asset used to raise capital: price at 0 and strictly positive payoff."""
+    """Traded asset used to raise capital: price at 0 and strictly positive payoff.
+
+    ``eps``, the guaranteed payoff floor (the smallest atom value), and
+    ``risk_free`` (a constant payoff) are derived once from the immutable
+    payoff.
+    """
 
     price: float
     payoff: RandVar
+    eps: float = field(init=False, repr=False)
+    risk_free: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "price", float(self.price))
         if not 0.0 < self.price < math.inf:
             raise ValueError(f"asset price must be positive and finite, got {self.price}")
-        if not float(np.min(self.payoff.values)) > 0.0:
+        eps = float(self.payoff.values.min())
+        if not eps > 0.0:
             raise ValueError("asset payoff must be bounded away from zero (all values > 0)")
-
-    @property
-    def eps(self) -> float:
-        """Guaranteed payoff floor (the smallest atom value)."""
-        return float(np.min(self.payoff.values))
-
-    @property
-    def risk_free(self) -> bool:
-        return self.payoff.is_constant
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "risk_free", self.payoff.is_constant)
 
 
 def cash_asset(space: FiniteSpace) -> EligibleAsset:
@@ -112,8 +113,10 @@ class RiskQuote:
 def default_tol(asset: EligibleAsset, x: RandVar) -> float:
     """Relative default tolerance, 1e-10 of the bracket scale B = S0 * max|X| / eps.
 
-    Bisection from the initial bracket [-B - 1, B] then takes about
-    log2(2e10), i.e. 35, halvings at every magnitude.
+    Bisection (explicit criteria, ``method="bisection"``) from the initial
+    bracket [-B - 1, B] then takes about log2(2e10), i.e. 35, halvings at
+    every magnitude.  Newton lands within it in a few steps, and its closing
+    test at ``hi - tol`` certifies the bracket.
     """
     return 1e-10 * max(1.0, x.max_abs * asset.price / asset.eps)
 
@@ -190,17 +193,19 @@ def _newton(
     g is convex, decreasing and piecewise linear: linear wherever the order
     of the position is fixed.  The tangent along the right derivative lies
     below g, so the step from m = 0 lands at or left of the root, and the
-    rejected iterates then rise onto it after finitely many steps; a step too
-    small to move m moves it to the next float.  ``hi`` is the first accepted
-    iterate after m = 0 and ``lo`` the last rejected one.  When no iterate was
-    rejected, or ``hi - lo`` exceeds ``tol``, one test at ``hi - tol`` closes
-    the bracket.  If that test accepts, ``hi`` landed more than ``tol`` over
-    the root (a ``tol`` below the landing error); levels are then tested
-    down from the probe by steps doubling from the probe's distance to
-    ``hi`` (at least ``ulp(hi)``) until one is rejected.  Returns
-    ``(lo, hi, steps)``, the walk's levels counted as steps.  When the step
-    cap is hit (``hi`` is None), or the walk leaves a bracket wider than
-    ``tol``, the halving loop of :func:`_bisect` finishes it.
+    rejected iterates then rise onto it after finitely many steps.  A step
+    from a rejected iterate moves m by at least one float; when it would
+    leave the rounded position unchanged, it moves m by ulp(max|Y|) * S0 /
+    eps instead, the position's own rounding scale.  ``hi`` is the first
+    accepted iterate after m = 0 and ``lo`` the last rejected one.  When no
+    iterate was rejected, or ``hi - lo`` exceeds ``tol``, one test at
+    ``hi - tol`` closes the bracket.  If that test accepts, ``hi`` landed
+    more than ``tol`` over the root (a ``tol`` below the landing error);
+    levels are then tested down from the probe by steps doubling from the
+    probe's distance to ``hi`` (at least ``ulp(hi)``) until one is rejected.
+    Returns ``(lo, hi, steps)``, the walk's levels counted as steps.  When
+    the step cap is hit (``hi`` is None), or the walk leaves a bracket wider
+    than ``tol``, the halving loop of :func:`_bisect` finishes it.
     """
     s0, payoff = asset.price, asset.payoff
     lo = hi = None
@@ -216,7 +221,12 @@ def _newton(
         if steps == MAX_NEWTON_STEPS:
             return lo, None, steps
         nxt = m - s0 * g / _right_slope(spec, y, payoff)
-        m = nxt if g <= 0.0 or nxt > m else math.nextafter(m, math.inf)
+        if g > 0.0:
+            nxt = max(nxt, math.nextafter(m, math.inf))
+            if (x.values + (nxt / s0) * payoff.values == y.values).all():
+                # the step leaves the rounded position, hence g, unchanged
+                nxt = max(nxt, m + s0 * math.ulp(y.max_abs) / asset.eps)
+        m = nxt
     if lo is None or hi - lo > tol:
         probe = hi - tol
         while hi - probe > tol:  # rounding widened the step
@@ -248,10 +258,8 @@ def rho(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if method not in ("auto", "bisection"):
         raise ValueError(f"unknown method {method!r}")
-    if tol is None:
-        tol = default_tol(asset, x)
     if method == "auto":
-        if spec.is_builtin and x.max_abs == 0.0:
+        if spec.is_builtin and not x.values.any():
             # conic criteria price the zero position at exactly zero
             return RiskQuote(0.0, "closed_form", 0, 0.0)
         if spec.kind == "var":
@@ -264,6 +272,8 @@ def rho(
             s = float(asset.payoff.values[0])
             value = asset.price * spec.functional_value(x) / s
             return RiskQuote(value, "closed_form", 0, 0.0)
+    if tol is None:
+        tol = default_tol(asset, x)
     s0, payoff = asset.price, asset.payoff
 
     def member(m: float) -> bool:

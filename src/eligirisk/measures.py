@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import RandVar, essential_infimum, expectation, upper_quantile
+from .spaces import RandVar, _lower_tail, essential_infimum, expectation, upper_quantile
 
 __all__ = [
     "Level",
@@ -86,19 +86,15 @@ def var(x: RandVar, level: Level) -> float:
     return -upper_quantile(x, level.alpha)
 
 
-def es(x: RandVar, level: Level) -> float:
-    """Average of var over levels in (0, alpha], integrated exactly.
+def _shortfall_sum(values: list[float], cum: list[float], alpha: float) -> float:
+    """Breakpoint sum of the quantile function over ``[0, alpha)``, divided by ``alpha``.
 
-    The quantile function of ``x`` is a right-continuous step function of the
-    level, constant on ``[cum[k-1], cum[k])``; the integral is the sum of
-    piece values times overlap lengths with ``[0, alpha)``, so no quadrature
-    error enters.
+    ``values``/``cum`` is a prefix of the profile reaching past ``alpha``
+    (or to its pinned end).
     """
-    alpha = level.alpha
-    prof = x.profile
     acc = 0.0
     prev = 0.0
-    for v, c in zip(prof.values.tolist(), prof.cum.tolist()):
+    for v, c in zip(values, cum):
         hi = c if c < alpha else alpha
         if hi > prev:
             acc += (-v) * (hi - prev)
@@ -106,6 +102,18 @@ def es(x: RandVar, level: Level) -> float:
         if c >= alpha:
             break
     return acc / alpha
+
+
+def es(x: RandVar, level: Level) -> float:
+    """Average of var over levels in (0, alpha], integrated exactly.
+
+    The quantile function of ``x`` is a right-continuous step function of the
+    level, constant on ``[cum[k-1], cum[k])``; the integral is the sum of
+    piece values times overlap lengths with ``[0, alpha)``, so no quadrature
+    error enters.  Only the lower tail up to ``alpha`` is walked.
+    """
+    alpha = level.alpha
+    return _shortfall_sum(*_lower_tail(x, alpha), alpha)
 
 
 def es_boundary(x: RandVar, alpha: float) -> float:
@@ -117,15 +125,18 @@ def es_boundary(x: RandVar, alpha: float) -> float:
     raise ValueError(f"boundary level must be 0 or 1, got {alpha}")
 
 
-def _es_at(x: RandVar, alpha: float) -> float:
-    if alpha in (0.0, 1.0):
-        return es_boundary(x, alpha)
-    return es(x, Level(alpha))
-
-
 def distortion(x: RandVar, mu: DistortionWeights) -> float:
-    """Weighted mixture of expected shortfall over the levels in ``mu``."""
-    return math.fsum(w * _es_at(x, a) for a, w in mu.points)
+    """Weighted mixture of expected shortfall over the levels in ``mu``.
+
+    One walk of the lower tail, up to the largest interior level, serves
+    every interior level.
+    """
+    interior = [a for a, _ in mu.points if 0.0 < a < 1.0]
+    values, cum = _lower_tail(x, max(interior)) if interior else ([], [])
+    return math.fsum(
+        w * (es_boundary(x, a) if a in (0.0, 1.0) else _shortfall_sum(values, cum, a))
+        for a, w in mu.points
+    )
 
 
 def es_choquet_oracle(x: RandVar, level: Level) -> float:

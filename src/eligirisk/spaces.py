@@ -103,8 +103,8 @@ class SortedProfile:
     ``cum[k]`` is the correctly rounded probability of the first ``k + 1``
     distinct values: an exact integer sum over :attr:`FiniteSpace.int_probs`,
     rounded once, hence independent of atom order.  ``cum[-1]`` equals 1
-    exactly.  This is the shared cache behind quantiles, shortfall
-    integrals, and distribution comparison.
+    exactly.  It is the whole law, as :func:`same_distribution` compares it;
+    quantiles and shortfall read only the prefix of it up to their level.
     """
 
     values: np.ndarray
@@ -115,21 +115,37 @@ class SortedProfile:
         self.cum.setflags(write=False)
 
 
-def _build_profile(space: FiniteSpace, values: np.ndarray) -> SortedProfile:
-    nums, den = space.int_probs
-    vals = values.tolist()
-    distinct: list[float] = []
+def _lower_tail(x: RandVar, level: float) -> tuple[list[float], list[float]]:
+    """The profile of ``x`` up to and including its first run with ``cum > level``.
+
+    One walk over the atoms in sorted order adds each ``int_probs``
+    numerator to an integer and rounds the sum once, when a run of tied
+    values ends.  A run is stored as its value plus 0.0, so a zero is +0.0
+    whichever sign its atoms have; the tied atoms of a run are then
+    interchangeable, and the sort need not be stable.  The last run's
+    ``cum`` is pinned to 1.0: the stored probabilities need not sum to
+    exactly 1.  Every prefix is the same prefix of the full profile, bit for
+    bit.
+    """
+    nums, den = x.space.int_probs
+    vals = x.values.tolist()
+    order = np.argsort(x.values).tolist()
+    last = vals[order[0]] + 0.0
+    distinct = [last]
     cum: list[float] = []
     acc = 0
-    for i in np.argsort(values, kind="stable").tolist():
-        if not distinct or vals[i] != distinct[-1]:
-            if distinct:  # the run of the previous value ends: round its sum once
-                cum.append(acc / den)
-            distinct.append(vals[i])
+    for i in order:
+        v = vals[i]
+        if v != last:  # the run of the previous value ends: round its sum once
+            c = acc / den
+            cum.append(c)
+            if c > level:
+                return distinct, cum
+            last = v + 0.0
+            distinct.append(last)
         acc += nums[i]
-    # the stored probabilities need not sum to exactly 1; the total is pinned
     cum.append(1.0)
-    return SortedProfile(np.array(distinct, dtype=float), np.array(cum, dtype=float))
+    return distinct, cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +165,7 @@ class RandVar:
             raise ValueError(
                 f"value vector has length {arr.size}, space has {self.space.n_atoms} atoms"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -166,15 +182,16 @@ class RandVar:
 
     @cached_property
     def profile(self) -> SortedProfile:
-        return _build_profile(self.space, self.values)
+        values, cum = _lower_tail(self, math.inf)
+        return SortedProfile(np.array(values, dtype=float), np.array(cum, dtype=float))
 
     @property
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
     @property
     def is_constant(self) -> bool:
-        return bool(np.all(self.values == self.values[0]))
+        return bool((self.values == self.values[0]).all())
 
     def _other_values(self, other) -> np.ndarray | float:
         if isinstance(other, RandVar):
@@ -210,10 +227,10 @@ class RandVar:
 
     def __ge__(self, other) -> bool:
         """Atomwise domination: self >= other at every atom."""
-        return bool(np.all(self.values >= self._other_values(other)))
+        return bool((self.values >= self._other_values(other)).all())
 
     def __le__(self, other) -> bool:
-        return bool(np.all(self.values <= self._other_values(other)))
+        return bool((self.values <= self._other_values(other)).all())
 
     def tolist(self) -> list[float]:
         return [float(v) for v in self.values]
@@ -225,18 +242,17 @@ def expectation(x: RandVar) -> float:
 
 
 def upper_quantile(x: RandVar, beta: float) -> float:
-    """sup{v : P(X < v) <= beta}, computed exactly from the sorted profile.
+    """sup{v : P(X < v) <= beta}, computed exactly from the lower tail up to ``beta``.
 
     ``beta`` must lie in ``[0, 1)``.  The result is the k-th distinct value
-    where ``beta`` falls in ``[cum[k-1], cum[k])``; no tolerance enters the
-    comparison, since the definition is purely order based.
+    where ``beta`` falls in ``[cum[k-1], cum[k])``, the last value of the
+    walk; no tolerance enters the comparison, since the definition is purely
+    order based.
     """
     beta = float(beta)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    prof = x.profile
-    k = int(np.searchsorted(prof.cum, beta, side="right"))
-    return float(prof.values[k])
+    return _lower_tail(x, beta)[0][-1]
 
 
 def essential_infimum(x: RandVar) -> float:

@@ -273,6 +273,32 @@ class TestNewton:
         assert accepts(spec, shift(quote.value))
         assert not accepts(spec, shift(quote.value - quote.bracket_width))
 
+    def test_step_that_leaves_the_position_unchanged_moves_by_its_rounding_scale(self):
+        # near the root m ~ -27.5 the float spacing of m (3.6e-15) is far below
+        # that of the position (|Y| ~ 1055, 2.3e-13): Newton's last step moved m
+        # by one float and left every atom, hence g, unchanged.  The parent
+        # crawled one float at a time for 10 steps, evaluating 4 distinct
+        # positions out of 11; -27.53124187940665 is the least acceptable float
+        sp = FiniteSpace(np.array([4.0, 8.0, 9.0]) / 21)
+        x = RandVar(sp, [-1000.0, 1000 / 3, 1000 / 3])
+        asset = EligibleAsset(1.0, RandVar(sp, [2.0, 1.0, 0.5]))
+        spec = AcceptanceSpec.distortion_mix(
+            DistortionWeights(((0.67, 1 / 3), (0.92, 1 / 3), (0.99, 1 / 3)))
+        )
+
+        def shift(m):
+            return x + (m / asset.price) * asset.payoff
+
+        quote = rho(spec, asset, x)
+        assert quote.method == "newton"
+        assert quote.iterations <= 3
+        assert 0.0 < quote.bracket_width <= default_tol(asset, x)
+        assert accepts(spec, shift(quote.value))
+        assert not accepts(spec, shift(quote.value - quote.bracket_width))
+        least = -27.53124187940665
+        assert not accepts(spec, shift(math.nextafter(least, -math.inf)))
+        assert quote.value - quote.bracket_width < least <= quote.value
+
 
 class TestRhoProperties:
     def test_decreasing_in_position(self, space3, asset3):

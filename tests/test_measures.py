@@ -1,9 +1,12 @@
 """Tests for value-at-risk, expected shortfall, and distortion mixtures."""
 
+import math
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eligirisk import (
     DistortionWeights,
@@ -16,6 +19,7 @@ from eligirisk import (
     es_choquet_oracle,
     generate_comonotone_pair,
     same_distribution,
+    upper_quantile,
     var,
 )
 
@@ -155,6 +159,71 @@ class TestChoquetOracle:
             assert es(x, Level(alpha)) == pytest.approx(
                 es_choquet_oracle(x, Level(alpha)), abs=1e-10
             )
+
+
+def profile_shortfall(x: RandVar, alpha: float) -> float:
+    """ES as the breakpoint sum over the whole profile, with no early exit."""
+    acc = prev = 0.0
+    for v, c in zip(x.profile.values.tolist(), x.profile.cum.tolist()):
+        hi = c if c < alpha else alpha
+        if hi > prev:
+            acc += (-v) * (hi - prev)
+            prev = hi
+    return acc / alpha
+
+
+class TestLowerTail:
+    """Quantile, ES and distortion walk the lower tail only up to their level.
+
+    Each must equal, bit for bit, the same computation on the full profile.
+    """
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 7, 2000]),
+        dyadic=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=4),
+        levels=st.lists(st.floats(1e-6, 1.0, exclude_max=True), max_size=3),
+        ends=st.sets(st.sampled_from([0.0, 1.0])),
+    )
+    def test_matches_full_profile(self, n, dyadic, seed, picks, levels, ends):
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(1, 8, n)
+        if dyadic:  # probabilities over a power of two, so that levels can equal a cum
+            weights[-1] += 2 ** math.ceil(math.log2(weights.sum())) - weights.sum()
+        space = FiniteSpace(weights / weights.sum())
+        # a few values per atom count, so that runs tie; zeros of both signs
+        values = rng.integers(-4, 5, n) / 4
+        values[(values == 0) & (rng.random(n) < 0.5)] = -0.0
+        x = RandVar(space, values)
+        prof = x.profile
+        inner = [c for c in prof.cum.tolist() if c < 1.0]
+        # levels at a cum, strictly between, and at the largest float below 1 (the pinned run)
+        levels = sorted(
+            {*(inner[k % len(inner)] for k in picks if inner), *levels, math.nextafter(1.0, 0.0)}
+        )
+
+        for beta in [0.0, *levels]:
+            k = int(np.searchsorted(prof.cum, beta, side="right"))
+            assert upper_quantile(x, beta).hex() == float(prof.values[k]).hex()
+        for alpha in levels:
+            assert es(x, Level(alpha)).hex() == profile_shortfall(x, alpha).hex()
+
+        points = [(a, 1.0 / (len(levels) + len(ends))) for a in [*levels, *sorted(ends)]]
+        mu = DistortionWeights(tuple(points))
+        want = math.fsum(
+            w * (es_boundary(x, a) if a in (0.0, 1.0) else es(x, Level(a))) for a, w in mu.points
+        )
+        assert distortion(x, mu).hex() == want.hex()
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0]])
+    def test_zero_is_positive_whatever_the_atom_order(self, values):
+        x = RandVar(FiniteSpace([0.5, 0.5]), values)
+        assert upper_quantile(x, 0.2).hex() == (0.0).hex()
+        assert var(x, Level(0.2)).hex() == (-0.0).hex()
+        assert es(x, Level(0.2)).hex() == (0.0).hex()
+        assert [v.hex() for v in x.profile.values.tolist()] == [(0.0).hex()]
 
 
 FUNCTIONALS = {
