@@ -304,8 +304,7 @@ STATEMENTS: dict[str, Callable[..., Any]] = {
         sc.acceptance, sc.asset, trials, seed, tol),
     "s-comonotone-additivity": lambda sc, trials, seed: additivity_on_S_comonotone(
         sc.acceptance, sc.asset, trials, seed),
-    "comono-preservation": lambda sc, trials, seed: comono_preservation_under_numeraire(
-        sc.asset, trials, seed),
+    "comono-preservation": lambda sc: comono_preservation_under_numeraire(sc.asset),
 }
 
 
@@ -333,7 +332,7 @@ def cmd_search(args) -> int:
     violation = find_additivity_violation(
         scenario.acceptance, scenario.asset, budget, seed, seed_pairs=seed_pairs
     )
-    preservation = comono_preservation_under_numeraire(scenario.asset, budget, seed)
+    preservation = comono_preservation_under_numeraire(scenario.asset)
     report = _base_report("search", scenario=args.scenario, seed=seed, budget=budget)
     report["results"].append(violation.to_jsonable())
     report["results"].append(preservation.to_jsonable())

@@ -2,16 +2,21 @@
 
 Two positions are comonotone when no pair of outcomes orders them in
 opposite directions; on a finite space with all-positive atom masses the
-atomwise pairwise product test is exactly the almost-sure condition.  The
-pairwise check is the normative definition; a sort-based fast path must
-agree with it and the test suite enforces that.
+atomwise pairwise test is exactly the almost-sure condition.  The pairwise
+check is the normative definition; it compares the signs of the atomwise
+differences, so no product of tiny differences can underflow to a passing
+-0.0.  A sort-based fast path must agree with it and the test suite
+enforces that.
 
 Comparisons are exact (``>= 0``, not ``>= -tol``); generated values live on
-coarse 1/64 grids so equality cases genuinely occur.
+coarse 1/64 grids so equality cases genuinely occur.  Whether the change of
+numeraire preserves comonotonicity is decided exactly: both failure
+witnesses are built from the payoff's extreme atoms, with no search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -46,9 +51,9 @@ class ComonoPair:
 def is_comonotone(x: RandVar, y: RandVar, method: str = "sorted") -> bool:
     """Exact comonotonicity test.
 
-    ``pairwise`` checks (x_i - x_j)(y_i - y_j) >= 0 over all atom pairs and
-    is the normative definition; it allocates two n-by-n arrays, so it serves
-    as the oracle in tests.  ``sorted`` (the default) orders atoms
+    ``pairwise`` checks sign(x_i - x_j) * sign(y_i - y_j) >= 0 over all atom
+    pairs and is the normative definition; it allocates two n-by-n arrays, so
+    it serves as the oracle in tests.  ``sorted`` (the default) orders atoms
     lexicographically by (x, y) and verifies y is nondecreasing along the
     order; it is an O(n log n) equivalent.
     """
@@ -56,8 +61,8 @@ def is_comonotone(x: RandVar, y: RandVar, method: str = "sorted") -> bool:
         raise SpaceMismatchError("random variables live on different spaces")
     vx, vy = x.values, y.values
     if method == "pairwise":
-        dx = np.subtract.outer(vx, vx)
-        dy = np.subtract.outer(vy, vy)
+        dx = np.sign(np.subtract.outer(vx, vx))
+        dy = np.sign(np.subtract.outer(vy, vy))
         return bool(np.all(dx * dy >= 0.0))
     if method == "sorted":
         order = np.lexsort((vy, vx))
@@ -242,99 +247,61 @@ def additivity_on_S_comonotone(
     )
 
 
-def _numeraire_forward_probe(asset: EligibleAsset) -> tuple[RandVar, RandVar]:
-    """Comonotone discounted pair whose undiscounted versions are not comonotone.
+def _numeraire_witnesses(payoff: RandVar) -> tuple[dict, dict]:
+    """Forward and reverse numeraire witnesses built from the extreme payoff atoms.
 
-    With atoms i, j carrying the smallest and largest payoff, a pair that
-    decreases from i to j more slowly than the payoff grows flips order under
-    multiplication while staying comonotone itself.
+    With i = argmin S1 and j = argmax S1 (so s_i < s_j for a nonconstant
+    payoff):
+
+    * forward: X' = 1_i and Y' = 1_i + 1_j are comonotone; their products
+      with S1 are exact and order atoms i and j in opposite ways;
+    * reverse: X' = s_j on i and s_i on j, Y' = 1_j, are not comonotone; the
+      products tie on i and j because IEEE multiplication commutes, so they
+      are comonotone.
+
+    The reverse entries are scaled by 2**-e, e = max(0, a + b - 1023) for
+    the frexp exponents a, b of s_i, s_j, so that s_i * s_j cannot overflow.
+    Scaling by a power of two that leaves both entries normal is exact, so
+    the products still tie.
     """
-    space = asset.payoff.space
-    s = asset.payoff.values
-    i = int(np.argmin(s))
-    j = int(np.argmax(s))
-    ratio = float(s[j] / s[i])
-    t = 0.5 * (1.0 + ratio)
-    xp = RandVar.constant(space, 1.0) + (t - 1.0) * RandVar.indicator(space, [i])
-    yp = RandVar.constant(space, 1.0) + ratio * RandVar.indicator(space, [i])
-    return xp, yp
+    space, s = payoff.space, payoff.values
+    i, j = int(np.argmin(s)), int(np.argmax(s))
+    e = max(0, math.frexp(s[i])[1] + math.frexp(s[j])[1] - 1023)
+
+    def one(*atoms: int) -> RandVar:
+        return RandVar.indicator(space, atoms)
+
+    def witness(x_disc: RandVar, y_disc: RandVar) -> dict:
+        return {"x_discounted": x_disc, "y_discounted": y_disc,
+                "x": x_disc * payoff, "y": y_disc * payoff}
+
+    forward = witness(one(i), one(i, j))
+    reverse = witness(math.ldexp(s[j], -e) * one(i) + math.ldexp(s[i], -e) * one(j), one(j))
+    return forward, reverse
 
 
-def _numeraire_reverse_probe(asset: EligibleAsset) -> tuple[RandVar, RandVar]:
-    """Non-comonotone discounted pair whose undiscounted versions are comonotone."""
-    space = asset.payoff.space
-    s = asset.payoff.values
-    i = int(np.argmin(s))
-    j = int(np.argmax(s))
-    ratio = float(s[i] / s[j])  # reciprocal payoff grows from j to i
-    u = 0.5 * (1.0 + 1.0 / ratio)
-    x = RandVar.constant(space, 1.0) + (u - 1.0) * RandVar.indicator(space, [j])
-    y = RandVar.constant(space, 1.0) + (1.0 / ratio) * RandVar.indicator(space, [j])
-    return x / asset.payoff, y / asset.payoff
+def comono_preservation_under_numeraire(asset: EligibleAsset) -> CheckReport:
+    """Decide whether multiplication by the payoff preserves comonotonicity.
 
-
-def comono_preservation_under_numeraire(
-    asset: EligibleAsset, trials: int = 10000, seed: int = 0
-) -> CheckReport:
-    """Search both failure directions of comonotonicity under the numeraire change.
-
-    Forward: a comonotone discounted pair whose products with the payoff are
-    not comonotone.  Reverse: a non-comonotone discounted pair whose products
-    are comonotone.  For a constant payoff no witness exists in either
-    direction and the report states preservation; for a nonconstant payoff
-    deterministic probes run before the random draws, so both witnesses are
-    found well inside the budget.
+    Forward failure: a comonotone discounted pair whose products with the
+    payoff are not comonotone.  Reverse failure: a non-comonotone discounted
+    pair whose products are comonotone.  A constant payoff preserves
+    comonotonicity exactly; every nonconstant payoff fails in both
+    directions, with witnesses built by construction and re-verified
+    through :func:`is_comonotone`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    space = asset.payoff.space
     if asset.risk_free:
         return CheckReport(
-            "numeraire-comonotonicity", True, 0, seed,
+            "numeraire-comonotonicity", True, 1, None,
             note="constant payoff: multiplication preserves comonotonicity exactly",
         )
-
-    forward: dict | None = None
-    reverse: dict | None = None
-    draws = 0
-
-    def try_forward(xp: RandVar, yp: RandVar) -> None:
-        nonlocal forward
-        if forward is None and is_comonotone(xp, yp):
-            x, y = xp * asset.payoff, yp * asset.payoff
-            if not is_comonotone(x, y):
-                forward = {"x_discounted": xp, "y_discounted": yp, "x": x, "y": y}
-
-    def try_reverse(xp: RandVar, yp: RandVar) -> None:
-        nonlocal reverse
-        if reverse is None and not is_comonotone(xp, yp):
-            x, y = xp * asset.payoff, yp * asset.payoff
-            if is_comonotone(x, y):
-                reverse = {"x_discounted": xp, "y_discounted": yp, "x": x, "y": y}
-
-    try_forward(*_numeraire_forward_probe(asset))
-    try_reverse(*_numeraire_reverse_probe(asset))
-    while draws < trials and (forward is None or reverse is None):
-        draws += 1
-        pair = generate_comonotone_pair(space, rng)
-        try_forward(pair.x, pair.y)
-        xp = smp.grid_randvar(space, rng)
-        yp = smp.grid_randvar(space, rng)
-        try_reverse(xp, yp)
-
-    found_both = forward is not None and reverse is not None
-    witness = {}
-    if forward is not None:
-        witness["forward"] = forward
-    if reverse is not None:
-        witness["reverse"] = reverse
+    forward, reverse = _numeraire_witnesses(asset.payoff)
+    for w, discounted_comonotone in ((forward, True), (reverse, False)):
+        if (is_comonotone(w["x_discounted"], w["y_discounted"]) != discounted_comonotone
+                or is_comonotone(w["x"], w["y"]) == discounted_comonotone):
+            raise ArithmeticError("numeraire witness failed re-verification through is_comonotone")
     return CheckReport(
-        "numeraire-comonotonicity", not found_both, draws, seed,
-        witness=witness or None,
-        note=(
-            "witnesses in both directions: multiplication by the payoff disrupts comonotonicity"
-            if found_both
-            else "search incomplete"
-        ),
+        "numeraire-comonotonicity", False, 1, None,
+        witness={"forward": forward, "reverse": reverse},
+        note="witnesses in both directions: multiplication by the payoff disrupts comonotonicity",
     )

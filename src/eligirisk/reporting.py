@@ -30,9 +30,10 @@ class CheckReport:
     """Outcome of a sampled property check.
 
     ``passed`` means no violation was found in ``trials`` seeded trials plus
-    any deterministic probes; it is explicitly not a proof.  On failure the
-    witness dict holds the violating positions, re-verifiable through the
-    public membership and comonotonicity predicates.
+    any deterministic probes; it is explicitly not a proof.  Exact checks,
+    which decide by construction, report ``trials`` 1 and no seed.  On
+    failure the witness dict holds the violating positions, re-verifiable
+    through the public membership and comonotonicity predicates.
     """
 
     name: str

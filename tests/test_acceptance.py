@@ -279,7 +279,7 @@ def test_criterion_9_numeraire_non_preservation():
             payoff = RandVar(sp, rng.integers(16, 129, sp.n_atoms) / 32)
         fixtures.append(EligibleAsset(1.0, payoff))
     for i, asset in enumerate(fixtures):
-        found = comono_preservation_under_numeraire(asset, trials=10000, seed=910 + i)
+        found = comono_preservation_under_numeraire(asset)
         assert not found.passed, f"fixture {i} found no witnesses"
         for direction in ("forward", "reverse"):
             w = found.witness[direction]
@@ -289,7 +289,7 @@ def test_criterion_9_numeraire_non_preservation():
             assert is_comonotone(w["x"], w["y"]) == (direction == "reverse")
     elapsed = time.perf_counter() - start
     report(9, f"{len(fixtures)} nonconstant payoffs: witnesses in both directions "
-              f"within the draw budget ({elapsed:.2f} s)")
+              f"built by construction ({elapsed:.2f} s)")
 
 
 def test_criterion_10_cli_contract(tmp_path, capsys):

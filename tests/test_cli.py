@@ -14,7 +14,9 @@ from eligirisk.cli import STATEMENTS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-EXACT_STATEMENTS = {"theorem-b", "corollary-convex", "var-necessary", "var-condition-b"}
+EXACT_STATEMENTS = {
+    "theorem-b", "corollary-convex", "var-necessary", "var-condition-b", "comono-preservation",
+}
 
 
 def run_cli(argv, capsys):
@@ -157,6 +159,30 @@ class TestCheck:
             capsys,
         )
         assert code == 0
+
+    def test_comono_preservation_wide_payoff_exits_1(self, tmp_path, capsys):
+        # payoff atoms span 10^-9..10^10: a nonconstant payoff, so both
+        # witnesses exist
+        weights = [144, 153, 72, 28, 227, 116, 55, 255]
+        doc = {
+            "space": {"probs": [w / 1050 for w in weights]},
+            "positions": {"x": [0.0] * 8},
+            "asset": {"price": 1.0, "payoff": [
+                1.0789489382528397e-08, 612.0569701592093, 4423432432.583386,
+                1525034356.73222, 1.7073557710626599e-09, 992.7730342582346,
+                2637885201.2243543, 6.406327225856607e-08,
+            ]},
+            "acceptance": {"kind": "var", "alpha": 0.1},
+        }
+        path = tmp_path / "wide_payoff.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            ["check", "--scenario", str(path), "--statement", "comono-preservation"], capsys
+        )
+        assert code == 1
+        result = json.loads(out)["results"][0]
+        assert not result["passed"]
+        assert set(result["witness"]) == {"forward", "reverse"}
 
     def test_theorem_b_over_the_atom_cap_exits_2(self, tmp_path, capsys):
         doc = {
@@ -317,6 +343,15 @@ class TestSearch:
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(["search", "--scenario", str(path)], capsys)
         assert code == 0
+
+    def test_numeraire_result_ignores_budget_and_seed(self, capsys):
+        path = str(SCENARIOS / "es_bisection.json")
+        results = []
+        for extra in (["--budget", "1"], ["--budget", "30", "--seed", "5"]):
+            _, out, _ = run_cli(["search", "--scenario", path, *extra], capsys)
+            results.append(json.loads(out)["results"][1])
+        assert results[0] == results[1]
+        assert (results[0]["trials"], results[0]["seed"]) == (1, None)
 
     def test_zero_budget_exits_2(self, capsys):
         code, out, err = run_cli(

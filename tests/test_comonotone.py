@@ -1,8 +1,13 @@
 """Tests for comonotonicity predicates, generators, and additivity checkers."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eligirisk import comonotone
 from eligirisk import (
     AcceptanceSpec,
     EligibleAsset,
@@ -18,6 +23,20 @@ from eligirisk import (
     rho,
     var,
 )
+
+
+@st.composite
+def payoff_values(draw):
+    """1-12 positive payoffs from subnormal to near the largest float, with
+    some atoms tied to the smallest or the largest value."""
+    values = draw(st.lists(
+        st.floats(min_value=5e-324, max_value=sys.float_info.max), min_size=1, max_size=12
+    ))
+    ties = draw(st.lists(
+        st.sampled_from((None, "min", "max")), min_size=len(values), max_size=len(values)
+    ))
+    lo, hi = min(values), max(values)
+    return [lo if t == "min" else hi if t == "max" else v for v, t in zip(values, ties)]
 
 
 @pytest.fixture
@@ -71,9 +90,21 @@ class TestIsComonotone:
             n = int(rng.integers(2, 8))
             w = rng.integers(1, 16, n).astype(float)
             sp = FiniteSpace(w / w.sum())
-            x = RandVar(sp, rng.integers(-3, 4, n).astype(float))
-            y = RandVar(sp, rng.integers(-3, 4, n).astype(float))
-            assert is_comonotone(x, y, method="pairwise") == is_comonotone(x, y, method="sorted")
+            vx = rng.integers(-3, 4, n).astype(float)
+            vy = rng.integers(-3, 4, n).astype(float)
+            # at 1e-200 and below, products of differences underflow to +-0.0
+            for scale in (1.0, 1e-200, 5e-324):
+                x, y = RandVar(sp, scale * vx), RandVar(sp, scale * vy)
+                assert is_comonotone(x, y, method="pairwise") == is_comonotone(
+                    x, y, method="sorted"
+                )
+
+    def test_pairwise_sign_survives_underflow(self):
+        # (x0 - x1) * (y0 - y1) = -1e-400 underflows to -0.0, which is >= 0.0
+        sp = FiniteSpace([0.5, 0.5])
+        x, y = RandVar(sp, [0.0, 1e-200]), RandVar(sp, [1e-200, 0.0])
+        assert not is_comonotone(x, y, method="pairwise")
+        assert not is_comonotone(x, y, method="sorted")
 
     def test_unknown_method(self, space3):
         c = RandVar.constant(space3, 0.0)
@@ -175,14 +206,15 @@ class TestAdditivityOnAssetComonotone:
 class TestNumerairePreservation:
     def test_constant_payoff_preserves(self, space3):
         asset = EligibleAsset(1.0, RandVar.constant(space3, 2.0))
-        report = comono_preservation_under_numeraire(asset, trials=100, seed=43)
+        report = comono_preservation_under_numeraire(asset)
         assert report.passed
         assert report.witness is None
+        assert (report.trials, report.seed) == (1, None)
 
     def test_two_atom_witnesses_both_directions(self):
         sp = FiniteSpace([0.5, 0.5])
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
-        report = comono_preservation_under_numeraire(asset, trials=10000, seed=47)
+        report = comono_preservation_under_numeraire(asset)
         assert not report.passed
         fw, rv = report.witness["forward"], report.witness["reverse"]
         assert is_comonotone(fw["x_discounted"], fw["y_discounted"])
@@ -193,10 +225,36 @@ class TestNumerairePreservation:
     def test_witness_products_reconstruct(self):
         sp = FiniteSpace([0.2, 0.3, 0.5])
         asset = EligibleAsset(1.0, RandVar(sp, [0.5, 1.5, 2.5]))
-        report = comono_preservation_under_numeraire(asset, trials=10000, seed=53)
+        report = comono_preservation_under_numeraire(asset)
         assert not report.passed
         for direction in ("forward", "reverse"):
             w = report.witness[direction]
-            assert np.allclose(
-                (w["x_discounted"] * asset.payoff).values, w["x"].values, atol=0
-            )
+            assert (w["x_discounted"] * asset.payoff).tolist() == w["x"].tolist()
+            assert (w["y_discounted"] * asset.payoff).tolist() == w["y"].tolist()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(payoff_values())
+    def test_decided_by_construction(self, values):
+        sp = FiniteSpace(np.full(len(values), 1.0 / len(values)))
+        asset = EligibleAsset(1.0, RandVar(sp, values))
+        report = comono_preservation_under_numeraire(asset)
+        assert report.passed == (len(set(values)) == 1)
+        assert (report.trials, report.seed) == (1, None)
+        if report.passed:
+            return
+        for direction, discounted_comonotone in (("forward", True), ("reverse", False)):
+            w = report.witness[direction]
+            for method in ("sorted", "pairwise"):
+                assert is_comonotone(
+                    w["x_discounted"], w["y_discounted"], method=method
+                ) == discounted_comonotone
+                assert is_comonotone(w["x"], w["y"], method=method) != discounted_comonotone
+            assert (w["x_discounted"] * asset.payoff).tolist() == w["x"].tolist()
+            assert (w["y_discounted"] * asset.payoff).tolist() == w["y"].tolist()
+
+    def test_failed_reverification_raises(self, monkeypatch):
+        sp = FiniteSpace([0.5, 0.5])
+        asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
+        monkeypatch.setattr(comonotone, "is_comonotone", lambda x, y: True)
+        with pytest.raises(ArithmeticError):
+            comono_preservation_under_numeraire(asset)
