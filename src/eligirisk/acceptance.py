@@ -13,6 +13,7 @@ trials", never a proof.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
@@ -292,15 +293,17 @@ def find_risk_invariant(
     rng = smp.as_rng(seed)
     gaps: list[float] = []
 
+    @functools.cache  # each indicator is built once, on first use
+    def one(i: int) -> RandVar:
+        return RandVar.indicator(space, [i])
+
     def candidates():
         for i, j in permutations(range(space.n_atoms), 2):
-            one_i = RandVar.indicator(space, [i])
-            one_j = RandVar.indicator(space, [j])
             for c in (1.0, 2.0):
-                yield c * (one_i - one_j)
-            yield float(space.probs[j]) * one_i - float(space.probs[i]) * one_j
+                yield c * (one(i) - one(j))
+            yield float(space.probs[j]) * one(i) - float(space.probs[i]) * one(j)
         for i in range(space.n_atoms):
-            yield RandVar.indicator(space, [i])
+            yield one(i)
         for _ in range(trials):
             x = smp.grid_randvar(space, rng)
             yield x

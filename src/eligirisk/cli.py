@@ -10,6 +10,7 @@ invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -380,6 +381,7 @@ def positive_float(text: str) -> float:
     return value
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eligirisk",

@@ -223,7 +223,7 @@ def _newton(
         nxt = m - s0 * g / _right_slope(spec, y, payoff)
         if g > 0.0:
             nxt = max(nxt, math.nextafter(m, math.inf))
-            if (x.values + (nxt / s0) * payoff.values == y.values).all():
+            if not np.count_nonzero(x.values + (nxt / s0) * payoff.values != y.values):
                 # the step leaves the rounded position, hence g, unchanged
                 nxt = max(nxt, m + s0 * math.ulp(y.max_abs) / asset.eps)
         m = nxt
@@ -259,7 +259,7 @@ def rho(
     if method not in ("auto", "bisection"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        if spec.is_builtin and not x.values.any():
+        if spec.is_builtin and not np.count_nonzero(x.values):
             # conic criteria price the zero position at exactly zero
             return RiskQuote(0.0, "closed_form", 0, 0.0)
         if spec.kind == "var":

@@ -1,8 +1,18 @@
-"""Finite probability spaces, random variables, and exact quantile machinery."""
+"""Finite probability spaces, random variables, and exact quantile machinery.
+
+Per-quote paths (value checks, comparisons, the sorted tail walk) run
+some 10**5 times per hundred CLI checks on spaces of a few atoms, where
+numpy's fixed cost per call outweighs the arithmetic.  They use ndarray
+methods (``a.argsort()``, ``a.tolist()``) and ``np.count_nonzero``, never
+the ``np.<func>`` wrappers or ``.all()``/``.any()`` reductions, which add
+microseconds of dispatch per call.  The code path is the same at every
+atom count.
+"""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -68,7 +78,7 @@ class FiniteSpace:
         """True when the two spaces are interchangeable (identical atoms)."""
         if self is other:
             return True
-        return self.n_atoms == other.n_atoms and bool(np.all(self.probs == other.probs))
+        return self.n_atoms == other.n_atoms and not np.count_nonzero(self.probs != other.probs)
 
     @cached_property
     def int_probs(self) -> tuple[list[int], int]:
@@ -83,8 +93,14 @@ class FiniteSpace:
         return [num * (denominator // den) for num, den in ratios], denominator
 
     def _atom_indices(self, atoms: Iterable[int]) -> list[int]:
-        """The distinct atom indices, ascending; each must lie in ``[0, n_atoms)``."""
-        idx = sorted({int(i) for i in atoms})
+        """The distinct atom indices, ascending; each must be an integer in ``[0, n_atoms)``."""
+        distinct: set[int] = set()
+        for i in atoms:
+            try:
+                distinct.add(operator.index(i))  # accepts numpy integers, rejects 1.5 and 2.0
+            except TypeError:
+                raise ValueError(f"atom index {i!r} is not an integer") from None
+        idx = sorted(distinct)
         bad = [i for i in idx if not 0 <= i < self.n_atoms]
         if bad:
             raise ValueError(f"atom index {bad[0]} outside [0, {self.n_atoms})")
@@ -129,7 +145,7 @@ def _lower_tail(x: RandVar, level: float) -> tuple[list[float], list[float]]:
     """
     nums, den = x.space.int_probs
     vals = x.values.tolist()
-    order = np.argsort(x.values).tolist()
+    order = x.values.argsort().tolist()
     last = vals[order[0]] + 0.0
     distinct = [last]
     cum: list[float] = []
@@ -161,11 +177,13 @@ class RandVar:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size != self.space.n_atoms:
+        if arr.ndim != 1:
+            raise ValueError(f"values must be one-dimensional, got shape {arr.shape}")
+        if arr.size != self.space.n_atoms:
             raise ValueError(
                 f"value vector has length {arr.size}, space has {self.space.n_atoms} atoms"
             )
-        if not np.isfinite(arr).all():
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
             raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -191,7 +209,7 @@ class RandVar:
 
     @property
     def is_constant(self) -> bool:
-        return bool((self.values == self.values[0]).all())
+        return not np.count_nonzero(self.values != self.values[0])
 
     def _other_values(self, other) -> np.ndarray | float:
         if isinstance(other, RandVar):
@@ -227,13 +245,14 @@ class RandVar:
 
     def __ge__(self, other) -> bool:
         """Atomwise domination: self >= other at every atom."""
-        return bool((self.values >= self._other_values(other)).all())
+        # counting the atoms where it holds, not those where it fails, keeps a nan scalar failing
+        return bool(np.count_nonzero(self.values >= self._other_values(other)) == self.values.size)
 
     def __le__(self, other) -> bool:
-        return bool((self.values <= self._other_values(other)).all())
+        return bool(np.count_nonzero(self.values <= self._other_values(other)) == self.values.size)
 
     def tolist(self) -> list[float]:
-        return [float(v) for v in self.values]
+        return self.values.tolist()
 
 
 def expectation(x: RandVar) -> float:
@@ -257,7 +276,7 @@ def upper_quantile(x: RandVar, beta: float) -> float:
 
 def essential_infimum(x: RandVar) -> float:
     """Smallest atom value (every atom has positive probability)."""
-    return float(np.min(x.values))
+    return float(x.values.min())
 
 
 def same_distribution(x: RandVar, y: RandVar) -> bool:

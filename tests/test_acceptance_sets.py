@@ -211,6 +211,18 @@ class TestFindRiskInvariant:
         assert not report.passed and report.trials == 1
         assert len(built) == 2
 
+    def test_each_indicator_is_built_once(self, monkeypatch):
+        # ES has no invariant, so every pair probe and every single-atom probe runs
+        built = []
+        indicator = RandVar.indicator
+        monkeypatch.setattr(
+            RandVar, "indicator", classmethod(lambda cls, *a: built.append(a) or indicator(*a))
+        )
+        sp = FiniteSpace([0.1, 0.2, 0.3, 0.4])
+        report = find_risk_invariant(AcceptanceSpec.es_level(0.1), sp, trials=1, seed=0)
+        assert report.passed and report.trials == 3 * 4 * 3 + 4 + 2
+        assert sorted(atoms for _, atoms in built) == [[0], [1], [2], [3]]
+
     def test_var_invariant_on_a_single_small_atom(self):
         # only atom 0 may be lost at alpha 0.1, so no pair probe is an invariant
         sp = FiniteSpace([0.05, 0.475, 0.475])

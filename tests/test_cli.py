@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from eligirisk import cli
 from eligirisk.cli import STATEMENTS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -634,6 +635,28 @@ class TestMalformedScenarios:
         code, _, err = run_cli(["eval", "--scenario", str(path)], capsys)
         assert code == 2
         assert fieldpath in err
+
+
+class TestInProcessReuse:
+    def test_one_parser_serves_every_call(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "between",
+        [
+            (["check", "--scenario", str(SCENARIOS / "lemma_two_atom.json"),
+              "--statement", "monotone", "--seed", "-1"], 2),
+            (["--version"], 0),
+        ],
+        ids=["usage-error", "version"],
+    )
+    def test_repeated_calls_are_byte_identical(self, capsys, between):
+        argv = ["check", "--scenario", str(SCENARIOS / "superadditive_var.json"),
+                "--statement", "monotone", "--seed", "3", "--trials", "20"]
+        first = run_cli(argv, capsys)
+        assert run_cli(argv, capsys) == first
+        assert run_cli(between[0], capsys)[0] == between[1]
+        assert run_cli(argv, capsys) == first
 
 
 class TestUsage:

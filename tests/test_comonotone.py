@@ -99,6 +99,21 @@ class TestIsComonotone:
                     x, y, method="sorted"
                 )
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(*[st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])] * 2),
+                       min_size=1, max_size=8)
+    )
+    def test_sorted_matches_atomwise_python(self, atoms):
+        # the definition on Python floats: no pair of atoms is ordered oppositely
+        xs, ys = map(list, zip(*atoms))
+        sp = FiniteSpace(np.full(len(xs), 1.0 / len(xs)))
+        want = not any(
+            (xs[i] < xs[j] and ys[i] > ys[j]) or (xs[i] > xs[j] and ys[i] < ys[j])
+            for i in range(len(xs)) for j in range(len(xs))
+        )
+        assert is_comonotone(RandVar(sp, xs), RandVar(sp, ys), method="sorted") is want
+
     def test_pairwise_sign_survives_underflow(self):
         # (x0 - x1) * (y0 - y1) = -1e-400 underflows to -0.0, which is >= 0.0
         sp = FiniteSpace([0.5, 0.5])

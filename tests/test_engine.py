@@ -15,6 +15,7 @@ from eligirisk import (
     FiniteSpace,
     Level,
     RandVar,
+    RiskQuote,
     accepts,
     cash_asset,
     change_numeraire,
@@ -101,9 +102,11 @@ class TestRhoClosedForm:
             AcceptanceSpec.expectation_floor(),
             AcceptanceSpec.distortion_mix(DistortionWeights(((0.1, 0.5), (1.0, 0.5)))),
         ]
-        zero = RandVar.constant(space3, 0.0)
-        for spec in specs:
-            assert rho(spec, asset3, zero).value == 0.0
+        for zero in (RandVar.constant(space3, 0.0), RandVar(space3, [0.0, -0.0, -0.0])):
+            for spec in specs:
+                quote = rho(spec, asset3, zero)
+                assert quote == RiskQuote(0.0, "closed_form", 0, 0.0)
+                assert math.copysign(1.0, quote.value) == 1.0
 
 
 class TestRhoBisection:

@@ -67,6 +67,19 @@ class TestFiniteSpace:
         with pytest.raises(ValueError, match=f"atom index {atom} "):
             RandVar.indicator(sp, [atom])
 
+    @pytest.mark.parametrize("atom", [1.5, 2.999, 2.0])
+    def test_non_integer_atom_rejected(self, atom):
+        sp = FiniteSpace([0.1, 0.2, 0.7])
+        with pytest.raises(ValueError, match=f"atom index {atom} is not an integer"):
+            sp.event_prob([0, atom])
+        with pytest.raises(ValueError, match=f"atom index {atom} is not an integer"):
+            RandVar.indicator(sp, [atom])
+
+    def test_numpy_integer_atoms_accepted(self):
+        sp = FiniteSpace([0.25, 0.25, 0.5])
+        assert sp.event_prob(np.array([2, 0])) == 0.75
+        assert RandVar.indicator(sp, [np.int64(1)]).tolist() == [0.0, 1.0, 0.0]
+
     def test_probs_immutable(self, space3):
         with pytest.raises(ValueError):
             space3.probs[0] = 0.3
@@ -80,6 +93,38 @@ class TestRandVar:
     def test_rejects_nonfinite(self, space3):
         with pytest.raises(ValueError):
             RandVar(space3, [1.0, float("nan"), 0.0])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 7, 20, 2000]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_rejects_nonfinite_at_any_position(self, n, bad, where):
+        values = np.arange(n, dtype=float)
+        values[int(where * n)] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            RandVar(FiniteSpace(np.full(n, 1.0 / n)), values)
+
+    def test_two_dimensional_values_name_their_shape(self):
+        with pytest.raises(ValueError, match=r"values must be one-dimensional, got shape \(3, 1\)"):
+            RandVar(FiniteSpace([0.25, 0.25, 0.5]), np.zeros((3, 1)))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(*[st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])] * 2),
+                       min_size=1, max_size=8),
+        scalar=st.sampled_from([-0.5, -0.0, 0.0, 0.5]),
+    )
+    def test_comparisons_match_atomwise_python(self, atoms, scalar):
+        xs, ys = map(list, zip(*atoms))
+        sp = FiniteSpace(np.full(len(xs), 1.0 / len(xs)))
+        x, y = RandVar(sp, xs), RandVar(sp, ys)
+        assert x.is_constant is all(v == xs[0] for v in xs)
+        assert (x >= y) is all(a >= b for a, b in zip(xs, ys))
+        assert (x <= y) is all(a <= b for a, b in zip(xs, ys))
+        assert (x >= scalar) is all(a >= scalar for a in xs)
+        assert (x <= scalar) is all(a <= scalar for a in xs)
 
     def test_space_mismatch_on_arithmetic(self, x3):
         other = RandVar(FiniteSpace([0.5, 0.5]), [1.0, 2.0])
