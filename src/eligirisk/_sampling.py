@@ -19,7 +19,7 @@ def as_rng(seed) -> np.random.Generator:
 
 def grid_randvar(space: FiniteSpace, rng: np.random.Generator, span: float = 4.0) -> RandVar:
     k = int(span * GRID)
-    return RandVar(space, rng.integers(-k, k + 1, space.n_atoms) / GRID)
+    return RandVar._fresh(space, rng.integers(-k, k + 1, space.n_atoms) / GRID)
 
 
 def nonconstant_grid_randvar(
@@ -35,7 +35,7 @@ def nonconstant_grid_randvar(
 
 def nonneg_grid_randvar(space: FiniteSpace, rng: np.random.Generator, span: float = 2.0) -> RandVar:
     k = int(span * GRID)
-    return RandVar(space, rng.integers(0, k + 1, space.n_atoms) / GRID)
+    return RandVar._fresh(space, rng.integers(0, k + 1, space.n_atoms) / GRID)
 
 
 def grid_scalar(rng: np.random.Generator, span: float = 4.0) -> float:

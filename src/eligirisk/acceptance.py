@@ -235,18 +235,28 @@ def check_convex(
     The probes blend two acceptable positions that are each negative on a
     single small-probability atom; for quantile-based criteria the blend
     doubles the loss probability, which is exactly how convexity fails.
+    Each single-atom probe is built and tested at most once, when a pair
+    first needs it, so a check that fails on its first pair stops early.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = smp.as_rng(seed)
     n = space.n_atoms
+
+    @functools.cache  # each probe is built once, on first use
+    def probe(i: int) -> RandVar:
+        return RandVar.constant(space, 1.0) - 4.0 * RandVar.indicator(space, [i])
+
+    @functools.cache  # each probe is tested once, on first use
+    def accepted(i: int) -> bool:
+        return accepts(spec, probe(i))
+
     done = 0
     for i in range(n):
         for j in range(i + 1, n):
-            x = RandVar.constant(space, 1.0) - 4.0 * RandVar.indicator(space, [i])
-            y = RandVar.constant(space, 1.0) - 4.0 * RandVar.indicator(space, [j])
-            if not (accepts(spec, x) and accepts(spec, y)):
+            if not (accepted(i) and accepted(j)):
                 continue
+            x, y = probe(i), probe(j)
             blend = 0.5 * x + 0.5 * y
             done += 1
             if not accepts(spec, blend):

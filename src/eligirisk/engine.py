@@ -169,10 +169,15 @@ def _right_slope(spec: AcceptanceSpec, y: RandVar, payoff: RandVar) -> float:
     -sum(w_i * (Y_i + t * S1_i)), so the derivative is -sum(w_i * S1_i).  The
     ES(alpha) weights are the increments of min(cum / alpha, 1): all on the
     first atom at alpha 0, the probabilities at alpha 1.  A mixture sums them.
+
+    It runs once per Newton step, so it follows the hot-path rule of
+    :mod:`eligirisk.spaces`: ndarray methods, and increments taken in place by
+    slice differences (``g[0] - 0.0 == g[0]``, so they equal ``np.diff`` with
+    ``prepend=0.0`` bit for bit) instead of the ``np.<func>`` wrappers.
     """
     order = np.lexsort((payoff.values, y.values))
     p = y.space.probs[order]
-    cum = np.cumsum(p)
+    cum = p.cumsum()
     points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
     w = np.zeros(p.size)
     for alpha, weight in points:
@@ -181,8 +186,10 @@ def _right_slope(spec: AcceptanceSpec, y: RandVar, payoff: RandVar) -> float:
         elif alpha == 1.0:
             w += weight * p
         else:
-            w += weight * np.diff(np.minimum(cum / alpha, 1.0), prepend=0.0)
-    return -float(np.dot(w, payoff.values[order]))
+            g = np.minimum(cum / alpha, 1.0)
+            g[1:] -= g[:-1].copy()  # cheaper than numpy buffering the overlap itself
+            w += weight * g
+    return -float(w.dot(payoff.values[order]))
 
 
 def _newton(

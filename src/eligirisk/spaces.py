@@ -7,6 +7,12 @@ methods (``a.argsort()``, ``a.tolist()``) and ``np.count_nonzero``, never
 the ``np.<func>`` wrappers or ``.all()``/``.any()`` reductions, which add
 microseconds of dispatch per call.  The code path is the same at every
 atom count.
+
+Operators adopt the array they allocate; the public constructor copies.
+``RandVar(space, values)`` copies and validates foreign input; arithmetic,
+``constant``, ``indicator`` and the seeded samplers pass the array numpy has
+just allocated to ``RandVar._fresh``, which keeps the finiteness check
+(arithmetic can overflow to inf) and the read-only flag.
 """
 
 from __future__ import annotations
@@ -164,12 +170,23 @@ def _lower_tail(x: RandVar, level: float) -> tuple[list[float], list[float]]:
     return distinct, cum
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, once every value is checked finite."""
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        raise ValueError("values must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class RandVar:
     """One real value per atom of a finite probability space.
 
     Instances are immutable and interoperate only when they reference the
-    same space.  Arithmetic is atomwise; scalars broadcast.
+    same space.  Arithmetic is atomwise; scalars broadcast.  The constructor
+    copies ``values`` and checks its shape and finiteness, so the caller's
+    array stays the caller's; arithmetic adopts the array it allocates (see
+    :meth:`_fresh`).
     """
 
     space: FiniteSpace
@@ -183,20 +200,30 @@ class RandVar:
             raise ValueError(
                 f"value vector has length {arr.size}, space has {self.space.n_atoms} atoms"
             )
-        if np.count_nonzero(np.isfinite(arr)) != arr.size:
-            raise ValueError("values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _sealed(arr))
+
+    @classmethod
+    def _fresh(cls, space: FiniteSpace, arr: np.ndarray) -> "RandVar":
+        """Adopt ``arr`` without a copy or the shape checks.
+
+        ``arr`` must be a one-dimensional float64 array of ``space.n_atoms``
+        values that no one else holds: one that numpy has just allocated for
+        an operation on values of ``space``.  It is still checked finite.
+        """
+        x = object.__new__(cls)
+        object.__setattr__(x, "space", space)
+        object.__setattr__(x, "values", _sealed(arr))
+        return x
 
     @classmethod
     def constant(cls, space: FiniteSpace, c: float) -> "RandVar":
-        return cls(space, np.full(space.n_atoms, float(c)))
+        return cls._fresh(space, np.full(space.n_atoms, float(c)))
 
     @classmethod
     def indicator(cls, space: FiniteSpace, atoms: Iterable[int]) -> "RandVar":
         v = np.zeros(space.n_atoms)
         v[space._atom_indices(atoms)] = 1.0
-        return cls(space, v)
+        return cls._fresh(space, v)
 
     @cached_property
     def profile(self) -> SortedProfile:
@@ -219,29 +246,29 @@ class RandVar:
         return float(other)
 
     def __add__(self, other) -> "RandVar":
-        return RandVar(self.space, self.values + self._other_values(other))
+        return RandVar._fresh(self.space, self.values + self._other_values(other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "RandVar":
-        return RandVar(self.space, self.values - self._other_values(other))
+        return RandVar._fresh(self.space, self.values - self._other_values(other))
 
     def __rsub__(self, other) -> "RandVar":
-        return RandVar(self.space, self._other_values(other) - self.values)
+        return RandVar._fresh(self.space, self._other_values(other) - self.values)
 
     def __mul__(self, other) -> "RandVar":
-        return RandVar(self.space, self.values * self._other_values(other))
+        return RandVar._fresh(self.space, self.values * self._other_values(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RandVar":
-        return RandVar(self.space, self.values / self._other_values(other))
+        return RandVar._fresh(self.space, self.values / self._other_values(other))
 
     def __rtruediv__(self, other) -> "RandVar":
-        return RandVar(self.space, self._other_values(other) / self.values)
+        return RandVar._fresh(self.space, self._other_values(other) / self.values)
 
     def __neg__(self) -> "RandVar":
-        return RandVar(self.space, -self.values)
+        return RandVar._fresh(self.space, -self.values)
 
     def __ge__(self, other) -> bool:
         """Atomwise domination: self >= other at every atom."""

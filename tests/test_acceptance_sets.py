@@ -184,6 +184,45 @@ class TestCheckConvex:
         assert accepts(a_var, x) and accepts(a_var, y)
         assert not accepts(a_var, blend)
 
+    @pytest.mark.parametrize(
+        "spec, passed, pairs, tests, built",
+        [
+            # every probe and every blend accepted: 20 probe tests, 190 blend tests
+            (AcceptanceSpec.var_level(0.1), True, 190, 20 + 190, 20),
+            # every probe rejected: probes 0-18 are tested as a pair's first
+            # member and fail it, so probe 19 is never needed
+            (AcceptanceSpec.es_level(0.1), True, 0, 19, 19),
+            # the first blend fails: probes 0 and 1 and their blend, as before
+            (AcceptanceSpec.var_level(0.05), False, 1, 3, 2),
+        ],
+    )
+    def test_each_probe_is_built_and_tested_at_most_once(
+        self, monkeypatch, spec, passed, pairs, tests, built
+    ):
+        # the sampled trials are switched off, so every test counted is a probe's
+        import eligirisk.acceptance as acc
+
+        made, tested = [], []
+        indicator, accepts_ = RandVar.indicator, acc.accepts
+        monkeypatch.setattr(
+            RandVar, "indicator", classmethod(lambda cls, *a: made.append(a) or indicator(*a))
+        )
+        monkeypatch.setattr(acc, "accepts", lambda *a: tested.append(a) or accepts_(*a))
+        monkeypatch.setattr(acc, "sample_accepted", lambda *a: None)
+        report = check_convex(spec, FiniteSpace(np.full(20, 0.05)), trials=3, seed=0)
+        assert report.passed is passed and report.trials == pairs
+        assert sorted(atoms for _, atoms in made) == [[i] for i in range(built)]
+        assert len(tested) == tests
+
+    def test_first_failing_pair_skips_rejected_probes(self):
+        # atom 1 is too likely to be lost alone; atoms 0 and 2 together exceed 0.1
+        sp = FiniteSpace([0.06, 0.2, 0.05, 0.04, 0.65])
+        report = check_convex(AcceptanceSpec.var_level(0.1), sp, trials=1, seed=0)
+        assert not report.passed and report.trials == 1
+        assert report.witness["x"].tolist() == [-3.0, 1.0, 1.0, 1.0, 1.0]
+        assert report.witness["y"].tolist() == [1.0, 1.0, -3.0, 1.0, 1.0]
+        assert report.witness["blend"].tolist() == [-1.0, 1.0, -1.0, 1.0, 1.0]
+
 
 class TestFindRiskInvariant:
     def test_var_has_invariant(self, space3, a_var):

@@ -1,6 +1,7 @@
 """Tests for the eligible-asset requirement solver and numeraire transforms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from eligirisk import (
     rho_cash,
     s_additivity_check,
 )
-from eligirisk.engine import MAX_NEWTON_STEPS, default_tol
+from eligirisk.engine import MAX_NEWTON_STEPS, _right_slope, default_tol
 
 
 @pytest.fixture
@@ -301,6 +302,75 @@ class TestNewton:
         least = -27.53124187940665
         assert not accepts(spec, shift(math.nextafter(least, -math.inf)))
         assert quote.value - quote.bracket_width < least <= quote.value
+
+
+def slope_oracle(spec, y, payoff):
+    """Exact right slope: Choquet weights as increments of min(cum / alpha, 1) in Fractions.
+
+    Atoms sort by (Y, S1), both ascending; ``cum`` is an exact integer sum
+    over ``int_probs``.  Level 0 puts its weight on the first atom, level 1
+    on every atom in proportion to its probability (the same increments,
+    since cum / 1 never exceeds 1).
+    """
+    nums, den = y.space.int_probs
+    ys, pays = y.tolist(), payoff.tolist()
+    order = sorted(range(len(ys)), key=lambda i: (ys[i], pays[i]))
+    points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
+    total = Fraction(0)
+    for alpha, weight in points:
+        acc, prev = 0, Fraction(0)
+        for i in order:
+            acc += nums[i]
+            g = Fraction(1) if alpha == 0.0 else min(Fraction(acc, den) / Fraction(alpha), Fraction(1))
+            total += Fraction(weight) * (g - prev) * Fraction(pays[i])
+            prev = g
+    return -total
+
+
+SLOPE_LEVELS = (0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)
+
+
+class TestRightSlope:
+    """Newton's slope, the right derivative of t -> functional(Y + t * S1) at 0."""
+
+    def test_tied_mixture_slopes_are_pinned(self):
+        # values of the np.diff form the in-place increments replaced; the ties
+        # at Y = -1.25 and Y = 0.5 order by payoff
+        sp = FiniteSpace(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]) / 25)
+        y = RandVar(sp, [0.5, -1.25, 0.5, -1.25, 2.0, 0.5, -1.25])
+        payoff = RandVar(sp, [1.5, 0.75, 0.25, 2.0, 1.0, 3.0, 0.5])
+        mix, ends = (AcceptanceSpec.distortion_mix(DistortionWeights(w)) for w in (MIX, ENDS))
+        assert _right_slope(mix, y, payoff).hex() == "-0x1.451eb851eb852p-1"  # -0.635
+        assert _right_slope(ends, y, payoff).hex() == "-0x1.1666666666667p+0"
+        assert float(slope_oracle(mix, y, payoff)) == -0.635
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(st.integers(1, 16), st.integers(-3, 3), st.integers(1, 64)),
+            min_size=1, max_size=16,
+        ),
+        levels=st.lists(st.sampled_from(SLOPE_LEVELS), min_size=1, max_size=3, unique=True),
+        level_weights=st.lists(st.integers(1, 9), min_size=3, max_size=3),
+        as_es=st.booleans(),
+    )
+    def test_matches_exact_choquet_weights(self, atoms, levels, level_weights, as_es):
+        weights, ys, pays = zip(*atoms)
+        sp = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        y = RandVar(sp, np.array(ys) / 2)  # few values: ties are common
+        payoff = RandVar(sp, np.array(pays) / 8)
+        if as_es and 0.0 < levels[0] < 1.0:
+            spec = AcceptanceSpec.es_level(levels[0])
+        else:
+            total = sum(level_weights[: len(levels)])
+            spec = AcceptanceSpec.distortion_mix(
+                DistortionWeights(tuple((a, w / total) for a, w in zip(levels, level_weights)))
+            )
+        slope = _right_slope(spec, y, payoff)
+        # rounding of the cumulative sums, increments and dot product; 10**5
+        # random draws stayed below 0.9 n ulp (the worst case grows as n**2)
+        bound = 2 * sp.n_atoms * math.ulp(float(np.max(payoff.values)))
+        assert abs(Fraction(slope) - slope_oracle(spec, y, payoff)) <= bound
 
 
 class TestRhoProperties:

@@ -126,6 +126,58 @@ class TestRandVar:
         assert (x >= scalar) is all(a >= scalar for a in xs)
         assert (x <= scalar) is all(a <= scalar for a in xs)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda big, tiny: big + big,
+            lambda big, tiny: big + 1e308,
+            lambda big, tiny: 1e308 + big,
+            lambda big, tiny: big - (-big),
+            lambda big, tiny: big - -1e308,
+            lambda big, tiny: -1e308 - big,
+            lambda big, tiny: big * big,
+            lambda big, tiny: big * 10.0,
+            lambda big, tiny: 10.0 * big,
+            lambda big, tiny: big / 1e-10,
+            lambda big, tiny: big / tiny,
+            lambda big, tiny: 1e308 / tiny,
+        ],
+    )
+    def test_arithmetic_rejects_overflow_to_inf(self, op):
+        sp = FiniteSpace([0.5, 0.5])
+        big, tiny = RandVar(sp, [1e308, 1.0]), RandVar(sp, [1e-10, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="values must be finite"):
+            op(big, tiny)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, y: x + y, lambda x, y: x + 0.0, lambda x, y: 0.0 + x,
+            lambda x, y: x - y, lambda x, y: x - 0.0, lambda x, y: 0.0 - x,
+            lambda x, y: x * y, lambda x, y: x * 1.0, lambda x, y: 1.0 * x,
+            lambda x, y: x / y, lambda x, y: x / 1.0, lambda x, y: 1.0 / y,
+            lambda x, y: -x,
+        ],
+    )
+    def test_arithmetic_results_are_read_only_and_own_their_values(self, space3, x3, op):
+        # negation cannot overflow; every other operator is also checked finite above
+        y = RandVar(space3, [1.0, 2.0, 4.0])
+        r = op(x3, y)
+        assert not r.values.flags.writeable
+        assert not np.shares_memory(r.values, x3.values)
+        assert not np.shares_memory(r.values, y.values)
+        with pytest.raises(ValueError):
+            r.values[0] = 0.0
+
+    def test_constructor_copies_the_callers_array(self, space3):
+        values = np.array([1.0, 2.0, 3.0])
+        x = RandVar(space3, values)
+        values[0] = 99.0
+        assert x.tolist() == [1.0, 2.0, 3.0]
+        assert values.flags.writeable
+        assert not x.values.flags.writeable
+        assert not np.shares_memory(x.values, values)
+
     def test_space_mismatch_on_arithmetic(self, x3):
         other = RandVar(FiniteSpace([0.5, 0.5]), [1.0, 2.0])
         with pytest.raises(SpaceMismatchError):
@@ -152,6 +204,10 @@ class TestRandVar:
         assert RandVar.constant(space3, 2.5).is_constant
         ind = RandVar.indicator(space3, [1])
         assert ind.values.tolist() == [0.0, 1.0, 0.0]
+        assert not ind.values.flags.writeable
+        assert not RandVar.constant(space3, 2.5).values.flags.writeable
+        with pytest.raises(ValueError, match="values must be finite"):
+            RandVar.constant(space3, math.inf)
 
 
 class TestExpectation:
