@@ -4,10 +4,11 @@ acceptance set and the asset.
 
 Each checker turns one statement into a finite verification: exact single
 membership tests where the statement reduces to one, one pass over integer
-subset sums for VaR's ``theorem-b`` and ``var-condition-b`` (which hands its
-asset to ``theorem-b``), and seeded sampling for universally quantified
-conditions.  Single-pass exact verdicts report one sample and no seed; a
-sampled "pass" means "no violation found", never a proof.
+subset sums for VaR's ``theorem-b`` and ``var-condition-b`` (at its least
+probability atom), and seeded sampling for universally quantified
+conditions; r1 = rho(1) is the closed form -S0 / F(-S1).  Single-pass exact
+verdicts report one sample and no seed; a sampled "pass" means "no
+violation found", never a proof.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ __all__ = [
     "run_replication_suite",
     "REFERENCE_VALUES",
 ]
-
-#: Solver tolerance used whenever a checker needs the requirement of the
-#: constant position 1 before forming exact membership probes.
-RHO_ONE_TOL = 1e-12
 
 #: Least requirement gap that ``find_additivity_violation`` reports.
 ADDITIVITY_THRESHOLD = 1e-7
@@ -90,15 +87,17 @@ class TheoremVerdict:
 
 
 def _rho_one(spec: AcceptanceSpec, asset: EligibleAsset) -> float:
-    """Requirement of the constant position 1, exact where a closed form exists."""
-    one = RandVar.constant(asset.payoff.space, 1.0)
-    quote = rho(spec, asset, one, tol=RHO_ONE_TOL)
-    if quote.value == 0.0:
-        raise ValueError(
-            "requirement of the constant 1 vanishes; "
-            "a nonzero comonotonic decreasing criterion prices it strictly negative"
-        )
-    return quote.value
+    """Requirement r1 of the constant position 1 in closed form, -S0 / F(-S1).
+
+    F(1 + t * S1) = -1 + |t| * F(-S1) for t <= 0, as a built-in F is cash
+    additive and positively homogeneous; an overflow or underflow is rejected.
+    """
+    if not spec.is_builtin:
+        raise ValueError("stability check requires a comonotonic built-in criterion")
+    r1 = -asset.price / spec.functional_value(-asset.payoff)
+    if not -math.inf < r1 < 0.0:
+        raise ValueError(f"requirement of the constant 1 is {r1!r}, not a finite negative number")
+    return r1
 
 
 def _frac_expectation(space: FiniteSpace, values) -> Fraction:
@@ -106,10 +105,10 @@ def _frac_expectation(space: FiniteSpace, values) -> Fraction:
     return sum((n * Fraction(v) for n, v in zip(nums, values)), Fraction(0)) / den
 
 
-#: Most atoms :func:`_subset_sums` enumerates.  At 20 atoms the pass of
-#: ``var-condition-b`` takes 0.26-0.40 s and the process peaks at 100-130 MB
-#: RSS, of which ~35 MB is the interpreter and numpy (2 vCPUs, Python 3.11,
-#: numpy 2.4); time and memory double with every further atom.
+#: Most atoms :func:`_subset_sums` enumerates: ``var-condition-b`` omits one,
+#: so it decides 21 atoms (0.12 s; ``theorem-b`` outside 20: 0.16 s).  The
+#: process peaks at 100-110 MB RSS, ~35 MB of it the interpreter and numpy
+#: (2 vCPUs, Python 3.11, numpy 2.4); both double with every further atom.
 SUBSET_SUM_MAX_ATOMS = 20
 
 
@@ -135,7 +134,8 @@ def _subset_sums(weights: list[int]) -> np.ndarray:
 def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> TheoremVerdict:
     """Stability of the acceptance set under the fully leveraged payoff.
 
-    With r1 the requirement of the constant 1, form W = 1 + (r1 / S0) * S1.
+    With r1 the requirement of the constant 1, W = 1 + (r1 / S0) * S1 equals
+    1 - S1 / F(-S1) for every S0, so it is formed at S0 = 1 (one rounding).
     The risk measure is comonotonic iff adding or subtracting W never ejects
     an acceptable position from the set.  Convex criteria reduce to
     :func:`check_corollary_convex`.  For VaR, with v = +W or -W and
@@ -157,7 +157,8 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
 
     space = asset.payoff.space
     r1 = _rho_one(spec, asset)
-    w = RandVar.constant(space, 1.0) + (r1 / asset.price) * asset.payoff
+    unit_r1 = _rho_one(spec, EligibleAsset(1.0, asset.payoff))
+    w = RandVar.constant(space, 1.0) + unit_r1 * asset.payoff
     w_inv = asset.payoff + asset.price / r1
     invariant_ok = accepts(spec, w_inv) and accepts(spec, -w_inv)
     values = {"rho_one": r1, "w": w, "invariant_candidate_ok": invariant_ok}
@@ -273,13 +274,14 @@ def check_cash_reduction_identity(
     When the sampled additivity check finds no violation, the requirement
     must agree with -r1 times the cash requirement on every sampled
     position; when additivity fails, the identity must fail somewhere too.
-    The verdict is "pass" when the two observations are consistent.
+    The verdict is "pass" when the two observations are consistent.  r1 is
+    taken first, so explicit criteria are rejected up front.
     """
+    r1 = _rho_one(spec, asset)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     space = asset.payoff.space
     rng = smp.as_rng(seed)
-    r1 = _rho_one(spec, asset)
     rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
     additivity = additivity_on_comonotone(rho_fn, space, max(trials // 2, 1), seed, tol)
 
@@ -422,62 +424,58 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
     """Existence of a risky asset making the quantile-based measure comonotonic.
 
     The condition asks for an event A with 0 < P(A) <= alpha and
-    P(A) + max{P(B) : B in A^c, P(B) <= alpha} <= alpha.  It is decided
-    exactly, independent of atom order and without deduplication: the subset
-    sums are formed from the integer probabilities of
-    :attr:`FiniteSpace.int_probs`, alpha enters as the exact floor of its
-    value on that scale, and one max-zeta pass over all 2^n subset sums
-    gives the inner maximum of every complement at once.  The chosen event has
-    the least probability (then the least bitmask); ``samples`` counts the
-    candidate events.  On success the witness asset (price 1, payoff 2 on A
-    and 1 elsewhere, so W = -1_A) is decided by the exact theorem-b pass under
-    the rounding of :func:`accepts`, whose verdict and witness are reported.
+    P(A) + inner(A^c) <= alpha, inner(M) = max{P(B) : B in M, P(B) <= alpha}.
+    Let j be the least-index atom of least probability.  For every i in A,
+    p_i + inner({i}^c) <= P(A) + inner(A^c) (split a B' in {i}^c at A), and
+    p_j + inner({j}^c) <= p_i + inner({i}^c) (swap i for j in a B attaining
+    inner({j}^c)).  So {j} is the least-probability, then least-bitmask,
+    event meeting the condition if any does, and it attains the least total.
+    It is decided exactly over the subset sums of the other atoms'
+    :attr:`FiniteSpace.int_probs`, alpha entering as its exact floor on that
+    scale.  ``samples`` counts the events with 0 < P(A) <= alpha.  On success
+    the witness asset (price 1, payoff 2 on j, 1 elsewhere) goes through the
+    exact theorem-b pass under the rounding of :func:`accepts`, whose verdict
+    and witness are reported.
     """
-    n = space.n_atoms
     alpha = level.alpha
     weights, scale = space.int_probs
     num, den = alpha.as_integer_ratio()
     limit = num * scale // den  # P(B) <= alpha  iff  sums[B] <= limit
-    sums = _subset_sums(weights)
-    # inner[M] = max{P(B) : B subset of M, P(B) <= alpha}, one atom at a time
-    inner = np.where(sums <= limit, sums, 0)
-    for i in range(n):
-        view = inner.reshape(-1, 2, 2**i)
-        np.maximum(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
-    candidates = np.flatnonzero((sums > 0) & (sums <= limit))
-    totals = sums[candidates] + inner[(sums.size - 1) ^ candidates]
-    holds = candidates[totals <= limit]
+    p = min(weights)
+    j = weights.index(p)
+    sums = _subset_sums(weights[:j] + weights[j + 1:])
+    within = sums[sums <= limit]
+    inner = within.max()
+    # candidate events without j (nonempty), then with j
+    candidates = within.size - 1 + int(np.count_nonzero(sums <= limit - p))
 
-    if holds.size == 0:
+    if p + inner > limit:
         detail = (
             "no event carries probability within (0, alpha] at all"
-            if candidates.size == 0
+            if candidates == 0
             else "every candidate event is spoiled by a subset of its complement"
         )
         return TheoremVerdict(
-            "var-condition-b", "fail", candidates.size, None,
+            "var-condition-b", "fail", candidates, None,
             condition_values={
                 "alpha": alpha,
-                "candidate_events": candidates.size,
-                "best_total": totals.min() / scale if candidates.size else None,
+                "candidate_events": candidates,
+                "best_total": (p + inner) / scale if candidates else None,
             },
             note=f"exhaustive enumeration: {detail}; "
             "only constant payoffs give a comonotonic measure on this space",
         )
 
-    # argmin keeps the first, i.e. the least bitmask, among equal probabilities
-    found = int(holds[np.argmin(sums[holds])])
-    event = [i for i in range(n) if found >> i & 1]
-    asset = EligibleAsset(1.0, RandVar.constant(space, 1.0) + RandVar.indicator(space, event))
+    asset = EligibleAsset(1.0, RandVar.constant(space, 1.0) + RandVar.indicator(space, [j]))
     stability = check_theorem_condition_b(AcceptanceSpec.var_level(alpha), asset)
     return TheoremVerdict(
-        "var-condition-b", stability.verdict, candidates.size, None,
+        "var-condition-b", stability.verdict, candidates, None,
         witness=stability.witness,
         condition_values={
             "alpha": alpha,
-            "event": event,
-            "event_prob": sums[found] / scale,
-            "inner_max": inner[(sums.size - 1) ^ found] / scale,
+            "event": [j],
+            "event_prob": p / scale,
+            "inner_max": inner / scale,
             "witness_payoff": asset.payoff,
         },
         note="condition holds; constructed risky asset passes the exact theorem-b check"
@@ -508,8 +506,10 @@ def find_additivity_violation(
 
     The verdict is "fail" (witness found) exactly when a verified
     comonotone pair exceeds the threshold; searches are exit-coded like
-    checks so expected failures can be asserted.
+    checks so expected failures can be asserted.  The fallback's r1 is taken
+    first, so explicit criteria are rejected up front.
     """
+    r1 = _rho_one(spec, asset)
     space = asset.payoff.space
     rng = smp.as_rng(seed)
     rho_fn = _requirement(spec, asset, 1e-12)  # far below the threshold
@@ -551,7 +551,6 @@ def find_additivity_violation(
 
     if best is None:
         # deterministic fallback via the cash-reduction identity
-        r1 = _rho_one(spec, asset)
         candidates = [RandVar.indicator(space, [i]) * (-1.0) for i in range(space.n_atoms)]
         candidates += [RandVar.indicator(space, [i]) for i in range(space.n_atoms)]
         candidates += [smp.grid_randvar(space, rng) for _ in range(64)]

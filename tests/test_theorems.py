@@ -22,29 +22,43 @@ from eligirisk import (
     check_theorem_condition_b,
     check_var_condition_b,
     check_var_necessary_condition,
+    expectation,
     find_additivity_violation,
     is_comonotone,
     rho,
     rho_cash,
     run_replication_suite,
 )
+from eligirisk.theorems import _rho_one
 
 
-def condition_b_events(probs: list[float], alpha: float) -> list[int]:
-    """Bitmasks of the events A meeting the VaR condition, by brute force in exact rationals.
+def condition_b_oracle(probs: list[float], alpha: float) -> dict[int, tuple[Fraction, Fraction]]:
+    """Every candidate event A of the VaR condition, by brute force in exact rationals.
 
-    A qualifies iff 0 < P(A) <= alpha and no subset B of its complement has
-    alpha - P(A) < P(B) <= alpha.
+    Maps the bitmask of each A with 0 < P(A) <= alpha to (P(A), inner), where
+    inner is the largest P(B) <= alpha over the subsets B of its complement.
     """
     a = Fraction(alpha)
     sums = [Fraction(0)]
     for p in probs:
         sums += [s + Fraction(p) for s in sums]
-    return [
-        m for m in range(1, len(sums))
-        if 0 < sums[m] <= a
-        and not any(a - sums[m] < sums[b] <= a for b in range(len(sums)) if b & m == 0)
-    ]
+    out = {}
+    for m in range(1, len(sums)):
+        if sums[m] <= a:
+            rest = b = (len(sums) - 1) ^ m
+            inner = Fraction(0)
+            while b:  # every nonempty subset of the complement
+                if inner < sums[b] <= a:
+                    inner = sums[b]
+                b = (b - 1) & rest
+            out[m] = (sums[m], inner)
+    return out
+
+
+def condition_b_events(probs: list[float], alpha: float) -> list[int]:
+    """Bitmasks of the events A meeting the VaR condition: P(A) + inner <= alpha."""
+    oracle = condition_b_oracle(probs, alpha)
+    return [m for m, (prob, inner) in oracle.items() if prob + inner <= Fraction(alpha)]
 
 
 def ejects_accepted_position(spec: AcceptanceSpec, asset: EligibleAsset) -> bool:
@@ -56,7 +70,7 @@ def ejects_accepted_position(spec: AcceptanceSpec, asset: EligibleAsset) -> bool
     space = asset.payoff.space
     n = space.n_atoms
     one = RandVar.constant(space, 1.0)
-    w = one + (rho(spec, asset, one).value / asset.price) * asset.payoff
+    w = one + _rho_one(spec, EligibleAsset(1.0, asset.payoff)) * asset.payoff
     c = 1.0 + 2.0 * w.max_abs
     for mask in range(2**n):
         x = -c * RandVar.indicator(space, [i for i in range(n) if mask >> i & 1])
@@ -119,8 +133,6 @@ class TestTheoremConditionB:
         assert "exact single membership" in verdict.note
 
     def test_rejects_explicit_kind(self, near_rf_asset):
-        from eligirisk import expectation
-
         broken = AcceptanceSpec.explicit(lambda x: -expectation(x))
         with pytest.raises(ValueError):
             check_theorem_condition_b(broken, near_rf_asset)
@@ -141,6 +153,18 @@ class TestTheoremConditionB:
         moved = x + w if verdict.witness["direction"] == "+" else x - w
         assert shifted.tolist() == moved.tolist()
         assert accepts(spec, x) and not accepts(spec, shifted)
+
+    def test_w_vanishes_exactly_where_the_payoff_is_its_quantile(self):
+        # the paper's W is 1 - S1 / 2.125 = [0, 1/17]: subtracting it adds at
+        # most atom 1 (mass 1/7 <= alpha) to a loss event, so nothing is
+        # ejected.  A W of 2**-53 on atom 0, from rounding r1 / S0 at S0 = 1.5,
+        # ejects a position there
+        space = FiniteSpace([6 / 7, 1 / 7])
+        asset = EligibleAsset(1.5, RandVar(space, [2.125, 2.0]))
+        verdict = check_theorem_condition_b(AcceptanceSpec.var_level(0.3), asset)
+        assert verdict.verdict == "pass"
+        assert verdict.condition_values["rho_one"] == -1.5 / 2.125
+        assert verdict.condition_values["w"].tolist()[0] == 0.0
 
     def test_sixteen_atom_near_pass_fails(self):
         # a sampled search with 200 trials missed every ejected position here
@@ -225,6 +249,9 @@ class TestTheoremConditionB:
         ejected = ejects_accepted_position(spec, asset)
         verdict = check_theorem_condition_b(spec, asset)
         assert verdict.verdict == ("fail" if ejected else "pass")
+        # W = 1 - S1 / F(-S1) does not depend on the price
+        unit = check_theorem_condition_b(spec, EligibleAsset(1.0, asset.payoff))
+        assert verdict.condition_values["w"].tolist() == unit.condition_values["w"].tolist()
         if ejected:
             self.assert_witness_reverifies(spec, verdict)
 
@@ -261,6 +288,22 @@ class TestCorollaryConvex:
     def test_rejects_var_kind(self, near_rf_asset, a_var01):
         with pytest.raises(ValueError):
             check_corollary_convex(a_var01, near_rf_asset)
+
+    @pytest.mark.parametrize(
+        "top, alpha",
+        [(1.9991761150650716e-271, 0.9), (float.fromhex("0x1.70aa6cd576c5ap+24"), 0.1),
+         (float.fromhex("0x1.6fa5bb537e745p+19"), 0.9)],
+    )
+    def test_payoff_one_ulp_from_constant_fails(self, top, alpha):
+        # the payoff is risky, so the paper says "fail".  The float sign of
+        # F(S1) + F(-S1), which a closed form of the verdict would read, is
+        # not positive on these payoffs; the decisive F(+-W') memberships are
+        sp = FiniteSpace([0.5, 0.5])
+        spec = AcceptanceSpec.es_level(alpha)
+        payoff = RandVar(sp, [top, math.nextafter(top, 0.0)])
+        assert spec.functional_value(payoff) + spec.functional_value(-payoff) <= 0.0
+        verdict = check_corollary_convex(spec, EligibleAsset(1.0, payoff))
+        assert verdict.verdict == "fail"
 
     def test_matches_sampled_additivity_on_random_assets(self):
         # the exact single test and the sampled additivity verdict must agree
@@ -341,6 +384,23 @@ class TestLemmaEquality:
         assert verdict.verdict == "pass"
         assert verdict.condition_values["equality_holds"]
         assert verdict.condition_values["stability_holds"]
+
+
+@pytest.mark.parametrize(
+    "needs_r1",
+    [
+        _rho_one,
+        lambda spec, asset: check_cash_reduction_identity(spec, asset, trials=0),
+        lambda spec, asset: find_additivity_violation(spec, asset, budget=0),
+    ],
+    ids=["rho-one", "cash-reduction", "additivity-violation"],
+)
+def test_r1_needs_a_builtin_criterion(needs_r1, near_rf_asset):
+    # r1 = -S0 / F(-S1) holds for cash-additive, positively homogeneous F only;
+    # the checkers reject an explicit criterion before any other input
+    broken = AcceptanceSpec.explicit(lambda x: -expectation(x))
+    with pytest.raises(ValueError, match="built-in criterion"):
+        needs_r1(broken, near_rf_asset)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -427,6 +487,18 @@ class TestVarConditionB:
         with pytest.raises(ValueError):
             check_var_condition_b(sp, Level(0.1))
 
+    def test_twenty_one_atoms_are_decided(self):
+        # the least atom is not enumerated, so 21 atoms stay within the cap
+        sp = FiniteSpace([1 / 64] + [63 / 1280] * 20)
+        verdict = check_var_condition_b(sp, Level(1 / 64))
+        assert (verdict.verdict, verdict.samples) == ("pass", 1)
+        assert verdict.condition_values["event"] == [0]
+
+    def test_twenty_two_atoms_exceed_the_cap(self):
+        sp = FiniteSpace([1 / 22] * 22)
+        with pytest.raises(ValueError, match="enumeration cap 20"):
+            check_var_condition_b(sp, Level(0.1))
+
     @pytest.mark.parametrize("order", ["given", "sorted", "reversed"])
     def test_verdict_is_exact_in_every_atom_order(self, order):
         # float subset sums taken in index order put event [0] within alpha in
@@ -467,22 +539,77 @@ class TestVarConditionB:
         alpha = math.nextafter(alpha, alpha + nudge) if nudge else alpha
         if not 0.0 < alpha < 1.0:
             return
-        holds = bool(condition_b_events(probs, alpha))
         perm = np.random.default_rng(perm_seed).permutation(len(raw)).tolist()
         for sp in (space, FiniteSpace([raw[i] for i in perm])):
+            probs = sp.probs.tolist()
+            oracle = condition_b_oracle(probs, alpha)
+            holds = condition_b_events(probs, alpha)
             verdict = check_var_condition_b(sp, Level(alpha))
-            assert ("event" in verdict.condition_values) == holds
+            values = verdict.condition_values
+            assert verdict.samples == len(oracle)
+            assert ("event" in values) == bool(holds)
             if not holds:
                 assert verdict.verdict == "fail"
+                assert values["candidate_events"] == len(oracle)
+                least = min((prob + inner for prob, inner in oracle.values()), default=None)
+                assert values["best_total"] == (None if least is None else float(least))
                 continue
-            event = verdict.condition_values["event"]
-            assert sum(1 << i for i in event) in condition_b_events(sp.probs.tolist(), alpha)
+            # the least-probability event meeting the condition, then the least bitmask
+            found = min(holds, key=lambda m: (oracle[m][0], m))
+            event = values["event"]
+            assert event == [i for i in range(len(probs)) if found >> i & 1]
+            assert event == [probs.index(min(probs))]
+            assert values["event_prob"] == float(oracle[found][0])
+            assert values["inner_max"] == float(oracle[found][1])
             spec = AcceptanceSpec.var_level(alpha)
-            asset = EligibleAsset(1.0, verdict.condition_values["witness_payoff"])
+            asset = EligibleAsset(1.0, values["witness_payoff"])
             assert verdict.passed != ejects_accepted_position(spec, asset)
             if not verdict.passed:
                 x, shifted = verdict.witness["x"], verdict.witness["shifted"]
                 assert accepts(spec, x) and not accepts(spec, shifted)
+
+
+class TestRhoOne:
+    """r1 = rho(1) in closed form, -S0 / F(-S1), against the solver."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+        payoff=st.lists(
+            st.one_of(st.integers(16, 128).map(lambda k: k / 32), st.floats(0.01, 100.0)),
+            min_size=8, max_size=8,
+        ),
+        kind=st.sampled_from(["var", "es", "mix"]),
+        alpha=st.floats(0.01, 0.99),
+        price=st.sampled_from([1.0, 0.7, 3.0]),
+    )
+    def test_matches_the_solver(self, weights, payoff, kind, alpha, price):
+        total = sum(weights)
+        space = FiniteSpace([w / total for w in weights])
+        one = RandVar.constant(space, 1.0)
+        if kind == "var":
+            # the order statistic S0 * var(1/S1), bit for bit at price 1
+            spec = AcceptanceSpec.var_level(alpha)
+            asset = EligibleAsset(1.0, RandVar(space, payoff[: space.n_atoms]))
+            assert _rho_one(spec, asset) == rho(spec, asset, one).value
+            return
+        points = ((0.0, 0.2), (alpha, 0.5), (1.0, 0.3))
+        mix = AcceptanceSpec.distortion_mix(DistortionWeights(points))
+        spec = AcceptanceSpec.es_level(alpha) if kind == "es" else mix
+        asset = EligibleAsset(price, RandVar(space, payoff[: space.n_atoms]))
+        quote = rho(spec, asset, one, tol=1e-12)
+        # the bracket certifies the float membership of rounded positions, which
+        # put the root up to 3 ulps off -S0 / F(-S1) in 10^4 random draws
+        lo, hi = quote.value - quote.bracket_width, quote.value
+        slack = 4.0 * math.ulp(hi)
+        assert lo - slack <= _rho_one(spec, asset) <= hi + slack
+
+    @pytest.mark.parametrize("price, level", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_rejects_an_overflow_or_underflow(self, near_rf_space, a_var01, price, level):
+        # -S0 / F(-S1) rounds to -inf, then to -0.0
+        asset = EligibleAsset(price, RandVar.constant(near_rf_space, level))
+        with pytest.raises(ValueError, match="not a finite negative number"):
+            _rho_one(a_var01, asset)
 
 
 class TestFindAdditivityViolation:
