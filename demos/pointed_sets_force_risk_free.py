@@ -49,7 +49,7 @@ print("risk invariant search:", invariants.note,
       "| certificate:", invariants.data["pointedness_certificate"])
 
 print("\nconcrete additivity violation under the risky asset:")
-found = find_additivity_violation(spec, risky, budget=400, seed=3)
+found = find_additivity_violation(spec, risky)
 print("  X =", found.witness["x"].tolist(), " Y =", found.witness["y"].tolist(),
       " gap =", found.witness["gap"])
 

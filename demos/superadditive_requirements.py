@@ -41,9 +41,9 @@ print("\nunder cash funding the same rule is additive:")
 print(f"  cash req X = {rho_cash(spec, x)}, Y = {rho_cash(spec, y)}, "
       f"X+Y = {rho_cash(spec, x + y)}")
 
-# the search finds non-additive comonotone pairs on its own, without
+# the search builds a non-additive comonotone pair on its own, without
 # being handed X and Y (either direction of the inequality counts)
-found = find_additivity_violation(spec, asset, budget=500, seed=1)
+found = find_additivity_violation(spec, asset)
 print("\nindependent search verdict:", found.verdict)
 print("witness gap:", found.witness["gap"],
       f"({found.condition_values['direction']})")

@@ -5,10 +5,11 @@ acceptance set and the asset.
 Each checker turns one statement into a finite verification: exact single
 membership tests where the statement reduces to one, one pass over integer
 subset sums for VaR's ``theorem-b`` and ``var-condition-b`` (at its least
-probability atom), and seeded sampling for universally quantified
-conditions; r1 = rho(1) is the closed form -S0 / F(-S1).  Single-pass exact
-verdicts report one sample and no seed; a sampled "pass" means "no
-violation found", never a proof.
+probability atom), a few constructed comonotone pairs for the additivity
+search, and seeded sampling for universally quantified conditions;
+r1 = rho(1) is the closed form -S0 / F(-S1).  Exact and constructed
+verdicts report no seed; a sampled "pass" means "no violation found",
+never a proof.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ import numpy as np
 
 from . import _sampling as smp
 from .acceptance import AcceptanceSpec, accepts, boundary_member
-from .comonotone import (
-    _payoff_steps,
-    _requirement,
-    additivity_on_comonotone,
-    generate_comonotone_pair,
-    is_comonotone,
-)
+from .comonotone import _requirement, additivity_on_comonotone, is_comonotone
 from .engine import EligibleAsset, rho, rho_cash
 from .measures import Level, var
 from .reporting import witness_to_jsonable
@@ -112,20 +107,24 @@ def _frac_expectation(space: FiniteSpace, values) -> Fraction:
 SUBSET_SUM_MAX_ATOMS = 20
 
 
-def _subset_sums(weights: list[int]) -> np.ndarray:
+def _subset_sums(weights: list[int], limit: int) -> np.ndarray:
     """The integer sums of all subsets of ``weights``, indexed by bitmask.
 
     The first index holding a value is the least bitmask attaining it.  The
-    callers use different integer limits, as they decide different sets:
-    ``var-condition-b`` decides the paper's P(B) <= alpha in exact rationals
-    (the exact floor of alpha, pinned by its oracle test), and ``theorem-b``
-    the set :func:`accepts` implements, so that its witness re-verifies.
+    callers compare the sums with different integer limits, as they decide
+    different sets: ``var-condition-b`` decides the paper's P(B) <= alpha in
+    exact rationals (the exact floor of alpha, pinned by its oracle test),
+    and ``theorem-b`` the set :func:`accepts` implements, so that its witness
+    re-verifies.  The sums are int64 when the total and ``limit`` lie below
+    2**62, so no sum or comparison overflows, and Python ints otherwise
+    (numerators over a 2**-1074 denominator do not fit); callers turn an
+    int64 back into an int before dividing, as int64 / int rounds to float.
     """
     if len(weights) > SUBSET_SUM_MAX_ATOMS:
         raise ValueError(
             f"{len(weights)} atoms exceed the exhaustive enumeration cap {SUBSET_SUM_MAX_ATOMS}"
         )
-    sums = np.zeros(1, dtype=object)
+    sums = np.zeros(1, dtype=np.int64 if max(sum(weights), limit) < 2**62 else object)
     for w in weights:
         sums = np.concatenate([sums, sums + w])
     return sums
@@ -142,8 +141,9 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
     N = {v < 0}, {X + v < 0} lies in {X < 0} united with N, so X = -c * 1_E
     is ejected for the largest acceptable event E in N^c if any X is (E is
     empty when N alone is rejected): one subset-sum pass decides it exactly,
-    and the witness is re-verified through :func:`accepts`.  The verdict also
-    records the necessary condition that S1 + S0 / r1 is a risk invariant.
+    and the witness is re-verified through :func:`accepts`.  A constant
+    payoff gives W = 0 exactly.  The verdict also records the necessary
+    condition that S1 + S0 / r1 is a risk invariant.
     """
     if not spec.is_builtin:
         raise ValueError("stability check requires a comonotonic built-in criterion")
@@ -157,9 +157,13 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
 
     space = asset.payoff.space
     r1 = _rho_one(spec, asset)
-    unit_r1 = _rho_one(spec, EligibleAsset(1.0, asset.payoff))
-    w = RandVar.constant(space, 1.0) + unit_r1 * asset.payoff
-    w_inv = asset.payoff + asset.price / r1
+    if asset.risk_free:
+        # W = 1 - s / s and W' = s - s vanish; in floats fl(1 / s) * s may not be 1
+        w = w_inv = RandVar.constant(space, 0.0)
+    else:
+        unit_r1 = _rho_one(spec, EligibleAsset(1.0, asset.payoff))
+        w = RandVar.constant(space, 1.0) + unit_r1 * asset.payoff
+        w_inv = asset.payoff + asset.price / r1
     invariant_ok = accepts(spec, w_inv) and accepts(spec, -w_inv)
     values = {"rho_one": r1, "w": w, "invariant_candidate_ok": invariant_ok}
 
@@ -177,10 +181,10 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
         loss = sum(nums) - sum(nums[i] for i in rest)
         best = 0  # N alone is rejected: X = 0 is ejected, nothing to enumerate
         if loss <= limit:
-            sums = _subset_sums([nums[i] for i in rest])
+            sums = _subset_sums([nums[i] for i in rest], limit)
             # argmax keeps the first, i.e. the least bitmask, among equal masses
             best = int(np.argmax(np.where(sums <= limit, sums, -1)))
-            if loss + sums[best] <= limit:
+            if loss + int(sums[best]) <= limit:
                 continue
         event = [int(i) for k, i in enumerate(rest) if best >> k & 1]
         c = 1.0 + max([0.0, *v.values[event].tolist()])
@@ -443,9 +447,9 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
     limit = num * scale // den  # P(B) <= alpha  iff  sums[B] <= limit
     p = min(weights)
     j = weights.index(p)
-    sums = _subset_sums(weights[:j] + weights[j + 1:])
+    sums = _subset_sums(weights[:j] + weights[j + 1:], limit)
     within = sums[sums <= limit]
-    inner = within.max()
+    inner = int(within.max())
     # candidate events without j (nonempty), then with j
     candidates = within.size - 1 + int(np.count_nonzero(sums <= limit - p))
 
@@ -488,99 +492,56 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
 def find_additivity_violation(
     spec: AcceptanceSpec,
     asset: EligibleAsset,
-    budget: int = 2000,
-    seed: int = 0,
     seed_pairs: list[tuple[RandVar, RandVar]] | None = None,
 ) -> TheoremVerdict:
-    """Search for a comonotone pair breaking additivity of the requirement.
+    """Decide comonotonic additivity of the requirement on constructed pairs.
 
-    The probe order is: caller-supplied pairs, the constant pair (1, -1),
-    negated level-set steps of the payoff paired with constants (the shape
-    of the known counterexamples), random comonotone pairs, and random
-    positions paired with constants.  If all of that stays within the
-    threshold, a deterministic fallback looks for a position where the
-    requirement deviates from -r1 times the cash requirement and converts
-    that deviation into a violating pair built from the position and two
-    nearby constants; for a risky asset and a pointed convex criterion such
-    a position always exists.
+    The comonotone pairs below are evaluated in order; the first whose gap
+    rho(X + Y) - rho(X) - rho(Y) exceeds the threshold is the witness:
 
-    The verdict is "fail" (witness found) exactly when a verified
-    comonotone pair exceeds the threshold; searches are exit-coded like
-    checks so expected failures can be asserted.  The fallback's r1 is taken
-    first, so explicit criteria are rejected up front.
+    * the caller's pairs;
+    * (1, -1), whose gap S0 * (F(S1) + F(-S1)) / (F(S1) * F(-S1)) vanishes iff
+      F(S1) + F(-S1) = 0, i.e. iff W' = S1 + S0 / r1 is a risk invariant: for
+      a convex criterion this pair decides (:func:`check_corollary_convex`);
+    * for VaR, when :func:`check_theorem_condition_b` ejects an accepted x
+      by adding v = W or -W: (x, 1) or (x, -1), whose gap is
+      rho(x + v) - rho(x) once (1, -1) is additive.
+
+    The verdict is "fail" with the first such pair, "pass" when none exceeds
+    the threshold; VaR inherits the :data:`SUBSET_SUM_MAX_ATOMS` cap of
+    theorem-b.  r1 is taken first, so explicit criteria are rejected up front.
     """
-    r1 = _rho_one(spec, asset)
-    space = asset.payoff.space
-    rng = smp.as_rng(seed)
+    _rho_one(spec, asset)
     rho_fn = _requirement(spec, asset, 1e-12)  # far below the threshold
+    one = RandVar.constant(asset.payoff.space, 1.0)
 
-    def gap_of(x: RandVar, y: RandVar) -> float:
-        return rho_fn(x + y) - rho_fn(x) - rho_fn(y)
+    def pairs():
+        yield from seed_pairs or []
+        yield one, -one
+        if spec.kind == "var":
+            stability = check_theorem_condition_b(spec, asset)
+            if not stability.passed:
+                x = stability.witness["x"]
+                yield x, one if stability.witness["direction"] == "+" else -one
 
-    best: tuple[float, RandVar, RandVar] | None = None
-    evaluated = 0
-
-    def consider(x: RandVar, y: RandVar) -> bool:
-        nonlocal best, evaluated
+    samples = 0
+    for x, y in pairs():
         if not is_comonotone(x, y):
-            return False
-        evaluated += 1
-        g = gap_of(x, y)
-        if abs(g) > ADDITIVITY_THRESHOLD and (best is None or abs(g) > abs(best[0])):
-            best = (g, x, y)
-        return best is not None and abs(best[0]) > ADDITIVITY_THRESHOLD
-
-    one = RandVar.constant(space, 1.0)
-    probes: list[tuple[RandVar, RandVar]] = list(seed_pairs or [])
-    probes.append((one, -one))
-    for s in _payoff_steps(asset):
-        probes.append((s, one))
-        probes.append((s, -one))
-        probes.append((s, 2.0 * s))
-
-    for x, y in probes:
-        if consider(x, y):
-            break
-    while best is None and evaluated < budget:
-        pair = generate_comonotone_pair(space, rng)
-        if consider(pair.x, pair.y):
-            break
-        x = smp.grid_randvar(space, rng)
-        lam = smp.grid_scalar(rng)
-        consider(x, RandVar.constant(space, lam))
-
-    if best is None:
-        # deterministic fallback via the cash-reduction identity
-        candidates = [RandVar.indicator(space, [i]) * (-1.0) for i in range(space.n_atoms)]
-        candidates += [RandVar.indicator(space, [i]) for i in range(space.n_atoms)]
-        candidates += [smp.grid_randvar(space, rng) for _ in range(64)]
-        for x in candidates:
-            dev = rho_fn(x) + r1 * rho_cash(spec, x)
-            if abs(dev) <= 8.0 * ADDITIVITY_THRESHOLD:
-                continue
-            lam = rho_cash(spec, x)
-            delta = abs(dev) / (2.0 * abs(r1))
-            for const in (lam, lam - delta, 1.0, -1.0):
-                if consider(x, RandVar.constant(space, const)):
-                    break
-            if best is not None:
-                break
-
-    if best is None:
-        return TheoremVerdict(
-            "additivity-violation", "pass", evaluated, seed,
-            condition_values={"threshold": ADDITIVITY_THRESHOLD},
-            note="no comonotone additivity violation found within the budget",
-        )
-    g, x, y = best
-    assert is_comonotone(x, y)
-    g = gap_of(x, y)
+            continue
+        samples += 1
+        gap = rho_fn(x + y) - rho_fn(x) - rho_fn(y)
+        if abs(gap) > ADDITIVITY_THRESHOLD:
+            return TheoremVerdict(
+                "additivity-violation", "fail", samples, None,
+                witness={"x": x, "y": y, "gap": gap},
+                condition_values={"threshold": ADDITIVITY_THRESHOLD,
+                                  "direction": "superadditive" if gap > 0 else "subadditive"},
+                note="verified comonotone pair with non-additive requirement",
+            )
     return TheoremVerdict(
-        "additivity-violation", "fail", evaluated, seed,
-        witness={"x": x, "y": y, "gap": g},
-        condition_values={"threshold": ADDITIVITY_THRESHOLD,
-                          "direction": "superadditive" if g > 0 else "subadditive"},
-        note="verified comonotone pair with non-additive requirement",
+        "additivity-violation", "pass", samples, None,
+        condition_values={"threshold": ADDITIVITY_THRESHOLD},
+        note="no constructed comonotone pair exceeds the threshold",
     )
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,27 @@ class TestCheck:
         assert {name: report[name] for name in reads} == {name: flags[name] for name in reads}
 
 
+class TestConstantPayoff:
+    def test_theorem_b_passes_with_exact_zero_w(self, tmp_path, capsys):
+        # fl(fl(1 / s) * s) != 1 at s = 1.53125: a W formed in floats was
+        # 2**-53 on every atom and ejected X = 0
+        doc = {
+            "space": {"probs": [k / 96 for k in (26, 1, 21, 6, 22, 17, 3)]},
+            "positions": {"x": [0.0] * 7},
+            "asset": {"price": 1.0, "payoff": [1.53125] * 7},
+            "acceptance": {"kind": "var", "alpha": 0.3},
+        }
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            ["check", "--scenario", str(path), "--statement", "theorem-b"], capsys
+        )
+        result = json.loads(out)["results"][0]
+        assert (code, result["verdict"]) == (0, "pass")
+        assert result["condition_values"]["w"] == [0.0] * 7
+        assert result["condition_values"]["invariant_candidate_ok"]
+
+
 class TestSearch:
     def test_superadditive_fixture_finds_gap(self, capsys):
         code, out, _ = run_cli(
@@ -353,6 +374,42 @@ class TestSearch:
             results.append(json.loads(out)["results"][1])
         assert results[0] == results[1]
         assert (results[0]["trials"], results[0]["seed"]) == (1, None)
+
+    def test_budget_and_seed_are_accepted_not_read(self, tmp_path, capsys):
+        # the search evaluates constructed pairs only: neither a flag nor the
+        # scenario's options change the report, and neither is echoed
+        doc = json.loads((SCENARIOS / "superadditive_var.json").read_text())
+        doc["options"] = {"budget": 300, "seed": 4}
+        path = tmp_path / "options.json"
+        path.write_text(json.dumps(doc))
+        reports = []
+        for scenario, extra in (
+            (SCENARIOS / "superadditive_var.json", []),
+            (SCENARIOS / "superadditive_var.json", ["--budget", "1", "--seed", "3"]),
+            (path, []),
+        ):
+            code, out, _ = run_cli(["search", "--scenario", str(scenario), *extra], capsys)
+            report = json.loads(out)
+            assert code == 1
+            assert set(report) == {"command", "version", "results", "scenario"}
+            assert report["results"][0]["seed"] is None
+            reports.append(report["results"])
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_theorem_b_enumeration_cap_exits_2(self, tmp_path, capsys):
+        # (1, -1) is additive, so VaR asks theorem-b, whose loss event leaves
+        # 24 atoms to enumerate: the search stops at the same cap
+        doc = {
+            "space": {"probs": [0.04] * 25},
+            "positions": {"x": [0.0] * 25},
+            "asset": {"price": 1.0, "payoff": [2.0] + [1.0] * 24},
+            "acceptance": {"kind": "var", "alpha": 0.1},
+        }
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["search", "--scenario", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: 24 atoms exceed the exhaustive enumeration cap 20\n"
 
     def test_zero_budget_exits_2(self, capsys):
         code, out, err = run_cli(

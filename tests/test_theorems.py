@@ -24,12 +24,13 @@ from eligirisk import (
     check_var_necessary_condition,
     expectation,
     find_additivity_violation,
+    generate_comonotone_pair,
     is_comonotone,
     rho,
     rho_cash,
     run_replication_suite,
 )
-from eligirisk.theorems import _rho_one
+from eligirisk.theorems import ADDITIVITY_THRESHOLD, _rho_one, _subset_sums
 
 
 def condition_b_oracle(probs: list[float], alpha: float) -> dict[int, tuple[Fraction, Fraction]]:
@@ -71,6 +72,8 @@ def ejects_accepted_position(spec: AcceptanceSpec, asset: EligibleAsset) -> bool
     n = space.n_atoms
     one = RandVar.constant(space, 1.0)
     w = one + _rho_one(spec, EligibleAsset(1.0, asset.payoff)) * asset.payoff
+    if asset.risk_free:
+        w = 0.0 * one  # 1 - s / s, exactly
     c = 1.0 + 2.0 * w.max_abs
     for mask in range(2**n):
         x = -c * RandVar.indicator(space, [i for i in range(n) if mask >> i & 1])
@@ -141,7 +144,7 @@ class TestTheoremConditionB:
         # stability failure certifies non-additivity, so the searcher must
         # realize a concrete violating pair on the same fixture
         assert check_theorem_condition_b(a_var01, near_rf_asset).verdict == "fail"
-        found = find_additivity_violation(a_var01, near_rf_asset, budget=2000, seed=67)
+        found = find_additivity_violation(a_var01, near_rf_asset)
         assert found.verdict == "fail"
         assert is_comonotone(found.witness["x"], found.witness["y"])
         assert abs(found.witness["gap"]) > 1e-7
@@ -254,6 +257,27 @@ class TestTheoremConditionB:
         assert verdict.condition_values["w"].tolist() == unit.condition_values["w"].tolist()
         if ejected:
             self.assert_witness_reverifies(spec, verdict)
+
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+        level=st.one_of(st.integers(1, 256).map(lambda k: k / 32), st.floats(0.01, 100.0)),
+        alpha=st.floats(0.01, 0.99),
+        price=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    # fl(fl(1 / s) * s) != 1 at s = 1.53125: a W formed in floats was 2**-53
+    # on every atom and ejected X = 0
+    @example(weights=[26.0, 1.0, 21.0, 6.0, 22.0, 17.0, 3.0], level=1.53125, alpha=0.3, price=1.0)
+    def test_constant_payoff_passes_with_exact_zero_w(self, weights, level, alpha, price):
+        total = sum(weights)
+        space = FiniteSpace([w / total for w in weights])
+        asset = EligibleAsset(price, RandVar.constant(space, level))
+        verdict = check_theorem_condition_b(AcceptanceSpec.var_level(alpha), asset)
+        assert verdict.verdict == "pass"
+        assert verdict.condition_values["invariant_candidate_ok"]
+        w = verdict.condition_values["w"].values
+        assert not np.any(w) and not np.any(np.signbit(w))
 
 
 class TestCorollaryConvex:
@@ -391,7 +415,7 @@ class TestLemmaEquality:
     [
         _rho_one,
         lambda spec, asset: check_cash_reduction_identity(spec, asset, trials=0),
-        lambda spec, asset: find_additivity_violation(spec, asset, budget=0),
+        lambda spec, asset: find_additivity_violation(spec, asset, seed_pairs=[(None, None)]),
     ],
     ids=["rho-one", "cash-reduction", "additivity-violation"],
 )
@@ -459,7 +483,7 @@ class TestVarNecessaryCondition:
         spec = AcceptanceSpec.var_level(0.1)
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
         assert check_var_necessary_condition(spec, asset).verdict == "fail"
-        search = find_additivity_violation(spec, asset, budget=1500, seed=29)
+        search = find_additivity_violation(spec, asset)
         assert search.verdict == "fail"
 
 
@@ -481,6 +505,43 @@ class TestVarConditionB:
         sp = FiniteSpace([0.05, 0.05, 0.9])
         verdict = check_var_condition_b(sp, Level(0.05))
         assert verdict.verdict == "fail"
+
+    def test_float_drawn_probabilities_enumerate_in_int64(self):
+        # the oracle properties run this path; its sums and limit lie below 2**62
+        draw = np.random.default_rng(5).uniform(0.01, 1.0, 21)
+        weights, scale = FiniteSpace(draw / draw.sum()).int_probs
+        assert _subset_sums(weights[:3], scale).dtype == np.int64
+        assert _subset_sums([2**61, 2**61 - 1], 0).dtype == np.int64
+        assert _subset_sums([2**61, 2**61], 0).dtype == object
+        assert _subset_sums([1, 2], 2**62).dtype == object
+
+    @pytest.mark.parametrize("picks", [{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}])
+    def test_tiny_probabilities_enumerate_python_ints(self, picks):
+        # numerators over a denominator near 2**1050 overflow int64
+        space = FiniteSpace([3e-300, 1e-300, 2e-300, 1.0])
+        assert _subset_sums(space.int_probs[0], 0).dtype == object
+        probs = space.probs.tolist()
+        alpha = float(sum((Fraction(probs[i]) for i in picks), Fraction(0)))
+        oracle = condition_b_oracle(probs, alpha)
+        holds = condition_b_events(probs, alpha)
+        verdict = check_var_condition_b(space, Level(alpha))
+        values = verdict.condition_values
+        assert verdict.samples == len(oracle)
+        if not holds:
+            assert verdict.verdict == "fail"
+            assert values["best_total"] == float(min(p + i for p, i in oracle.values()))
+            return
+        found = min(holds, key=lambda m: (oracle[m][0], m))
+        assert values["event"] == [i for i in range(4) if found >> i & 1] == [1]
+        assert values["event_prob"] == float(oracle[found][0])
+        assert values["inner_max"] == float(oracle[found][1])
+        spec = AcceptanceSpec.var_level(alpha)
+        constructed = EligibleAsset(1.0, values["witness_payoff"])
+        assert verdict.passed != ejects_accepted_position(spec, constructed)
+        risky = EligibleAsset(1.0, RandVar(space, [2.0, 1.0, 3.0, 1.0]))
+        assert check_theorem_condition_b(spec, risky).passed != ejects_accepted_position(
+            spec, risky
+        )
 
     def test_rejects_oversized_space(self):
         sp = FiniteSpace([1.0 / 25] * 25)
@@ -619,7 +680,7 @@ class TestFindAdditivityViolation:
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0, 1.0]))
         x = RandVar(sp, [-2.0, -3.0, 2.0])
         y = RandVar(sp, [-4.0, -9.0, 0.0])
-        verdict = find_additivity_violation(spec, asset, budget=50, seed=43, seed_pairs=[(x, y)])
+        verdict = find_additivity_violation(spec, asset, seed_pairs=[(x, y)])
         assert verdict.verdict == "fail"
         assert abs(verdict.witness["gap"]) >= 0.5 - 1e-9
         assert verdict.condition_values["direction"] == "superadditive"
@@ -627,14 +688,14 @@ class TestFindAdditivityViolation:
     def test_risk_free_es_finds_nothing(self, near_rf_space):
         spec = AcceptanceSpec.es_level(0.1)
         asset = EligibleAsset(1.0, RandVar.constant(near_rf_space, 2.0))
-        verdict = find_additivity_violation(spec, asset, budget=400, seed=47)
+        verdict = find_additivity_violation(spec, asset)
         assert verdict.verdict == "pass"
 
     def test_risky_es_two_atom_finds_witness(self):
         sp = FiniteSpace([0.5, 0.5])
         spec = AcceptanceSpec.es_level(0.5)
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
-        verdict = find_additivity_violation(spec, asset, budget=500, seed=53)
+        verdict = find_additivity_violation(spec, asset)
         assert verdict.verdict == "fail"
         x, y = verdict.witness["x"], verdict.witness["y"]
         assert is_comonotone(x, y)
@@ -642,6 +703,93 @@ class TestFindAdditivityViolation:
             spec, asset, x, tol=1e-12
         ).value - rho(spec, asset, y, tol=1e-12).value
         assert abs(gap) > 1e-7
+
+
+    def test_pair_theorem_b_does_not_certify_passes(self):
+        # W = [0.57, 2**-53] is 2**-53 where the exact W vanishes, so theorem-b
+        # ejects X = 0; (1, -1) is additive and (0, -1) has a gap of ~1e-16
+        sp = FiniteSpace([0.125, 0.875])
+        spec = AcceptanceSpec.var_level(0.3)
+        asset = EligibleAsset(1.0, RandVar(sp, [1.4375, 3.34375]))
+        assert check_theorem_condition_b(spec, asset).verdict == "fail"
+        verdict = find_additivity_violation(spec, asset)
+        assert (verdict.verdict, verdict.samples) == ("pass", 2)
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("risky", [True, False], ids=["risky", "risk-free"])
+    def test_two_thousand_atoms_take_a_few_pairs(self, kind, risky, monkeypatch):
+        # at most the caller's pairs and two constructed ones, three quotes each
+        import eligirisk.comonotone as comonotone
+
+        calls = []
+        quote = comonotone.rho
+        monkeypatch.setattr(comonotone, "rho", lambda *a, **k: calls.append(1) or quote(*a, **k))
+        n = 2000
+        space = FiniteSpace(np.arange(1, n + 1) / (n * (n + 1) / 2))
+        payoff = 1.0 + (np.arange(n) % 4) / 4 if risky else np.full(n, 1.25)
+        asset = EligibleAsset(1.0, RandVar(space, payoff))
+        spec = AcceptanceSpec.var_level(0.1) if kind == "var" else AcceptanceSpec.es_level(0.1)
+        x = RandVar(space, np.arange(n) / 64)
+        verdict = find_additivity_violation(spec, asset, seed_pairs=[(x, 2.0 * x)])
+        assert verdict.passed != risky
+        assert verdict.samples <= 1 + 2
+        assert len(calls) == 3 * verdict.samples <= 9
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 31), min_size=2, max_size=7),
+        payoff=st.lists(st.integers(16, 128), min_size=7, max_size=7),
+        constant=st.booleans(),
+        kind=st.sampled_from(["var", "es", "mix", "mean"]),
+        alpha=st.floats(0.05, 0.6),
+        price=st.sampled_from([0.5, 1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_constructed_pairs_meet_the_sampled_oracle(
+        self, weights, payoff, constant, kind, alpha, price, seed
+    ):
+        n = len(weights)
+        space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        values = [payoff[0]] * n if constant else payoff[:n]
+        asset = EligibleAsset(price, RandVar(space, np.array(values, dtype=float) / 32))
+        spec = {
+            "var": lambda: AcceptanceSpec.var_level(alpha),
+            "es": lambda: AcceptanceSpec.es_level(alpha),
+            "mix": lambda: AcceptanceSpec.distortion_mix(
+                DistortionWeights(((alpha, 0.5), (1.0, 0.5)))),
+            "mean": lambda: AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),))),
+        }[kind]()
+
+        def gap(x, y):
+            def at(v):
+                return rho(spec, asset, v, tol=1e-12).value
+            return at(x + y) - at(x) - at(y)
+
+        verdict = find_additivity_violation(spec, asset)
+        if not verdict.passed:
+            x, y = verdict.witness["x"], verdict.witness["y"]
+            assert is_comonotone(x, y)
+            assert gap(x, y) == verdict.witness["gap"]
+            assert abs(verdict.witness["gap"]) > ADDITIVITY_THRESHOLD
+        if kind in ("es", "mix"):
+            # convex and not expectation-linear: comonotonic iff risk-free
+            assert verdict.passed == asset.risk_free
+        if kind == "mean":
+            assert verdict.passed
+
+        # the slow reference: random comonotone pairs, then positions with constants
+        rng = np.random.default_rng(seed)
+
+        def sampled():
+            for _ in range(200):
+                pair = generate_comonotone_pair(space, rng)
+                yield pair.x, pair.y
+            for _ in range(100):
+                x = RandVar(space, rng.integers(-128, 129, n) / 64)
+                yield x, RandVar.constant(space, float(rng.integers(-128, 129)) / 64)
+
+        if any(abs(gap(x, y)) > ADDITIVITY_THRESHOLD for x, y in sampled()):
+            assert not verdict.passed
 
 
 class TestPointednessFamily:
@@ -665,7 +813,7 @@ class TestPointednessFamily:
                     DistortionWeights(((a, 0.5), (1.0, 0.5)))
                 )
             assert check_corollary_convex(spec, asset).verdict == "fail"
-            search = find_additivity_violation(spec, asset, budget=300, seed=61 + k)
+            search = find_additivity_violation(spec, asset)
             assert search.verdict == "fail", f"no witness for asset {k}"
             assert is_comonotone(search.witness["x"], search.witness["y"])
 
