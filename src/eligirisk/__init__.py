@@ -42,7 +42,10 @@ from .acceptance import (
     check_cone,
     check_convex,
     check_monotone,
+    decide_convex,
+    decide_risk_invariant,
     find_risk_invariant,
+    var_loss_limit,
 )
 from .engine import (
     BracketExpansionError,
@@ -97,6 +100,9 @@ __all__ = [
     "es_choquet_oracle",
     "AcceptanceSpec",
     "accepts",
+    "var_loss_limit",
+    "decide_convex",
+    "decide_risk_invariant",
     "check_monotone",
     "check_cone",
     "check_convex",

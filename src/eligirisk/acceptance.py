@@ -5,16 +5,21 @@ position is acceptable iff the functional value is <= 0.  Membership uses an
 exact comparison with no tolerance, because the interesting counterexamples
 live on boundaries which exact constructions can hit.
 
-The structural checkers (monotone, cone, convex, risk invariants) verify
-universally quantified set properties by seeded randomized sampling plus
-deterministic probes; a "pass" therefore means "no violation found in N
-trials", never a proof.
+For the built-in kinds, convexity and the existence of a nonzero risk
+invariant are decided exactly by kind (:func:`decide_convex`,
+:func:`decide_risk_invariant`), with VaR read through the integer loss limit
+of :func:`var_loss_limit`.  The sampled checkers (monotone, cone, convex,
+risk invariants) verify universally quantified set properties by seeded
+randomized sampling plus deterministic probes, for any criterion; their
+"pass" therefore means "no violation found in N trials", never a proof.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 from typing import Callable
 
@@ -28,6 +33,9 @@ from .spaces import FiniteSpace, RandVar, expectation
 __all__ = [
     "AcceptanceSpec",
     "accepts",
+    "var_loss_limit",
+    "decide_convex",
+    "decide_risk_invariant",
     "boundary_member",
     "sample_accepted",
     "check_monotone",
@@ -122,6 +130,116 @@ class AcceptanceSpec:
 def accepts(spec: AcceptanceSpec, x: RandVar) -> bool:
     """Capital adequacy test: defining functional <= 0, compared exactly."""
     return spec.functional_value(x) <= 0.0
+
+
+def var_loss_limit(spec: AcceptanceSpec, space: FiniteSpace) -> int:
+    """The largest integer mass over ``space.int_probs`` that VaR may lose.
+
+    :func:`accepts` compares the correctly rounded P(X < 0) with alpha: a
+    mass s passes iff s / den lies below the midpoint of alpha and the next
+    float (one step down where that tie rounds up); the whole space never
+    passes.  So a VaR criterion accepts X iff the numerators of {X < 0} sum
+    to at most this limit.
+    """
+    nums, den = space.int_probs
+    alpha = spec.level.alpha
+    limit = math.floor((Fraction(alpha) + Fraction(math.nextafter(alpha, 1.0))) / 2 * den)
+    return min(limit - (limit / den > alpha), sum(nums) - 1)
+
+
+def decide_convex(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:
+    """Exact convexity of a built-in acceptance set.
+
+    ES, distortion mixtures and the expectation floor are subadditive and
+    positively homogeneous, so their sets are convex by construction.  VaR
+    accepts X iff the mass of {X < 0} is within :func:`var_loss_limit`, and
+    a blend of X and Y is negative only where X or Y is.  So the VaR set is
+    convex iff the atoms accepted one at a time have an accepted total.
+    Otherwise E, the longest accepted prefix of those atoms in ascending
+    probability (ties by index), and the next atom i give the witness
+    x = -1_E, y = -1_i, t = 1/2: their midpoint loses E and i together.
+    The witness is re-verified through :func:`accepts`.
+    """
+    if not spec.is_builtin:
+        raise ValueError("exact convex decision requires a built-in criterion")
+    if spec.kind != "var":
+        return CheckReport("convex", True, 1, None, note="subadditive criterion: convex by construction")
+    nums, _ = space.int_probs
+    limit = var_loss_limit(spec, space)
+    singles = sorted((i for i, m in enumerate(nums) if m <= limit), key=nums.__getitem__)
+    mass = 0
+    for k, i in enumerate(singles):
+        mass += nums[i]
+        if mass > limit:
+            # adding 0.0 clears the negative zeros off the complements
+            x = -RandVar.indicator(space, singles[:k]) + 0.0
+            y = -RandVar.indicator(space, [i]) + 0.0
+            blend = 0.5 * x + 0.5 * y
+            if not accepts(spec, x) or not accepts(spec, y) or accepts(spec, blend):
+                raise ArithmeticError("convex witness failed re-verification through accepts")
+            return CheckReport(
+                "convex", False, 1, None,
+                witness={"x": x, "y": y, "t": 0.5, "blend": blend},
+                note="exact decision: the atoms accepted one at a time are not accepted together",
+            )
+    return CheckReport(
+        "convex", True, 1, None,
+        note="exact decision: the atoms accepted one at a time are accepted together",
+    )
+
+
+def decide_risk_invariant(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:
+    """Exact existence of a nonzero position acceptable together with its negation.
+
+    * Pointed kinds (expected shortfall, distortion mixtures with mass off
+      level 1): F(X) + F(-X) > 0 for nonconstant X, and c and -c are not
+      both acceptable for c != 0, so no nonzero invariant exists.
+    * VaR: W and -W are both acceptable only if each atom where W is
+      nonzero may be lost alone, so an invariant exists iff some atom's
+      indicator is one; the witness is the lowest-index such atom,
+      re-verified through :func:`accepts`.
+    * Expectation-linear kinds: the invariants are the mean-zero positions,
+      so one exists iff there are two atoms.  The witness is
+      p_1 * 1_0 - p_0 * 1_1: its mean p_0 * p_1 - p_1 * p_0 is zero in exact
+      rationals over the stored probabilities.  It is not re-verified
+      through ``accepts``, which sums the mean in floats: a fused
+      multiply-add can leave the rounding residue of p_0 * p_1 there.
+
+    ``passed`` is True when no invariant exists.
+    """
+    if not spec.is_builtin:
+        raise ValueError("exact risk-invariant decision requires a built-in criterion")
+    if spec.is_pointed_kind:
+        return CheckReport(
+            "risk-invariant", True, 1, None,
+            note="pointed criterion: F(X) + F(-X) > 0 for nonconstant X, so no nonzero invariant exists",
+        )
+    if spec.kind == "var":
+        limit = var_loss_limit(spec, space)
+        atom = next((i for i, m in enumerate(space.int_probs[0]) if m <= limit), None)
+        if atom is None:
+            return CheckReport(
+                "risk-invariant", True, 1, None,
+                note="exact decision: no atom may be lost alone, so no invariant exists",
+            )
+        w = RandVar.indicator(space, [atom])
+        if not accepts(spec, w) or not accepts(spec, -w):
+            raise ArithmeticError("risk-invariant witness failed re-verification through accepts")
+        return CheckReport(
+            "risk-invariant", False, 1, None, witness={"w": w},
+            note="exact decision: an atom that may be lost alone gives an invariant",
+        )
+    if space.n_atoms == 1:
+        return CheckReport(
+            "risk-invariant", True, 1, None,
+            note="expectation-linear criterion on one atom: only 0 has mean zero",
+        )
+    p0, p1 = space.probs[:2].tolist()
+    w = RandVar(space, [p1, -p0] + [0.0] * (space.n_atoms - 2))
+    return CheckReport(
+        "risk-invariant", False, 1, None, witness={"w": w},
+        note="expectation-linear criterion: a two-atom position with mean zero in exact rationals",
+    )
 
 
 def boundary_member(

@@ -22,9 +22,9 @@ from . import __version__
 from .acceptance import (
     AcceptanceSpec,
     check_cone,
-    check_convex,
     check_monotone,
-    find_risk_invariant,
+    decide_convex,
+    decide_risk_invariant,
 )
 from .comonotone import (
     additivity_on_S_comonotone,
@@ -296,9 +296,8 @@ STATEMENTS: dict[str, Callable[..., Any]] = {
         sc.space, _var_spec(sc, "var-condition-b").level),
     "monotone": lambda sc, trials, seed: check_monotone(sc.acceptance, sc.space, trials, seed),
     "cone": lambda sc, trials, seed: check_cone(sc.acceptance, sc.space, trials, seed),
-    "convex": lambda sc, trials, seed: check_convex(sc.acceptance, sc.space, trials, seed),
-    "risk-invariant": lambda sc, trials, seed: find_risk_invariant(
-        sc.acceptance, sc.space, trials, seed),
+    "convex": lambda sc: decide_convex(sc.acceptance, sc.space),
+    "risk-invariant": lambda sc: decide_risk_invariant(sc.acceptance, sc.space),
     "s-additivity": lambda sc, trials, seed, tol: s_additivity_check(
         sc.acceptance, sc.asset, trials, seed, tol),
     "numeraire-identity": lambda sc, trials, seed, tol: numeraire_identity_check(

@@ -136,10 +136,12 @@ def _shrink_witness(
     y: RandVar,
     tol: float,
 ) -> tuple[RandVar, RandVar, float]:
-    """Deterministic witness refinement: rescale for a larger gap, then zero atoms.
+    """Deterministic witness refinement: rescale for a larger gap, then zero level sets.
 
-    Every intermediate candidate must stay comonotone and keep violating;
-    the final pair is re-verified by the caller.
+    A zeroing candidate sets every atom of one level set of (x, y) to 0, so a
+    pass costs three requirement evaluations per distinct value pair, not per
+    atom.  Every intermediate candidate must stay comonotone and keep
+    violating; the final pair is re-verified by the caller.
     """
 
     def gap_of(a: RandVar, b: RandVar) -> float:
@@ -157,14 +159,16 @@ def _shrink_witness(
     changed = True
     while changed:
         changed = False
-        for i in range(x.space.n_atoms):
+        pairs = np.column_stack((x.values, y.values))
+        _, first, labels = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+        labels = labels.reshape(-1)
+        for k in np.argsort(first, kind="stable"):
+            i = first[k]
             if x.values[i] == 0.0 and y.values[i] == 0.0:
                 continue
-            vx = x.values.copy()
-            vy = y.values.copy()
-            vx[i] = 0.0
-            vy[i] = 0.0
-            cand_x, cand_y = RandVar(x.space, vx), RandVar(y.space, vy)
+            level = labels == k
+            cand_x = RandVar(x.space, np.where(level, 0.0, x.values))
+            cand_y = RandVar(y.space, np.where(level, 0.0, y.values))
             if not is_comonotone(cand_x, cand_y):
                 continue
             g = gap_of(cand_x, cand_y)
@@ -217,9 +221,15 @@ def additivity_on_S_comonotone(
     """Additivity restricted to pairs comonotone with the asset payoff.
 
     Pairs are nondecreasing step functions of the payoff itself, so
-    {X, Y, S1} always forms a comonotonic set.  Deterministic probes pair
-    negated level-set steps of the payoff with constants before the
-    randomized phase.
+    {X, Y, S1} always forms a comonotonic set.  The constant pair (1, -1)
+    comes first: its gap is nonzero iff F(S1) + F(-S1) != 0, which holds for
+    ES and pointed mixtures whenever the payoff is nonconstant, and for VaR
+    whenever the quantiles of S1 at alpha and 1 - alpha differ.  A gap
+    above ``tol`` fails the check at once, with one sample and no seed.
+    Otherwise deterministic probes pair negated level-set steps of the
+    payoff with constants before the randomized phase.  The constant pair
+    counts as one sample: rho(0) is exactly 0, so its gap -(rho(1) + rho(-1))
+    is that of (-1, 1) bit for bit, and that pair is not probed again.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -227,17 +237,28 @@ def additivity_on_S_comonotone(
     space = asset.payoff.space
     rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
 
-    steps = _payoff_steps(asset)
+    def gap_of(pair: ComonoPair) -> float:
+        return rho_fn(pair.x + pair.y) - rho_fn(pair.x) - rho_fn(pair.y)
+
     consts = [RandVar.constant(space, c) for c in (1.0, -1.0)]
+    gap = gap_of(ComonoPair(*consts))
+    if abs(gap) > tol:
+        return CheckReport(
+            "asset-comonotone-additivity", False, 1, None,
+            witness={"x": consts[0], "y": consts[1], "gap": gap},
+            note=("superadditive" if gap > 0 else "subadditive") + " on the constant pair (1, -1)",
+        )
+
+    steps = _payoff_steps(asset)
     probes = [ComonoPair(sx, sy) for sx in steps for sy in steps + consts]
-    probes += [ComonoPair(cx, consts[0]) for cx in consts]
+    probes.append(ComonoPair(consts[0], consts[0]))
     draws = (_pair_on_driver(space, asset.payoff, rng) for _ in range(trials))
     worst: tuple[float, RandVar, RandVar] | None = None
     for pair in chain(probes, draws):
-        gap = rho_fn(pair.x + pair.y) - rho_fn(pair.x) - rho_fn(pair.y)
+        gap = gap_of(pair)
         if abs(gap) > tol and (worst is None or abs(gap) > abs(worst[0])):
             worst = (gap, pair.x, pair.y)
-    count = len(probes) + trials
+    count = 1 + len(probes) + trials
     if worst is None:
         return CheckReport("asset-comonotone-additivity", True, count, seed)
     gap, x, y = worst

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import _sampling as smp
-from .acceptance import AcceptanceSpec, accepts, boundary_member
+from .acceptance import AcceptanceSpec, accepts, boundary_member, var_loss_limit
 from .comonotone import _requirement, additivity_on_comonotone, is_comonotone
 from .engine import EligibleAsset, rho, rho_cash
 from .measures import Level, var
@@ -167,13 +167,8 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
     invariant_ok = accepts(spec, w_inv) and accepts(spec, -w_inv)
     values = {"rho_one": r1, "w": w, "invariant_candidate_ok": invariant_ok}
 
-    # accepts compares the correctly rounded P(X < 0) with alpha: a mass s
-    # passes iff s / den lies below the midpoint of alpha and the next float
-    # (one step down where that tie rounds up); the whole space never passes
-    nums, den = space.int_probs
-    alpha = spec.level.alpha
-    limit = math.floor((Fraction(alpha) + Fraction(math.nextafter(alpha, 1.0))) / 2 * den)
-    limit = min(limit - (limit / den > alpha), sum(nums) - 1)
+    nums, _ = space.int_probs
+    limit = var_loss_limit(spec, space)
     for sign, v in (("+", w), ("-", -w)):
         rest = np.flatnonzero(v.values >= 0.0)
         if rest.size == space.n_atoms:

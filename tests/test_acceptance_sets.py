@@ -1,5 +1,7 @@
 """Tests for acceptance sets, membership, and the structural-property checkers."""
 
+import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -19,6 +21,8 @@ from eligirisk import (
     check_convex,
     check_corollary_convex,
     check_monotone,
+    decide_convex,
+    decide_risk_invariant,
     distortion,
     es,
     expectation,
@@ -26,6 +30,7 @@ from eligirisk import (
     rho,
     rho_cash,
     var,
+    var_loss_limit,
 )
 
 
@@ -289,6 +294,13 @@ class TestFindRiskInvariant:
         )
         report = find_risk_invariant(spec, sp, trials=1, seed=0)
         assert report.passed == (not exists)
+        decided = decide_risk_invariant(spec, sp)
+        assert decided.passed == (not exists)
+        assert (decided.trials, decided.seed) == (1, None)
+        if exists:
+            w = decided.witness["w"]
+            (atom,) = np.flatnonzero(w.values)
+            assert w.values[atom] == 1.0 and accepts(spec, w) and accepts(spec, -w)
 
     def test_expectation_has_invariant(self):
         sp = FiniteSpace([0.5, 0.5])
@@ -333,3 +345,145 @@ class TestPointedDistortion:
         assert report.passed
         cert = report.data["pointedness_certificate"]
         assert cert["holds"] and cert["min_gap"] > 0.0
+
+
+#: Built-in kinds other than VaR: pointed ES and mixtures, and the linear ones.
+CONVEX_SPECS = [
+    AcceptanceSpec.es_level(0.1),
+    AcceptanceSpec.es_level(0.4),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((0.2, 0.5), (1.0, 0.5)))),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((0.0, 0.3), (0.6, 0.7)))),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),))),
+    AcceptanceSpec.expectation_floor(),
+]
+
+
+@st.composite
+def var_events(draw):
+    """1-7 integer weights, an event, and alpha drawn freely or exactly at a subset mass."""
+    weights = draw(st.lists(st.integers(1, 20), min_size=1, max_size=7))
+    event = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+    subset = draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+    mass = sum(w for w, b in zip(weights, subset) if b)
+    at_mass = 0 < mass < sum(weights) and draw(st.booleans())
+    alpha = mass / sum(weights) if at_mass else draw(st.sampled_from([0.05, 0.1, 0.25, 0.4, 0.6]))
+    return weights, [i for i, b in enumerate(event) if b], alpha
+
+
+def _var_space(weights):
+    return FiniteSpace([w / sum(weights) for w in weights])
+
+
+class TestVarLossLimit:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=var_events())
+    def test_accepts_a_loss_event_iff_its_mass_is_within_the_limit(self, case):
+        weights, event, alpha = case
+        sp = _var_space(weights)
+        spec = AcceptanceSpec.var_level(alpha)
+        nums, _ = sp.int_probs
+        loss = -RandVar.indicator(sp, event)
+        assert accepts(spec, loss) == (sum(nums[i] for i in event) <= var_loss_limit(spec, sp))
+
+    def test_the_whole_space_is_never_within_the_limit(self):
+        # renormalized, these probabilities sum to 1 - 1.2e-16, below the
+        # float under 1, yet accepts pins the last cumulative probability to 1
+        sp = FiniteSpace([0.8122046874816008, 0.11644624885508681, 0.07134906366331253])
+        spec = AcceptanceSpec.var_level(math.nextafter(1.0, 0.0))
+        nums, den = sp.int_probs
+        assert Fraction(sum(nums), den) < spec.level.alpha
+        assert not accepts(spec, RandVar.constant(sp, -1.0))
+        assert var_loss_limit(spec, sp) == sum(nums) - 1
+
+    def test_alpha_exactly_at_the_small_atom_mass(self):
+        # lemma_two_atom.json: the atom of mass 0.1 may be lost at alpha 0.1
+        sp = FiniteSpace([0.1, 0.9])
+        spec = AcceptanceSpec.var_level(0.1)
+        assert var_loss_limit(spec, sp) == sp.int_probs[0][0]
+        assert accepts(spec, -RandVar.indicator(sp, [0]))
+
+
+class TestDecideConvex:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=var_events())
+    def test_var_verdict_matches_union_closure_oracle(self, case):
+        # VaR membership depends only on the loss event, and a blend loses at
+        # most the union of its parts' losses: convex iff the accepted events
+        # are closed under union
+        weights, _, alpha = case
+        sp = _var_space(weights)
+        spec = AcceptanceSpec.var_level(alpha)
+        n = sp.n_atoms
+        accepted = [
+            mask for mask in range(2 ** n)
+            if accepts(spec, -RandVar.indicator(sp, [i for i in range(n) if mask >> i & 1]))
+        ]
+        members = set(accepted)
+        closed = all(a | b in members for a in accepted for b in accepted)
+        report = decide_convex(spec, sp)
+        assert report.passed == closed
+        assert (report.trials, report.seed) == (1, None)
+        if not report.passed:
+            x, y, t = report.witness["x"], report.witness["y"], report.witness["t"]
+            assert accepts(spec, x) and accepts(spec, y)
+            assert not accepts(spec, t * x + (1.0 - t) * y)
+
+    def test_large_var_space_the_pair_probes_miss_now_fails(self):
+        # 100 atoms of weight 1-49 at alpha 0.1: every pair of atoms may be lost
+        # together, so the sampled check's pair probes all pass, but the
+        # atoms that may be lost alone may not all be lost together
+        weights = np.random.default_rng(100).integers(1, 50, 100)
+        sp = _var_space(weights.tolist())
+        spec = AcceptanceSpec.var_level(0.1)
+        report = decide_convex(spec, sp)
+        assert not report.passed and (report.trials, report.seed) == (1, None)
+        x, y, blend = report.witness["x"], report.witness["y"], report.witness["blend"]
+        assert accepts(spec, x) and accepts(spec, y) and not accepts(spec, blend)
+        lost = np.flatnonzero(x.values < 0.0)
+        (atom,) = np.flatnonzero(y.values < 0.0)
+        # E is a prefix of the atoms in ascending probability; atom is next
+        nums, _ = sp.int_probs
+        order = sorted(range(sp.n_atoms), key=nums.__getitem__)
+        assert order[: lost.size + 1] == sorted(lost, key=nums.__getitem__) + [atom]
+
+    def test_explicit_criterion_is_rejected(self, space3):
+        spec = AcceptanceSpec.explicit(lambda x: var(x, Level(0.1)))
+        with pytest.raises(ValueError, match="built-in"):
+            decide_convex(spec, space3)
+
+
+class TestDecideRiskInvariant:
+    # the VaR sign-vector oracle is TestFindRiskInvariant's, shared by both
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        numerators=st.lists(st.integers(1, 15), min_size=1, max_size=7),
+        index=st.integers(0, len(CONVEX_SPECS) - 1),
+    )
+    def test_convex_kinds_agree_with_sampled_checkers(self, numerators, index):
+        # dyadic probabilities with short numerators: every product in the
+        # float mean is exact, so the sampled checkers see the exact set
+        total = sum(numerators)
+        den = 1 << total.bit_length()
+        sp = FiniteSpace([k / den for k in numerators[:-1]] + [1.0 - (total - numerators[-1]) / den])
+        spec = CONVEX_SPECS[index]
+        assert decide_convex(spec, sp).passed and check_convex(spec, sp, trials=60, seed=3).passed
+        decided = decide_risk_invariant(spec, sp)
+        assert decided.passed == find_risk_invariant(spec, sp, trials=60, seed=4).passed
+        assert decided.passed == (spec.is_pointed_kind or sp.n_atoms == 1)
+
+    def test_expectation_witness_is_mean_zero_in_exact_rationals(self):
+        # p_0 * p_1 is inexact here, and the float mean of the witness keeps
+        # its rounding residue under a fused multiply-add; the sampled search
+        # can miss every invariant, but the decision reads the exact mean
+        sp = FiniteSpace([0.1, 0.3, 0.6])
+        for spec in CONVEX_SPECS[-2:]:
+            report = decide_risk_invariant(spec, sp)
+            assert not report.passed and (report.trials, report.seed) == (1, None)
+            w = report.witness["w"]
+            nums, _ = sp.int_probs
+            assert w.tolist() == [0.3, -0.1, 0.0]
+            assert sum(n * Fraction(v) for n, v in zip(nums, w.tolist())) == 0
+
+    def test_expectation_on_one_atom_has_no_invariant(self):
+        sp = FiniteSpace([1.0])
+        assert decide_risk_invariant(AcceptanceSpec.expectation_floor(), sp).passed

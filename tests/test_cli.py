@@ -6,17 +6,20 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eligirisk import cli
+from eligirisk import acceptance, cli, comonotone
 from eligirisk.cli import STATEMENTS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 EXACT_STATEMENTS = {
     "theorem-b", "corollary-convex", "var-necessary", "var-condition-b", "comono-preservation",
+    "convex", "risk-invariant",
 }
 
 
@@ -317,6 +320,74 @@ class TestCheck:
         assert set(report) == {"command", "version", "results", "scenario", "statement", *reads}
         flags = {"trials": 12, "seed": 5, "tol": 1e-8}
         assert {name: report[name] for name in reads} == {name: flags[name] for name in reads}
+
+
+#: Statements decided by kind or by the constant pair: one sample, a few evaluations.
+DECIDED = {"convex", "risk-invariant", "s-comonotone-additivity"}
+
+
+@pytest.fixture(scope="module")
+def scenarios_2000(tmp_path_factory):
+    """One VaR and one ES scenario on 2000 atoms of weight 1-49, 64 payoff levels."""
+    rng = np.random.default_rng(2000)
+    weights = rng.integers(1, 50, 2000)
+    payoff = 1.0 + rng.integers(0, 64, 2000) / 64
+    paths = {}
+    for kind in ("var", "es"):
+        doc = {
+            "space": {"probs": (weights / weights.sum()).tolist()},
+            "positions": {"X": (rng.integers(-64, 65, 2000) / 16).tolist()},
+            "asset": {"price": 1.0, "payoff": payoff.tolist()},
+            "asset_r": {"price": 2.0, "payoff": (2.0 * payoff).tolist()},
+            "acceptance": {"kind": kind, "alpha": 0.1},
+        }
+        paths[kind] = tmp_path_factory.mktemp("atoms2000") / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    return paths
+
+
+class TestSizeContract:
+    """No statement stalls at 2000 atoms.
+
+    The decided statements report one sample and make at most three
+    membership tests and three requirement evaluations, counted through
+    wrappers.  Every other statement answers within a loose 10 s guard or
+    exits 2 naming its limit.  Both payoffs have F(S1) + F(-S1) != 0, so
+    (1, -1) decides ``s-comonotone-additivity``; a VaR payoff with a zero sum
+    still runs its 4·L² payoff-step probes over L payoff levels and is not
+    covered here.
+    """
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("statement", sorted(DECIDED))
+    def test_decided_statements_take_one_sample(self, capsys, monkeypatch, scenarios_2000, kind,
+                                                statement):
+        tested, evaluated = [], []
+        accepts, quote = acceptance.accepts, comonotone.rho
+        monkeypatch.setattr(acceptance, "accepts", lambda *a: tested.append(1) or accepts(*a))
+        monkeypatch.setattr(comonotone, "rho", lambda *a, **k: evaluated.append(1) or quote(*a, **k))
+        argv = ["check", "--statement", statement, "--scenario", str(scenarios_2000[kind]),
+                "--trials", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 1) and err == ""
+        (result,) = json.loads(out)["results"]
+        assert (result["trials"], result["seed"]) == (1, None)
+        assert len(tested) <= 3 and len(evaluated) <= 3
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("statement", [*sorted(set(STATEMENTS) - DECIDED), "search"])
+    def test_answers_within_guard_or_exits_2(self, capsys, scenarios_2000, kind, statement):
+        argv = ["search"] if statement == "search" else ["check", "--statement", statement]
+        argv += ["--scenario", str(scenarios_2000[kind])]
+        if statement != "search":
+            argv += ["--trials", "5"]
+        start = time.perf_counter()
+        code, _, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 10.0
+        if code == 2:
+            assert "enumeration cap" in err or "needs kind" in err
+        else:
+            assert code in (0, 1) and err == ""
 
 
 class TestConstantPayoff:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eligirisk import comonotone
 from eligirisk import (
     AcceptanceSpec,
+    DistortionWeights,
     EligibleAsset,
     FiniteSpace,
     Level,
@@ -178,6 +179,24 @@ class TestAdditivityOnComonotone:
         rho_fn = lambda v: rho(spec, asset, v).value
         assert additivity_on_comonotone(rho_fn, space3, trials=300, seed=23).passed
 
+    def test_zeroing_costs_scale_with_level_sets_not_atoms(self):
+        # 2000 atoms, two level sets of (x, y): the mean of squares is not
+        # additive, and zeroing the lower level set keeps over half the gap
+        # while zeroing the upper one leaves none
+        n = 2000
+        sp = FiniteSpace(np.full(n, 1.0 / n))
+        low = np.arange(n) < n // 2
+        x = RandVar(sp, np.where(low, 1.0, 2.0))
+        y = RandVar(sp, np.where(low, 1.0, 3.0))
+        calls = []
+        rho_fn = lambda v: calls.append(v) or float(np.mean(v.values ** 2))
+        sx, sy, gap = comonotone._shrink_witness(rho_fn, x, y, 1e-10)
+        # 1 gap for the input, 6 rescalings, 2 level sets, then 1 in the last pass
+        assert len(calls) == 3 * 10
+        assert np.array_equal(sx.values == 0.0, low) and np.array_equal(sy.values == 0.0, low)
+        assert is_comonotone(sx, sy)
+        assert gap == pytest.approx(rho_fn(sx + sy) - rho_fn(sx) - rho_fn(sy))
+
     def test_cash_shift_is_priced_linearly(self):
         # additivity with constants in action: rho(x + lam) = rho(x) + lam * rho(1)
         sp = FiniteSpace([0.1, 0.2, 0.7])
@@ -202,8 +221,10 @@ class TestAdditivityOnAssetComonotone:
         spec = AcceptanceSpec.es_level(0.5)
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
         report = additivity_on_S_comonotone(spec, asset, trials=200, seed=37)
-        assert not report.passed
+        # decided by the constant pair (1, -1), before any probe or draw
+        assert (report.passed, report.trials, report.seed) == (False, 1, None)
         x, y = report.witness["x"], report.witness["y"]
+        assert (x.tolist(), y.tolist()) == ([1.0, 1.0], [-1.0, -1.0])
         assert is_comonotone(x, y)
         assert is_comonotone(x, asset.payoff) and is_comonotone(y, asset.payoff)
 
@@ -216,6 +237,48 @@ class TestAdditivityOnAssetComonotone:
         if not report.passed:
             x, y = report.witness["x"], report.witness["y"]
             assert is_comonotone(x, asset.payoff) and is_comonotone(y, asset.payoff)
+
+
+def _probe_and_draw_loop_passes(spec, asset, trials, seed, tol=1e-9):
+    """Verdict of the probes and draws alone, without the constant pair first."""
+    rng = np.random.default_rng(seed)
+    space = asset.payoff.space
+    rho_fn = comonotone._requirement(spec, asset, min(tol * 1e-2, 1e-12))
+    steps = comonotone._payoff_steps(asset)
+    consts = [RandVar.constant(space, c) for c in (1.0, -1.0)]
+    pairs = [(sx, sy) for sx in steps for sy in steps + consts]
+    pairs += [(cx, consts[0]) for cx in consts]
+    for _ in range(trials):
+        pair = comonotone._pair_on_driver(space, asset.payoff, rng)
+        pairs.append((pair.x, pair.y))
+    return all(abs(rho_fn(x + y) - rho_fn(x) - rho_fn(y)) <= tol for x, y in pairs)
+
+
+ASSET_SPECS = [
+    AcceptanceSpec.var_level(0.1),
+    AcceptanceSpec.var_level(0.3),
+    AcceptanceSpec.es_level(0.25),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((0.2, 0.5), (1.0, 0.5)))),
+]
+
+
+class TestConstantPairFirst:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+        levels=st.lists(st.integers(1, 8), min_size=6, max_size=6),
+        index=st.integers(0, len(ASSET_SPECS) - 1),
+    )
+    def test_verdict_equals_the_probe_and_draw_loop(self, weights, levels, index):
+        sp = FiniteSpace([w / sum(weights) for w in weights])
+        asset = EligibleAsset(1.0, RandVar(sp, [v / 4 for v in levels[: sp.n_atoms]]))
+        spec = ASSET_SPECS[index]
+        report = additivity_on_S_comonotone(spec, asset, trials=15, seed=7)
+        assert report.passed == _probe_and_draw_loop_passes(spec, asset, 15, 7)
+        if report.trials == 1:  # decided by the constant pair
+            assert not report.passed and report.seed is None
+            assert (report.witness["x"].tolist(), report.witness["y"].tolist()) == (
+                [1.0] * sp.n_atoms, [-1.0] * sp.n_atoms)
 
 
 class TestNumerairePreservation:
