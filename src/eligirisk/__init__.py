@@ -39,12 +39,10 @@ from .measures import (
 from .acceptance import (
     AcceptanceSpec,
     accepts,
-    check_cone,
-    check_convex,
-    check_monotone,
+    decide_cone,
     decide_convex,
+    decide_monotone,
     decide_risk_invariant,
-    find_risk_invariant,
     var_loss_limit,
 )
 from .engine import (
@@ -101,12 +99,10 @@ __all__ = [
     "AcceptanceSpec",
     "accepts",
     "var_loss_limit",
+    "decide_monotone",
+    "decide_cone",
     "decide_convex",
     "decide_risk_invariant",
-    "check_monotone",
-    "check_cone",
-    "check_convex",
-    "find_risk_invariant",
     "EligibleAsset",
     "RiskQuote",
     "BracketExpansionError",

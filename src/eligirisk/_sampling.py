@@ -33,11 +33,6 @@ def nonconstant_grid_randvar(
             return x
 
 
-def nonneg_grid_randvar(space: FiniteSpace, rng: np.random.Generator, span: float = 2.0) -> RandVar:
-    k = int(span * GRID)
-    return RandVar._fresh(space, rng.integers(0, k + 1, space.n_atoms) / GRID)
-
-
 def grid_scalar(rng: np.random.Generator, span: float = 4.0) -> float:
     k = int(span * GRID)
     return float(rng.integers(-k, k + 1)) / GRID

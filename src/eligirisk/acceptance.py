@@ -1,26 +1,28 @@
-"""Acceptance sets as membership predicates plus structural-property checkers.
+"""Acceptance sets as membership predicates plus exact structural decisions.
 
 An acceptance set is encoded by its defining decreasing functional: a
 position is acceptable iff the functional value is <= 0.  Membership uses an
 exact comparison with no tolerance, because the interesting counterexamples
 live on boundaries which exact constructions can hit.
 
-For the built-in kinds, convexity and the existence of a nonzero risk
-invariant are decided exactly by kind (:func:`decide_convex`,
-:func:`decide_risk_invariant`), with VaR read through the integer loss limit
-of :func:`var_loss_limit`.  The sampled checkers (monotone, cone, convex,
-risk invariants) verify universally quantified set properties by seeded
-randomized sampling plus deterministic probes, for any criterion; their
-"pass" therefore means "no violation found in N trials", never a proof.
+For the built-in kinds, the set properties are decided by kind, with one
+sample and no seed.  VaR is read through the integer loss limit of
+:func:`var_loss_limit`: it accepts X iff the mass of {X < 0} is within the
+limit, so its monotonicity and conicity are exact on floats and its
+convexity and risk invariants are decided from atom masses.  ES,
+distortion mixtures and the expectation floor are decreasing, positively
+homogeneous and subadditive, so their exact sets are monotone convex cones
+by construction (:func:`decide_monotone`, :func:`decide_cone`,
+:func:`decide_convex`); the float functional is not exactly conic at the
+boundary, where the rounding of t * X can push a member just outside.
+Explicit criteria have no set-property decision.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -34,14 +36,11 @@ __all__ = [
     "AcceptanceSpec",
     "accepts",
     "var_loss_limit",
+    "decide_monotone",
+    "decide_cone",
     "decide_convex",
     "decide_risk_invariant",
     "boundary_member",
-    "sample_accepted",
-    "check_monotone",
-    "check_cone",
-    "check_convex",
-    "find_risk_invariant",
 ]
 
 BUILTIN_KINDS = ("var", "es", "distortion", "expectation")
@@ -147,6 +146,44 @@ def var_loss_limit(spec: AcceptanceSpec, space: FiniteSpace) -> int:
     return min(limit - (limit / den > alpha), sum(nums) - 1)
 
 
+def _by_construction(name: str, spec: AcceptanceSpec, var_note: str, note: str) -> CheckReport:
+    if not spec.is_builtin:
+        raise ValueError(f"exact {name} decision requires a built-in criterion")
+    return CheckReport(name, True, 1, None, note=var_note if spec.kind == "var" else note)
+
+
+def decide_monotone(spec: AcceptanceSpec) -> CheckReport:
+    """Exact monotonicity of a built-in acceptance set: it always holds.
+
+    VaR accepts X iff the mass of {X < 0} is within :func:`var_loss_limit`,
+    and Y >= X gives {Y < 0} within {X < 0}, on floats too.  ES, distortion
+    mixtures and the expectation floor are decreasing functionals, so their
+    exact sets are monotone by construction.
+    """
+    return _by_construction(
+        "monotone", spec,
+        "exact decision: Y >= X loses only atoms that X loses",
+        "decreasing criterion: monotone by construction",
+    )
+
+
+def decide_cone(spec: AcceptanceSpec) -> CheckReport:
+    """Exact conicity of a built-in acceptance set: it always holds.
+
+    VaR: for t >= 0 the rounded t * X is negative only where X is (the sign
+    of a float product is exact, and an underflow gives a zero), so
+    {t * X < 0} lies within {X < 0}.  ES, distortion mixtures and the
+    expectation floor are positively homogeneous, so their exact sets are
+    cones by construction; the float functional need not be conic at a
+    boundary member.
+    """
+    return _by_construction(
+        "cone", spec,
+        "exact decision: t * X for t >= 0 loses only atoms that X loses",
+        "positively homogeneous criterion: a cone by construction",
+    )
+
+
 def decide_convex(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:
     """Exact convexity of a built-in acceptance set.
 
@@ -242,19 +279,13 @@ def decide_risk_invariant(spec: AcceptanceSpec, space: FiniteSpace) -> CheckRepo
     )
 
 
-def boundary_member(
-    spec: AcceptanceSpec, space: FiniteSpace, rng: np.random.Generator, margin: float = 0.0
-) -> RandVar | None:
+def boundary_member(spec: AcceptanceSpec, space: FiniteSpace, rng: np.random.Generator) -> RandVar | None:
     """Random acceptable position shifted to the boundary of acceptability.
 
     For built-in kinds the functional is cash additive, so adding its value
     as a constant lands the position at functional value 0; a geometric
     nudge absorbs the rare rounding residue that leaves the shifted position
-    a hair outside.  Membership is compared exactly, so checkers that
-    re-evaluate the functional on transformed copies of the position should
-    request a small interior ``margin``: it keeps the member strictly inside
-    the set, out of reach of rounding noise, while staying within ``margin``
-    of the boundary.  Returns None when no acceptable position is found
+    a hair outside.  Returns None when no acceptable position is found
     (possible only for ill-behaved explicit functionals).
     """
     y = smp.grid_randvar(space, rng)
@@ -268,7 +299,7 @@ def boundary_member(
                 return cand
         return None
     m = spec.functional_value(y)
-    x = y + (m + margin)
+    x = y + m
     step = 1e-12 * max(1.0, abs(m), x.max_abs)
     for _ in range(64):
         if accepts(spec, x):
@@ -276,189 +307,3 @@ def boundary_member(
         x = x + step
         step *= 2.0
     return None
-
-
-#: Interior margin for sampled members fed back through transformed
-#: re-evaluations; far above rounding noise, far below any grid scale.
-MEMBER_MARGIN = 1e-9
-
-
-def sample_accepted(
-    spec: AcceptanceSpec,
-    space: FiniteSpace,
-    rng: np.random.Generator,
-    margin: float = MEMBER_MARGIN,
-) -> RandVar | None:
-    """Acceptable position for property trials: near-boundary draw or raw draw."""
-    if bool(rng.integers(0, 2)):
-        y = smp.grid_randvar(space, rng)
-        if spec.functional_value(y) <= -margin:
-            return y
-    return boundary_member(spec, space, rng, margin=margin)
-
-
-def check_monotone(
-    spec: AcceptanceSpec, space: FiniteSpace, trials: int = 1000, seed: int = 0
-) -> CheckReport:
-    """Sampled monotonicity: X acceptable and Y >= X forces Y acceptable."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    done = 0
-    for _ in range(trials):
-        x = sample_accepted(spec, space, rng)
-        if x is None:
-            continue
-        y = x + smp.nonneg_grid_randvar(space, rng)
-        done += 1
-        if not accepts(spec, y):
-            return CheckReport(
-                "monotone", False, done, seed,
-                witness={"x": x, "y": y},
-                note="acceptable x dominated by rejected y",
-            )
-    return CheckReport("monotone", True, done, seed)
-
-
-def check_cone(
-    spec: AcceptanceSpec, space: FiniteSpace, trials: int = 1000, seed: int = 0
-) -> CheckReport:
-    """Sampled conicity: nonnegative scalings of acceptable positions stay acceptable."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    done = 0
-    for i in range(trials):
-        x = sample_accepted(spec, space, rng)
-        if x is None:
-            continue
-        # first trials walk a deterministic scale grid, 0 included
-        grid = (0.0, 0.5, 2.0, 7.5)
-        t = grid[i] if i < len(grid) else float(rng.uniform(0.0, 4.0))
-        done += 1
-        if not accepts(spec, t * x):
-            return CheckReport(
-                "cone", False, done, seed,
-                witness={"x": x, "t": t, "scaled": t * x},
-                note="acceptable x leaves the set under scaling",
-            )
-    return CheckReport("cone", True, done, seed)
-
-
-def check_convex(
-    spec: AcceptanceSpec, space: FiniteSpace, trials: int = 1000, seed: int = 0
-) -> CheckReport:
-    """Sampled convexity, with indicator-based deterministic probes first.
-
-    The probes blend two acceptable positions that are each negative on a
-    single small-probability atom; for quantile-based criteria the blend
-    doubles the loss probability, which is exactly how convexity fails.
-    Each single-atom probe is built and tested at most once, when a pair
-    first needs it, so a check that fails on its first pair stops early.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    n = space.n_atoms
-
-    @functools.cache  # each probe is built once, on first use
-    def probe(i: int) -> RandVar:
-        return RandVar.constant(space, 1.0) - 4.0 * RandVar.indicator(space, [i])
-
-    @functools.cache  # each probe is tested once, on first use
-    def accepted(i: int) -> bool:
-        return accepts(spec, probe(i))
-
-    done = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (accepted(i) and accepted(j)):
-                continue
-            x, y = probe(i), probe(j)
-            blend = 0.5 * x + 0.5 * y
-            done += 1
-            if not accepts(spec, blend):
-                return CheckReport(
-                    "convex", False, done, seed,
-                    witness={"x": x, "y": y, "t": 0.5, "blend": blend},
-                    note="midpoint of two acceptable positions rejected",
-                )
-    for _ in range(trials):
-        x = sample_accepted(spec, space, rng)
-        y = sample_accepted(spec, space, rng)
-        if x is None or y is None:
-            continue
-        t = float(rng.uniform())
-        blend = t * x + (1.0 - t) * y
-        done += 1
-        if not accepts(spec, blend):
-            return CheckReport(
-                "convex", False, done, seed,
-                witness={"x": x, "y": y, "t": t, "blend": blend},
-                note="blend of two acceptable positions rejected",
-            )
-    return CheckReport("convex", True, done, seed)
-
-
-def find_risk_invariant(
-    spec: AcceptanceSpec, space: FiniteSpace, trials: int = 1000, seed: int = 0
-) -> CheckReport:
-    """Search for a nonzero position acceptable together with its negation.
-
-    Deterministic probes cover scaled indicator differences, exactly
-    mean-zero two-atom positions and single-atom indicators before the
-    randomized phase.  A nonzero VaR invariant exists iff some atom's
-    indicator is one, so for VaR the probes alone decide.  For pointed
-    kinds (expected shortfall, distortion mixtures with mass off level 1)
-    the report additionally carries the analytic certificate: the functional
-    applied to X and to -X sums to a strictly positive number on every
-    sampled nonconstant X, which rules out nonzero invariants outright.
-
-    ``passed`` is True when no invariant was found.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    gaps: list[float] = []
-
-    @functools.cache  # each indicator is built once, on first use
-    def one(i: int) -> RandVar:
-        return RandVar.indicator(space, [i])
-
-    def candidates():
-        for i, j in permutations(range(space.n_atoms), 2):
-            for c in (1.0, 2.0):
-                yield c * (one(i) - one(j))
-            yield float(space.probs[j]) * one(i) - float(space.probs[i]) * one(j)
-        for i in range(space.n_atoms):
-            yield one(i)
-        for _ in range(trials):
-            x = smp.grid_randvar(space, rng)
-            yield x
-            yield x - expectation(x)
-            if spec.is_pointed_kind and not x.is_constant:
-                gaps.append(spec.functional_value(x) + spec.functional_value(-x))
-
-    done = 0
-    for w in candidates():
-        done += 1
-        if w.max_abs > 0.0 and accepts(spec, w) and accepts(spec, -w):
-            return CheckReport(
-                "risk-invariant", False, done, seed,
-                witness={"w": w},
-                note="nonzero risk invariant found",
-            )
-
-    data: dict = {}
-    if spec.is_pointed_kind:
-        certificate_min = min(gaps, default=float("inf"))
-        data["pointedness_certificate"] = {
-            "samples": len(gaps),
-            "min_gap": certificate_min,
-            "holds": bool(gaps) and certificate_min > 0.0,
-        }
-    return CheckReport(
-        "risk-invariant", True, done, seed,
-        note="none found",
-        data=data,
-    )

@@ -21,9 +21,9 @@ from typing import Any, Callable
 from . import __version__
 from .acceptance import (
     AcceptanceSpec,
-    check_cone,
-    check_monotone,
+    decide_cone,
     decide_convex,
+    decide_monotone,
     decide_risk_invariant,
 )
 from .comonotone import (
@@ -294,8 +294,8 @@ STATEMENTS: dict[str, Callable[..., Any]] = {
         _var_spec(sc, "var-necessary"), sc.asset),
     "var-condition-b": lambda sc: check_var_condition_b(
         sc.space, _var_spec(sc, "var-condition-b").level),
-    "monotone": lambda sc, trials, seed: check_monotone(sc.acceptance, sc.space, trials, seed),
-    "cone": lambda sc, trials, seed: check_cone(sc.acceptance, sc.space, trials, seed),
+    "monotone": lambda sc: decide_monotone(sc.acceptance),
+    "cone": lambda sc: decide_cone(sc.acceptance),
     "convex": lambda sc: decide_convex(sc.acceptance, sc.space),
     "risk-invariant": lambda sc: decide_risk_invariant(sc.acceptance, sc.space),
     "s-additivity": lambda sc, trials, seed, tol: s_additivity_check(

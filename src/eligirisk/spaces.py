@@ -49,8 +49,10 @@ class FiniteSpace:
     """Atoms with strictly positive probabilities summing to one.
 
     The raw probabilities must sum to 1 within ``PROB_SUM_TOL``; they are then
-    divided by their exact floating-point sum so that cumulative sums
-    downstream terminate at exactly 1.  Null atoms are rejected at
+    divided by their exact floating-point sum.  The quotients are rounded,
+    so the stored probabilities need not sum to 1 (nor, renormalized again,
+    give the same space); :func:`_lower_tail` pins the last cumulative
+    probability to 1 instead.  Null atoms are rejected at
     construction: with every atom carrying positive mass, "holds almost
     surely" coincides with "holds at every atom" throughout the package.
     Atom identity is positional; labels, if any, are a reporting concern of

@@ -1,4 +1,4 @@
-"""Tests for acceptance sets, membership, and the structural-property checkers."""
+"""Tests for acceptance sets, membership, and the exact structural-property decisions."""
 
 import math
 from fractions import Fraction
@@ -17,21 +17,20 @@ from eligirisk import (
     Level,
     RandVar,
     accepts,
-    check_cone,
-    check_convex,
     check_corollary_convex,
-    check_monotone,
+    decide_cone,
     decide_convex,
+    decide_monotone,
     decide_risk_invariant,
     distortion,
     es,
     expectation,
-    find_risk_invariant,
     rho,
     rho_cash,
     var,
     var_loss_limit,
 )
+from eligirisk.acceptance import boundary_member
 
 
 @pytest.fixture
@@ -133,183 +132,6 @@ class TestAccepts:
         assert AcceptanceSpec.expectation_floor().functional_value(x) == -expectation(x)
 
 
-class TestCheckMonotone:
-    def test_var_passes(self, space3, a_var):
-        assert check_monotone(a_var, space3, trials=1000, seed=0).passed
-
-    def test_es_passes(self, space3, a_es):
-        assert check_monotone(a_es, space3, trials=1000, seed=1).passed
-
-    def test_broken_increasing_functional_fails(self, space3):
-        broken = AcceptanceSpec.explicit(expectation, label="increasing-expectation")
-        report = check_monotone(broken, space3, trials=500, seed=2)
-        assert not report.passed
-        x, y = report.witness["x"], report.witness["y"]
-        assert accepts(broken, x) and not accepts(broken, y) and y >= x
-
-    def test_rejects_zero_trials(self, space3, a_var):
-        with pytest.raises(ValueError):
-            check_monotone(a_var, space3, trials=0)
-
-
-class TestCheckCone:
-    @pytest.mark.parametrize("maker", ["var", "es", "distortion"])
-    def test_builtins_pass(self, space3, maker):
-        spec = {
-            "var": AcceptanceSpec.var_level(0.1),
-            "es": AcceptanceSpec.es_level(0.1),
-            "distortion": AcceptanceSpec.distortion_mix(
-                DistortionWeights(((0.1, 0.5), (1.0, 0.5)))
-            ),
-        }[maker]
-        assert check_cone(spec, space3, trials=600, seed=3).passed
-
-    def test_shifted_var_fails_at_origin(self, space3):
-        broken = AcceptanceSpec.explicit(
-            lambda x: var(x, Level(0.1)) + 1.0, label="var-plus-one"
-        )
-        report = check_cone(broken, space3, trials=400, seed=4)
-        assert not report.passed
-        assert report.witness["t"] == 0.0
-
-
-class TestCheckConvex:
-    def test_es_passes(self, space3, a_es):
-        assert check_convex(a_es, space3, trials=400, seed=5).passed
-
-    def test_distortion_passes(self, space3):
-        mu = DistortionWeights(((0.1, 0.4), (0.5, 0.6),))
-        assert check_convex(AcceptanceSpec.distortion_mix(mu), space3, trials=400, seed=6).passed
-
-    def test_var_fails_with_witness(self, space3, a_var):
-        report = check_convex(a_var, space3, trials=400, seed=7)
-        assert not report.passed
-        x, y, t = report.witness["x"], report.witness["y"], report.witness["t"]
-        blend = t * x + (1.0 - t) * y
-        assert accepts(a_var, x) and accepts(a_var, y)
-        assert not accepts(a_var, blend)
-
-    @pytest.mark.parametrize(
-        "spec, passed, pairs, tests, built",
-        [
-            # every probe and every blend accepted: 20 probe tests, 190 blend tests
-            (AcceptanceSpec.var_level(0.1), True, 190, 20 + 190, 20),
-            # every probe rejected: probes 0-18 are tested as a pair's first
-            # member and fail it, so probe 19 is never needed
-            (AcceptanceSpec.es_level(0.1), True, 0, 19, 19),
-            # the first blend fails: probes 0 and 1 and their blend, as before
-            (AcceptanceSpec.var_level(0.05), False, 1, 3, 2),
-        ],
-    )
-    def test_each_probe_is_built_and_tested_at_most_once(
-        self, monkeypatch, spec, passed, pairs, tests, built
-    ):
-        # the sampled trials are switched off, so every test counted is a probe's
-        import eligirisk.acceptance as acc
-
-        made, tested = [], []
-        indicator, accepts_ = RandVar.indicator, acc.accepts
-        monkeypatch.setattr(
-            RandVar, "indicator", classmethod(lambda cls, *a: made.append(a) or indicator(*a))
-        )
-        monkeypatch.setattr(acc, "accepts", lambda *a: tested.append(a) or accepts_(*a))
-        monkeypatch.setattr(acc, "sample_accepted", lambda *a: None)
-        report = check_convex(spec, FiniteSpace(np.full(20, 0.05)), trials=3, seed=0)
-        assert report.passed is passed and report.trials == pairs
-        assert sorted(atoms for _, atoms in made) == [[i] for i in range(built)]
-        assert len(tested) == tests
-
-    def test_first_failing_pair_skips_rejected_probes(self):
-        # atom 1 is too likely to be lost alone; atoms 0 and 2 together exceed 0.1
-        sp = FiniteSpace([0.06, 0.2, 0.05, 0.04, 0.65])
-        report = check_convex(AcceptanceSpec.var_level(0.1), sp, trials=1, seed=0)
-        assert not report.passed and report.trials == 1
-        assert report.witness["x"].tolist() == [-3.0, 1.0, 1.0, 1.0, 1.0]
-        assert report.witness["y"].tolist() == [1.0, 1.0, -3.0, 1.0, 1.0]
-        assert report.witness["blend"].tolist() == [-1.0, 1.0, -1.0, 1.0, 1.0]
-
-
-class TestFindRiskInvariant:
-    def test_var_has_invariant(self, space3, a_var):
-        report = find_risk_invariant(a_var, space3, trials=500, seed=8)
-        assert not report.passed
-        w = report.witness["w"]
-        assert w.max_abs > 0 and accepts(a_var, w) and accepts(a_var, -w)
-
-    def test_es_none_with_certificate(self, space3, a_es):
-        report = find_risk_invariant(a_es, space3, trials=500, seed=9)
-        assert report.passed
-        cert = report.data["pointedness_certificate"]
-        assert cert["holds"] and cert["min_gap"] > 0.0
-
-    def test_probes_are_generated_lazily(self, monkeypatch):
-        # the first indicator-difference probe is already an invariant, so only
-        # its two indicators get built, not all 3n(n-1) probes up front
-        built = []
-        indicator = RandVar.indicator
-        monkeypatch.setattr(
-            RandVar, "indicator", classmethod(lambda cls, *a: built.append(a) or indicator(*a))
-        )
-        sp = FiniteSpace(np.full(40, 1.0 / 40))
-        report = find_risk_invariant(AcceptanceSpec.var_level(0.1), sp, trials=1, seed=0)
-        assert not report.passed and report.trials == 1
-        assert len(built) == 2
-
-    def test_each_indicator_is_built_once(self, monkeypatch):
-        # ES has no invariant, so every pair probe and every single-atom probe runs
-        built = []
-        indicator = RandVar.indicator
-        monkeypatch.setattr(
-            RandVar, "indicator", classmethod(lambda cls, *a: built.append(a) or indicator(*a))
-        )
-        sp = FiniteSpace([0.1, 0.2, 0.3, 0.4])
-        report = find_risk_invariant(AcceptanceSpec.es_level(0.1), sp, trials=1, seed=0)
-        assert report.passed and report.trials == 3 * 4 * 3 + 4 + 2
-        assert sorted(atoms for _, atoms in built) == [[0], [1], [2], [3]]
-
-    def test_var_invariant_on_a_single_small_atom(self):
-        # only atom 0 may be lost at alpha 0.1, so no pair probe is an invariant
-        sp = FiniteSpace([0.05, 0.475, 0.475])
-        spec = AcceptanceSpec.var_level(0.1)
-        report = find_risk_invariant(spec, sp, trials=1000)
-        assert not report.passed
-        w = report.witness["w"]
-        assert w.tolist() == [1.0, 0.0, 0.0] and accepts(spec, w) and accepts(spec, -w)
-
-    @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(
-        weights=st.lists(st.integers(1, 20), min_size=1, max_size=5),
-        alpha=st.sampled_from([0.05, 0.1, 0.25, 0.4, 0.6]),
-    )
-    def test_var_verdict_matches_sign_vector_oracle(self, weights, alpha):
-        # VaR membership of W depends only on the sign pattern of W, so an
-        # invariant exists iff some nonzero vector in {-1, 0, 1}^n is one
-        sp = FiniteSpace([w / sum(weights) for w in weights])
-        spec = AcceptanceSpec.var_level(alpha)
-        exists = any(
-            accepts(spec, w) and accepts(spec, -w)
-            for signs in product((-1.0, 0.0, 1.0), repeat=sp.n_atoms)
-            if any(signs)
-            for w in [RandVar(sp, list(signs))]
-        )
-        report = find_risk_invariant(spec, sp, trials=1, seed=0)
-        assert report.passed == (not exists)
-        decided = decide_risk_invariant(spec, sp)
-        assert decided.passed == (not exists)
-        assert (decided.trials, decided.seed) == (1, None)
-        if exists:
-            w = decided.witness["w"]
-            (atom,) = np.flatnonzero(w.values)
-            assert w.values[atom] == 1.0 and accepts(spec, w) and accepts(spec, -w)
-
-    def test_expectation_has_invariant(self):
-        sp = FiniteSpace([0.5, 0.5])
-        report = find_risk_invariant(AcceptanceSpec.expectation_floor(), sp, trials=200, seed=10)
-        assert not report.passed
-        w = report.witness["w"]
-        assert expectation(w) == 0.0 and w.max_abs > 0
-
-
 class TestSetMeasureConsistency:
     def test_membership_equals_cash_requirement_sign(self, space3):
         # the requirement under the cash asset recovers the set exactly
@@ -326,11 +148,10 @@ class TestSetMeasureConsistency:
                 assert accepts(spec, x) == (rho_cash(spec, x) <= 0.0)
 
     def test_invariant_never_changes_cash_requirement(self, space3):
-        # a found invariant of a convex conic criterion leaves requirements flat
+        # the invariant of a convex conic criterion leaves requirements flat
         sp = FiniteSpace([0.5, 0.5])
         spec = AcceptanceSpec.expectation_floor()
-        report = find_risk_invariant(spec, sp, trials=200, seed=13)
-        w = report.witness["w"]
+        w = decide_risk_invariant(spec, sp).witness["w"]
         rng = np.random.default_rng(14)
         for _ in range(200):
             y = RandVar(sp, rng.integers(-64, 65, 2) / 16)
@@ -341,10 +162,9 @@ class TestPointedDistortion:
     def test_distortion_off_one_has_no_invariant(self, space3):
         mu = DistortionWeights(((0.2, 0.5), (1.0, 0.5)))
         spec = AcceptanceSpec.distortion_mix(mu)
-        report = find_risk_invariant(spec, space3, trials=500, seed=21)
-        assert report.passed
-        cert = report.data["pointedness_certificate"]
-        assert cert["holds"] and cert["min_gap"] > 0.0
+        report = decide_risk_invariant(spec, space3)
+        assert report.passed and (report.trials, report.seed) == (1, None)
+        assert "pointed criterion" in report.note
 
 
 #: Built-in kinds other than VaR: pointed ES and mixtures, and the linear ones.
@@ -372,6 +192,110 @@ def var_events(draw):
 
 def _var_space(weights):
     return FiniteSpace([w / sum(weights) for w in weights])
+
+
+def _dyadic_space(numerators):
+    """Probabilities k / 2^m with short numerators: every product in the float mean is exact."""
+    total = sum(numerators)
+    den = 1 << total.bit_length()
+    return FiniteSpace([k / den for k in numerators[:-1]] + [1.0 - (total - numerators[-1]) / den])
+
+
+#: Scales the cone property is checked at, 0 included, before a drawn one.
+SCALES = (0.0, 0.5, 2.0, 7.5)
+
+#: Interior margin of the ES, mixture and mean members: their float
+#: functional is not exactly conic at the boundary itself.
+MARGIN = 1e-9
+
+
+@st.composite
+def set_cases(draw):
+    """1-7 atoms with dyadic or float weights, a grid draw, a nonnegative bump, an event, a scale."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        sp = _dyadic_space(draw(st.lists(st.integers(1, 15), min_size=n, max_size=n)))
+    else:
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        sp = FiniteSpace([w / math.fsum(weights) for w in weights])
+    grid = st.lists(st.integers(-256, 256), min_size=n, max_size=n)
+    y = RandVar(sp, [k / 64 for k in draw(grid)])
+    bump = RandVar(sp, [abs(k) / 64 for k in draw(grid)])
+    event = [i for i in range(n) if draw(st.booleans())]
+    return sp, y, bump, event, draw(st.floats(0.0, 4.0))
+
+
+def _assert_monotone_and_conic(spec, x, bump, t):
+    assert accepts(spec, x + bump)
+    for s in (*SCALES, t):
+        assert accepts(spec, s * x)
+
+
+class TestDecideMonotoneAndCone:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        case=set_cases(),
+        c=st.sampled_from([1.0, 0.75, 3.0, 1e-300, 5e-324]),
+        at_mass=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_var_membership_is_exactly_monotone_and_conic(self, case, c, at_mass, seed):
+        # boundary members: a loss event at the loss limit (alpha at its
+        # mass), the draw and a random draw shifted by their value-at-risk;
+        # c = 5e-324 makes t * x underflow to a zero, which is never a loss
+        sp, y, bump, event, t = case
+        nums, den = sp.int_probs
+        mass = sum(nums[i] for i in event)
+        alpha = mass / den if at_mass and 0 < mass < sum(nums) else 0.1
+        spec = AcceptanceSpec.var_level(alpha)
+        candidates = [
+            -c * RandVar.indicator(sp, event),
+            y + spec.functional_value(y),
+            boundary_member(spec, sp, np.random.default_rng(seed)),
+        ]
+        for x in candidates:
+            if x is not None and accepts(spec, x):
+                _assert_monotone_and_conic(spec, x, bump, t)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=set_cases(), index=st.integers(0, len(CONVEX_SPECS) - 1))
+    def test_convex_kinds_are_monotone_and_conic_inside_the_margin(self, case, index):
+        sp, y, bump, _, t = case
+        spec = CONVEX_SPECS[index]
+        x = y + (spec.functional_value(y) + 2 * MARGIN)
+        assert spec.functional_value(x) <= -MARGIN
+        _assert_monotone_and_conic(spec, x, bump, t)
+
+    @pytest.mark.parametrize("spec", [AcceptanceSpec.var_level(0.1), *CONVEX_SPECS])
+    def test_every_builtin_kind_passes(self, spec):
+        for decide, name in ((decide_monotone, "monotone"), (decide_cone, "cone")):
+            report = decide(spec)
+            assert (report.name, report.passed, report.trials, report.seed) == (name, True, 1, None)
+            assert report.witness is None and report.note
+
+    def test_oracle_catches_an_increasing_set_that_is_not_monotone(self, space3):
+        # the property oracle has teeth: adding a nonnegative bump to a member
+        # of {E[X] <= 0} leaves the set
+        spec = AcceptanceSpec.explicit(expectation, label="increasing-expectation")
+        x = RandVar(space3, [-1.0, 0.0, 0.0])
+        assert accepts(spec, x)
+        with pytest.raises(AssertionError):
+            _assert_monotone_and_conic(spec, x, RandVar.constant(space3, 1.0), 1.0)
+
+    def test_oracle_catches_a_shifted_var_set_at_the_origin(self, space3):
+        # VaR + 1 accepts only positions with a margin, so 0 * x leaves the set
+        spec = AcceptanceSpec.explicit(lambda x: var(x, Level(0.1)) + 1.0, label="var-plus-one")
+        x = RandVar.constant(space3, 2.0)
+        assert accepts(spec, x) and not accepts(spec, 0.0 * x)
+        with pytest.raises(AssertionError):
+            _assert_monotone_and_conic(spec, x, RandVar.constant(space3, 0.0), 1.0)
+
+    @pytest.mark.parametrize("decide", [decide_monotone, decide_cone])
+    def test_explicit_criterion_is_rejected(self, decide):
+        # an increasing functional: its set is not monotone, and nothing decides that
+        spec = AcceptanceSpec.explicit(expectation, label="increasing-expectation")
+        with pytest.raises(ValueError, match="built-in"):
+            decide(spec)
 
 
 class TestVarLossLimit:
@@ -428,6 +352,23 @@ class TestDecideConvex:
             assert accepts(spec, x) and accepts(spec, y)
             assert not accepts(spec, t * x + (1.0 - t) * y)
 
+    def test_var_fails_with_witness(self, space3, a_var):
+        # atoms 0 and 1 may each be lost alone at alpha 0.1, but not together
+        report = decide_convex(a_var, space3)
+        assert not report.passed and (report.trials, report.seed) == (1, None)
+        x, y, t = report.witness["x"], report.witness["y"], report.witness["t"]
+        assert (x.tolist(), y.tolist(), t) == ([-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], 0.5)
+        assert accepts(a_var, x) and accepts(a_var, y)
+        assert not accepts(a_var, t * x + (1.0 - t) * y)
+
+    def test_var_passes_when_the_single_losses_add_up(self):
+        # atoms 0 and 1 may be lost alone and together, atom 2 never
+        sp = FiniteSpace([0.05, 0.05, 0.9])
+        spec = AcceptanceSpec.var_level(0.1)
+        report = decide_convex(spec, sp)
+        assert report.passed and report.witness is None
+        assert accepts(spec, -RandVar.indicator(sp, [0, 1]))
+
     def test_large_var_space_the_pair_probes_miss_now_fails(self):
         # 100 atoms of weight 1-49 at alpha 0.1: every pair of atoms may be lost
         # together, so the sampled check's pair probes all pass, but the
@@ -453,23 +394,92 @@ class TestDecideConvex:
 
 
 class TestDecideRiskInvariant:
-    # the VaR sign-vector oracle is TestFindRiskInvariant's, shared by both
+    def test_var_has_invariant(self, space3, a_var):
+        report = decide_risk_invariant(a_var, space3)
+        assert not report.passed
+        w = report.witness["w"]
+        assert w.tolist() == [1.0, 0.0, 0.0] and accepts(a_var, w) and accepts(a_var, -w)
+
+    def test_var_invariant_on_a_single_small_atom(self):
+        # only atom 0 may be lost at alpha 0.1, so no pair of atoms is an invariant
+        sp = FiniteSpace([0.05, 0.475, 0.475])
+        spec = AcceptanceSpec.var_level(0.1)
+        report = decide_risk_invariant(spec, sp)
+        assert not report.passed
+        w = report.witness["w"]
+        assert w.tolist() == [1.0, 0.0, 0.0] and accepts(spec, w) and accepts(spec, -w)
+
+    def test_es_has_no_invariant(self, space3, a_es):
+        report = decide_risk_invariant(a_es, space3)
+        assert report.passed and (report.trials, report.seed) == (1, None)
+        assert "pointed criterion" in report.note
+        # pointedness on the indicator probes: ES(W) + ES(-W) > 0
+        for i, j in product(range(3), repeat=2):
+            if i != j:
+                w = RandVar.indicator(space3, [i]) - RandVar.indicator(space3, [j])
+                assert es(w, a_es.level) + es(-w, a_es.level) > 0.0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 20), min_size=1, max_size=5),
+        alpha=st.sampled_from([0.05, 0.1, 0.25, 0.4, 0.6]),
+    )
+    def test_var_verdict_matches_sign_vector_oracle(self, weights, alpha):
+        # VaR membership of W depends only on the sign pattern of W, so an
+        # invariant exists iff some nonzero vector in {-1, 0, 1}^n is one
+        sp = FiniteSpace([w / sum(weights) for w in weights])
+        spec = AcceptanceSpec.var_level(alpha)
+        exists = any(
+            accepts(spec, w) and accepts(spec, -w)
+            for signs in product((-1.0, 0.0, 1.0), repeat=sp.n_atoms)
+            if any(signs)
+            for w in [RandVar(sp, list(signs))]
+        )
+        decided = decide_risk_invariant(spec, sp)
+        assert decided.passed == (not exists)
+        assert (decided.trials, decided.seed) == (1, None)
+        if exists:
+            w = decided.witness["w"]
+            (atom,) = np.flatnonzero(w.values)
+            assert w.values[atom] == 1.0 and accepts(spec, w) and accepts(spec, -w)
+
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(
         numerators=st.lists(st.integers(1, 15), min_size=1, max_size=7),
         index=st.integers(0, len(CONVEX_SPECS) - 1),
+        grid=st.lists(st.integers(-256, 256), min_size=14, max_size=14),
+        t=st.floats(0.0, 1.0),
     )
-    def test_convex_kinds_agree_with_sampled_checkers(self, numerators, index):
-        # dyadic probabilities with short numerators: every product in the
-        # float mean is exact, so the sampled checkers see the exact set
-        total = sum(numerators)
-        den = 1 << total.bit_length()
-        sp = FiniteSpace([k / den for k in numerators[:-1]] + [1.0 - (total - numerators[-1]) / den])
+    def test_convex_kinds_agree_with_sampled_oracles(self, numerators, index, grid, t):
+        # dyadic probabilities, so the float mean of a grid draw is exact
+        sp = _dyadic_space(numerators)
+        n = sp.n_atoms
         spec = CONVEX_SPECS[index]
-        assert decide_convex(spec, sp).passed and check_convex(spec, sp, trials=60, seed=3).passed
+        x, y = RandVar(sp, [k / 64 for k in grid[:n]]), RandVar(sp, [k / 64 for k in grid[7:7 + n]])
+        assert decide_convex(spec, sp).passed
+        # blends of members inside the margin stay members
+        xm, ym = (z + (spec.functional_value(z) + 2 * MARGIN) for z in (x, y))
+        assert accepts(spec, t * xm + (1.0 - t) * ym)
         decided = decide_risk_invariant(spec, sp)
-        assert decided.passed == find_risk_invariant(spec, sp, trials=60, seed=4).passed
-        assert decided.passed == (spec.is_pointed_kind or sp.n_atoms == 1)
+        assert decided.passed == (spec.is_pointed_kind or n == 1)
+        if spec.is_pointed_kind:
+            # pointedness: F(X) + F(-X) > 0 on every nonconstant draw
+            for z in (x, y):
+                if not z.is_constant:
+                    assert spec.functional_value(z) + spec.functional_value(-z) > 0.0
+        elif not decided.passed:
+            # linear: the witness is nonzero and has mean zero in exact rationals
+            w = decided.witness["w"]
+            nums, _ = sp.int_probs
+            assert w.max_abs > 0.0
+            assert sum(k * Fraction(v) for k, v in zip(nums, w.tolist())) == 0
+
+    def test_expectation_has_invariant(self):
+        sp = FiniteSpace([0.5, 0.5])
+        report = decide_risk_invariant(AcceptanceSpec.expectation_floor(), sp)
+        assert not report.passed
+        w = report.witness["w"]
+        assert expectation(w) == 0.0 and w.max_abs > 0
 
     def test_expectation_witness_is_mean_zero_in_exact_rationals(self):
         # p_0 * p_1 is inexact here, and the float mean of the witness keeps

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 EXACT_STATEMENTS = {
     "theorem-b", "corollary-convex", "var-necessary", "var-condition-b", "comono-preservation",
-    "convex", "risk-invariant",
+    "convex", "risk-invariant", "monotone", "cone",
 }
 
 
@@ -296,6 +296,21 @@ class TestCheck:
         w = RandVar(FiniteSpace([0.1, 0.9]), result["witness"]["w"])
         assert accepts(spec, w) and accepts(spec, -w)
 
+    @pytest.mark.parametrize("statement", ["monotone", "cone"])
+    def test_set_statements_ignore_trials_and_seed(self, capsys, statement):
+        # decided by kind: both flags are accepted, neither is read or echoed
+        path = str(SCENARIOS / "superadditive_var.json")
+        reports = []
+        for extra in ([], ["--trials", "1", "--seed", "3"], ["--trials", "300", "--seed", "5"]):
+            code, out, err = run_cli(["check", "--scenario", path, "--statement", statement, *extra],
+                                     capsys)
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1] == reports[2]
+        assert "trials" not in reports[0] and "seed" not in reports[0]
+        (result,) = reports[0]["results"]
+        assert (result["passed"], result["trials"], result["seed"]) == (True, 1, None)
+
     @pytest.mark.parametrize("statement", sorted(STATEMENTS))
     def test_report_echoes_exactly_the_inputs_the_statement_reads(
         self, tmp_path, capsys, statement
@@ -323,7 +338,7 @@ class TestCheck:
 
 
 #: Statements decided by kind or by the constant pair: one sample, a few evaluations.
-DECIDED = {"convex", "risk-invariant", "s-comonotone-additivity"}
+DECIDED = {"monotone", "cone", "convex", "risk-invariant", "s-comonotone-additivity"}
 
 
 @pytest.fixture(scope="module")
@@ -773,14 +788,14 @@ class TestInProcessReuse:
         "between",
         [
             (["check", "--scenario", str(SCENARIOS / "lemma_two_atom.json"),
-              "--statement", "monotone", "--seed", "-1"], 2),
+              "--statement", "s-additivity", "--seed", "-1"], 2),
             (["--version"], 0),
         ],
         ids=["usage-error", "version"],
     )
     def test_repeated_calls_are_byte_identical(self, capsys, between):
         argv = ["check", "--scenario", str(SCENARIOS / "superadditive_var.json"),
-                "--statement", "monotone", "--seed", "3", "--trials", "20"]
+                "--statement", "s-additivity", "--seed", "3", "--trials", "20"]
         first = run_cli(argv, capsys)
         assert run_cli(argv, capsys) == first
         assert run_cli(between[0], capsys)[0] == between[1]
@@ -793,7 +808,7 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["check", "--statement", "monotone"], ["check", "--statement", "theorem-b"], ["search"]],
+        [["check", "--statement", "s-additivity"], ["check", "--statement", "theorem-b"], ["search"]],
         ids=["check-sampled", "check-exact", "search"],
     )
     def test_negative_seed_exits_2_naming_seed(self, capsys, argv):
