@@ -11,29 +11,26 @@ import numpy as np
 from .spaces import FiniteSpace, RandVar
 
 GRID = 64
+#: Draws lie on the grid within [-SPAN, SPAN].
+SPAN = 4
 
 
 def as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def grid_randvar(space: FiniteSpace, rng: np.random.Generator, span: float = 4.0) -> RandVar:
-    k = int(span * GRID)
-    return RandVar._fresh(space, rng.integers(-k, k + 1, space.n_atoms) / GRID)
+def grid_randvar(space: FiniteSpace, rng: np.random.Generator) -> RandVar:
+    return RandVar._fresh(space, rng.integers(-SPAN * GRID, SPAN * GRID + 1, space.n_atoms) / GRID)
 
 
-def nonconstant_grid_randvar(
-    space: FiniteSpace, rng: np.random.Generator, span: float = 4.0
-) -> RandVar:
+def nonconstant_grid_randvar(space: FiniteSpace, rng: np.random.Generator) -> RandVar:
     if space.n_atoms < 2:
         raise ValueError("need at least two atoms for a nonconstant draw")
     while True:
-        x = grid_randvar(space, rng, span)
+        x = grid_randvar(space, rng)
         if not x.is_constant:
             return x
 
 
-def grid_scalar(rng: np.random.Generator, span: float = 4.0) -> float:
-    k = int(span * GRID)
-    return float(rng.integers(-k, k + 1)) / GRID
-
+def grid_scalar(rng: np.random.Generator) -> float:
+    return float(rng.integers(-SPAN * GRID, SPAN * GRID + 1)) / GRID

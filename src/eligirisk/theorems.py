@@ -6,7 +6,9 @@ Each checker turns one statement into a finite verification: exact single
 membership tests where the statement reduces to one, one pass over integer
 subset sums for VaR's ``theorem-b`` and ``var-condition-b`` (at its least
 probability atom), a few constructed comonotone pairs for the additivity
-search, and seeded sampling for universally quantified conditions;
+search and the additivity half of ``cash-reduction``, and seeded sampling
+for universally quantified conditions, where a witness found on one side of
+``lemma-equality`` is carried to the other by the lemma's proof;
 r1 = rho(1) is the closed form -S0 / F(-S1).  Exact and constructed
 verdicts report no seed; a sampled "pass" means "no violation found",
 never a proof.
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import _sampling as smp
 from .acceptance import AcceptanceSpec, accepts, boundary_member, var_loss_limit
-from .comonotone import _requirement, additivity_on_comonotone, is_comonotone
+from .comonotone import _requirement, is_comonotone
 from .engine import EligibleAsset, rho, rho_cash
 from .measures import Level, var
 from .reporting import witness_to_jsonable
@@ -270,11 +272,17 @@ def check_cash_reduction_identity(
 ) -> TheoremVerdict:
     """Consistency of comonotonic additivity with the cash-reduction identity.
 
-    When the sampled additivity check finds no violation, the requirement
-    must agree with -r1 times the cash requirement on every sampled
-    position; when additivity fails, the identity must fail somewhere too.
-    The verdict is "pass" when the two observations are consistent.  r1 is
-    taken first, so explicit criteria are rejected up front.
+    The additivity half is :func:`find_additivity_violation`, so it is
+    decided on constructed pairs against :data:`ADDITIVITY_THRESHOLD` and
+    VaR inherits theorem-b's :data:`SUBSET_SUM_MAX_ATOMS` cap.  The identity
+    half compares the requirement with -r1 times the cash requirement, to
+    within ``tol``, at ``trials`` grid draws.  When additivity fails, x, y
+    and x + y of its witness come first: every constructed pair holds a
+    constant and the cash requirement is cash additive, so the identity
+    errors e satisfy e(x + y) - e(x) - e(y) = gap, and one of the three
+    exceeds ``tol`` whenever ``tol`` < threshold / 3.  The verdict is "pass"
+    when the two halves are consistent.  r1 is taken first, so explicit
+    criteria are rejected up front.
     """
     r1 = _rho_one(spec, asset)
     if trials < 1:
@@ -282,15 +290,15 @@ def check_cash_reduction_identity(
     space = asset.payoff.space
     rng = smp.as_rng(seed)
     rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
-    additivity = additivity_on_comonotone(rho_fn, space, max(trials // 2, 1), seed, tol)
+    additivity = find_additivity_violation(spec, asset)
 
     identity_witness = None
     worst = 0.0
     samples = []
-    for _ in range(trials):
-        samples.append(smp.grid_randvar(space, rng))
     if additivity.witness is not None:
-        samples = [additivity.witness["x"], additivity.witness["y"]] + samples
+        x, y = additivity.witness["x"], additivity.witness["y"]
+        samples = [x, y, x + y]
+    samples += [smp.grid_randvar(space, rng) for _ in range(trials)]
     for x in samples:
         lhs = rho_fn(x)
         rhs = -r1 * rho_cash(spec, x)
@@ -302,22 +310,23 @@ def check_cash_reduction_identity(
     if additivity.passed:
         ok = identity_witness is None
         note = (
-            "comonotonic additivity holds on all samples and the cash reduction identity holds"
+            "additivity holds on the constructed pairs and the cash reduction identity holds"
             if ok
-            else "additivity passed the sampled check but the cash reduction identity fails"
+            else "additivity holds on the constructed pairs but the cash reduction identity fails"
         )
     else:
         ok = identity_witness is not None
         note = (
             "additivity fails and, consistently, the cash reduction identity fails"
             if ok
-            else "additivity fails but no identity violation was sampled (inapplicable)"
+            else "additivity fails but no identity error exceeds tol, not even at its witness"
         )
     return TheoremVerdict(
         "cash-reduction", "pass" if ok else "fail", len(samples), seed,
         witness=identity_witness,
         condition_values={"rho_one": r1, "identity_factor": -r1,
                           "additivity_passed": additivity.passed,
+                          "threshold": ADDITIVITY_THRESHOLD,
                           "worst_identity_error": worst},
         note=note,
     )
@@ -335,42 +344,58 @@ def check_lemma_equality(
 
     Side (a) samples positions and compares the two requirements; side (b)
     samples boundary members shifted by grid multiples of
-    S1/S0 - R1/R0 and tests membership.  The verdict is "pass" when the two
-    sampled sides agree.
+    D = S1/S0 - R1/R0 and tests membership.  A witness of either side is
+    carried to the other as in the lemma's proof.  If x is accepted and
+    x + t * D rejected, Z = x - t * R1/R0 has rho_R(Z) <= t < rho_S(Z).  If
+    rho_S(Z) > rho_R(Z) = m, x = Z + m * R1/R0 and t = m; if
+    rho_S(Z) = m < rho_R(Z), x = Z + m * S1/S0 and t = -m; that x and t
+    stand only if :func:`accepts` re-verifies them.  The verdict is "pass"
+    when the two sides agree.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     space = asset_s.payoff.space
     rng = smp.as_rng(seed)
     solver_tol = min(tol * 1e-2, 1e-12)
+    unit_s, unit_r = asset_s.payoff / asset_s.price, asset_r.payoff / asset_r.price
+    gap = unit_s - unit_r
+
+    def priced_apart(x: RandVar) -> dict | None:
+        lhs = rho(spec, asset_s, x, tol=solver_tol).value
+        rhs = rho(spec, asset_r, x, tol=solver_tol).value
+        return {"x": x, "rho_s": lhs, "rho_r": rhs} if abs(lhs - rhs) > tol else None
+
+    def ejected(x: RandVar, t: float) -> dict | None:
+        shifted = x + t * gap
+        return {"x": x, "t": t, "shifted": shifted} if not accepts(spec, shifted) else None
 
     a_witness = None
     for _ in range(trials):
-        x = smp.grid_randvar(space, rng)
-        lhs = rho(spec, asset_s, x, tol=solver_tol).value
-        rhs = rho(spec, asset_r, x, tol=solver_tol).value
-        if abs(lhs - rhs) > tol:
-            a_witness = {"x": x, "rho_s": lhs, "rho_r": rhs}
+        a_witness = priced_apart(smp.grid_randvar(space, rng))
+        if a_witness is not None:
             break
-    a_holds = a_witness is None
 
-    gap = asset_s.payoff / asset_s.price - asset_r.payoff / asset_r.price
     b_witness = None
-    if gap.max_abs == 0.0:
-        b_holds = True
-    else:
-        b_holds = True
+    if gap.max_abs != 0.0:
         for k in range(trials):
             x = RandVar.constant(space, 0.0) if k == 0 else boundary_member(spec, space, rng)
             if x is None:
                 continue
             for t in (-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0, smp.grid_scalar(rng)):
-                if not accepts(spec, x + t * gap):
-                    b_witness = {"x": x, "t": t, "shifted": x + t * gap}
-                    b_holds = False
+                b_witness = ejected(x, t)
+                if b_witness is not None:
                     break
-            if not b_holds:
+            if b_witness is not None:
                 break
+
+    if a_witness is None and b_witness is not None:
+        a_witness = priced_apart(b_witness["x"] - b_witness["t"] * unit_r)
+    elif b_witness is None and a_witness is not None:
+        z, m_s, m_r = a_witness["x"], a_witness["rho_s"], a_witness["rho_r"]
+        x, t = (z + m_r * unit_r, m_r) if m_s > m_r else (z + m_s * unit_s, -m_s)
+        if accepts(spec, x):
+            b_witness = ejected(x, t)
+    a_holds, b_holds = a_witness is None, b_witness is None
 
     ok = a_holds == b_holds
     return TheoremVerdict(

@@ -243,6 +243,21 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert "--tol" in err
 
+    @pytest.mark.parametrize("scenario", ["superadditive_var.json", "near_risk_free_var.json"])
+    def test_cash_reduction_takes_the_constructed_additivity_witness(self, capsys, scenario):
+        # 6 sampled comonotone pairs missed the violation that (x, 1), with x
+        # ejected by theorem-b, exhibits; x, y and x + y then break the identity
+        code, out, _ = run_cli(
+            ["check", "--scenario", str(SCENARIOS / scenario), "--statement", "cash-reduction",
+             "--trials", "12", "--seed", "5"],
+            capsys,
+        )
+        result = json.loads(out)["results"][0]
+        assert (code, result["verdict"], result["samples"]) == (0, "pass", 12 + 3)
+        values = result["condition_values"]
+        assert (values["additivity_passed"], values["threshold"]) == (False, 1e-7)
+        assert abs(result["witness"]["lhs"] - result["witness"]["rhs"]) > 1e-9
+
     @pytest.mark.parametrize(
         "extra", [["--trials", "1"], [], ["--trials", "12", "--seed", "5"]],
         ids=["trials-1", "defaults", "trials-12-seed-5"],
@@ -366,8 +381,10 @@ class TestSizeContract:
 
     The decided statements report one sample and make at most three
     membership tests and three requirement evaluations, counted through
-    wrappers.  Every other statement answers within a loose 10 s guard or
-    exits 2 naming its limit.  Both payoffs have F(S1) + F(-S1) != 0, so
+    wrappers.  ``cash-reduction`` makes at most two constructed pairs' worth
+    of requirement evaluations plus one per identity sample: trials + 9.
+    Every other statement answers within a loose 10 s guard or exits 2
+    naming its limit.  Both payoffs have F(S1) + F(-S1) != 0, so
     (1, -1) decides ``s-comonotone-additivity``; a VaR payoff with a zero sum
     still runs its 4·L² payoff-step probes over L payoff levels and is not
     covered here.
@@ -388,6 +405,20 @@ class TestSizeContract:
         (result,) = json.loads(out)["results"]
         assert (result["trials"], result["seed"]) == (1, None)
         assert len(tested) <= 3 and len(evaluated) <= 3
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_cash_reduction_evaluates_constructed_pairs(self, capsys, monkeypatch, scenarios_2000,
+                                                        kind):
+        evaluated = []
+        quote = comonotone.rho
+        monkeypatch.setattr(comonotone, "rho", lambda *a, **k: evaluated.append(1) or quote(*a, **k))
+        argv = ["check", "--statement", "cash-reduction", "--scenario", str(scenarios_2000[kind]),
+                "--trials", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out)["results"]
+        assert result["samples"] == 5 + 3 and not result["condition_values"]["additivity_passed"]
+        assert len(evaluated) <= 5 + 9
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("statement", [*sorted(set(STATEMENTS) - DECIDED), "search"])

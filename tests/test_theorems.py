@@ -62,6 +62,17 @@ def condition_b_events(probs: list[float], alpha: float) -> list[int]:
     return [m for m, (prob, inner) in oracle.items() if prob + inner <= Fraction(alpha)]
 
 
+def builtin_spec(kind: str, alpha: float) -> AcceptanceSpec:
+    """VaR, ES, an ES/mean mixture or the mean, at level ``alpha`` where it applies."""
+    if kind == "var":
+        return AcceptanceSpec.var_level(alpha)
+    if kind == "es":
+        return AcceptanceSpec.es_level(alpha)
+    if kind == "mix":
+        return AcceptanceSpec.distortion_mix(DistortionWeights(((alpha, 0.5), (1.0, 0.5))))
+    return AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),)))
+
+
 def ejects_accepted_position(spec: AcceptanceSpec, asset: EligibleAsset) -> bool:
     """Whether W = 1 + (r1 / S0) * S1 ejects some accepted -c * 1_E, by brute force over E.
 
@@ -374,6 +385,34 @@ class TestPropCashReduction:
         assert w is not None
         assert abs(w["lhs"] - w["rhs"]) > 1e-9
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 31), min_size=2, max_size=8),
+        payoff=st.lists(st.integers(16, 128), min_size=8, max_size=8),
+        constant=st.booleans(),
+        kind=st.sampled_from(["var", "es", "mix", "mean"]),
+        alpha=st.floats(0.05, 0.6),
+        price=st.sampled_from([0.5, 1.0, 2.0]),
+        trials=st.sampled_from([3, 12, 220]),
+        seed=st.integers(0, 99),
+    )
+    def test_consistent_on_every_builtin_case(
+        self, weights, payoff, constant, kind, alpha, price, trials, seed
+    ):
+        # the paper proves the two halves consistent, so only a fault fails
+        # this; a sampled additivity half fails it whenever its draws miss a
+        # violation that the identity draws see
+        n = len(weights)
+        space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        values = [payoff[0]] * n if constant else payoff[:n]
+        asset = EligibleAsset(price, RandVar(space, np.array(values, dtype=float) / 32))
+        spec = builtin_spec(kind, alpha)
+        verdict = check_cash_reduction_identity(spec, asset, trials, seed)
+        assert verdict.verdict == "pass"
+        additivity = find_additivity_violation(spec, asset)
+        assert verdict.condition_values["additivity_passed"] == additivity.passed
+        assert verdict.samples == trials + (0 if additivity.passed else 3)
+
     def test_identity_value_at_reference_position(self, a_var01, near_rf_asset, near_rf_space):
         # requirement 1.5-style mismatch: left side differs from the scaled cash value
         x = RandVar(near_rf_space, [-2.0, -3.0, 2.0])
@@ -408,6 +447,71 @@ class TestLemmaEquality:
         assert verdict.verdict == "pass"
         assert verdict.condition_values["equality_holds"]
         assert verdict.condition_values["stability_holds"]
+
+
+    @pytest.mark.parametrize("seed, missed", [(0, "stability"), (2, "equality")])
+    def test_a_witness_carries_to_the_other_side(self, near_rf_space, a_var01, seed, missed):
+        # with 3 trials, seed 0 samples no ejection and seed 2 no price gap;
+        # the lemma's proof builds the missing witness from the other side's
+        s = EligibleAsset(1.0, RandVar.constant(near_rf_space, 1.0))
+        r = EligibleAsset(1.0, RandVar(near_rf_space, [1.25, 1.0, 1.0]))
+        verdict = check_lemma_equality(a_var01, s, r, trials=3, seed=seed)
+        assert verdict.verdict == "pass"
+        equality, stability = verdict.witness["equality"], verdict.witness["stability"]
+        assert abs(equality["rho_s"] - equality["rho_r"]) > 1e-9
+        x, shifted = stability["x"], stability["shifted"]
+        assert accepts(a_var01, x) and not accepts(a_var01, shifted)
+        assert shifted.tolist() == (x + stability["t"] * (s.payoff - r.payoff)).tolist()
+        if missed == "equality":
+            # Z = x - t * R1/R0 is priced apart
+            z = x - stability["t"] * r.payoff
+            assert equality["x"].tolist() == z.tolist()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        probs=st.sampled_from([[0.1, 0.1, 0.8], [0.25, 0.25, 0.5]]),
+        atom=st.integers(0, 2),
+        kind=st.sampled_from(["var", "es"]),
+        alpha=st.sampled_from([0.1, 0.25]),
+        trials=st.sampled_from([3, 12]),
+        seed=st.integers(0, 5),
+    )
+    def test_sides_agree_on_a_one_atom_bump(self, probs, atom, kind, alpha, trials, seed):
+        # S = (1, 1) against R = (1, 1 with 1.25 on one atom): sampling both
+        # sides alone, one missed what the other found in 32 of these 288 cases
+        space = FiniteSpace(probs)
+        bumped = [1.0, 1.0, 1.0]
+        bumped[atom] = 1.25
+        s = EligibleAsset(1.0, RandVar.constant(space, 1.0))
+        r = EligibleAsset(1.0, RandVar(space, bumped))
+        verdict = check_lemma_equality(builtin_spec(kind, alpha), s, r, trials, seed)
+        assert verdict.verdict == "pass"
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 31), min_size=2, max_size=5),
+        payoff=st.lists(st.integers(16, 128), min_size=5, max_size=5),
+        constant=st.booleans(),
+        bump=st.one_of(st.none(), st.integers(0, 4)),
+        kind=st.sampled_from(["var", "es", "mix"]),
+        alpha=st.floats(0.05, 0.6),
+        price_r=st.sampled_from([0.5, 1.0, 2.0]),
+        trials=st.sampled_from([3, 12]),
+        seed=st.integers(0, 99),
+    )
+    def test_sides_agree_on_every_builtin_case(
+        self, weights, payoff, constant, bump, kind, alpha, price_r, trials, seed
+    ):
+        n = len(weights)
+        space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        unit = np.array([payoff[0]] * n if constant else payoff[:n], dtype=float) / 32
+        bumped = unit.copy()
+        if bump is not None:
+            bumped[bump % n] *= 1.25
+        s = EligibleAsset(1.0, RandVar(space, unit))
+        r = EligibleAsset(price_r, RandVar(space, price_r * bumped))
+        verdict = check_lemma_equality(builtin_spec(kind, alpha), s, r, trials, seed)
+        assert verdict.verdict == "pass"
 
 
 @pytest.mark.parametrize(
@@ -752,13 +856,7 @@ class TestFindAdditivityViolation:
         space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
         values = [payoff[0]] * n if constant else payoff[:n]
         asset = EligibleAsset(price, RandVar(space, np.array(values, dtype=float) / 32))
-        spec = {
-            "var": lambda: AcceptanceSpec.var_level(alpha),
-            "es": lambda: AcceptanceSpec.es_level(alpha),
-            "mix": lambda: AcceptanceSpec.distortion_mix(
-                DistortionWeights(((alpha, 0.5), (1.0, 0.5)))),
-            "mean": lambda: AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),))),
-        }[kind]()
+        spec = builtin_spec(kind, alpha)
 
         def gap(x, y):
             def at(v):
