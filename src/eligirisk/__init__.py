@@ -69,6 +69,7 @@ from .reporting import CheckReport
 from .theorems import (
     REFERENCE_VALUES,
     TheoremVerdict,
+    absorbs,
     check_corollary_convex,
     check_lemma_equality,
     check_cash_reduction_identity,
@@ -121,6 +122,7 @@ __all__ = [
     "comono_preservation_under_numeraire",
     "CheckReport",
     "TheoremVerdict",
+    "absorbs",
     "check_theorem_condition_b",
     "check_corollary_convex",
     "check_cash_reduction_identity",

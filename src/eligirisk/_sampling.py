@@ -23,14 +23,5 @@ def grid_randvar(space: FiniteSpace, rng: np.random.Generator) -> RandVar:
     return RandVar._fresh(space, rng.integers(-SPAN * GRID, SPAN * GRID + 1, space.n_atoms) / GRID)
 
 
-def nonconstant_grid_randvar(space: FiniteSpace, rng: np.random.Generator) -> RandVar:
-    if space.n_atoms < 2:
-        raise ValueError("need at least two atoms for a nonconstant draw")
-    while True:
-        x = grid_randvar(space, rng)
-        if not x.is_constant:
-            return x
-
-
 def grid_scalar(rng: np.random.Generator) -> float:
     return float(rng.integers(-SPAN * GRID, SPAN * GRID + 1)) / GRID

@@ -25,9 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
-from . import _sampling as smp
 from .measures import DistortionWeights, Level, distortion, es, var
 from .reporting import CheckReport
 from .spaces import FiniteSpace, RandVar, expectation
@@ -40,7 +37,6 @@ __all__ = [
     "decide_cone",
     "decide_convex",
     "decide_risk_invariant",
-    "boundary_member",
 ]
 
 BUILTIN_KINDS = ("var", "es", "distortion", "expectation")
@@ -278,32 +274,3 @@ def decide_risk_invariant(spec: AcceptanceSpec, space: FiniteSpace) -> CheckRepo
         note="expectation-linear criterion: a two-atom position with mean zero in exact rationals",
     )
 
-
-def boundary_member(spec: AcceptanceSpec, space: FiniteSpace, rng: np.random.Generator) -> RandVar | None:
-    """Random acceptable position shifted to the boundary of acceptability.
-
-    For built-in kinds the functional is cash additive, so adding its value
-    as a constant lands the position at functional value 0; a geometric
-    nudge absorbs the rare rounding residue that leaves the shifted position
-    a hair outside.  Returns None when no acceptable position is found
-    (possible only for ill-behaved explicit functionals).
-    """
-    y = smp.grid_randvar(space, rng)
-    if not spec.is_builtin:
-        for cand in (y, -y, RandVar.constant(space, 0.0)):
-            if accepts(spec, cand):
-                return cand
-        for k in range(17):
-            cand = RandVar.constant(space, -float(2**k))
-            if accepts(spec, cand):
-                return cand
-        return None
-    m = spec.functional_value(y)
-    x = y + m
-    step = 1e-12 * max(1.0, abs(m), x.max_abs)
-    for _ in range(64):
-        if accepts(spec, x):
-            return x
-        x = x + step
-        step *= 2.0
-    return None

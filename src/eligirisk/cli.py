@@ -286,10 +286,9 @@ DEFAULTS = {"trials": 500, "seed": 0, "tol": 1e-9}
 STATEMENTS: dict[str, Callable[..., Any]] = {
     "theorem-b": lambda sc: check_theorem_condition_b(sc.acceptance, sc.asset),
     "corollary-convex": lambda sc: check_corollary_convex(_convex_spec(sc), sc.asset),
-    "cash-reduction": lambda sc, trials, seed, tol: check_cash_reduction_identity(
-        sc.acceptance, sc.asset, trials, seed, tol),
-    "lemma-equality": lambda sc, trials, seed, tol: check_lemma_equality(
-        sc.acceptance, sc.asset, _asset_r(sc), trials, seed, tol),
+    "cash-reduction": lambda sc, tol: check_cash_reduction_identity(sc.acceptance, sc.asset, tol),
+    "lemma-equality": lambda sc, tol: check_lemma_equality(
+        sc.acceptance, sc.asset, _asset_r(sc), tol),
     "var-necessary": lambda sc: check_var_necessary_condition(
         _var_spec(sc, "var-necessary"), sc.asset),
     "var-condition-b": lambda sc: check_var_condition_b(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eligirisk import acceptance, cli, comonotone
+from eligirisk import acceptance, cli, comonotone, theorems
 from eligirisk.cli import STATEMENTS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -252,8 +252,10 @@ class TestCheck:
              "--trials", "12", "--seed", "5"],
             capsys,
         )
-        result = json.loads(out)["results"][0]
-        assert (code, result["verdict"], result["samples"]) == (0, "pass", 12 + 3)
+        report = json.loads(out)
+        result = report["results"][0]
+        assert (code, result["verdict"], result["samples"], result["seed"]) == (0, "pass", 3, None)
+        assert "trials" not in report and "seed" not in report
         values = result["condition_values"]
         assert (values["additivity_passed"], values["threshold"]) == (False, 1e-7)
         assert abs(result["witness"]["lhs"] - result["witness"]["rhs"]) > 1e-9
@@ -376,28 +378,39 @@ def scenarios_2000(tmp_path_factory):
     return paths
 
 
+def count_calls(monkeypatch) -> tuple[list, list]:
+    """Membership tests and requirement evaluations, counted through wrappers."""
+    tested, evaluated = [], []
+    accepts, quote = acceptance.accepts, comonotone.rho
+    counted = lambda *a: tested.append(1) or accepts(*a)
+    monkeypatch.setattr(acceptance, "accepts", counted)
+    monkeypatch.setattr(theorems, "accepts", counted)
+    monkeypatch.setattr(comonotone, "rho", lambda *a, **k: evaluated.append(1) or quote(*a, **k))
+    return tested, evaluated
+
+
 class TestSizeContract:
     """No statement stalls at 2000 atoms.
 
     The decided statements report one sample and make at most three
     membership tests and three requirement evaluations, counted through
     wrappers.  ``cash-reduction`` makes at most two constructed pairs' worth
-    of requirement evaluations plus one per identity sample: trials + 9.
-    Every other statement answers within a loose 10 s guard or exits 2
-    naming its limit.  Both payoffs have F(S1) + F(-S1) != 0, so
-    (1, -1) decides ``s-comonotone-additivity``; a VaR payoff with a zero sum
-    still runs its 4·L² payoff-step probes over L payoff levels and is not
-    covered here.
+    of requirement evaluations plus one per identity position, of which
+    there are at most three: 9 + 3.  ``lemma-equality`` evaluates nothing
+    when the gap direction D is zero; with D nonzero on one atom, ES decides
+    it in at most two membership tests and VaR exits 2 at the enumeration
+    cap.  Every other statement answers within a loose 10 s guard or exits 2
+    naming its limit.  Both payoffs have F(S1) + F(-S1) != 0, so (1, -1)
+    decides ``s-comonotone-additivity``; a VaR payoff with a zero sum still
+    runs its 4·L² payoff-step probes over L payoff levels and is not covered
+    here.
     """
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("statement", sorted(DECIDED))
     def test_decided_statements_take_one_sample(self, capsys, monkeypatch, scenarios_2000, kind,
                                                 statement):
-        tested, evaluated = [], []
-        accepts, quote = acceptance.accepts, comonotone.rho
-        monkeypatch.setattr(acceptance, "accepts", lambda *a: tested.append(1) or accepts(*a))
-        monkeypatch.setattr(comonotone, "rho", lambda *a, **k: evaluated.append(1) or quote(*a, **k))
+        tested, evaluated = count_calls(monkeypatch)
         argv = ["check", "--statement", statement, "--scenario", str(scenarios_2000[kind]),
                 "--trials", "5"]
         code, out, err = run_cli(argv, capsys)
@@ -409,19 +422,54 @@ class TestSizeContract:
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_cash_reduction_evaluates_constructed_pairs(self, capsys, monkeypatch, scenarios_2000,
                                                         kind):
-        evaluated = []
-        quote = comonotone.rho
-        monkeypatch.setattr(comonotone, "rho", lambda *a, **k: evaluated.append(1) or quote(*a, **k))
+        _, evaluated = count_calls(monkeypatch)
         argv = ["check", "--statement", "cash-reduction", "--scenario", str(scenarios_2000[kind]),
                 "--trials", "5"]
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         (result,) = json.loads(out)["results"]
-        assert result["samples"] == 5 + 3 and not result["condition_values"]["additivity_passed"]
-        assert len(evaluated) <= 5 + 9
+        assert (result["samples"], result["seed"]) == (3, None)
+        assert not result["condition_values"]["additivity_passed"]
+        assert len(evaluated) <= 9 + 3
 
     @pytest.mark.parametrize("kind", ["var", "es"])
-    @pytest.mark.parametrize("statement", [*sorted(set(STATEMENTS) - DECIDED), "search"])
+    def test_lemma_equality_with_zero_gap_evaluates_nothing(self, capsys, monkeypatch,
+                                                            scenarios_2000, kind):
+        tested, evaluated = count_calls(monkeypatch)
+        argv = ["check", "--statement", "lemma-equality", "--scenario", str(scenarios_2000[kind]),
+                "--trials", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out)["results"]
+        assert (result["samples"], result["seed"], result["witness"]) == (0, None, None)
+        assert (len(tested), len(evaluated)) == (0, 0)
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_lemma_equality_with_a_bumped_atom(self, tmp_path, capsys, monkeypatch,
+                                               scenarios_2000, kind):
+        doc = json.loads(scenarios_2000[kind].read_text())
+        doc["asset_r"]["payoff"][0] *= 1.25
+        path = tmp_path / f"{kind}_bumped.json"
+        path.write_text(json.dumps(doc))
+        tested, evaluated = count_calls(monkeypatch)
+        argv = ["check", "--statement", "lemma-equality", "--scenario", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        if kind == "var":
+            assert (code, out) == (2, "")
+            assert "enumeration cap 20" in err
+            return
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out)["results"]
+        values = result["condition_values"]
+        assert not values["equality_holds"] and not values["stability_holds"]
+        assert result["samples"] == 1
+        assert len(tested) <= 2 and len(evaluated) <= 2
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize(
+        "statement",
+        [*sorted(set(STATEMENTS) - DECIDED - {"cash-reduction", "lemma-equality"}), "search"],
+    )
     def test_answers_within_guard_or_exits_2(self, capsys, scenarios_2000, kind, statement):
         argv = ["search"] if statement == "search" else ["check", "--statement", statement]
         argv += ["--scenario", str(scenarios_2000[kind])]
