@@ -1,4 +1,4 @@
-"""Seeded coarse-grid samplers used by the randomized checkers.
+"""Seeded coarse-grid sampling for the comonotone pairs of :mod:`eligirisk.comonotone`.
 
 Values are drawn as multiples of 1/64 so that exact ties occur and the
 boundary cases of the exact (tolerance-free) comparisons get exercised.
@@ -21,7 +21,3 @@ def as_rng(seed) -> np.random.Generator:
 
 def grid_randvar(space: FiniteSpace, rng: np.random.Generator) -> RandVar:
     return RandVar._fresh(space, rng.integers(-SPAN * GRID, SPAN * GRID + 1, space.n_atoms) / GRID)
-
-
-def grid_scalar(rng: np.random.Generator) -> float:
-    return float(rng.integers(-SPAN * GRID, SPAN * GRID + 1)) / GRID

@@ -278,6 +278,10 @@ def _convex_spec(scenario: Scenario) -> AcceptanceSpec:
     return scenario.acceptance
 
 
+def _sorted_positions(scenario: Scenario) -> list[RandVar]:
+    return [scenario.positions[name] for name in sorted(scenario.positions)]
+
+
 #: Inputs that neither a flag nor the scenario's ``options`` set.
 DEFAULTS = {"trials": 500, "seed": 0, "tol": 1e-9}
 
@@ -297,10 +301,10 @@ STATEMENTS: dict[str, Callable[..., Any]] = {
     "cone": lambda sc: decide_cone(sc.acceptance),
     "convex": lambda sc: decide_convex(sc.acceptance, sc.space),
     "risk-invariant": lambda sc: decide_risk_invariant(sc.acceptance, sc.space),
-    "s-additivity": lambda sc, trials, seed, tol: s_additivity_check(
-        sc.acceptance, sc.asset, trials, seed, tol),
-    "numeraire-identity": lambda sc, trials, seed, tol: numeraire_identity_check(
-        sc.acceptance, sc.asset, trials, seed, tol),
+    "s-additivity": lambda sc, tol: s_additivity_check(
+        sc.acceptance, sc.asset, _sorted_positions(sc), tol),
+    "numeraire-identity": lambda sc, tol: numeraire_identity_check(
+        sc.acceptance, sc.asset, _sorted_positions(sc), tol),
     "s-comonotone-additivity": lambda sc, trials, seed: additivity_on_S_comonotone(
         sc.acceptance, sc.asset, trials, seed),
     "comono-preservation": lambda sc: comono_preservation_under_numeraire(sc.asset),
@@ -321,11 +325,8 @@ def cmd_check(args) -> int:
 
 def cmd_search(args) -> int:
     scenario = load_scenario(args.scenario)
-    seed_pairs = []
-    names = sorted(scenario.positions)
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            seed_pairs.append((scenario.positions[a], scenario.positions[b]))
+    positions = _sorted_positions(scenario)
+    seed_pairs = [(x, y) for i, x in enumerate(positions) for y in positions[i:]]
     violation = find_additivity_violation(scenario.acceptance, scenario.asset, seed_pairs)
     preservation = comono_preservation_under_numeraire(scenario.asset)
     report = _base_report("search", scenario=args.scenario)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _sampling as smp
 from .acceptance import AcceptanceSpec
-from .engine import EligibleAsset, rho
+from .engine import EligibleAsset, _payoff_steps, rho
 from .reporting import CheckReport
 from .spaces import FiniteSpace, RandVar, SpaceMismatchError
 
@@ -118,16 +118,6 @@ def _requirement(
     installed on this module's ``rho`` sees every evaluation.
     """
     return lambda x: rho(spec, asset, x, tol=tol).value
-
-
-def _payoff_steps(asset: EligibleAsset) -> list[RandVar]:
-    """Negated level-set steps -c * 1{S1 <= t}, c in (1, 2), below the top payoff level."""
-    payoff = asset.payoff
-    return [
-        RandVar(payoff.space, np.where(payoff.values <= t, -c, 0.0))
-        for t in np.unique(payoff.values)[:-1]
-        for c in (1.0, 2.0)
-    ]
 
 
 def additivity_on_comonotone(

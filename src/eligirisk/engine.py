@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import _sampling as smp
 from .acceptance import AcceptanceSpec
 from .measures import var
 from .reporting import CheckReport
@@ -57,6 +58,8 @@ MAX_BRACKET_DOUBLINGS = 128
 #: Newton steps before the halving loop takes over.  Quotes on 2-16 atoms
 #: take 1-9; the cap bounds a crawl by next floats through float noise.
 MAX_NEWTON_STEPS = 16
+#: Multiples of the payoff that ``s_additivity_check`` shifts each position by.
+S_ADDITIVITY_LAMBDAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
 
 class BracketExpansionError(RuntimeError):
@@ -323,71 +326,80 @@ def discounted_acceptance(spec: AcceptanceSpec, asset: EligibleAsset) -> Accepta
     )
 
 
-def _identity_check(statement: str, trials: int, seed: int, draw_sides) -> CheckReport:
-    """Sample ``draw_sides(rng) -> (witness fields, lhs, rhs, tol)``; fail at a gap over 10 tol."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        fields, left, right, tol_eff = draw_sides(rng)
-        err = abs(left - right)
-        worst = max(worst, err)
-        if err > 10.0 * tol_eff:
-            return CheckReport(
-                statement, False, trials, seed,
-                witness={**fields, "lhs": left, "rhs": right},
-                data={"worst_error": worst},
-            )
-    return CheckReport(statement, True, trials, seed, data={"worst_error": worst})
+def _payoff_steps(asset: EligibleAsset) -> list[RandVar]:
+    """Negated level-set steps -c * 1{S1 <= t}, c in (1, 2), below the top payoff level."""
+    payoff = asset.payoff
+    return [
+        RandVar(payoff.space, np.where(payoff.values <= t, -c, 0.0))
+        for t in np.unique(payoff.values)[:-1]
+        for c in (1.0, 2.0)
+    ]
+
+
+def _audit_positions(asset: EligibleAsset, positions: Iterable[RandVar]) -> Iterator[RandVar]:
+    """Positions of the identity checks: the given ones, constants 0, 1 and -1, then payoff steps.
+
+    The identities hold for every position, so the list is fixed and no seed is drawn.
+    """
+    consts = (RandVar.constant(asset.payoff.space, c) for c in (0.0, 1.0, -1.0))
+    return chain(positions, consts, _payoff_steps(asset))
+
+
+#: Names the position list of both identity checks in their reports.
+AUDIT_NOTE = "given positions, then constants 0, 1, -1, then steps -c*1{S1 <= t}, c in (1, 2)"
+
+
+def _identity_check(statement: str, comparisons: Iterable[tuple], note: str) -> CheckReport:
+    """Run ``(witness fields, lhs, rhs, tol)`` comparisons in order; fail at a gap over 10 tol."""
+    worst, found = 0.0, None
+    for count, (fields, left, right, tol_eff) in enumerate(comparisons, 1):
+        worst = max(worst, abs(left - right))
+        if abs(left - right) > 10.0 * tol_eff:
+            found = {**fields, "lhs": left, "rhs": right}
+            break
+    return CheckReport(statement, found is None, count, None, found, note, {"worst_error": worst})
 
 
 def s_additivity_check(
-    spec: AcceptanceSpec,
-    asset: EligibleAsset,
-    trials: int = 500,
-    seed: int = 0,
+    spec: AcceptanceSpec, asset: EligibleAsset, positions: Iterable[RandVar] = (),
     tol: float | None = None,
 ) -> CheckReport:
-    """Sampled check that shifting by lambda * payoff moves the quote by -lambda * price."""
-    space = asset.payoff.space
+    """Check that a shift by lambda * payoff moves an audit position's quote by -lambda * price."""
 
-    def draw_sides(rng):
-        x = smp.grid_randvar(space, rng)
-        lam = smp.grid_scalar(rng)
+    def sides(x: RandVar, lam: float):
         shifted = x + lam * asset.payoff
         tol_eff = tol if tol is not None else max(default_tol(asset, x), default_tol(asset, shifted))
         left = rho(spec, asset, shifted, tol_eff).value
         right = rho(spec, asset, x, tol_eff).value - lam * asset.price
         return {"x": x, "lambda": lam}, left, right, tol_eff
 
-    return _identity_check("s-additivity", trials, seed, draw_sides)
+    comparisons = (
+        sides(x, lam) for x in _audit_positions(asset, positions) for lam in S_ADDITIVITY_LAMBDAS
+    )
+    note = f"{AUDIT_NOTE}; lambda in {S_ADDITIVITY_LAMBDAS}"
+    return _identity_check("s-additivity", comparisons, note)
 
 
 def numeraire_identity_check(
-    spec: AcceptanceSpec,
-    asset: EligibleAsset,
-    trials: int = 500,
-    seed: int = 0,
+    spec: AcceptanceSpec, asset: EligibleAsset, positions: Iterable[RandVar] = (),
     tol: float | None = None,
 ) -> CheckReport:
-    """Sampled check of the numeraire-change identity.
+    """Check the numeraire-change identity at each audit position.
 
     The requirement equals the asset price times the cash requirement of the
     discounted position under the discounted acceptance set; both sides are
     computed independently (the right side always through the bracketed
     solver on the wrapped membership).
     """
-    space = asset.payoff.space
     disc = discounted_acceptance(spec, asset)
-    cash = cash_asset(space)
+    cash = cash_asset(asset.payoff.space)
 
-    def draw_sides(rng):
-        x = smp.grid_randvar(space, rng)
+    def sides(x: RandVar):
         tol_eff = tol if tol is not None else default_tol(asset, x)
         left = rho(spec, asset, x, tol_eff).value
         inner_tol = tol_eff / max(asset.price, 1.0)
         right = asset.price * rho(disc, cash, change_numeraire(x, asset), inner_tol).value
         return {"x": x}, left, right, tol_eff
 
-    return _identity_check("numeraire-identity", trials, seed, draw_sides)
+    comparisons = (sides(x) for x in _audit_positions(asset, positions))
+    return _identity_check("numeraire-identity", comparisons, AUDIT_NOTE)

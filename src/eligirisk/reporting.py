@@ -1,4 +1,4 @@
-"""Report containers shared by the randomized checkers."""
+"""Report containers shared by the statement checkers."""
 
 from __future__ import annotations
 
@@ -27,11 +27,11 @@ def witness_to_jsonable(witness: dict | None) -> dict | None:
 
 @dataclass
 class CheckReport:
-    """Outcome of a sampled property check.
+    """Outcome of a property check.
 
-    ``passed`` means no violation was found in ``trials`` seeded trials plus
-    any deterministic probes; it is explicitly not a proof.  Exact checks,
-    which decide by construction, report ``trials`` 1 and no seed.  On
+    A seeded pass means no violation in ``trials`` trials plus any probes:
+    not a proof.  Fixed-list checks count comparisons as ``trials``, exact
+    checks (decided by construction) report 1; neither has a seed.  On
     failure the witness dict holds the violating positions, re-verifiable
     through the public membership and comonotonicity predicates.
     """

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eligirisk import acceptance, cli, comonotone, theorems
+from eligirisk import acceptance, cli, comonotone, engine, theorems
 from eligirisk.cli import STATEMENTS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +21,8 @@ EXACT_STATEMENTS = {
     "theorem-b", "corollary-convex", "var-necessary", "var-condition-b", "comono-preservation",
     "convex", "risk-invariant", "monotone", "cone",
 }
+#: Identities compared on a fixed position list: (comparisons, evaluations) per position.
+IDENTITIES = {"s-additivity": (6, 12), "numeraire-identity": (1, 2)}
 
 
 def run_cli(argv, capsys):
@@ -328,6 +330,21 @@ class TestCheck:
         (result,) = reports[0]["results"]
         assert (result["passed"], result["trials"], result["seed"]) == (True, 1, None)
 
+    @pytest.mark.parametrize("statement", sorted(IDENTITIES))
+    def test_identity_statements_ignore_trials_and_seed(self, capsys, statement):
+        # a fixed position list: both flags are accepted, neither is read or echoed
+        path = str(SCENARIOS / "superadditive_var.json")
+        outs = []
+        for extra in ([], ["--seed", "0"], ["--seed", "5"], ["--trials", "1"]):
+            argv = ["check", "--scenario", path, "--statement", statement, *extra]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs == [outs[0]] * 4
+        report = json.loads(outs[0])
+        assert set(report) == {"command", "version", "results", "scenario", "statement", "tol"}
+        assert report["results"][0]["seed"] is None
+
     @pytest.mark.parametrize("statement", sorted(STATEMENTS))
     def test_report_echoes_exactly_the_inputs_the_statement_reads(
         self, tmp_path, capsys, statement
@@ -399,11 +416,13 @@ class TestSizeContract:
     there are at most three: 9 + 3.  ``lemma-equality`` evaluates nothing
     when the gap direction D is zero; with D nonzero on one atom, ES decides
     it in at most two membership tests and VaR exits 2 at the enumeration
-    cap.  Every other statement answers within a loose 10 s guard or exits 2
-    naming its limit.  Both payoffs have F(S1) + F(-S1) != 0, so (1, -1)
-    decides ``s-comonotone-additivity``; a VaR payoff with a zero sum still
-    runs its 4·L² payoff-step probes over L payoff levels and is not covered
-    here.
+    cap.  ``s-additivity`` and ``numeraire-identity`` compare at P = 130
+    positions (the scenario's one, three constants and 126 payoff steps),
+    6·P and P comparisons of two requirement evaluations each.  Every other
+    statement answers within a loose 10 s guard or exits 2 naming its limit.
+    Both payoffs have F(S1) + F(-S1) != 0, so (1, -1) decides
+    ``s-comonotone-additivity``; a VaR payoff with a zero sum still runs its
+    4·L² payoff-step probes over L payoff levels and is not covered here.
     """
 
     @pytest.mark.parametrize("kind", ["var", "es"])
@@ -466,9 +485,28 @@ class TestSizeContract:
         assert len(tested) <= 2 and len(evaluated) <= 2
 
     @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("statement", sorted(IDENTITIES))
+    def test_identity_statements_audit_the_fixed_list(self, capsys, monkeypatch, scenarios_2000,
+                                                      kind, statement):
+        per_position, quotes_per_position = IDENTITIES[statement]
+        quoted = []
+        quote = engine.rho
+        monkeypatch.setattr(engine, "rho", lambda *a, **k: quoted.append(1) or quote(*a, **k))
+        argv = ["check", "--statement", statement, "--scenario", str(scenarios_2000[kind]),
+                "--trials", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out)["results"]
+        positions = 1 + 3 + 2 * 63  # X, constants 0, 1, -1, two steps per lower payoff level
+        assert (result["passed"], result["seed"]) == (True, None)
+        assert result["trials"] == per_position * positions
+        assert len(quoted) <= quotes_per_position * positions
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize(
         "statement",
-        [*sorted(set(STATEMENTS) - DECIDED - {"cash-reduction", "lemma-equality"}), "search"],
+        [*sorted(set(STATEMENTS) - DECIDED - set(IDENTITIES) - {"cash-reduction",
+                                                                 "lemma-equality"}), "search"],
     )
     def test_answers_within_guard_or_exits_2(self, capsys, scenarios_2000, kind, statement):
         argv = ["search"] if statement == "search" else ["check", "--statement", statement]
@@ -867,14 +905,14 @@ class TestInProcessReuse:
         "between",
         [
             (["check", "--scenario", str(SCENARIOS / "lemma_two_atom.json"),
-              "--statement", "s-additivity", "--seed", "-1"], 2),
+              "--statement", "s-comonotone-additivity", "--seed", "-1"], 2),
             (["--version"], 0),
         ],
         ids=["usage-error", "version"],
     )
     def test_repeated_calls_are_byte_identical(self, capsys, between):
         argv = ["check", "--scenario", str(SCENARIOS / "superadditive_var.json"),
-                "--statement", "s-additivity", "--seed", "3", "--trials", "20"]
+                "--statement", "s-comonotone-additivity", "--seed", "3", "--trials", "20"]
         first = run_cli(argv, capsys)
         assert run_cli(argv, capsys) == first
         assert run_cli(between[0], capsys)[0] == between[1]
@@ -887,7 +925,8 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["check", "--statement", "s-additivity"], ["check", "--statement", "theorem-b"], ["search"]],
+        [["check", "--statement", "s-comonotone-additivity"], ["check", "--statement", "theorem-b"],
+         ["search"]],
         ids=["check-sampled", "check-exact", "search"],
     )
     def test_negative_seed_exits_2_naming_seed(self, capsys, argv):

@@ -1,5 +1,6 @@
 """Tests for the eligible-asset requirement solver and numeraire transforms."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -29,7 +30,9 @@ from eligirisk import (
     rho_cash,
     s_additivity_check,
 )
-from eligirisk.engine import MAX_NEWTON_STEPS, _right_slope, default_tol
+from eligirisk import _sampling as smp
+from eligirisk import engine
+from eligirisk.engine import MAX_NEWTON_STEPS, _payoff_steps, _right_slope, default_tol
 
 
 @pytest.fixture
@@ -431,22 +434,32 @@ class TestRhoCash:
             assert engine == pytest.approx(direct, abs=1e-10)
 
 
+def grid_draws(space, count, seed):
+    """Seeded 1/64-grid positions in [-4, 4], passed to the identity checks as test inputs."""
+    rng = smp.as_rng(seed)
+    return [smp.grid_randvar(space, rng) for _ in range(count)]
+
+
 class TestSAdditivity:
     def test_var_kind_exact(self, space3, asset3, a_var05):
-        report = s_additivity_check(a_var05, asset3, trials=300, seed=3)
+        report = s_additivity_check(a_var05, asset3, grid_draws(space3, 300, 3))
         assert report.passed
         assert report.data["worst_error"] <= 1e-12
+        # each of 300 draws, 0, 1, -1 and two payoff steps at six lambdas
+        assert (report.trials, report.seed) == (6 * 305, None)
 
     def test_es_kind_within_tolerance(self, space3):
         asset = EligibleAsset(1.0, RandVar(space3, [1.0, 2.0, 1.0]))
-        report = s_additivity_check(AcceptanceSpec.es_level(0.1), asset, trials=60, seed=5)
+        report = s_additivity_check(AcceptanceSpec.es_level(0.1), asset, grid_draws(space3, 60, 5))
         assert report.passed
 
     def test_risk_free_reduces_to_cash_additivity(self, space3):
         asset = EligibleAsset(1.0, RandVar.constant(space3, 2.0))
-        report = s_additivity_check(AcceptanceSpec.es_level(0.1), asset, trials=200, seed=7)
+        draws = grid_draws(space3, 200, 7)
+        report = s_additivity_check(AcceptanceSpec.es_level(0.1), asset, draws)
         assert report.passed
         assert report.data["worst_error"] <= 1e-10
+        assert report.trials == 6 * 203  # a constant payoff has no steps
 
 
 class TestChangeNumeraire:
@@ -467,15 +480,85 @@ class TestChangeNumeraire:
 class TestNumeraireIdentity:
     def test_risk_free(self, space3):
         asset = EligibleAsset(1.0, RandVar.constant(space3, 2.0))
-        report = numeraire_identity_check(AcceptanceSpec.var_level(0.05), asset, trials=50, seed=11)
+        spec = AcceptanceSpec.var_level(0.05)
+        report = numeraire_identity_check(spec, asset, grid_draws(space3, 50, 11))
         assert report.passed
+        assert (report.trials, report.seed) == (53, None)
 
     def test_var_risky(self, space3, asset3, a_var05):
-        report = numeraire_identity_check(a_var05, asset3, trials=50, seed=13)
+        report = numeraire_identity_check(a_var05, asset3, grid_draws(space3, 50, 13))
         assert report.passed
 
     def test_es_risky(self):
         sp = FiniteSpace([0.5, 0.5])
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
-        report = numeraire_identity_check(AcceptanceSpec.es_level(0.5), asset, trials=40, seed=17)
+        report = numeraire_identity_check(
+            AcceptanceSpec.es_level(0.5), asset, grid_draws(sp, 40, 17))
         assert report.passed
+
+
+IDENTITY_SPECS = {
+    "var": lambda alpha: AcceptanceSpec.var_level(alpha),
+    "es": lambda alpha: AcceptanceSpec.es_level(alpha),
+    "mix": lambda alpha: AcceptanceSpec.distortion_mix(
+        DistortionWeights(((alpha, 0.5), (1.0, 0.5)))),
+    "mean": lambda alpha: AcceptanceSpec.expectation_floor(),
+}
+
+
+class TestIdentityChecks:
+    """Both identities hold for every position, so only a solver defect fails them."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(st.integers(1, 16), st.integers(4, 16)), min_size=2, max_size=7),
+        drawn=st.lists(
+            st.lists(st.integers(-64, 64), min_size=7, max_size=7), min_size=1, max_size=3),
+        risky=st.booleans(),
+        price=st.integers(1, 8),
+        kind=st.sampled_from(sorted(IDENTITY_SPECS)),
+        alpha=st.floats(0.05, 0.6),
+        tol=st.sampled_from([None, 1e-9]),
+    )
+    def test_both_hold_on_drawn_positions(self, atoms, drawn, risky, price, kind, alpha, tol):
+        weights, pays = zip(*atoms)
+        n = len(atoms)
+        sp = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        payoff = RandVar(sp, np.array(pays) / 8 if risky else np.full(n, pays[0] / 8))
+        asset = EligibleAsset(price / 4, payoff)
+        positions = [RandVar(sp, np.array(v[:n]) / 16) for v in drawn]
+        spec = IDENTITY_SPECS[kind](alpha)
+        count = len(positions) + 3 + len(_payoff_steps(asset))
+        for check, per_position in ((s_additivity_check, 6), (numeraire_identity_check, 1)):
+            report = check(spec, asset, positions, tol)
+            assert report.passed, report.witness
+            assert (report.trials, report.seed) == (per_position * count, None)
+
+    @pytest.mark.parametrize(
+        "check, trials, x",
+        [(s_additivity_check, 1, 0.0), (numeraire_identity_check, 2, 1.0)],
+        ids=["s-additivity", "numeraire-identity"],
+    )
+    def test_an_offset_solver_fails_on_the_fixed_list(self, monkeypatch, space3, a_var05, check,
+                                                       trials, x):
+        # quotes of nonzero positions are 1e-3 too high.  s-additivity fails at
+        # once (x = 0, lambda = -2: only the shifted side is off); at price 2 the
+        # discounted side is off twice as much, so numeraire-identity passes
+        # x = 0 and fails at x = 1.
+        quote = engine.rho
+
+        def off(spec, asset, y, tol=None, method="auto"):
+            q = quote(spec, asset, y, tol, method)
+            if method == "auto" and np.count_nonzero(y.values):
+                q = dataclasses.replace(q, value=q.value + 1e-3)
+            return q
+
+        monkeypatch.setattr(engine, "rho", off)
+        asset = EligibleAsset(2.0, RandVar(space3, [1.0, 2.0, 1.0]))
+        report = check(a_var05, asset, positions=())
+        assert (report.passed, report.trials, report.seed) == (False, trials, None)
+        assert report.witness["x"].tolist() == [x] * 3
+        gap = abs(report.witness["lhs"] - report.witness["rhs"])
+        assert gap == report.data["worst_error"] == pytest.approx(1e-3)
+        if check is s_additivity_check:
+            assert report.witness["lambda"] == -2.0
