@@ -58,11 +58,8 @@ from .engine import (
     s_additivity_check,
 )
 from .comonotone import (
-    ComonoPair,
     additivity_on_S_comonotone,
-    additivity_on_comonotone,
     comono_preservation_under_numeraire,
-    generate_comonotone_pair,
     is_comonotone,
 )
 from .reporting import CheckReport
@@ -114,10 +111,7 @@ __all__ = [
     "change_numeraire",
     "discounted_acceptance",
     "numeraire_identity_check",
-    "ComonoPair",
     "is_comonotone",
-    "generate_comonotone_pair",
-    "additivity_on_comonotone",
     "additivity_on_S_comonotone",
     "comono_preservation_under_numeraire",
     "CheckReport",

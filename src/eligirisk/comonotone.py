@@ -1,4 +1,4 @@
-"""Exact comonotonicity testing, comonotone pair generation, and additivity checks.
+"""Exact comonotonicity testing and the comonotonicity statements about the asset.
 
 Two positions are comonotone when no pair of outcomes orders them in
 opposite directions; on a finite space with all-positive atom masses the
@@ -8,44 +8,30 @@ differences, so no product of tiny differences can underflow to a passing
 -0.0.  A sort-based fast path must agree with it and the test suite
 enforces that.
 
-Comparisons are exact (``>= 0``, not ``>= -tol``); generated values live on
-coarse 1/64 grids so equality cases genuinely occur.  Whether the change of
-numeraire preserves comonotonicity is decided exactly: both failure
-witnesses are built from the payoff's extreme atoms, with no search.
+Comparisons are exact (``>= 0``, not ``>= -tol``).  Both statements here
+are decided by construction, with no seed: additivity on pairs comonotone
+with the payoff by the criterion's kind and, for VaR, the mass of one
+payoff level; whether the change of numeraire preserves comonotonicity by
+witnesses built from the payoff's extreme atoms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from . import _sampling as smp
-from .acceptance import AcceptanceSpec
-from .engine import EligibleAsset, _payoff_steps, rho
+from .acceptance import AcceptanceSpec, var_loss_limit
+from .engine import EligibleAsset, rho
 from .reporting import CheckReport
-from .spaces import FiniteSpace, RandVar, SpaceMismatchError
+from .spaces import RandVar, SpaceMismatchError, upper_quantile
 
 __all__ = [
-    "ComonoPair",
     "is_comonotone",
-    "generate_comonotone_pair",
-    "additivity_on_comonotone",
     "additivity_on_S_comonotone",
     "comono_preservation_under_numeraire",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ComonoPair:
-    """A comonotone pair, optionally with the common driver it was built from."""
-
-    x: RandVar
-    y: RandVar
-    driver: RandVar | None = None
 
 
 def is_comonotone(x: RandVar, y: RandVar, method: str = "sorted") -> bool:
@@ -72,43 +58,6 @@ def is_comonotone(x: RandVar, y: RandVar, method: str = "sorted") -> bool:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _monotone_table(rng: np.random.Generator, n_levels: int) -> np.ndarray:
-    """Nondecreasing lookup table over driver levels (grid start, grid increments).
-
-    Increments are zero-inflated (negative draws clip to zero), so flat
-    stretches and outright constant tables occur with useful frequency.
-    """
-    start = float(rng.integers(-2 * smp.GRID, 2 * smp.GRID + 1)) / smp.GRID
-    raw = rng.integers(-(smp.GRID // 2), smp.GRID // 2 + 1, n_levels)
-    table = start + np.cumsum(np.maximum(raw, 0) / smp.GRID)
-    return table
-
-
-def _apply_table(driver_values: np.ndarray, levels: np.ndarray, table: np.ndarray) -> np.ndarray:
-    ranks = np.searchsorted(levels, driver_values)
-    return table[ranks]
-
-
-def _pair_on_driver(space: FiniteSpace, driver: RandVar, rng: np.random.Generator) -> ComonoPair:
-    """Two nondecreasing step functions of ``driver``: the x table is drawn first, then y."""
-    levels = np.unique(driver.values)
-    fx = _apply_table(driver.values, levels, _monotone_table(rng, levels.size))
-    fy = _apply_table(driver.values, levels, _monotone_table(rng, levels.size))
-    return ComonoPair(RandVar(space, fx), RandVar(space, fy), driver=driver)
-
-
-def generate_comonotone_pair(space: FiniteSpace, seed=0) -> ComonoPair:
-    """Draw a driver Z and two nondecreasing step functions of it.
-
-    The functions are cumulative sums of nonnegative grid increments over
-    the sorted distinct driver values; zero increments occur, so constant
-    stretches and full constants are generated.  The output passes
-    :func:`is_comonotone` by construction.
-    """
-    rng = smp.as_rng(seed)
-    return _pair_on_driver(space, smp.grid_randvar(space, rng), rng)
-
-
 def _requirement(
     spec: AcceptanceSpec, asset: EligibleAsset, tol: float | None = None
 ) -> Callable[[RandVar], float]:
@@ -120,97 +69,98 @@ def _requirement(
     return lambda x: rho(spec, asset, x, tol=tol).value
 
 
-def additivity_on_comonotone(
-    rho_fn: Callable[[RandVar], float],
-    space: FiniteSpace,
-    trials: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> CheckReport:
-    """Sampled comonotonic additivity of an arbitrary functional handle.
-
-    Passes iff |rho(X + Y) - rho(X) - rho(Y)| <= tol on every generated
-    comonotone pair; otherwise the pair with the largest gap is reported as
-    drawn.  No statement checker calls it: it is the sampled reference that
-    the constructed decisions of :mod:`eligirisk.theorems` are tested against.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    worst: tuple[float, RandVar, RandVar] | None = None
-    for _ in range(trials):
-        pair = generate_comonotone_pair(space, rng)
-        gap = rho_fn(pair.x + pair.y) - rho_fn(pair.x) - rho_fn(pair.y)
-        if abs(gap) > tol and (worst is None or abs(gap) > abs(worst[0])):
-            worst = (gap, pair.x, pair.y)
-    if worst is None:
-        return CheckReport("comonotone-additivity", True, trials, seed)
-    gap, x, y = worst
-    assert is_comonotone(x, y)
-    return CheckReport(
-        "comonotone-additivity", False, trials, seed,
-        witness={"x": x, "y": y, "gap": gap},
-        note="superadditive" if gap > 0 else "subadditive",
-    )
-
-
 def additivity_on_S_comonotone(
-    spec: AcceptanceSpec,
-    asset: EligibleAsset,
-    trials: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-9,
+    spec: AcceptanceSpec, asset: EligibleAsset, tol: float = 1e-9
 ) -> CheckReport:
-    """Additivity restricted to pairs comonotone with the asset payoff.
+    """Decide additivity on pairs of nondecreasing functions of the payoff S1.
 
-    Pairs are nondecreasing step functions of the payoff itself, so
-    {X, Y, S1} always forms a comonotonic set.  The constant pair (1, -1)
-    comes first: its gap is nonzero iff F(S1) + F(-S1) != 0, which holds for
-    ES and pointed mixtures whenever the payoff is nonconstant, and for VaR
-    whenever the quantiles of S1 at alpha and 1 - alpha differ.  A gap
-    above ``tol`` fails the check at once, with one sample and no seed.
-    Otherwise deterministic probes pair negated level-set steps of the
-    payoff with constants before the randomized phase.  The constant pair
-    counts as one sample: rho(0) is exactly 0, so its gap -(rho(1) + rho(-1))
-    is that of (-1, 1) bit for bit, and that pair is not probed again.
+    The positions are constant on S1's level sets, so {X, Y, S1} is always
+    comonotonic.  The constant pair (1, -1) is evaluated first; its gap is
+    -(rho(1) + rho(-1)), as rho(0) is exactly 0.  A gap above ``tol`` fails
+    the statement at once, with one sample and no seed.  Otherwise the
+    verdict is exact, whatever the float gap of its witness:
+
+    * ES, distortion mixtures and the expectation floor pass iff the payoff
+      is constant or the criterion is linear; else F(S1) + F(-S1) > 0 for
+      the pointed F, and (1, -1) is not additive.
+    * VaR fails on (1, -1) when var(S1) + var(-S1) != 0.0, a sum of two
+      stored payoff values, hence exact.  Otherwise let s* be the upper
+      alpha-quantile of S1, L the :func:`var_loss_limit`, and ``on`` and
+      ``off`` the integer masses of {S1 = s*} and of the rest.  It holds iff
+      on > L and off <= L (a constant payoff is the one-level case).
+
+    Why that is exact: on the level sets rho(f(S1)) = -S0 * q(f/s), with q
+    the upper quantile at L of the ratios u = f/s.  If on > L and off <= L,
+    q(u) = u(s*) for every u, so rho is linear.  Conversely, q is positively
+    homogeneous and, away from ties, picks one coordinate; additive on the
+    cone {f/s : f nondecreasing}, which has an interior, it is linear there,
+    so q(u) = u(j) for one fixed level j, and the pair (1, -1) forces
+    j = s*.  When f(s*) > 0, f can place any set of the other levels'
+    ratios below or above f(s*)/s*, so q(u) = u(s*) for every f iff
+    off <= L (the others below) and on > L (the others above).
+
+    A VaR failure past (1, -1) is shown by one constructed, superadditive
+    pair (two samples), re-verified comonotone with S1; the masses below and
+    above s* are within L, as var(S1) + var(-S1) = 0.  If off > L:
+    X = S1/2 but S1/4 below s*, Y = min(S1, s*)/2; q(X) = q(Y) = 1/2, while
+    X + Y has its largest ratio, 1, at s* alone.  Else (on <= L):
+    X = s*/4 but S1/2 above s*, Y = s*/2 but S1/4 below s*.  X's ratio is
+    least at s* and Y's greatest, so q(X) = v > 1/4, q(Y) = 1/2, and X + Y's
+    ratio stays below v + 1/2 on {u_X <= v}.  X + Y <= S1 cannot overflow.
+    Explicit criteria raise ``ValueError``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = smp.as_rng(seed)
-    space = asset.payoff.space
+    if not spec.is_builtin:
+        raise ValueError("exact asset-comonotone additivity decision requires a built-in criterion")
     rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
-
-    def gap_of(pair: ComonoPair) -> float:
-        return rho_fn(pair.x + pair.y) - rho_fn(pair.x) - rho_fn(pair.y)
-
-    consts = [RandVar.constant(space, c) for c in (1.0, -1.0)]
-    gap = gap_of(ComonoPair(*consts))
+    one = RandVar.constant(asset.payoff.space, 1.0)
+    gap = rho_fn(one + -one) - rho_fn(one) - rho_fn(-one)
     if abs(gap) > tol:
-        return CheckReport(
-            "asset-comonotone-additivity", False, 1, None,
-            witness={"x": consts[0], "y": consts[1], "gap": gap},
-            note=("superadditive" if gap > 0 else "subadditive") + " on the constant pair (1, -1)",
-        )
-
-    steps = _payoff_steps(asset)
-    probes = [ComonoPair(sx, sy) for sx in steps for sy in steps + consts]
-    probes.append(ComonoPair(consts[0], consts[0]))
-    draws = (_pair_on_driver(space, asset.payoff, rng) for _ in range(trials))
-    worst: tuple[float, RandVar, RandVar] | None = None
-    for pair in chain(probes, draws):
-        gap = gap_of(pair)
-        if abs(gap) > tol and (worst is None or abs(gap) > abs(worst[0])):
-            worst = (gap, pair.x, pair.y)
-    count = 1 + len(probes) + trials
-    if worst is None:
-        return CheckReport("asset-comonotone-additivity", True, count, seed)
-    gap, x, y = worst
-    assert is_comonotone(x, y) and is_comonotone(x, asset.payoff) and is_comonotone(y, asset.payoff)
+        sign = "superadditive" if gap > 0 else "subadditive"
+        x, y, note = one, -one, f"{sign} on the constant pair (1, -1)"
+    else:
+        x, y, note = _decided_pair(spec, asset, one)
+    if x is None:
+        return CheckReport("asset-comonotone-additivity", True, 1, None, note=note)
+    if x is not one:  # a constructed pair; (1, -1) is priced already
+        gap = rho_fn(x + y) - rho_fn(x) - rho_fn(y)
     return CheckReport(
-        "asset-comonotone-additivity", False, count, seed,
-        witness={"x": x, "y": y, "gap": gap},
-        note="superadditive" if gap > 0 else "subadditive",
+        "asset-comonotone-additivity", False, 1 if x is one else 2, None,
+        witness={"x": x, "y": y, "gap": gap}, note=note,
     )
+
+
+def _decided_pair(
+    spec: AcceptanceSpec, asset: EligibleAsset, one: RandVar
+) -> tuple[RandVar | None, RandVar | None, str]:
+    """``(x, y, note)`` of a pair that is not additive, or ``(None, None, note)`` if none is.
+
+    See :func:`additivity_on_S_comonotone` for the rule and the pairs.
+    """
+    payoff = asset.payoff
+    if spec.kind != "var":
+        if asset.risk_free or spec.is_linear_kind:
+            return None, None, "exact decision: constant payoff or linear criterion: rho is linear"
+        return one, -one, "exact decision: F(S1) + F(-S1) > 0 for a pointed criterion"
+    if spec.functional_value(payoff) + spec.functional_value(-payoff) != 0.0:
+        return one, -one, "exact decision: var(S1) + var(-S1) != 0"
+    space, s = payoff.space, payoff.values
+    s_star = upper_quantile(payoff, spec.level.alpha)
+    nums, _ = space.int_probs
+    on = sum(m for m, level in zip(nums, s.tolist()) if level == s_star)
+    off, limit = sum(nums) - on, var_loss_limit(spec, space)
+    below, above = s < s_star, s > s_star
+    if off > limit:
+        x, y = np.where(below, s / 4, s / 2), np.minimum(s, s_star) / 2
+        note = "exact decision: the mass off {S1 = s*} exceeds the VaR loss limit; superadditive"
+    elif on <= limit:
+        x, y = np.where(above, s / 2, s_star / 4), np.where(below, s / 4, s_star / 2)
+        note = "exact decision: the mass of {S1 = s*} is within the VaR loss limit; superadditive"
+    else:
+        return None, None, "exact decision: only {S1 = s*} outweighs the VaR loss limit: linear"
+    x, y = RandVar(space, x), RandVar(space, y)
+    if not (is_comonotone(x, y) and is_comonotone(x, payoff) and is_comonotone(y, payoff)):
+        raise ArithmeticError("additivity witness failed re-verification through is_comonotone")
+    return x, y, note
 
 
 def _numeraire_witnesses(payoff: RandVar) -> tuple[dict, dict]:

@@ -29,11 +29,11 @@ def witness_to_jsonable(witness: dict | None) -> dict | None:
 class CheckReport:
     """Outcome of a property check.
 
-    A seeded pass means no violation in ``trials`` trials plus any probes:
-    not a proof.  Fixed-list checks count comparisons as ``trials``, exact
-    checks (decided by construction) report 1; neither has a seed.  On
-    failure the witness dict holds the violating positions, re-verifiable
-    through the public membership and comonotonicity predicates.
+    No statement checker samples, so ``seed`` is None.  Fixed-list checks count
+    their comparisons as ``trials``; exact checks (decided by construction)
+    count the positions or pairs they evaluated, 1 or 2.  On failure the
+    witness dict holds the violating positions, re-verifiable through the
+    public membership and comonotonicity predicates.
     """
 
     name: str

@@ -10,9 +10,9 @@ atom count.
 
 Operators adopt the array they allocate; the public constructor copies.
 ``RandVar(space, values)`` copies and validates foreign input; arithmetic,
-``constant``, ``indicator`` and the seeded samplers pass the array numpy has
-just allocated to ``RandVar._fresh``, which keeps the finiteness check
-(arithmetic can overflow to inf) and the read-only flag.
+``constant`` and ``indicator`` pass the array numpy has just allocated to
+``RandVar._fresh``, which keeps the finiteness check (arithmetic can
+overflow to inf) and the read-only flag.
 """
 
 from __future__ import annotations

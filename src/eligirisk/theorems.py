@@ -29,7 +29,7 @@ from .comonotone import _requirement, is_comonotone
 from .engine import EligibleAsset, rho, rho_cash
 from .measures import Level, var
 from .reporting import witness_to_jsonable
-from .spaces import FiniteSpace, RandVar, expectation
+from .spaces import FiniteSpace, RandVar
 
 __all__ = [
     "TheoremVerdict",

@@ -31,7 +31,6 @@ from eligirisk import (
     es_choquet_oracle,
     expectation,
     find_additivity_violation,
-    generate_comonotone_pair,
     is_comonotone,
     numeraire_identity_check,
     rho,
@@ -39,6 +38,8 @@ from eligirisk import (
     var,
 )
 from eligirisk.cli import main
+
+from sampling import generate_comonotone_pair
 
 
 def report(num: int, text: str) -> None:

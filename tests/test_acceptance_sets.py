@@ -30,7 +30,8 @@ from eligirisk import (
     var,
     var_loss_limit,
 )
-from eligirisk import _sampling as smp
+
+import sampling as smp
 
 
 def _boundary_member(spec: AcceptanceSpec, space: FiniteSpace, rng: np.random.Generator) -> RandVar | None:

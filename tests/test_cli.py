@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 EXACT_STATEMENTS = {
     "theorem-b", "corollary-convex", "var-necessary", "var-condition-b", "comono-preservation",
-    "convex", "risk-invariant", "monotone", "cone",
+    "convex", "risk-invariant", "monotone", "cone", "s-comonotone-additivity",
 }
 #: Identities compared on a fixed position list: (comparisons, evaluations) per position.
 IDENTITIES = {"s-additivity": (6, 12), "numeraire-identity": (1, 2)}
@@ -330,9 +330,10 @@ class TestCheck:
         (result,) = reports[0]["results"]
         assert (result["passed"], result["trials"], result["seed"]) == (True, 1, None)
 
-    @pytest.mark.parametrize("statement", sorted(IDENTITIES))
+    @pytest.mark.parametrize("statement", [*sorted(IDENTITIES), "s-comonotone-additivity"])
     def test_identity_statements_ignore_trials_and_seed(self, capsys, statement):
-        # a fixed position list: both flags are accepted, neither is read or echoed
+        # a fixed position list or an exact decision: both flags are
+        # accepted, neither is read or echoed
         path = str(SCENARIOS / "superadditive_var.json")
         outs = []
         for extra in ([], ["--seed", "0"], ["--seed", "5"], ["--trials", "1"]):
@@ -342,7 +343,8 @@ class TestCheck:
             outs.append(out)
         assert outs == [outs[0]] * 4
         report = json.loads(outs[0])
-        assert set(report) == {"command", "version", "results", "scenario", "statement", "tol"}
+        reads = list(inspect.signature(STATEMENTS[statement]).parameters)[1:]
+        assert set(report) == {"command", "version", "results", "scenario", "statement", *reads}
         assert report["results"][0]["seed"] is None
 
     @pytest.mark.parametrize("statement", sorted(STATEMENTS))
@@ -421,8 +423,9 @@ class TestSizeContract:
     6·P and P comparisons of two requirement evaluations each.  Every other
     statement answers within a loose 10 s guard or exits 2 naming its limit.
     Both payoffs have F(S1) + F(-S1) != 0, so (1, -1) decides
-    ``s-comonotone-additivity``; a VaR payoff with a zero sum still runs its
-    4·L² payoff-step probes over L payoff levels and is not covered here.
+    ``s-comonotone-additivity``.  A VaR payoff with a zero sum (1.5 on all
+    but 300 atoms) is decided from the mass of {S1 = 1.5}, with one
+    constructed pair: two samples and at most six requirement evaluations.
     """
 
     @pytest.mark.parametrize("kind", ["var", "es"])
@@ -437,6 +440,21 @@ class TestSizeContract:
         (result,) = json.loads(out)["results"]
         assert (result["trials"], result["seed"]) == (1, None)
         assert len(tested) <= 3 and len(evaluated) <= 3
+
+    def test_comonotone_additivity_with_a_zero_sum(self, tmp_path, capsys, monkeypatch,
+                                                   scenarios_2000):
+        doc = json.loads(scenarios_2000["var"].read_text())
+        doc["asset"]["payoff"][300:] = [1.5] * 1700
+        path = tmp_path / "zero_sum.json"
+        path.write_text(json.dumps(doc))
+        _, evaluated = count_calls(monkeypatch)
+        argv = ["check", "--statement", "s-comonotone-additivity", "--scenario", str(path),
+                "--trials", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (1, "")
+        (result,) = json.loads(out)["results"]
+        assert result["trials"] <= 2 and result["seed"] is None
+        assert len(evaluated) <= 6
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_cash_reduction_evaluates_constructed_pairs(self, capsys, monkeypatch, scenarios_2000,
@@ -927,7 +945,7 @@ class TestUsage:
         "argv",
         [["check", "--statement", "s-comonotone-additivity"], ["check", "--statement", "theorem-b"],
          ["search"]],
-        ids=["check-sampled", "check-exact", "search"],
+        ids=["check-comonotone-additivity", "check-theorem-b", "search"],
     )
     def test_negative_seed_exits_2_naming_seed(self, capsys, argv):
         code, out, err = run_cli(

@@ -1,5 +1,7 @@
-"""Tests for comonotonicity predicates, generators, and additivity checkers."""
+"""Tests for comonotonicity predicates, the sampled pair oracle, and the additivity decision."""
 
+import itertools
+import math
 import sys
 
 import numpy as np
@@ -17,13 +19,14 @@ from eligirisk import (
     RandVar,
     SpaceMismatchError,
     additivity_on_S_comonotone,
-    additivity_on_comonotone,
+    check_corollary_convex,
     comono_preservation_under_numeraire,
-    generate_comonotone_pair,
     is_comonotone,
     rho,
     var,
 )
+
+from sampling import additivity_on_comonotone, generate_comonotone_pair, probe_and_draw_passes
 
 
 @st.composite
@@ -196,71 +199,160 @@ class TestAdditivityOnAssetComonotone:
     def test_risk_free_var_passes(self, space3):
         spec = AcceptanceSpec.var_level(0.05)
         asset = EligibleAsset(1.0, RandVar.constant(space3, 2.0))
-        assert additivity_on_S_comonotone(spec, asset, trials=200, seed=31).passed
+        report = additivity_on_S_comonotone(spec, asset)
+        assert (report.passed, report.trials, report.seed) == (True, 1, None)
 
     def test_risky_es_two_atoms_fails(self):
         sp = FiniteSpace([0.5, 0.5])
         spec = AcceptanceSpec.es_level(0.5)
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
-        report = additivity_on_S_comonotone(spec, asset, trials=200, seed=37)
-        # decided by the constant pair (1, -1), before any probe or draw
+        report = additivity_on_S_comonotone(spec, asset)
+        # decided by the constant pair (1, -1)
         assert (report.passed, report.trials, report.seed) == (False, 1, None)
         x, y = report.witness["x"], report.witness["y"]
         assert (x.tolist(), y.tolist()) == ([1.0, 1.0], [-1.0, -1.0])
         assert is_comonotone(x, y)
         assert is_comonotone(x, asset.payoff) and is_comonotone(y, asset.payoff)
 
-    def test_near_rf_asset_reports_verdict(self):
+    def test_near_rf_asset_passes(self):
+        # {S1 = 1} has mass 0.9 > alpha and the rest 0.1 <= alpha
         sp = FiniteSpace([0.1, 0.1, 0.8])
         spec = AcceptanceSpec.var_level(0.1)
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0, 1.0]))
-        report = additivity_on_S_comonotone(spec, asset, trials=1000, seed=41)
-        assert report.trials >= 1000
-        if not report.passed:
-            x, y = report.witness["x"], report.witness["y"]
-            assert is_comonotone(x, asset.payoff) and is_comonotone(y, asset.payoff)
+        report = additivity_on_S_comonotone(spec, asset)
+        assert (report.passed, report.trials, report.seed, report.witness) == (True, 1, None, None)
+
+    def test_explicit_criterion_raises(self, space3):
+        spec = AcceptanceSpec.explicit(lambda v: -float(v.values.min()))
+        with pytest.raises(ValueError):
+            additivity_on_S_comonotone(spec, EligibleAsset(1.0, RandVar.constant(space3, 1.0)))
 
 
-def _probe_and_draw_loop_passes(spec, asset, trials, seed, tol=1e-9):
-    """Verdict of the probes and draws alone, without the constant pair first."""
-    rng = np.random.default_rng(seed)
-    space = asset.payoff.space
-    rho_fn = comonotone._requirement(spec, asset, min(tol * 1e-2, 1e-12))
-    steps = comonotone._payoff_steps(asset)
-    consts = [RandVar.constant(space, c) for c in (1.0, -1.0)]
-    pairs = [(sx, sy) for sx in steps for sy in steps + consts]
-    pairs += [(cx, consts[0]) for cx in consts]
-    for _ in range(trials):
-        pair = comonotone._pair_on_driver(space, asset.payoff, rng)
-        pairs.append((pair.x, pair.y))
-    return all(abs(rho_fn(x + y) - rho_fn(x) - rho_fn(y)) <= tol for x, y in pairs)
+#: Values of the brute-force step functions.
+STEP_VALUES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
-ASSET_SPECS = [
-    AcceptanceSpec.var_level(0.1),
-    AcceptanceSpec.var_level(0.3),
-    AcceptanceSpec.es_level(0.25),
-    AcceptanceSpec.distortion_mix(DistortionWeights(((0.2, 0.5), (1.0, 0.5)))),
-]
+def brute_force_violation(spec, asset, tol=1e-9):
+    """The first pair of nondecreasing step functions of the payoff with a gap over ``tol``.
+
+    Every pair of nondecreasing functions of the payoff levels with values in
+    ``STEP_VALUES`` is tried, so the payoff may have at most 3 levels.
+    """
+    levels = np.unique(asset.payoff.values)
+    assert levels.size <= 3
+    index = np.searchsorted(levels, asset.payoff.values)
+    quotes = {}
+
+    def quote(f):
+        if f not in quotes:
+            x = RandVar(asset.payoff.space, np.array(f)[index])
+            quotes[f] = rho(spec, asset, x, tol=1e-12).value
+        return quotes[f]
+
+    steps = list(itertools.combinations_with_replacement(STEP_VALUES, levels.size))
+    for f, g in itertools.product(steps, steps):
+        if abs(quote(tuple(a + b for a, b in zip(f, g))) - quote(f) - quote(g)) > tol:
+            return f, g
+    return None
+
+
+MIX = AcceptanceSpec.distortion_mix(DistortionWeights(((0.2, 0.5), (1.0, 0.5))))
 
 
 class TestConstantPairFirst:
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
-        weights=st.lists(st.integers(1, 20), min_size=1, max_size=6),
-        levels=st.lists(st.integers(1, 8), min_size=6, max_size=6),
-        index=st.integers(0, len(ASSET_SPECS) - 1),
+        weights=st.lists(st.integers(1, 20), min_size=1, max_size=7),
+        levels=st.lists(st.one_of(st.just(4), st.integers(1, 8)), min_size=7, max_size=7),
+        alpha=st.floats(0.05, 0.9),
+        kind=st.sampled_from(["var", "var", "var", "es", "mix", "mean"]),
     )
-    def test_verdict_equals_the_probe_and_draw_loop(self, weights, levels, index):
+    def test_verdict_equals_the_probe_and_draw_loop(self, weights, levels, alpha, kind):
+        # a shared level 4 makes var(S1) + var(-S1) = 0 common, so that both
+        # constructed VaR pairs occur
         sp = FiniteSpace([w / sum(weights) for w in weights])
         asset = EligibleAsset(1.0, RandVar(sp, [v / 4 for v in levels[: sp.n_atoms]]))
-        spec = ASSET_SPECS[index]
-        report = additivity_on_S_comonotone(spec, asset, trials=15, seed=7)
-        assert report.passed == _probe_and_draw_loop_passes(spec, asset, 15, 7)
-        if report.trials == 1:  # decided by the constant pair
-            assert not report.passed and report.seed is None
-            assert (report.witness["x"].tolist(), report.witness["y"].tolist()) == (
-                [1.0] * sp.n_atoms, [-1.0] * sp.n_atoms)
+        spec = {"var": AcceptanceSpec.var_level(alpha), "es": AcceptanceSpec.es_level(alpha),
+                "mix": MIX, "mean": AcceptanceSpec.expectation_floor()}[kind]
+        report = additivity_on_S_comonotone(spec, asset)
+        assert report.seed is None and report.trials in (1, 2)
+        assert report.passed == probe_and_draw_passes(spec, asset, 60, 3)
+        if report.passed:
+            return
+        x, y, gap = report.witness["x"], report.witness["y"], report.witness["gap"]
+        for v in (x, y):
+            assert is_comonotone(v, asset.payoff, method="pairwise")
+        assert is_comonotone(x, y, method="pairwise")
+        rho_fn = lambda v: rho(spec, asset, v, tol=1e-12).value
+        assert rho_fn(x + y) - rho_fn(x) - rho_fn(y) == gap
+        assert abs(gap) > 1e-9
+        if report.trials == 1:  # the constant pair
+            assert (x.tolist(), y.tolist()) == ([1.0] * sp.n_atoms, [-1.0] * sp.n_atoms)
+        else:  # a constructed VaR pair
+            assert kind == "var" and gap > 0
+
+
+class TestExactDecision:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 20), min_size=2, max_size=6),
+        levels=st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=6, max_size=6),
+        scale=st.sampled_from([1.0, 2.0, 3.0]),
+        alpha=st.floats(0.05, 0.9),
+    )
+    def test_var_verdict_equals_brute_force_on_three_levels(self, weights, levels, scale, alpha):
+        sp = FiniteSpace([w / sum(weights) for w in weights])
+        asset = EligibleAsset(1.0, RandVar(sp, [scale * v for v in levels[: sp.n_atoms]]))
+        spec = AcceptanceSpec.var_level(alpha)
+        report = additivity_on_S_comonotone(spec, asset)
+        assert report.passed == (brute_force_violation(spec, asset) is None)
+
+    def test_mass_of_s_star_within_the_limit_with_a_far_lower_level(self):
+        # on = 1/2 <= L: with s* = 3 more than twice the level 1 below it,
+        # X = max(S1, s*) + S1 * 1{S1 > s*} and Y = max(S1, s*) are additive,
+        # as Y's ratio is not greatest at s*; the constructed pair is not
+        sp = FiniteSpace([0.25, 0.5, 0.25])
+        spec = AcceptanceSpec.var_level(0.5)
+        asset = EligibleAsset(1.0, RandVar(sp, [1.0, 3.0, 4.0]))
+        rho_fn = lambda v: rho(spec, asset, v).value
+        x, y = RandVar(sp, [3.0, 3.0, 8.0]), RandVar(sp, [3.0, 3.0, 4.0])
+        assert rho_fn(x + y) == rho_fn(x) + rho_fn(y)
+        report = additivity_on_S_comonotone(spec, asset)
+        assert (report.passed, report.trials) == (False, 2)
+        assert (report.witness["x"].tolist(), report.witness["y"].tolist()) == (
+            [0.75, 0.75, 2.0], [0.25, 1.5, 1.5])
+        assert report.witness["gap"] == 0.125
+        assert brute_force_violation(spec, asset) is not None
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_constructed_pairs_do_not_overflow(self, alpha):
+        # off > L at alpha 0.3, on <= L at 0.5; X + Y stays within S1
+        sp = FiniteSpace([0.25, 0.5, 0.25])
+        asset = EligibleAsset(1.0, RandVar(sp, [1.0, 1e308, 1.7e308]))
+        report = additivity_on_S_comonotone(AcceptanceSpec.var_level(alpha), asset)
+        assert (report.passed, report.trials) == (False, 2)
+        assert report.witness["gap"] > 0.2
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("top", [1.0, 3.7, 1e3, 1e-3, 2.5])
+    def test_es_one_ulp_from_constant_fails_like_corollary_convex(self, top, alpha):
+        # the (1, -1) gap is at most ulp-sized, possibly 0.0, but the payoff
+        # is nonconstant and ES pointed: the verdict is exact, not the gap
+        sp = FiniteSpace([0.5, 0.5])
+        spec = AcceptanceSpec.es_level(alpha)
+        asset = EligibleAsset(1.0, RandVar(sp, [top, math.nextafter(top, 0.0)]))
+        report = additivity_on_S_comonotone(spec, asset)
+        assert not check_corollary_convex(spec, asset).passed
+        assert (report.passed, report.trials, report.seed) == (False, 1, None)
+        assert abs(report.witness["gap"]) <= 1e-9
+        assert report.note.startswith("exact decision")
+
+    def test_failed_reverification_raises(self, monkeypatch):
+        sp = FiniteSpace([0.25, 0.5, 0.25])
+        asset = EligibleAsset(1.0, RandVar(sp, [1.0, 3.0, 4.0]))
+        monkeypatch.setattr(comonotone, "is_comonotone", lambda x, y: False)
+        with pytest.raises(ArithmeticError):
+            additivity_on_S_comonotone(AcceptanceSpec.var_level(0.5), asset)
 
 
 class TestNumerairePreservation:

@@ -30,9 +30,10 @@ from eligirisk import (
     rho_cash,
     s_additivity_check,
 )
-from eligirisk import _sampling as smp
 from eligirisk import engine
 from eligirisk.engine import MAX_NEWTON_STEPS, _payoff_steps, _right_slope, default_tol
+
+import sampling as smp
 
 
 @pytest.fixture

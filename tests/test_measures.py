@@ -17,11 +17,12 @@ from eligirisk import (
     es,
     es_boundary,
     es_choquet_oracle,
-    generate_comonotone_pair,
     same_distribution,
     upper_quantile,
     var,
 )
+
+from sampling import generate_comonotone_pair
 
 
 @pytest.fixture

@@ -25,13 +25,14 @@ from eligirisk import (
     check_var_necessary_condition,
     expectation,
     find_additivity_violation,
-    generate_comonotone_pair,
     is_comonotone,
     rho,
     rho_cash,
     run_replication_suite,
 )
 from eligirisk.theorems import ADDITIVITY_THRESHOLD, _rho_one, _subset_sums, absorbs
+
+from sampling import additivity_on_comonotone, generate_comonotone_pair
 
 
 def condition_b_oracle(probs: list[float], alpha: float) -> dict[int, tuple[Fraction, Fraction]]:
@@ -348,8 +349,6 @@ class TestCorollaryConvex:
 
     def test_matches_sampled_additivity_on_random_assets(self):
         # the exact single test and the sampled additivity verdict must agree
-        from eligirisk import additivity_on_comonotone
-
         rng = np.random.default_rng(5)
         for k in range(8):
             n = int(rng.integers(2, 6))
