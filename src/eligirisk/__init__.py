@@ -34,7 +34,9 @@ from .measures import (
     es,
     es_boundary,
     es_choquet_oracle,
+    shortfall_and_slope,
     var,
+    var_of_ratio,
 )
 from .acceptance import (
     AcceptanceSpec,
@@ -90,9 +92,11 @@ __all__ = [
     "Level",
     "DistortionWeights",
     "var",
+    "var_of_ratio",
     "es",
     "es_boundary",
     "distortion",
+    "shortfall_and_slope",
     "es_choquet_oracle",
     "AcceptanceSpec",
     "accepts",

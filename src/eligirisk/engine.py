@@ -10,14 +10,19 @@ payoff is strictly positive and the set is monotone), so the infimum is a
 bracketed root of a membership predicate.  Four closed forms bypass the
 bracketing entirely:
 
-* value-at-risk criteria reduce pointwise to S0 * var(X / S1, alpha);
+* value-at-risk criteria reduce pointwise to S0 * var(X / S1, alpha), the
+  order statistic of the raw quotient (an overflow to +-inf only orders the
+  atoms; an infinite quote is a ``ValueError``);
 * expectation-linear criteria give -S0 * E[X] / E[S1];
 * risk-free assets rescale the cash functional: (S0 / s) * functional(X);
 * X = 0 yields exactly 0 for every conic built-in criterion.
 
 Expected shortfall and distortion mixtures with a risky payoff run a finite
 Newton iteration: their requirement function is convex, decreasing and
-piecewise linear, so a few steps land on the root.  Explicit criteria, and
+piecewise linear, so a few steps land on the root.  Each iterate costs one
+argsort and one walk of the shifted position,
+:func:`~eligirisk.measures.shortfall_and_slope`, which returns the value
+and the right slope together.  Explicit criteria, and
 ``method="bisection"``, run bracketed bisection.  Both solvers return the
 upper end ``hi`` of a certified bracket: ``hi`` is accepted and
 ``hi - bracket_width`` is rejected, with the width at most
@@ -36,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .acceptance import AcceptanceSpec
-from .measures import var
+from .measures import shortfall_and_slope, var_of_ratio
 from .reporting import CheckReport
 from .spaces import FiniteSpace, RandVar, expectation
 
@@ -58,6 +63,8 @@ MAX_BRACKET_DOUBLINGS = 128
 #: Newton steps before the halving loop takes over.  Quotes on 2-16 atoms
 #: take 1-9; the cap bounds a crawl by next floats through float noise.
 MAX_NEWTON_STEPS = 16
+#: Under this bound on |t| * max S1 + max|X|, no atom of X + t * S1 can overflow.
+FLOAT_SAFE = 2.0**1023
 #: Multiples of the payoff that ``s_additivity_check`` shifts each position by.
 S_ADDITIVITY_LAMBDAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -121,7 +128,12 @@ def default_tol(asset: EligibleAsset, x: RandVar) -> float:
     every magnitude.  Newton lands within it in a few steps, and its closing
     test at ``hi - tol`` certifies the bracket.
     """
-    return 1e-10 * max(1.0, x.max_abs * asset.price / asset.eps)
+    return _tol_at(x.max_abs * asset.price / asset.eps)
+
+
+def _tol_at(scale: float) -> float:
+    """:func:`default_tol` at the bracket scale B."""
+    return 1e-10 * max(1.0, scale)
 
 
 def _bisect(
@@ -164,65 +176,57 @@ def _bisect(
     return lo, hi, iters
 
 
-def _right_slope(spec: AcceptanceSpec, y: RandVar, payoff: RandVar) -> float:
-    """Right derivative of t -> functional(Y + t * S1) at t = 0, for ES and distortion mixtures.
-
-    Just right of 0 the atoms of Y + t * S1 sort by value, ties by payoff,
-    both ascending.  On that order the functional is the Choquet sum
-    -sum(w_i * (Y_i + t * S1_i)), so the derivative is -sum(w_i * S1_i).  The
-    ES(alpha) weights are the increments of min(cum / alpha, 1): all on the
-    first atom at alpha 0, the probabilities at alpha 1.  A mixture sums them.
-
-    It runs once per Newton step, so it follows the hot-path rule of
-    :mod:`eligirisk.spaces`: ndarray methods, and increments taken in place by
-    slice differences (``g[0] - 0.0 == g[0]``, so they equal ``np.diff`` with
-    ``prepend=0.0`` bit for bit) instead of the ``np.<func>`` wrappers.
-    """
-    order = np.lexsort((payoff.values, y.values))
-    p = y.space.probs[order]
-    cum = p.cumsum()
-    points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
-    w = np.zeros(p.size)
-    for alpha, weight in points:
-        if alpha == 0.0:
-            w[0] += weight
-        elif alpha == 1.0:
-            w += weight * p
-        else:
-            g = np.minimum(cum / alpha, 1.0)
-            g[1:] -= g[:-1].copy()  # cheaper than numpy buffering the overlap itself
-            w += weight * g
-    return -float(w.dot(payoff.values[order]))
-
-
 def _newton(
-    spec: AcceptanceSpec, asset: EligibleAsset, x: RandVar, tol: float, member
+    spec: AcceptanceSpec, asset: EligibleAsset, x: RandVar, xmax: float, tol: float
 ) -> tuple[float | None, float | None, int]:
     """Finite Newton on g(m) = functional(X + (m / S0) * S1) for ES and distortion mixtures.
 
     g is convex, decreasing and piecewise linear: linear wherever the order
     of the position is fixed.  The tangent along the right derivative lies
     below g, so the step from m = 0 lands at or left of the root, and the
-    rejected iterates then rise onto it after finitely many steps.  A step
-    from a rejected iterate moves m by at least one float; when it would
-    leave the rounded position unchanged, it moves m by ulp(max|Y|) * S0 /
-    eps instead, the position's own rounding scale.  ``hi`` is the first
-    accepted iterate after m = 0 and ``lo`` the last rejected one.  When no
-    iterate was rejected, or ``hi - lo`` exceeds ``tol``, one test at
-    ``hi - tol`` closes the bracket.  If that test accepts, ``hi`` landed
-    more than ``tol`` over the root (a ``tol`` below the landing error);
-    levels are then tested down from the probe by steps doubling from the
-    probe's distance to ``hi`` (at least ``ulp(hi)``) until one is rejected.
-    Returns ``(lo, hi, steps)``, the walk's levels counted as steps.  When
-    the step cap is hit (``hi`` is None), or the walk leaves a bracket wider
-    than ``tol``, the halving loop of :func:`_bisect` finishes it.
+    rejected iterates then rise onto it after finitely many steps.  Each
+    iterate is priced by one sorted walk, :func:`shortfall_and_slope`, which
+    returns g and its right slope together.  A step from a rejected iterate
+    moves m by at least one float; when it would leave the rounded position
+    unchanged, it moves m by ulp(max|Y|) * S0 / eps instead, the position's
+    own rounding scale.  ``hi`` is the first accepted iterate after m = 0
+    and ``lo`` the last rejected one.  When no iterate was rejected, or
+    ``hi - lo`` exceeds ``tol``, one test at ``hi - tol`` closes the
+    bracket.  If that test accepts, ``hi`` landed more than ``tol`` over the
+    root (a ``tol`` below the landing error); levels are then tested down
+    from the probe by steps doubling from the probe's distance to ``hi`` (at
+    least ``ulp(hi)``) until one is rejected.  Returns ``(lo, hi, steps)``,
+    the walk's levels counted as steps.  When the step cap is hit (``hi`` is
+    None), or the walk leaves a bracket wider than ``tol``, the halving loop
+    of :func:`_bisect` finishes it.  An iterate outside the float range
+    raises a ``ValueError``.
     """
     s0, payoff = asset.price, asset.payoff
+    mu = spec.level if spec.kind == "es" else spec.weights
+    pays = payoff.values.tolist()
+    mass = (x.space.probs * payoff.values).tolist()
+    mean, top = expectation(payoff), max(pays)
+
+    def shifted(m: float) -> np.ndarray:
+        """The values of X + (m / S0) * S1, checked finite."""
+        t = m / s0
+        if abs(t) * top + xmax < FLOAT_SAFE:  # no atom can overflow
+            return x.values + t * payoff.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = x.values + t * payoff.values
+        if np.count_nonzero(np.isfinite(values)) != values.size:
+            raise ValueError(f"the shifted position X + (m / S0) * S1 leaves the float range at m = {m!r}")
+        return values
+
+    def member(m: float) -> bool:
+        return spec.functional_value(RandVar._fresh(x.space, shifted(m))) <= 0.0
+
     lo = hi = None
     m = 0.0
+    values = shifted(m)
     for steps in range(MAX_NEWTON_STEPS + 1):
-        y = x + (m / s0) * payoff
-        g = spec.functional_value(y)
+        y = RandVar._fresh(x.space, values)
+        g, slope = shortfall_and_slope(y, mu, pays, mass, mean)
         if g <= 0.0 and (steps > 0 or g == 0.0):
             hi = m
             break
@@ -230,12 +234,15 @@ def _newton(
             lo = m
         if steps == MAX_NEWTON_STEPS:
             return lo, None, steps
-        nxt = m - s0 * g / _right_slope(spec, y, payoff)
+        # a slope that underflowed to 0 sends the step out of the float range
+        nxt = m - s0 * g / slope if slope else math.copysign(math.inf, g)
         if g > 0.0:
             nxt = max(nxt, math.nextafter(m, math.inf))
-            if not np.count_nonzero(x.values + (nxt / s0) * payoff.values != y.values):
-                # the step leaves the rounded position, hence g, unchanged
-                nxt = max(nxt, m + s0 * math.ulp(y.max_abs) / asset.eps)
+        values = shifted(nxt)
+        if g > 0.0 and not np.count_nonzero(values != y.values):
+            # the step leaves the rounded position, hence g, unchanged
+            nxt = max(nxt, m + s0 * math.ulp(y.max_abs) / asset.eps)
+            values = shifted(nxt)
         m = nxt
     if lo is None or hi - lo > tol:
         probe = hi - tol
@@ -273,7 +280,10 @@ def rho(
             # conic criteria price the zero position at exactly zero
             return RiskQuote(0.0, "closed_form", 0, 0.0)
         if spec.kind == "var":
-            value = asset.price * var(x / asset.payoff, spec.level)
+            q = var_of_ratio(x, asset.payoff, spec.level)
+            value = asset.price * q
+            if not math.isfinite(value):
+                raise ValueError(f"the VaR quote S0 * VaR(X / S1) overflows: VaR(X / S1) is {q!r}")
             return RiskQuote(value, "closed_form", 0, 0.0)
         if spec.is_linear_kind:
             value = -asset.price * expectation(x) / expectation(asset.payoff)
@@ -282,17 +292,18 @@ def rho(
             s = float(asset.payoff.values[0])
             value = asset.price * spec.functional_value(x) / s
             return RiskQuote(value, "closed_form", 0, 0.0)
-    if tol is None:
-        tol = default_tol(asset, x)
     s0, payoff = asset.price, asset.payoff
+    xmax = x.max_abs
+    start = s0 * xmax / asset.eps
+    if tol is None:
+        tol = _tol_at(start)
 
     def member(m: float) -> bool:
         return spec.functional_value(x + (m / s0) * payoff) <= 0.0
 
     # what the closed forms leave of the built-in kinds: es and distortion, risky payoff
     newton = method == "auto" and spec.is_builtin
-    lo, hi, steps = _newton(spec, asset, x, tol, member) if newton else (None, None, 0)
-    start = s0 * x.max_abs / asset.eps
+    lo, hi, steps = _newton(spec, asset, x, xmax, tol) if newton else (None, None, 0)
     lo, hi, halvings = _bisect(member, start if start > 0.0 else 1.0, tol, lo, hi)
     return RiskQuote(hi, "newton" if newton else "bisection", steps + halvings, hi - lo)
 

@@ -6,7 +6,10 @@ numpy's fixed cost per call outweighs the arithmetic.  They use ndarray
 methods (``a.argsort()``, ``a.tolist()``) and ``np.count_nonzero``, never
 the ``np.<func>`` wrappers or ``.all()``/``.any()`` reductions, which add
 microseconds of dispatch per call.  The code path is the same at every
-atom count.
+atom count.  A Newton iterate is the hottest of these paths: one argsort
+and one walk (:func:`~eligirisk.measures.shortfall_and_slope`, the walk of
+:func:`_lower_tail` that also sums p * S1 per run) give the value and the
+slope together, on the one ``RandVar`` the iterate builds.
 
 Operators adopt the array they allocate; the public constructor copies.
 ``RandVar(space, values)`` copies and validates foreign input; arithmetic,
@@ -139,8 +142,10 @@ class SortedProfile:
         self.cum.setflags(write=False)
 
 
-def _lower_tail(x: RandVar, level: float) -> tuple[list[float], list[float]]:
-    """The profile of ``x`` up to and including its first run with ``cum > level``.
+def _lower_tail(
+    space: FiniteSpace, values: np.ndarray, level: float
+) -> tuple[list[float], list[float]]:
+    """The profile of ``values`` up to and including its first run with ``cum > level``.
 
     One walk over the atoms in sorted order adds each ``int_probs``
     numerator to an integer and rounds the sum once, when a run of tied
@@ -149,11 +154,11 @@ def _lower_tail(x: RandVar, level: float) -> tuple[list[float], list[float]]:
     interchangeable, and the sort need not be stable.  The last run's
     ``cum`` is pinned to 1.0: the stored probabilities need not sum to
     exactly 1.  Every prefix is the same prefix of the full profile, bit for
-    bit.
+    bit.  ``values`` may hold +-inf, which then only orders the atoms.
     """
-    nums, den = x.space.int_probs
-    vals = x.values.tolist()
-    order = x.values.argsort().tolist()
+    nums, den = space.int_probs
+    vals = values.tolist()
+    order = values.argsort().tolist()
     last = vals[order[0]] + 0.0
     distinct = [last]
     cum: list[float] = []
@@ -229,7 +234,7 @@ class RandVar:
 
     @cached_property
     def profile(self) -> SortedProfile:
-        values, cum = _lower_tail(self, math.inf)
+        values, cum = _lower_tail(self.space, self.values, math.inf)
         return SortedProfile(np.array(values, dtype=float), np.array(cum, dtype=float))
 
     @property
@@ -300,7 +305,7 @@ def upper_quantile(x: RandVar, beta: float) -> float:
     beta = float(beta)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    return _lower_tail(x, beta)[0][-1]
+    return _lower_tail(x.space, x.values, beta)[0][-1]
 
 
 def essential_infimum(x: RandVar) -> float:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,38 @@ class TestEval:
         code, out, _ = run_cli(["eval", "--scenario", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["results"][0]["value"] == -3.0
+
+    @pytest.mark.parametrize(
+        "acceptance, code, expected",
+        [
+            ({"kind": "var", "alpha": 0.1}, 0, None),
+            ({"kind": "var", "alpha": 0.6}, 2, "VaR(X / S1) is -inf"),
+            ({"kind": "es", "alpha": 0.1}, 2, "leaves the float range"),
+            (
+                {"kind": "distortion", "weights": [{"alpha": 0.0, "w": 0.5}, {"alpha": 0.5, "w": 0.5}]},
+                2,
+                "leaves the float range",
+            ),
+        ],
+        ids=["var", "var-infinite", "es", "mixture"],
+    )
+    def test_tiny_payoff_quotes_or_names_the_overflow(self, tmp_path, capsys, acceptance, code, expected):
+        doc = {
+            "space": {"probs": [0.5, 0.5]},
+            "positions": {"X": [1.0, 1.0]},
+            "asset": {"price": 1.0, "payoff": [1e-310, 1.0]},
+            "acceptance": acceptance,
+        }
+        path = tmp_path / "tiny_payoff.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_cli(["eval", "--scenario", str(path)], capsys)
+        assert got == code
+        if expected is None:
+            assert json.loads(out)["results"][0]["value"] == -1.0
+        else:
+            assert expected in err
 
     def test_es_bisection_fixture(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +30,10 @@ from eligirisk import (
     rho,
     rho_cash,
     s_additivity_check,
+    shortfall_and_slope,
 )
 from eligirisk import engine
-from eligirisk.engine import MAX_NEWTON_STEPS, _payoff_steps, _right_slope, default_tol
+from eligirisk.engine import MAX_NEWTON_STEPS, _payoff_steps, default_tol
 
 import sampling as smp
 
@@ -331,27 +333,37 @@ def slope_oracle(spec, y, payoff):
     return -total
 
 
+def value_and_slope(spec, y, payoff):
+    """Newton's pricing of one iterate: ``shortfall_and_slope`` with the payoff terms of a quote."""
+    mu = spec.level if spec.kind == "es" else spec.weights
+    mass = (y.space.probs * payoff.values).tolist()
+    return shortfall_and_slope(y, mu, payoff.tolist(), mass, expectation(payoff))
+
+
 SLOPE_LEVELS = (0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)
 
 
 class TestRightSlope:
-    """Newton's slope, the right derivative of t -> functional(Y + t * S1) at 0."""
+    """Newton's pricing of one iterate: the functional value and its right slope along S1."""
 
     def test_tied_mixture_slopes_are_pinned(self):
-        # values of the np.diff form the in-place increments replaced; the ties
-        # at Y = -1.25 and Y = 0.5 order by payoff
+        # the ties at Y = -1.25 and Y = 0.5 order by payoff; both pins are the
+        # correctly rounded exact slopes
         sp = FiniteSpace(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]) / 25)
         y = RandVar(sp, [0.5, -1.25, 0.5, -1.25, 2.0, 0.5, -1.25])
         payoff = RandVar(sp, [1.5, 0.75, 0.25, 2.0, 1.0, 3.0, 0.5])
         mix, ends = (AcceptanceSpec.distortion_mix(DistortionWeights(w)) for w in (MIX, ENDS))
-        assert _right_slope(mix, y, payoff).hex() == "-0x1.451eb851eb852p-1"  # -0.635
-        assert _right_slope(ends, y, payoff).hex() == "-0x1.1666666666667p+0"
+        for spec, pin in ((mix, "-0x1.451eb851eb852p-1"), (ends, "-0x1.1666666666666p+0")):
+            slope = value_and_slope(spec, y, payoff)[1]
+            assert slope == float(slope_oracle(spec, y, payoff))
+            assert slope.hex() == pin
         assert float(slope_oracle(mix, y, payoff)) == -0.635
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
         atoms=st.lists(
-            st.tuples(st.integers(1, 16), st.integers(-3, 3), st.integers(1, 64)),
+            # payoffs from 8 values often tie within a run of Y, which then orders by payoff
+            st.tuples(st.integers(1, 16), st.integers(-3, 3), st.integers(1, 8) | st.integers(1, 64)),
             min_size=1, max_size=16,
         ),
         levels=st.lists(st.sampled_from(SLOPE_LEVELS), min_size=1, max_size=3, unique=True),
@@ -370,11 +382,63 @@ class TestRightSlope:
             spec = AcceptanceSpec.distortion_mix(
                 DistortionWeights(tuple((a, w / total) for a, w in zip(levels, level_weights)))
             )
-        slope = _right_slope(spec, y, payoff)
-        # rounding of the cumulative sums, increments and dot product; 10**5
-        # random draws stayed below 0.9 n ulp (the worst case grows as n**2)
+        value, slope = value_and_slope(spec, y, payoff)
+        assert value == spec.functional_value(y)
+        # rounding of the run sums, the run reaching each level and the mixture
+        # sum; 10**5 random draws each, payoffs from 8 and from 64 values,
+        # stayed below 1.52 n ulp (one atom, where the mixture's weighted sum
+        # rounds) and below 0.89 n ulp on 2-16 atoms (the worst case grows as
+        # n**2)
         bound = 2 * sp.n_atoms * math.ulp(float(np.max(payoff.values)))
         assert abs(Fraction(slope) - slope_oracle(spec, y, payoff)) <= bound
+
+
+class TestFloatRange:
+    """Quotes at the edges of the float range: no warning, and an error that names an overflow."""
+
+    @pytest.fixture
+    def space(self):
+        return FiniteSpace([0.5, 0.5])
+
+    def quote(self, spec, space, payoff):
+        asset = EligibleAsset(1.0, RandVar(space, payoff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return rho(spec, asset, RandVar(space, [1.0, 1.0]))
+
+    def test_var_quotes_the_finite_order_statistic_of_the_raw_quotient(self, space):
+        # X / S1 = [1e310 (overflows to inf), 1]; its upper 0.1-quantile is 1
+        quote = self.quote(AcceptanceSpec.var_level(0.1), space, [1e-310, 1.0])
+        assert quote == RiskQuote(-1.0, "closed_form", 0, 0.0)
+
+    def test_var_raises_on_an_infinite_order_statistic(self, space):
+        with pytest.raises(ValueError, match=r"overflows: VaR\(X / S1\) is -inf"):
+            self.quote(AcceptanceSpec.var_level(0.6), space, [1e-310, 1.0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AcceptanceSpec.es_level(0.1), AcceptanceSpec.distortion_mix(DistortionWeights(MIX))],
+        ids=["es", "mixture"],
+    )
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324], ids=["subnormal", "slope-underflows"])
+    def test_newton_raises_when_the_iterate_leaves_the_float_range(self, space, spec, tiny):
+        # the requirement is about -1 / tiny, below -1.8e308; at 5e-324 the
+        # mixture's slope, 0.5 * -5e-324 + ..., rounds to 0 itself
+        with pytest.raises(ValueError, match="leaves the float range at m = -inf"):
+            self.quote(spec, space, [tiny, 1.0])
+
+    def test_newton_takes_a_large_shift_that_stays_finite(self, space):
+        # the step to m = 5e307 passes the quick bound (|m| * 2 + 1e308 overflows),
+        # but X + m * S1 = [0, 1.5e308] is finite: it is priced, and it is the root
+        x = RandVar(space, [-1e308, 1e308])
+        asset = EligibleAsset(1.0, RandVar(space, [2.0, 1.0]))
+        spec = AcceptanceSpec.es_level(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quote = rho(spec, asset, x)
+        assert quote.value == 5e307
+        assert accepts(spec, x + quote.value * asset.payoff)
+        assert not accepts(spec, x + (quote.value - quote.bracket_width) * asset.payoff)
 
 
 class TestRhoProperties:
