@@ -3,8 +3,9 @@
 When an acceptance set meets its negation only at zero, the requirement can
 be comonotonically additive only for a constant asset payoff.  Expected
 shortfall and every distortion mixture with mass off the expectation level
-are pointed: this script runs the exact one-membership characterization on
-risky and risk-free assets and then exhibits concrete violating pairs.
+are pointed: this script runs the corollary for convex criteria, decided
+exactly by the criterion's kind and the payoff, on risky and risk-free
+assets and then exhibits concrete violating pairs.
 """
 
 import numpy as np

@@ -132,7 +132,9 @@ def default_tol(asset: EligibleAsset, x: RandVar) -> float:
 
 
 def _tol_at(scale: float) -> float:
-    """:func:`default_tol` at the bracket scale B."""
+    """:func:`default_tol` at the bracket scale B; a B outside the float range is a ``ValueError``."""
+    if scale == math.inf:
+        raise ValueError("the bracket scale S0 * max|X| / eps leaves the float range")
     return 1e-10 * max(1.0, scale)
 
 
@@ -177,7 +179,7 @@ def _bisect(
 
 
 def _newton(
-    spec: AcceptanceSpec, asset: EligibleAsset, x: RandVar, xmax: float, tol: float
+    spec: AcceptanceSpec, asset: EligibleAsset, x: RandVar, pays: list[float], shifted
 ) -> tuple[float | None, float | None, int]:
     """Finite Newton on g(m) = functional(X + (m / S0) * S1) for ES and distortion mixtures.
 
@@ -189,47 +191,24 @@ def _newton(
     returns g and its right slope together.  A step from a rejected iterate
     moves m by at least one float; when it would leave the rounded position
     unchanged, it moves m by ulp(max|Y|) * S0 / eps instead, the position's
-    own rounding scale.  ``hi`` is the first accepted iterate after m = 0
-    and ``lo`` the last rejected one.  When no iterate was rejected, or
-    ``hi - lo`` exceeds ``tol``, one test at ``hi - tol`` closes the
-    bracket.  If that test accepts, ``hi`` landed more than ``tol`` over the
-    root (a ``tol`` below the landing error); levels are then tested down
-    from the probe by steps doubling from the probe's distance to ``hi`` (at
-    least ``ulp(hi)``) until one is rejected.  Returns ``(lo, hi, steps)``,
-    the walk's levels counted as steps.  When the step cap is hit (``hi`` is
-    None), or the walk leaves a bracket wider than ``tol``, the halving loop
-    of :func:`_bisect` finishes it.  An iterate outside the float range
-    raises a ``ValueError``.
+    own rounding scale.  Returns ``(lo, hi, steps)``: ``hi`` is the first
+    accepted iterate after m = 0 (None at the step cap), ``lo`` the last
+    rejected one (or None).  ``pays`` lists S1, and ``shifted`` is
+    :func:`rho`'s; an iterate outside the float range raises a ``ValueError``.
     """
     s0, payoff = asset.price, asset.payoff
     mu = spec.level if spec.kind == "es" else spec.weights
-    pays = payoff.values.tolist()
     mass = (x.space.probs * payoff.values).tolist()
-    mean, top = expectation(payoff), max(pays)
+    mean = expectation(payoff)
 
-    def shifted(m: float) -> np.ndarray:
-        """The values of X + (m / S0) * S1, checked finite."""
-        t = m / s0
-        if abs(t) * top + xmax < FLOAT_SAFE:  # no atom can overflow
-            return x.values + t * payoff.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = x.values + t * payoff.values
-        if np.count_nonzero(np.isfinite(values)) != values.size:
-            raise ValueError(f"the shifted position X + (m / S0) * S1 leaves the float range at m = {m!r}")
-        return values
-
-    def member(m: float) -> bool:
-        return spec.functional_value(RandVar._fresh(x.space, shifted(m))) <= 0.0
-
-    lo = hi = None
+    lo = None
     m = 0.0
     values = shifted(m)
     for steps in range(MAX_NEWTON_STEPS + 1):
         y = RandVar._fresh(x.space, values)
         g, slope = shortfall_and_slope(y, mu, pays, mass, mean)
         if g <= 0.0 and (steps > 0 or g == 0.0):
-            hi = m
-            break
+            return lo, m, steps
         if g > 0.0:
             lo = m
         if steps == MAX_NEWTON_STEPS:
@@ -244,23 +223,33 @@ def _newton(
             nxt = max(nxt, m + s0 * math.ulp(y.max_abs) / asset.eps)
             values = shifted(nxt)
         m = nxt
-    if lo is None or hi - lo > tol:
-        probe = hi - tol
-        while hi - probe > tol:  # rounding widened the step
-            probe = math.nextafter(probe, math.inf)
-        if not member(probe):
-            return probe, hi, steps
-        # hi lies over tol above the root: walk down from the probe by doubling steps
-        step = max(hi - probe, math.ulp(hi))
-        hi = probe
-        for _ in range(MAX_BRACKET_DOUBLINGS):
-            steps += 1
-            level = hi - step
-            if not member(level):
-                return level, hi, steps
-            hi, step = level, 2.0 * step
-        raise BracketExpansionError("every capital level is acceptable; criterion is not proper")
-    return lo, hi, steps
+
+
+def _close(member, lo: float | None, hi: float, tol: float, steps: int) -> tuple[float, float, int]:
+    """Certify Newton's accepted landing ``hi``: test ``hi - tol`` unless ``lo`` is within ``tol``.
+
+    If that probe accepts, ``hi`` landed over ``tol`` above the root, and
+    levels are tested down from the probe by steps doubling from ``hi -
+    probe`` (at least ``ulp(hi)``) until one is rejected, each counted as a
+    step.  :func:`_bisect` halves what is left wider than ``tol``.
+    """
+    if lo is not None and hi - lo <= tol:
+        return lo, hi, steps
+    probe = hi - tol
+    while hi - probe > tol:  # rounding widened the step
+        probe = math.nextafter(probe, math.inf)
+    if not member(probe):
+        return probe, hi, steps
+    # hi lies over tol above the root: walk down from the probe by doubling steps
+    step = max(hi - probe, math.ulp(hi))
+    hi = probe
+    for _ in range(MAX_BRACKET_DOUBLINGS):
+        steps += 1
+        level = hi - step
+        if not member(level):
+            return level, hi, steps
+        hi, step = level, 2.0 * step
+    raise BracketExpansionError("every capital level is acceptable; criterion is not proper")
 
 
 def rho(
@@ -293,17 +282,31 @@ def rho(
             value = asset.price * spec.functional_value(x) / s
             return RiskQuote(value, "closed_form", 0, 0.0)
     s0, payoff = asset.price, asset.payoff
-    xmax = x.max_abs
+    pays = payoff.values.tolist()
+    xmax, top = x.max_abs, max(pays)
     start = s0 * xmax / asset.eps
-    if tol is None:
-        tol = _tol_at(start)
+
+    def shifted(m: float) -> np.ndarray:
+        """The values of X + (m / S0) * S1, checked finite."""
+        t = m / s0
+        if abs(t) * top + xmax < FLOAT_SAFE:  # no atom can overflow
+            return x.values + t * payoff.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = x.values + t * payoff.values
+        if np.count_nonzero(np.isfinite(values)) != values.size:
+            raise ValueError(f"the shifted position X + (m / S0) * S1 leaves the float range at m = {m!r}")
+        return values
 
     def member(m: float) -> bool:
-        return spec.functional_value(x + (m / s0) * payoff) <= 0.0
+        return spec.functional_value(RandVar._fresh(x.space, shifted(m))) <= 0.0
 
     # what the closed forms leave of the built-in kinds: es and distortion, risky payoff
     newton = method == "auto" and spec.is_builtin
-    lo, hi, steps = _newton(spec, asset, x, xmax, tol) if newton else (None, None, 0)
+    lo, hi, steps = _newton(spec, asset, x, pays, shifted) if newton else (None, None, 0)
+    if tol is None:
+        tol = _tol_at(start)
+    if hi is not None:
+        lo, hi, steps = _close(member, lo, hi, tol, steps)
     lo, hi, halvings = _bisect(member, start if start > 0.0 else 1.0, tol, lo, hi)
     return RiskQuote(hi, "newton" if newton else "bisection", steps + halvings, hi - lo)
 
@@ -320,8 +323,16 @@ def rho_cash(spec: AcceptanceSpec, x: RandVar, tol: float | None = None) -> floa
 
 
 def change_numeraire(x: RandVar, asset: EligibleAsset) -> RandVar:
-    """The position expressed in units of the asset payoff (atomwise ratio)."""
-    return x / asset.payoff
+    """The position expressed in units of the asset payoff (atomwise ratio).
+
+    A payoff near 0 can overflow an atom of X / S1; that is a ``ValueError``
+    naming the discounted position.
+    """
+    with np.errstate(over="ignore"):
+        values = x.values / asset.payoff.values
+    if np.count_nonzero(np.isfinite(values)) != values.size:
+        raise ValueError("the discounted position X / S1 leaves the float range")
+    return RandVar._fresh(x.space, values)
 
 
 def discounted_acceptance(spec: AcceptanceSpec, asset: EligibleAsset) -> AcceptanceSpec:

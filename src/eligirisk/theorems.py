@@ -2,11 +2,11 @@
 additivity of the eligible-asset risk measure to properties of the
 acceptance set and the asset.
 
-Every checker here decides its statement by construction, with no seed:
-exact single membership tests where the statement reduces to one, one pass
-over integer subset sums for VaR (at its least probability atom for
-``var-condition-b``), and a few constructed comonotone pairs for the
-additivity search and the additivity half of ``cash-reduction``.  The
+Every checker here decides its statement by construction, with no seed: a
+rule read off the kind and the payoff for convex criteria, integer mass
+comparisons, one pass over integer subset sums for VaR (at its least
+probability atom for ``var-condition-b``), and a few constructed comonotone
+pairs for the additivity search and the additivity half of ``cash-reduction``.  The
 paper's lemma, rho_S = rho_R iff A + t * D = A for every real t, with
 D = S1/S0 - R1/R0, is decided by one absorption test, :func:`absorbs`:
 ``theorem-b`` asks it for the leveraged payoff W, ``lemma-equality`` for D,
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -96,11 +95,6 @@ def _rho_one(spec: AcceptanceSpec, asset: EligibleAsset) -> float:
     if not -math.inf < r1 < 0.0:
         raise ValueError(f"requirement of the constant 1 is {r1!r}, not a finite negative number")
     return r1
-
-
-def _frac_expectation(space: FiniteSpace, values) -> Fraction:
-    nums, den = space.int_probs
-    return sum((n * Fraction(v) for n, v in zip(nums, values)), Fraction(0)) / den
 
 
 #: Most atoms :func:`_subset_sums` enumerates: ``var-condition-b`` omits one,
@@ -197,10 +191,8 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
         raise ValueError("stability check requires a comonotonic built-in criterion")
     if spec.is_convex_kind:
         inner = check_corollary_convex(spec, asset)
-        inner.statement = "theorem-b"
-        inner.note = (
-            "convex criterion: reduced to the exact single membership test. " + inner.note
-        ).strip()
+        prefix = "convex criterion: decided by kind as the corollary for convex criteria. "
+        inner.statement, inner.note = "theorem-b", prefix + inner.note
         return inner
 
     space = asset.payoff.space
@@ -228,62 +220,37 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
 
 
 def check_corollary_convex(spec: AcceptanceSpec, asset: EligibleAsset) -> TheoremVerdict:
-    """Exact single-membership characterization for convex criteria.
+    """The paper's corollary for convex criteria, decided by kind.
 
-    For a closed convex conic acceptance set, comonotonicity of the risk
-    measure is equivalent to W' = S1 + S0 / r1 being a risk invariant, so
-    one exact membership of W' and -W' settles the verdict.  Two cases are
-    decided without floating noise: a constant payoff makes W' identically
-    zero, and an expectation-linear criterion makes the decisive expectation
-    evaluate to an exact rational zero.
+    The measure is comonotonic iff W' = S1 + S0 / r1 is a risk invariant.
+    With r1 = -S0 / F(-S1), F(-W') = 0 and F(W') = F(S1) + F(-S1), a
+    positive-weight sum of ES_a(S1) + ES_a(-S1): the upper minus the lower
+    a-tail mean of S1 (max minus min at a = 0), zero iff S1 is constant or
+    a = 1.  So it passes iff the payoff is constant or the criterion is
+    expectation-linear (all mass at level 1); no float sign is read, as a
+    positive sum can round to 0.  A pass reports both values as the exact 0,
+    a fail the computed F(W') and F(-W').  A constant payoff has W' = 0.
     """
     if not spec.is_convex_kind:
-        raise ValueError("single-membership characterization requires a convex criterion")
-    space = asset.payoff.space
-
-    if asset.risk_free:
-        s = float(asset.payoff.values[0])
-        r1 = -asset.price / s
-        # W' = S1 + S0 / r1 = s - s: identically zero, no rounding allowed in
-        zero = RandVar.constant(space, 0.0)
-        return TheoremVerdict(
-            "corollary-convex", "pass", 1, None,
-            condition_values={"rho_one": r1, "w_invariant": zero,
-                              "value_plus": 0.0, "value_minus": 0.0},
-            note="constant payoff: the leveraged payoff vanishes identically",
-        )
-
-    if spec.is_linear_kind:
-        # exact rational arithmetic over the stored float probabilities (whose
-        # exact rational sum sigma is 1 only up to renormalization rounding):
-        # r1 = -S0 * sigma / E[S1] makes E[W'] vanish identically
-        nums, den = space.int_probs
-        sigma = Fraction(sum(nums), den)
-        e_payoff = _frac_expectation(space, asset.payoff.values.tolist())
-        r1_frac = -Fraction(asset.price) * sigma / e_payoff
-        w_vals = [Fraction(v) + Fraction(asset.price) / r1_frac for v in asset.payoff.values.tolist()]
-        residual = _frac_expectation(space, w_vals)
-        verdict = "pass" if residual == 0 else "fail"
-        w_float = RandVar(space, np.array([float(v) for v in w_vals]))
-        return TheoremVerdict(
-            "corollary-convex", verdict, 1, None,
-            condition_values={"rho_one": float(r1_frac), "w_invariant": w_float,
-                              "value_plus": float(-residual), "value_minus": float(residual)},
-            note="expectation-linear criterion: decisive expectation taken in exact rationals",
-        )
-
+        raise ValueError("the corollary for convex criteria requires a convex criterion")
     r1 = _rho_one(spec, asset)
-    w_inv = asset.payoff + asset.price / r1
-    value_plus = spec.functional_value(w_inv)
-    value_minus = spec.functional_value(-w_inv)
-    ok = value_plus <= 0.0 and value_minus <= 0.0
+    ok = asset.risk_free or spec.is_linear_kind
+    if asset.risk_free:
+        # W' = S1 + S0 / r1 = s - s: identically zero, no rounding allowed in
+        w_inv = RandVar.constant(asset.payoff.space, 0.0)
+        note = "constant payoff: the leveraged payoff vanishes identically"
+    else:
+        w_inv = asset.payoff + asset.price / r1
+        note = ("expectation-linear criterion: F(S1) + F(-S1) = 0, so W' is a risk invariant"
+                if ok else "risky payoff and a pointed criterion: F(S1) + F(-S1) > 0, so W' "
+                "is no risk invariant and the measure is not comonotonic")
+    values = (0.0, 0.0) if ok else (spec.functional_value(w_inv), spec.functional_value(-w_inv))
     return TheoremVerdict(
         "corollary-convex", "pass" if ok else "fail", 1, None,
         witness=None if ok else {"w_invariant": w_inv},
         condition_values={"rho_one": r1, "w_invariant": w_inv,
-                          "value_plus": value_plus, "value_minus": value_minus},
-        note="leveraged payoff is a risk invariant" if ok
-        else "leveraged payoff fails the risk-invariant test; the measure is not comonotonic",
+                          "value_plus": values[0], "value_minus": values[1]},
+        note=note,
     )
 
 
@@ -406,21 +373,22 @@ def check_lemma_equality(
 def check_var_necessary_condition(spec: AcceptanceSpec, asset: EligibleAsset) -> TheoremVerdict:
     """Necessary payoff concentration for a comonotonic quantile-based measure.
 
-    The payoff must equal a single constant with probability at least
-    1 - 2 * alpha; the constant is the payoff level whose reciprocal is the
-    upper quantile of 1 / S1, so the event is evaluated by exact equality on
-    the reciprocal values with no rounding of the constant itself, and its
-    mass is compared with 1 - 2 * alpha in integers.  A false verdict
-    certifies non-comonotonicity by contraposition.
+    The payoff must equal a single constant s* with probability at least
+    1 - 2 * alpha, where 1 / s* is the upper alpha-quantile of 1 / S1.  As
+    -S1 orders the atoms as 1 / S1 does, s* = var(-S1) is read off S1's own
+    levels, with no division that could merge two of them.  The mass of
+    {S1 = s*} is compared with 1 - 2 * alpha in integers; a fail certifies
+    non-comonotonicity.  The reported VaR of 1 / S1 is -1 / s*, and its
+    overflow is a ``ValueError``.
     """
     if spec.kind != "var":
         raise ValueError("the concentration condition applies to the quantile criterion")
     alpha = spec.level.alpha
-    recip = 1.0 / asset.payoff
-    v = var(recip, spec.level)
-    q = -v  # the selected reciprocal payoff level
-    mask = recip.values == q
-    event = np.flatnonzero(mask)
+    s_star = var(-asset.payoff, spec.level)
+    v = -1.0 / s_star
+    if not math.isfinite(v):
+        raise ValueError(f"the VaR of 1 / S1, -1 / {s_star!r}, overflows")
+    event = np.flatnonzero(asset.payoff.values == s_star)
     nums, den = asset.payoff.space.int_probs
     num_alpha, den_alpha = alpha.as_integer_ratio()
     holds = sum(nums[i] for i in event) * den_alpha >= (den_alpha - 2 * num_alpha) * den
@@ -428,7 +396,7 @@ def check_var_necessary_condition(spec: AcceptanceSpec, asset: EligibleAsset) ->
         "var-necessary", "pass" if holds else "fail", 1, None,
         condition_values={
             "var_of_reciprocal_payoff": v,
-            "payoff_constant": float(asset.payoff.values[np.argmax(mask)]),
+            "payoff_constant": s_star,
             "mass_at_constant": asset.payoff.space.event_prob(event),
             "threshold": 1.0 - 2.0 * alpha,
         },

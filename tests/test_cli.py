@@ -159,6 +159,36 @@ class TestCheck:
         assert json.loads(out)["results"][0]["verdict"] == "pass"
 
     @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (["--statement", "var-necessary"], 1, None),
+            (["--statement", "numeraire-identity"], 2, "discounted position X / S1 leaves"),
+        ],
+        ids=["var-necessary", "numeraire-identity"],
+    )
+    def test_tiny_payoff_decides_or_names_the_overflow(self, tmp_path, capsys, argv, code, expected):
+        doc = {
+            "space": {"probs": [0.5, 0.5]},
+            "positions": {"X": [1.0, 1.0]},
+            "asset": {"price": 1.0, "payoff": [1e-310, 1.0]},
+            "acceptance": {"kind": "var", "alpha": 0.1},
+        }
+        path = tmp_path / "tiny_payoff.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_cli(["check", "--scenario", str(path), *argv], capsys)
+        assert got == code
+        if expected is None:
+            result = json.loads(out)["results"][0]
+            assert result["verdict"] == "fail"
+            assert result["condition_values"] == {
+                "mass_at_constant": 0.5, "payoff_constant": 1.0, "threshold": 0.8,
+                "var_of_reciprocal_payoff": -1.0}
+        else:
+            assert expected in err
+
+    @pytest.mark.parametrize(
         "statement, scenario",
         [
             ("corollary-convex", "scenarios/near_risk_free_var.json"),

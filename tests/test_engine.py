@@ -427,6 +427,51 @@ class TestFloatRange:
         with pytest.raises(ValueError, match="leaves the float range at m = -inf"):
             self.quote(spec, space, [tiny, 1.0])
 
+    @pytest.mark.parametrize(
+        "spec",
+        [AcceptanceSpec.es_level(0.1), AcceptanceSpec.var_level(0.1)],
+        ids=["es", "var"],
+    )
+    def test_bisection_names_the_overflow(self, space, spec):
+        # S0 * max|X| / eps = 1e310: no default tol exists.  Under an explicit
+        # tol the first bracket probe, m = 1e310, leaves the float range
+        asset = EligibleAsset(1.0, RandVar(space, [1e-310, 1.0]))
+        x = RandVar(space, [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"bracket scale S0 \* max\|X\| / eps leaves"):
+                rho(spec, asset, x, method="bisection")
+            with pytest.raises(ValueError, match="leaves the float range at m = inf"):
+                rho(spec, asset, x, tol=1e-9, method="bisection")
+            with pytest.raises(ValueError, match="bracket scale"):
+                default_tol(asset, x)
+
+    def test_newton_landing_needs_a_finite_default_tol(self, space):
+        # Newton lands at 1e300, but the default tol, 1e-10 of S0 * max|X| /
+        # eps = 1e310, is not finite; an explicit tol certifies the landing
+        asset = EligibleAsset(1.0, RandVar(space, [1e-10, 1.0]))
+        x = RandVar(space, [1e300, -1e300])
+        spec = AcceptanceSpec.es_level(0.5)
+        with pytest.raises(ValueError, match="bracket scale"):
+            rho(spec, asset, x)
+        quote = rho(spec, asset, x, tol=1e290)
+        assert quote.method == "newton" and 0.0 < quote.bracket_width <= 1e290
+        assert accepts(spec, x + quote.value * asset.payoff)
+        assert not accepts(spec, x + (quote.value - quote.bracket_width) * asset.payoff)
+
+    def test_numeraire_change_names_the_discounted_overflow(self, space):
+        asset = EligibleAsset(1.0, RandVar(space, [1e-310, 1.0]))
+        x = RandVar(space, [1.0, 1.0])
+        spec = AcceptanceSpec.var_level(0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"discounted position X / S1 leaves"):
+                change_numeraire(x, asset)
+            with pytest.raises(ValueError, match=r"discounted position X / S1 leaves"):
+                numeraire_identity_check(spec, asset, [x], tol=1e-9)
+            with pytest.raises(ValueError, match="bracket scale"):
+                numeraire_identity_check(spec, asset, [x])
+
     def test_newton_takes_a_large_shift_that_stays_finite(self, space):
         # the step to m = 5e307 passes the quick bound (|m| * 2 + 1e308 overflows),
         # but X + m * S1 = [0, 1.5e308] is finite: it is priced, and it is the root

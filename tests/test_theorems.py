@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,46 @@ def builtin_spec(kind: str, alpha: float) -> AcceptanceSpec:
     if kind == "mix":
         return AcceptanceSpec.distortion_mix(DistortionWeights(((alpha, 0.5), (1.0, 0.5))))
     return AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),)))
+
+
+#: ES at levels near 0 and 1, mixtures with levels 0 and 1, and two linear criteria.
+CONVEX_SPECS = [
+    AcceptanceSpec.es_level(1e-9),
+    AcceptanceSpec.es_level(0.3),
+    AcceptanceSpec.es_level(1.0 - 1e-9),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((0.0, 0.25), (1.0, 0.75)))),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((0.5, 0.5), (1.0, 0.5)))),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0), (0.5, 1e-17)))),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),))),
+    AcceptanceSpec.expectation_floor(),
+]
+
+
+def exact_criterion(spec: AcceptanceSpec, x: RandVar) -> Fraction:
+    """A convex built-in F(X) in exact rationals over ``int_probs``, normalized by their total.
+
+    F is the weighted sum of ES_a(X), minus the mean of the lowest a of the
+    probability; ES_0 is -min X, and the expectation floor is ES_1.
+    """
+    nums, _ = x.space.int_probs
+    total = sum(nums)
+    law = sorted((Fraction(v), Fraction(m, total)) for v, m in zip(x.tolist(), nums))
+
+    def shortfall(a: Fraction) -> Fraction:
+        if a == 0:
+            return -law[0][0]
+        acc = cum = Fraction(0)
+        for v, p in law:
+            take = min(p, a - cum)
+            if take <= 0:
+                break
+            acc, cum = acc + take * v, cum + take
+        return -acc / a
+
+    if spec.kind == "expectation":
+        return shortfall(Fraction(1))
+    points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
+    return sum((Fraction(w) * shortfall(Fraction(a)) for a, w in points), Fraction(0))
 
 
 def leveraged_payoff(spec: AcceptanceSpec, asset: EligibleAsset) -> RandVar:
@@ -151,7 +192,7 @@ class TestTheoremConditionB:
         verdict = check_theorem_condition_b(spec, asset)
         assert verdict.statement == "theorem-b"
         assert verdict.verdict == "fail"
-        assert "exact single membership" in verdict.note
+        assert verdict.note.startswith("convex criterion: decided by kind")
 
     def test_rejects_explicit_kind(self, near_rf_asset):
         broken = AcceptanceSpec.explicit(lambda x: -expectation(x))
@@ -337,15 +378,68 @@ class TestCorollaryConvex:
          (float.fromhex("0x1.6fa5bb537e745p+19"), 0.9)],
     )
     def test_payoff_one_ulp_from_constant_fails(self, top, alpha):
-        # the payoff is risky, so the paper says "fail".  The float sign of
-        # F(S1) + F(-S1), which a closed form of the verdict would read, is
-        # not positive on these payoffs; the decisive F(+-W') memberships are
+        # the payoff is risky, so the paper says "fail", and so does the rule
+        # by kind.  The float sign of F(S1) + F(-S1) is not positive on these
+        # payoffs, so a verdict read off it would pass them
         sp = FiniteSpace([0.5, 0.5])
         spec = AcceptanceSpec.es_level(alpha)
         payoff = RandVar(sp, [top, math.nextafter(top, 0.0)])
         assert spec.functional_value(payoff) + spec.functional_value(-payoff) <= 0.0
         verdict = check_corollary_convex(spec, EligibleAsset(1.0, payoff))
         assert verdict.verdict == "fail"
+
+    def test_mixture_with_a_tiny_shortfall_weight_fails(self, near_rf_space):
+        # the 1e-17 weight off level 1 makes the criterion pointed; the float
+        # F(S1) + F(-S1) rounds to 0.0, but the exact sum is positive
+        spec = AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0), (0.5, 1e-17))))
+        payoff = RandVar(near_rf_space, [1.0, 2.0, 1.0])
+        assert spec.functional_value(payoff) + spec.functional_value(-payoff) == 0.0
+        assert exact_criterion(spec, payoff) + exact_criterion(spec, -payoff) > 0
+        verdict = check_corollary_convex(spec, EligibleAsset(1.0, payoff))
+        assert verdict.verdict == "fail"
+        assert verdict.witness["w_invariant"] is verdict.condition_values["w_invariant"]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 31), min_size=1, max_size=8),
+        grid=st.lists(st.integers(8, 80), min_size=8, max_size=8),
+        shape=st.sampled_from(["grid", "constant", "one-ulp"]),
+        which=st.integers(0, len(CONVEX_SPECS) - 1),
+        price=st.sampled_from([0.3, 1.0, 2.5]),
+    )
+    def test_decided_by_kind_against_the_exact_sign(self, weights, grid, shape, which, price):
+        n = len(weights)
+        space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        top = grid[0] / 16
+        values = {
+            "grid": [k / 16 for k in grid[:n]],
+            "constant": [top] * n,
+            "one-ulp": [top] * (n - 1) + [math.nextafter(top, 0.0)],
+        }[shape]
+        payoff = RandVar(space, values)
+        spec, asset = CONVEX_SPECS[which], EligibleAsset(price, payoff)
+        verdict = check_corollary_convex(spec, asset)
+        decided = asset.risk_free or spec.is_linear_kind
+        assert verdict.passed == decided
+        exact_sum = exact_criterion(spec, payoff) + exact_criterion(spec, -payoff)
+        assert exact_sum >= 0
+        assert verdict.passed == (exact_sum == 0)
+        theorem_b = check_theorem_condition_b(spec, asset).to_jsonable()
+        assert {**theorem_b, "statement": None, "note": None} == {
+            **verdict.to_jsonable(), "statement": None, "note": None}
+        values = verdict.condition_values
+        r1 = _rho_one(spec, asset)
+        assert values["rho_one"] == r1
+        w = values["w_invariant"]
+        if asset.risk_free:
+            assert not np.any(w.values) and not np.any(np.signbit(w.values))
+        else:
+            assert w.tolist() == (payoff + price / r1).tolist()
+        if verdict.passed:
+            assert (values["value_plus"], values["value_minus"], verdict.witness) == (0.0, 0.0, None)
+        else:
+            assert values["value_plus"] == spec.functional_value(w)
+            assert values["value_minus"] == spec.functional_value(-w)
 
     def test_matches_sampled_additivity_on_random_assets(self):
         # the exact single test and the sampled additivity verdict must agree
@@ -686,6 +780,30 @@ class TestVarNecessaryCondition:
     def test_rejects_non_var_kind(self, near_rf_asset):
         with pytest.raises(ValueError):
             check_var_necessary_condition(AcceptanceSpec.es_level(0.1), near_rf_asset)
+
+    def test_payoffs_sharing_a_rounded_reciprocal_stay_apart(self):
+        # 1 / 1.5000000000000002 == 1 / 1.5000000000000004 in floats, but the
+        # payoff levels differ: the event {S1 = s*} holds one atom, not two
+        sp = FiniteSpace([0.45, 0.45, 0.1])
+        spec = AcceptanceSpec.var_level(0.1)
+        pays = [1.5000000000000002, 1.5000000000000004, 1.0]
+        assert 1.0 / pays[0] == 1.0 / pays[1]
+        asset = EligibleAsset(1.0, RandVar(sp, pays))
+        verdict = check_var_necessary_condition(spec, asset)
+        assert verdict.verdict == "fail"
+        values = verdict.condition_values
+        assert values["mass_at_constant"] == 0.45
+        assert values["payoff_constant"] == pays[1]
+        assert values["var_of_reciprocal_payoff"] == -1.0 / pays[1]
+        assert check_theorem_condition_b(spec, asset).verdict == "fail"
+
+    def test_names_an_overflowing_reciprocal_level(self):
+        sp = FiniteSpace([0.5, 0.5])
+        asset = EligibleAsset(1.0, RandVar(sp, [1e-310, 2e-310]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the VaR of 1 / S1, -1 / 2e-310, overflows"):
+                check_var_necessary_condition(AcceptanceSpec.var_level(0.1), asset)
 
     def test_false_verdict_implies_violation_found(self):
         sp = FiniteSpace([0.5, 0.5])
