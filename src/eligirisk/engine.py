@@ -348,14 +348,15 @@ def discounted_acceptance(spec: AcceptanceSpec, asset: EligibleAsset) -> Accepta
     )
 
 
-def _payoff_steps(asset: EligibleAsset) -> list[RandVar]:
-    """Negated level-set steps -c * 1{S1 <= t}, c in (1, 2), below the top payoff level."""
+def _payoff_steps(asset: EligibleAsset) -> Iterator[RandVar]:
+    """Negated level-set steps -c * 1{S1 <= t}, c in (1, 2), below the top payoff level.
+
+    Yielded one at a time: an audit holds one dense step, not all 2(L - 1).
+    """
     payoff = asset.payoff
-    return [
-        RandVar(payoff.space, np.where(payoff.values <= t, -c, 0.0))
-        for t in np.unique(payoff.values)[:-1]
-        for c in (1.0, 2.0)
-    ]
+    for t in np.unique(payoff.values)[:-1]:
+        for c in (1.0, 2.0):
+            yield RandVar(payoff.space, np.where(payoff.values <= t, -c, 0.0))
 
 
 def _audit_positions(asset: EligibleAsset, positions: Iterable[RandVar]) -> Iterator[RandVar]:

@@ -119,7 +119,7 @@ def probe_and_draw_passes(spec, asset, trials: int, seed: int, tol: float = 1e-9
     rng = as_rng(seed)
     space = asset.payoff.space
     rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
-    steps = _payoff_steps(asset)
+    steps = list(_payoff_steps(asset))
     consts = [RandVar.constant(space, c) for c in (1.0, -1.0)]
     pairs = [(sx, sy) for sx in steps for sy in steps + consts]
     pairs += [(cx, consts[0]) for cx in consts]

@@ -638,7 +638,7 @@ class TestIdentityChecks:
         asset = EligibleAsset(price / 4, payoff)
         positions = [RandVar(sp, np.array(v[:n]) / 16) for v in drawn]
         spec = IDENTITY_SPECS[kind](alpha)
-        count = len(positions) + 3 + len(_payoff_steps(asset))
+        count = len(positions) + 3 + len(list(_payoff_steps(asset)))
         for check, per_position in ((s_additivity_check, 6), (numeraire_identity_check, 1)):
             report = check(spec, asset, positions, tol)
             assert report.passed, report.witness

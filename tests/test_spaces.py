@@ -17,6 +17,8 @@ from eligirisk import (
     same_distribution,
     upper_quantile,
 )
+from eligirisk import spaces
+from eligirisk.spaces import _lower_tail
 
 
 @pytest.fixture
@@ -385,3 +387,93 @@ class TestExactProfile:
         y = RandVar(space, x.values[rng.permutation(10_000)])
         assert y.profile.values.tolist() == x.profile.values.tolist()
         assert y.profile.cum.tolist() == x.profile.cum.tolist()
+
+
+def walk(space: FiniteSpace, values: np.ndarray, level: float, min_atoms: float) -> tuple[list, list]:
+    """``_lower_tail`` with ``VECTOR_MIN_ATOMS`` set to ``min_atoms``: 1 walks in numpy, inf loops."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "VECTOR_MIN_ATOMS", min_atoms)
+        return _lower_tail(space, values, level)
+
+
+def signed(values: list[float]) -> list[str]:
+    """Each value in hex, so that -0.0 and 0.0 differ."""
+    return [v.hex() for v in values]
+
+
+WALK_WEIGHTS = st.integers(1, 50).map(float) | st.floats(1e-3, 1.0)
+#: Weights whose denominators often pass 2**84, where a space has no limbs.
+TINY_WEIGHTS = st.floats(1e-30, 1.0).map(lambda u: u**8) | st.floats(-700.0, 0.0).map(math.exp)
+WALK_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-0.0, math.inf, -math.inf, 1e300, -1e300]),
+    st.floats(-1e6, 1e6),
+)
+WALK_LEVELS = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, math.inf]), st.floats(0.0, 1.0))
+
+
+class TestNumpyWalk:
+    """From ``VECTOR_MIN_ATOMS`` atoms the tail walk runs in numpy; the loop is its oracle."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(WALK_WEIGHTS, WALK_VALUES), min_size=1, max_size=60),
+        level=WALK_LEVELS,
+    )
+    def test_matches_the_loop_and_the_exact_oracle(self, atoms, level):
+        total = math.fsum(w for w, _ in atoms)
+        space = FiniteSpace(np.array([w / total for w, _ in atoms]))
+        values = np.array([v for _, v in atoms])
+        distinct, cum = walk(space, values, level, 1)
+        loop = walk(space, values, level, math.inf)
+        assert (signed(distinct), cum) == (signed(loop[0]), loop[1])
+        # every run is stored as its value plus 0.0
+        assert all(math.copysign(1.0, v) == 1.0 for v in distinct if v == 0.0)
+        # the first run past the level ends the walk, and it is a prefix of the full profile
+        assert all(c <= level for c in cum[:-1])
+        full_values, full_cum = walk(space, values, math.inf, 1)
+        k = len(cum)
+        assert (signed(full_values[:k]), full_cum[:k]) == (signed(distinct), cum)
+        assert full_cum[-1] == 1.0
+        assert cum[-1] > level or k == len(full_cum)
+        oracle_values, oracle_cum = exact_profile(values.tolist(), space.probs.tolist())
+        assert full_values == oracle_values
+        assert full_cum[:-1] == [float(c) for c in oracle_cum[:-1]]
+        for tie in full_cum:  # a run whose cum equals the level does not end the walk
+            assert walk(space, values, tie, 1) == walk(space, values, tie, math.inf)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(weights=st.lists(WALK_WEIGHTS | TINY_WEIGHTS, min_size=1, max_size=60))
+    def test_limbs_reassemble_every_numerator(self, weights):
+        total = math.fsum(weights)
+        space = FiniteSpace(np.array([w / total for w in weights]))
+        numerators, denominator = space.int_probs
+        if space.limbs is None:
+            assert denominator > 2**84
+            return
+        high, low, k = space.limbs
+        assert denominator == 2**k <= 2**84
+        assert high.dtype == low.dtype == np.int64
+        assert (0 <= low).all() and (low < 2**32).all()
+        assert [(h << 32) + lo for h, lo in zip(high.tolist(), low.tolist())] == numerators
+
+    @pytest.mark.parametrize("k", [84, 85])
+    def test_limbs_stop_past_a_denominator_of_two_to_the_84(self, k):
+        space = FiniteSpace([1.0, 2.0**-k])  # the sum rounds to 1.0
+        assert space.int_probs[1] == 2**k
+        assert (space.limbs is None) == (k > 84)
+
+    def test_limbs_stop_at_two_to_the_21_atoms(self):
+        for n in (2**20, 2**21):
+            assert (FiniteSpace(np.full(n, 1.0 / n)).limbs is None) == (n == 2**21)
+
+    def test_a_denominator_past_two_to_the_84_walks_the_loop(self):
+        # a weight of 2**-60, renormalized, sets a bit near 2**-113
+        rng = np.random.default_rng(84)
+        weights = np.concatenate(([2.0**-60], rng.random(999) + 0.5))
+        space = FiniteSpace(weights / math.fsum(weights.tolist()))
+        assert space.int_probs[1] > 2**84 and space.limbs is None
+        x = RandVar(space, rng.integers(-64, 64, 1000) / 64)
+        assert_profile_exact(x)
+        for level in (0.0, 0.05, 0.5):
+            assert walk(space, x.values, level, 1) == walk(space, x.values, level, math.inf)
