@@ -32,7 +32,6 @@ from .measures import (
     Level,
     distortion,
     es,
-    es_boundary,
     es_choquet_oracle,
     shortfall_and_slope,
     var,
@@ -94,7 +93,6 @@ __all__ = [
     "var",
     "var_of_ratio",
     "es",
-    "es_boundary",
     "distortion",
     "shortfall_and_slope",
     "es_choquet_oracle",

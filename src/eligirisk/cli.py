@@ -82,7 +82,8 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # compared exactly, so that a JSON integer past the float range is not finite either
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _number_list(raw, path: str, length: int | None = None) -> list[float]:
@@ -217,8 +218,11 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
             lines.append(json.dumps(item, sort_keys=True))
         text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import RandVar, _lower_tail, essential_infimum, expectation, upper_quantile
+from .spaces import RandVar, _lower_tail, _walk, expectation, upper_quantile
 
 __all__ = [
     "Level",
@@ -23,7 +23,6 @@ __all__ = [
     "var",
     "var_of_ratio",
     "es",
-    "es_boundary",
     "distortion",
     "shortfall_and_slope",
     "es_choquet_oracle",
@@ -49,8 +48,8 @@ class Level:
 class DistortionWeights:
     """Finite mixture over shortfall levels: pairs (alpha_j, w_j).
 
-    Levels live in [0, 1] and must be distinct; the endpoints carry the
-    boundary meanings of :func:`es_boundary`.  Weights are strictly positive,
+    Levels live in [0, 1] and must be distinct; level 0 is the worst case
+    -min(X) and level 1 the negated expectation.  Weights are strictly positive,
     must sum to 1 within ``WEIGHT_SUM_TOL``, and are renormalized by their
     exact sum.
     """
@@ -131,27 +130,29 @@ def es(x: RandVar, level: Level) -> float:
     return _shortfall_sum(*_lower_tail(x.space, x.values, alpha), alpha)
 
 
-def es_boundary(x: RandVar, alpha: float) -> float:
-    """Boundary extensions: worst case at 0, negated expectation at 1."""
-    if alpha == 0:
-        return -essential_infimum(x)
-    if alpha == 1:
-        return -expectation(x)
-    raise ValueError(f"boundary level must be 0 or 1, got {alpha}")
+def _mixture(
+    x: RandVar, points: tuple[tuple[float, float], ...], distinct: list[float], cum: list[float]
+) -> float:
+    """The mixture over ``points`` from a walk of ``x`` past its largest level below 1.
+
+    Level 0 is the worst case ``-distinct[0]``, -min(X) up to the sign of a
+    zero, which ``fsum`` drops; level 1 is ``-expectation(x)``.
+    """
+    return math.fsum(
+        w * (-distinct[0] if a == 0.0 else -expectation(x) if a == 1.0 else _shortfall_sum(distinct, cum, a))
+        for a, w in points
+    )
 
 
 def distortion(x: RandVar, mu: DistortionWeights) -> float:
     """Weighted mixture of expected shortfall over the levels in ``mu``.
 
-    One walk of the lower tail, up to the largest interior level, serves
-    every interior level.
+    One walk of the lower tail, up to the largest level below 1, serves
+    every level but 1.
     """
-    interior = [a for a, _ in mu.points if 0.0 < a < 1.0]
-    values, cum = _lower_tail(x.space, x.values, max(interior)) if interior else ([], [])
-    return math.fsum(
-        w * (es_boundary(x, a) if a in (0.0, 1.0) else _shortfall_sum(values, cum, a))
-        for a, w in mu.points
-    )
+    below = [a for a, _ in mu.points if a < 1.0]
+    values, cum = _lower_tail(x.space, x.values, max(below)) if below else ([], [])
+    return _mixture(x, mu.points, values, cum)
 
 
 def shortfall_and_slope(
@@ -160,41 +161,21 @@ def shortfall_and_slope(
     """ES (``mu`` a :class:`Level`) or mixture value at ``y`` and its right slope along a payoff.
 
     The value is :func:`es` or :func:`distortion` bit for bit: one argsort
-    and the walk of :func:`~eligirisk.spaces._lower_tail`, which also sums
-    ``mass`` per run.  The slope is the right derivative of
-    t -> value(Y + t * S1) at t = 0.  Just right of 0 the atoms sort by Y,
-    ties by S1, so level alpha's slope is minus the mass of the runs below
-    alpha, plus that of the run reaching alpha taken by ascending payoff up
-    to alpha, over alpha.  Level 0 takes the first run's least payoff and
-    level 1 takes E[S1].  ``payoff`` lists S1 by atom, ``mass`` lists p * S1
-    and ``mean`` is E[S1]; a Newton solve takes them once per quote.
+    and the loop walk of :func:`~eligirisk.spaces._lower_tail`
+    (:func:`~eligirisk.spaces._walk`), which also gives each run's start.
+    The slope is the right derivative of t -> value(Y + t * S1) at t = 0.
+    Just right of 0 the atoms sort by Y, ties by S1, so level alpha's slope
+    is minus the mass of the runs below alpha, plus that of the run
+    reaching alpha taken by ascending payoff up to alpha, over alpha.  Level
+    0 takes the first run's least payoff and level 1 takes E[S1].
+    ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is
+    E[S1]; a Newton solve takes them once per quote.
     """
     points = ((mu.alpha, 1.0),) if isinstance(mu, Level) else mu.points
-    interior = [a for a, _ in points if 0.0 < a < 1.0]
-    level = max(interior) if interior else 0.0
     nums, den = y.space.int_probs
-    vals = y.values.tolist()
     order = y.values.argsort().tolist()
-    last = vals[order[0]] + 0.0
-    distinct, cum = [last], []
-    # run k is order[starts[k][0]:starts[k + 1][0]], after sums starts[k][1:] of nums and mass
-    starts = [(0, 0, 0.0)]
-    acc, total = 0, 0.0
-    for j, i in enumerate(order):
-        v = vals[i]
-        if v != last:
-            c = acc / den
-            cum.append(c)
-            starts.append((j, acc, total))
-            if c > level:
-                break
-            last = v + 0.0
-            distinct.append(last)
-        acc += nums[i]
-        total += mass[i]
-    else:
-        cum.append(1.0)
-        starts.append((len(order), acc, total))
+    below = [a for a, _ in points if a < 1.0]
+    distinct, cum, starts = _walk(y.space, y.values.tolist(), order, max(below) if below else 0.0)
     slope = 0.0
     for alpha, weight in points:
         if alpha == 0.0:
@@ -203,8 +184,11 @@ def shortfall_and_slope(
             s = -mean
         else:
             k = bisect_left(cum, alpha)
-            j, acc, part = starts[k]
+            j, acc = starts[k]
             end = starts[k + 1][0]
+            part = 0.0
+            for i in order[:j]:  # the mass of the runs below alpha, summed in sorted order
+                part += mass[i]
             before = cum[k - 1] if k else 0.0
             # the run's atoms by ascending payoff until cum reaches alpha; the last takes the rest
             if end - j > 1:
@@ -221,12 +205,7 @@ def shortfall_and_slope(
         slope += weight * s
     if isinstance(mu, Level):
         return _shortfall_sum(distinct, cum, mu.alpha), slope
-    # -distinct[0] is es_boundary's -min(Y) up to the sign of a zero, which fsum drops
-    value = math.fsum(
-        w * (-distinct[0] if a == 0.0 else -expectation(y) if a == 1.0 else _shortfall_sum(distinct, cum, a))
-        for a, w in points
-    )
-    return value, slope
+    return _mixture(y, points, distinct, cum), slope
 
 
 def es_choquet_oracle(x: RandVar, level: Level) -> float:

@@ -6,11 +6,11 @@ numpy's fixed cost per call outweighs the arithmetic.  They use ndarray
 methods (``a.argsort()``, ``a.tolist()``) and ``np.count_nonzero``, never
 the ``np.<func>`` wrappers or ``.all()``/``.any()`` reductions, which add
 microseconds of dispatch per call.  A Newton iterate is the hottest of
-these paths: one argsort and one walk
-(:func:`~eligirisk.measures.shortfall_and_slope`, the walk of
-:func:`_lower_tail` that also sums p * S1 per run) give the value and the
-slope together, on the one ``RandVar`` the iterate builds.  That walk is a
-Python loop at every atom count.
+these paths: one argsort and one walk give the value and the slope
+together, on the one ``RandVar`` the iterate builds
+(:func:`~eligirisk.measures.shortfall_and_slope`).  That walk is the loop
+of :func:`_lower_tail`, :func:`_walk`, which also returns where each run
+starts; it loops at every atom count.
 
 The walk of :func:`_lower_tail` is a Python loop below ``VECTOR_MIN_ATOMS``
 atoms and numpy from there (:func:`_numpy_tail`), with the same results
@@ -71,10 +71,11 @@ class FiniteSpace:
     The raw probabilities must sum to 1 within ``PROB_SUM_TOL``; they are then
     divided by their exact floating-point sum.  The quotients are rounded,
     so the stored probabilities need not sum to 1 (nor, renormalized again,
-    give the same space); :func:`_lower_tail` pins the last cumulative
-    probability to 1 instead.  Null atoms are rejected at
-    construction: with every atom carrying positive mass, "holds almost
-    surely" coincides with "holds at every atom" throughout the package.
+    give the same space); the tail walk (:func:`_walk`, or :func:`_numpy_tail`)
+    pins the last cumulative probability to 1 instead.  Null atoms are
+    rejected at construction: with every atom carrying positive mass,
+    "holds almost surely" coincides with "holds at every atom" throughout
+    the package.
     Atom identity is positional; labels, if any, are a reporting concern of
     the scenario layer.  The exact numerators of the probabilities are
     cached on first use, as Python integers (:attr:`int_probs`) for the
@@ -208,17 +209,48 @@ def _numpy_tail(
     return (sv[starts] + 0.0).tolist(), cum
 
 
+def _walk(
+    space: FiniteSpace, vals: list[float], order: list[int], level: float
+) -> tuple[list[float], list[float], list[tuple[int, int]]]:
+    """The loop walk of :func:`_lower_tail` over ``vals`` sorted by ``order``, with its run starts.
+
+    ``starts[k]`` is ``(j, acc)``: run ``k`` begins at ``order[j]``, after
+    the runs whose numerators sum to ``acc``.  One more start closes the
+    last run, so run ``k`` is ``order[starts[k][0]:starts[k + 1][0]]``.
+    """
+    nums, den = space.int_probs
+    last = vals[order[0]] + 0.0
+    distinct = [last]
+    cum: list[float] = []
+    starts = [(0, 0)]
+    acc = 0
+    for j, i in enumerate(order):
+        v = vals[i]
+        if v != last:  # the run of the previous value ends: round its sum once
+            c = acc / den
+            cum.append(c)
+            starts.append((j, acc))
+            if c > level:
+                return distinct, cum, starts
+            last = v + 0.0
+            distinct.append(last)
+        acc += nums[i]
+    cum.append(1.0)
+    starts.append((len(order), acc))
+    return distinct, cum, starts
+
+
 def _lower_tail(
     space: FiniteSpace, values: np.ndarray, level: float
 ) -> tuple[list[float], list[float]]:
     """The profile of ``values`` up to and including its first run with ``cum > level``.
 
-    One walk over the atoms in sorted order adds each ``int_probs``
-    numerator to an integer and rounds the sum once, when a run of tied
-    values ends.  A run is stored as its value plus 0.0, so a zero is +0.0
-    whichever sign its atoms have; the tied atoms of a run are then
-    interchangeable, and the sort need not be stable.  The last run's
-    ``cum`` is pinned to 1.0: the stored probabilities need not sum to
+    One walk over the atoms in sorted order, :func:`_walk`, adds each
+    ``int_probs`` numerator to an integer and rounds the sum once, when a
+    run of tied values ends.  A run is stored as its value plus 0.0, so a
+    zero is +0.0 whichever sign its atoms have; the tied atoms of a run are
+    then interchangeable, and the sort need not be stable.  The walk pins
+    the last run's ``cum`` to 1.0: the stored probabilities need not sum to
     exactly 1.  Every prefix is the same prefix of the full profile, bit for
     bit.  ``values`` may hold +-inf, which then only orders the atoms.  From
     ``VECTOR_MIN_ATOMS`` atoms the same walk runs in numpy
@@ -227,25 +259,7 @@ def _lower_tail(
     runs = _numpy_tail(space, values, level) if values.size >= VECTOR_MIN_ATOMS else None
     if runs is not None:
         return runs
-    nums, den = space.int_probs
-    vals = values.tolist()
-    order = values.argsort().tolist()
-    last = vals[order[0]] + 0.0
-    distinct = [last]
-    cum: list[float] = []
-    acc = 0
-    for i in order:
-        v = vals[i]
-        if v != last:  # the run of the previous value ends: round its sum once
-            c = acc / den
-            cum.append(c)
-            if c > level:
-                return distinct, cum
-            last = v + 0.0
-            distinct.append(last)
-        acc += nums[i]
-    cum.append(1.0)
-    return distinct, cum
+    return _walk(space, values.tolist(), values.argsort().tolist(), level)[:2]
 
 
 def _sealed(arr: np.ndarray) -> np.ndarray:

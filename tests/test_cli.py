@@ -954,6 +954,29 @@ MALFORMED = [
         ),
         "scenario.options.tol: must be positive and finite, got inf",
     ),
+    # a JSON integer past the float range is not finite either
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [0.0, 0.0]},
+                "asset": {"price": 10**400, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+            }
+        ),
+        "scenario.asset.price: must be positive and finite",
+    ),
+    (
+        json.dumps(
+            {
+                "space": {"probs": [0.5, 0.5]},
+                "positions": {"x": [-(10**400), 0.0]},
+                "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+                "acceptance": {"kind": "var", "alpha": 0.1},
+            }
+        ),
+        "scenario.positions.x[0]: expected a finite number",
+    ),
     (
         json.dumps(
             {
@@ -1033,6 +1056,15 @@ class TestUsage:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert argv[-2] in err
+
+    def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            ["eval", "--scenario", str(SCENARIOS / "es_bisection.json"), "--out", str(target)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
 
     def test_readme_lists_every_statement_id(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")

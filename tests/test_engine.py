@@ -23,8 +23,8 @@ from eligirisk import (
     cash_asset,
     change_numeraire,
     es,
-    es_boundary,
     es_choquet_oracle,
+    essential_infimum,
     expectation,
     numeraire_identity_check,
     rho,
@@ -184,7 +184,10 @@ def choquet_oracle(spec, y):
     """The criterion by the Choquet sums of ``es_choquet_oracle`` (boundary levels closed form)."""
     points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
     return math.fsum(
-        w * (es_boundary(y, a) if a in (0.0, 1.0) else es_choquet_oracle(y, Level(a)))
+        w * (
+            -essential_infimum(y) if a == 0.0 else -expectation(y) if a == 1.0
+            else es_choquet_oracle(y, Level(a))
+        )
         for a, w in points
     )
 
@@ -347,13 +350,21 @@ class TestRightSlope:
     """Newton's pricing of one iterate: the functional value and its right slope along S1."""
 
     def test_tied_mixture_slopes_are_pinned(self):
-        # the ties at Y = -1.25 and Y = 0.5 order by payoff; both pins are the
-        # correctly rounded exact slopes
+        # the ties at Y = -1.25 and Y = 0.5 order by payoff; every pin is the
+        # correctly rounded exact slope.  ES at 0.5 reaches 0.5 inside the run
+        # of three tied Y = 0.5 atoms with distinct payoffs; ES at 0.9 ends on
+        # the last run, whose cum is pinned to 1
         sp = FiniteSpace(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]) / 25)
         y = RandVar(sp, [0.5, -1.25, 0.5, -1.25, 2.0, 0.5, -1.25])
         payoff = RandVar(sp, [1.5, 0.75, 0.25, 2.0, 1.0, 3.0, 0.5])
         mix, ends = (AcceptanceSpec.distortion_mix(DistortionWeights(w)) for w in (MIX, ENDS))
-        for spec, pin in ((mix, "-0x1.451eb851eb852p-1"), (ends, "-0x1.1666666666666p+0")):
+        es05, es09 = (AcceptanceSpec.es_level(a) for a in (0.5, 0.9))
+        for spec, pin in (
+            (mix, "-0x1.451eb851eb852p-1"),
+            (ends, "-0x1.1666666666666p+0"),
+            (es05, "-0x1.199999999999ap+0"),
+            (es09, "-0x1.b8e38e38e38e3p+0"),
+        ):
             slope = value_and_slope(spec, y, payoff)[1]
             assert slope == float(slope_oracle(spec, y, payoff))
             assert slope.hex() == pin

@@ -15,8 +15,9 @@ from eligirisk import (
     RandVar,
     distortion,
     es,
-    es_boundary,
     es_choquet_oracle,
+    essential_infimum,
+    expectation,
     same_distribution,
     upper_quantile,
     var,
@@ -114,18 +115,20 @@ class TestEs:
 
 
 class TestEsBoundary:
+    """A point mass at level 0 is the worst case, at level 1 the negated expectation."""
+
+    @staticmethod
+    def at(x, alpha):
+        return distortion(x, DistortionWeights(((alpha, 1.0),)))
+
     def test_examples(self, x3):
-        assert es_boundary(x3, 0) == 3.0
-        assert es_boundary(x3, 1) == pytest.approx(-1.1, abs=1e-12)
+        assert self.at(x3, 0.0) == 3.0
+        assert self.at(x3, 1.0) == pytest.approx(-1.1, abs=1e-12)
 
     def test_zero_position(self, space3):
         z = RandVar.constant(space3, 0.0)
-        assert es_boundary(z, 0) == 0.0
-        assert es_boundary(z, 1) == 0.0
-
-    def test_rejects_interior(self, x3):
-        with pytest.raises(ValueError):
-            es_boundary(x3, 0.5)
+        assert self.at(z, 0.0) == 0.0
+        assert self.at(z, 1.0) == 0.0
 
 
 class TestDistortion:
@@ -214,7 +217,8 @@ class TestLowerTail:
         points = [(a, 1.0 / (len(levels) + len(ends))) for a in [*levels, *sorted(ends)]]
         mu = DistortionWeights(tuple(points))
         want = math.fsum(
-            w * (es_boundary(x, a) if a in (0.0, 1.0) else es(x, Level(a))) for a, w in mu.points
+            w * (-essential_infimum(x) if a == 0.0 else -expectation(x) if a == 1.0 else es(x, Level(a)))
+            for a, w in mu.points
         )
         assert distortion(x, mu).hex() == want.hex()
 

@@ -477,3 +477,32 @@ class TestNumpyWalk:
         assert_profile_exact(x)
         for level in (0.0, 0.05, 0.5):
             assert walk(space, x.values, level, 1) == walk(space, x.values, level, math.inf)
+
+
+class TestSharedWalk:
+    """``_walk`` is the one loop walk; ``_lower_tail`` and Newton's value and slope read it."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(WALK_WEIGHTS, WALK_VALUES), min_size=1, max_size=60),
+        level=WALK_LEVELS,
+    )
+    def test_runs_start_where_their_value_does(self, atoms, level):
+        total = math.fsum(w for w, _ in atoms)
+        space = FiniteSpace(np.array([w / total for w, _ in atoms]))
+        values = np.array([v for _, v in atoms])
+        vals, order = values.tolist(), values.argsort().tolist()
+        distinct, cum, starts = spaces._walk(space, vals, order, level)
+        loop = walk(space, values, level, math.inf)
+        assert (signed(distinct), cum) == (signed(loop[0]), loop[1])
+        # run k is order[starts[k][0]:starts[k + 1][0]], after the numerators of the runs before it
+        nums, den = space.int_probs
+        assert len(starts) == len(distinct) + 1 and starts[0] == (0, 0)
+        for k, v in enumerate(distinct):
+            (j, acc), (end, after) = starts[k], starts[k + 1]
+            assert j < end and all(vals[i] == v for i in order[j:end])
+            assert acc == sum(nums[i] for i in order[:j])
+            assert after == acc + sum(nums[i] for i in order[j:end])
+            # a run's cum is the next start's sum rounded once, or the pinned 1.0 at the end
+            assert cum[k] == (1.0 if end == len(order) else after / den)
+        assert cum[-1] > level or starts[-1][0] == len(order)
