@@ -57,7 +57,6 @@ class AcceptanceSpec:
     level: Level | None = None
     weights: DistortionWeights | None = None
     functional: Callable[[RandVar], float] | None = None
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in BUILTIN_KINDS + ("explicit",):
@@ -71,23 +70,23 @@ class AcceptanceSpec:
 
     @classmethod
     def var_level(cls, alpha: float) -> "AcceptanceSpec":
-        return cls("var", level=Level(alpha), label=f"var({alpha})")
+        return cls("var", level=Level(alpha))
 
     @classmethod
     def es_level(cls, alpha: float) -> "AcceptanceSpec":
-        return cls("es", level=Level(alpha), label=f"es({alpha})")
+        return cls("es", level=Level(alpha))
 
     @classmethod
     def distortion_mix(cls, weights: DistortionWeights) -> "AcceptanceSpec":
-        return cls("distortion", weights=weights, label="distortion")
+        return cls("distortion", weights=weights)
 
     @classmethod
     def expectation_floor(cls) -> "AcceptanceSpec":
-        return cls("expectation", label="expectation")
+        return cls("expectation")
 
     @classmethod
-    def explicit(cls, functional: Callable[[RandVar], float], label: str = "explicit") -> "AcceptanceSpec":
-        return cls("explicit", functional=functional, label=label)
+    def explicit(cls, functional: Callable[[RandVar], float]) -> "AcceptanceSpec":
+        return cls("explicit", functional=functional)
 
     def functional_value(self, x: RandVar) -> float:
         if self.kind == "var":

@@ -1,6 +1,11 @@
 """Command-line front end: scenario ingestion, evaluation, checking, searching,
 and replication of the reference examples, with machine-readable reports.
 
+Two tables drive it: ``FLAGS`` holds each flag's ``add_argument`` keywords,
+and ``COMMANDS`` names each command's help, flags and runner.  A runner
+returns what its report echoes, its results and whether they passed;
+:func:`main` builds, emits and scores the report for every command.
+
 Exit codes: 0 for pass/computed, 1 for a failed check or a found witness,
 2 for usage or scenario-schema errors.  Reports echo the inputs that shaped
 them and the tool version and contain no timestamps, so identical
@@ -15,7 +20,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from . import __version__
@@ -238,29 +243,6 @@ def _input(args, scenario: Scenario, name: str, default=None):
     return flag if flag is not None else scenario.options.get(name, default)
 
 
-def cmd_eval(args) -> int:
-    scenario = load_scenario(args.scenario)
-    names = args.position or sorted(scenario.positions)
-    for name in names:
-        if name not in scenario.positions:
-            raise ScenarioError(f"scenario.positions.{name}", "position not defined")
-    tol = _input(args, scenario, "tol")
-    report = _base_report("eval", scenario=args.scenario, tol=tol)
-    for name in names:
-        quote = rho(scenario.acceptance, scenario.asset, scenario.positions[name], tol=tol)
-        report["results"].append(
-            {
-                "position": name,
-                "value": quote.value,
-                "method": quote.method,
-                "iterations": quote.iterations,
-                "bracket_width": quote.bracket_width,
-            }
-        )
-    _emit(report, args.format, args.out)
-    return EXIT_OK
-
-
 def _asset_r(scenario: Scenario) -> EligibleAsset:
     if scenario.asset_r is None:
         raise ScenarioError("scenario.asset_r", "lemma-equality needs a second asset")
@@ -314,33 +296,43 @@ STATEMENTS: dict[str, Callable[..., Any]] = {
 }
 
 
-def cmd_check(args) -> int:
+def _eval(args) -> tuple[dict, list, bool]:
+    scenario = load_scenario(args.scenario)
+    names = args.position or sorted(scenario.positions)
+    for name in names:
+        if name not in scenario.positions:
+            raise ScenarioError(f"scenario.positions.{name}", "position not defined")
+    tol = _input(args, scenario, "tol")
+    quotes = [
+        {"position": name,
+         **asdict(rho(scenario.acceptance, scenario.asset, scenario.positions[name], tol=tol))}
+        for name in names
+    ]
+    return {"scenario": args.scenario, "tol": tol}, quotes, True
+
+
+def _check(args) -> tuple[dict, list, bool]:
     scenario = load_scenario(args.scenario)
     checker = STATEMENTS[args.statement]
     names = list(inspect.signature(checker).parameters)[1:]
     inputs = {name: _input(args, scenario, name, DEFAULTS[name]) for name in names}
     result = checker(scenario, **inputs)
-    report = _base_report("check", scenario=args.scenario, statement=args.statement, **inputs)
-    report["results"].append(result.to_jsonable())
-    _emit(report, args.format, args.out)
-    return EXIT_OK if result.passed else EXIT_WITNESS
+    echo = {"scenario": args.scenario, "statement": args.statement, **inputs}
+    return echo, [result], result.passed
 
 
-def cmd_search(args) -> int:
+def _search(args) -> tuple[dict, list, bool]:
     scenario = load_scenario(args.scenario)
     positions = _sorted_positions(scenario)
     seed_pairs = [(x, y) for i, x in enumerate(positions) for y in positions[i:]]
-    violation = find_additivity_violation(scenario.acceptance, scenario.asset, seed_pairs)
-    preservation = comono_preservation_under_numeraire(scenario.asset)
-    report = _base_report("search", scenario=args.scenario)
-    report["results"].append(violation.to_jsonable())
-    report["results"].append(preservation.to_jsonable())
-    found = not violation.passed or not preservation.passed
-    _emit(report, args.format, args.out)
-    return EXIT_WITNESS if found else EXIT_OK
+    results = [
+        find_additivity_violation(scenario.acceptance, scenario.asset, seed_pairs),
+        comono_preservation_under_numeraire(scenario.asset),
+    ]
+    return {"scenario": args.scenario}, results, all(r.passed for r in results)
 
 
-def cmd_replicate(args) -> int:
+def _replicate(args) -> tuple[dict, list, bool]:
     overrides = None
     if args.expected:
         try:
@@ -348,15 +340,17 @@ def cmd_replicate(args) -> int:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ScenarioError("expected", f"cannot load expected values: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ScenarioError("expected", "top level must be an object of fixture patches")
+        for key, patch in overrides.items():
+            if not isinstance(patch, dict):
+                raise ScenarioError(f"expected.{key}", f"must be an object, got {patch!r}")
     try:
         verdicts = run_replication_suite(overrides)
     except KeyError as exc:
         raise ScenarioError("expected", str(exc)) from exc
-    report = _base_report("replicate", expected=args.expected)
-    report["results"] = [v.to_jsonable() for v in verdicts]
-    report["all_passed"] = all(v.passed for v in verdicts)
-    _emit(report, args.format, args.out)
-    return EXIT_OK if report["all_passed"] else EXIT_WITNESS
+    passed = all(v.passed for v in verdicts)
+    return {"expected": args.expected, "all_passed": passed}, verdicts, passed
 
 
 def int_at_least(least: int) -> Callable[[str], int]:
@@ -379,6 +373,36 @@ def positive_float(text: str) -> float:
     return value
 
 
+#: Flag -> its ``add_argument`` keywords.  No checker or search samples:
+#: ``--seed``, ``--trials`` and ``--budget`` are validated for existing
+#: callers, but not read.
+FLAGS: dict[str, dict[str, Any]] = {
+    "scenario": {"required": True, "help": "path to a scenario JSON file"},
+    "seed": {"type": int_at_least(0), "help": "accepted, not read"},
+    "trials": {"type": int_at_least(1), "help": "accepted, not read"},
+    "budget": {"type": int_at_least(1), "help": "accepted, not read"},
+    "tol": {"type": positive_float, "help": "solver / comparison tolerance"},
+    "position": {"action": "append", "help": "position name (repeatable)"},
+    "statement": {"required": True, "choices": STATEMENTS, "metavar": "ID",
+                  "help": "statement id: " + ", ".join(sorted(STATEMENTS))},
+    "expected": {"help": "JSON file overriding expected fixture values"},
+    "out": {"help": "write the report here instead of stdout"},
+    "format": {"choices": ("json", "text"), "default": "json"},
+}
+
+#: Command -> (help, flags in usage order, runner).  A runner returns the
+#: inputs its report echoes, its results (plain dicts or objects with
+#: ``to_jsonable``) and whether they all passed.
+COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[..., tuple[dict, list, bool]]]] = {
+    "eval": ("price named positions", ("scenario", "tol", "out", "format", "position"), _eval),
+    "check": ("run a statement checker",
+              ("scenario", "seed", "tol", "out", "format", "statement", "trials"), _check),
+    "search": ("search for additivity and numeraire witnesses",
+               ("scenario", "seed", "out", "format", "budget"), _search),
+    "replicate": ("recompute the reference examples", ("out", "format", "expected"), _replicate),
+}
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -387,63 +411,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"eligirisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *inputs: str) -> None:
-        if "scenario" in inputs:
-            p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        if "seed" in inputs:
-            p.add_argument("--seed", type=int_at_least(0), help="accepted, not read")
-        if "tol" in inputs:
-            p.add_argument("--tol", type=positive_float, help="solver / comparison tolerance")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    p_eval = sub.add_parser("eval", help="price named positions")
-    common(p_eval, "scenario", "tol")
-    p_eval.add_argument(
-        "--position", action="append", default=None, help="position name (repeatable)"
-    )
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_check = sub.add_parser("check", help="run a statement checker")
-    common(p_check, "scenario", "seed", "tol")
-    p_check.add_argument(
-        "--statement", required=True, choices=STATEMENTS, metavar="ID",
-        help="statement id: " + ", ".join(sorted(STATEMENTS)),
-    )
-    p_check.add_argument("--trials", type=int_at_least(1), help="accepted, not read")
-    p_check.set_defaults(func=cmd_check)
-
-    p_search = sub.add_parser("search", help="search for additivity and numeraire witnesses")
-    common(p_search, "scenario", "seed")
-    # the search evaluates constructed pairs only: --seed and --budget are
-    # validated for existing callers, but not read
-    p_search.add_argument("--budget", type=int_at_least(1), help="accepted, not read")
-    p_search.set_defaults(func=cmd_search)
-
-    p_rep = sub.add_parser("replicate", help="recompute the reference examples")
-    common(p_rep)
-    p_rep.add_argument(
-        "--expected", default=None, help="JSON file overriding expected fixture values"
-    )
-    p_rep.set_defaults(func=cmd_replicate)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            command.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        echo, results, passed = COMMANDS[args.command][2](args)
+        report = _base_report(args.command, **echo)
+        report["results"] = [r if isinstance(r, dict) else r.to_jsonable() for r in results]
+        _emit(report, args.format, args.out)
     except ScenarioError as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return EXIT_USAGE
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_WITNESS
 
 
 if __name__ == "__main__":

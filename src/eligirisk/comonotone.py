@@ -69,16 +69,14 @@ def _requirement(
     return lambda x: rho(spec, asset, x, tol=tol).value
 
 
-def additivity_on_S_comonotone(
-    spec: AcceptanceSpec, asset: EligibleAsset, tol: float = 1e-9
-) -> CheckReport:
+def additivity_on_S_comonotone(spec: AcceptanceSpec, asset: EligibleAsset) -> CheckReport:
     """Decide additivity on pairs of nondecreasing functions of the payoff S1.
 
     The positions are constant on S1's level sets, so {X, Y, S1} is always
-    comonotonic.  The constant pair (1, -1) is evaluated first; its gap is
-    -(rho(1) + rho(-1)), as rho(0) is exactly 0.  A gap above ``tol`` fails
-    the statement at once, with one sample and no seed.  Otherwise the
-    verdict is exact, whatever the float gap of its witness:
+    comonotonic.  The verdict is decided by the rule below, with no seed;
+    only a failing pair is priced, at solver tolerance 1e-12, for the gap its
+    witness reports.  Where the rule passes, nothing is evaluated: the gap of
+    the constant pair (1, -1) is then exactly 0.
 
     * ES, distortion mixtures and the expectation floor pass iff the payoff
       is constant or the criterion is linear; else F(S1) + F(-S1) > 0 for
@@ -111,21 +109,14 @@ def additivity_on_S_comonotone(
     """
     if not spec.is_builtin:
         raise ValueError("exact asset-comonotone additivity decision requires a built-in criterion")
-    rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
     one = RandVar.constant(asset.payoff.space, 1.0)
-    gap = rho_fn(one + -one) - rho_fn(one) - rho_fn(-one)
-    if abs(gap) > tol:
-        sign = "superadditive" if gap > 0 else "subadditive"
-        x, y, note = one, -one, f"{sign} on the constant pair (1, -1)"
-    else:
-        x, y, note = _decided_pair(spec, asset, one)
+    x, y, note = _decided_pair(spec, asset, one)
     if x is None:
         return CheckReport("asset-comonotone-additivity", True, 1, None, note=note)
-    if x is not one:  # a constructed pair; (1, -1) is priced already
-        gap = rho_fn(x + y) - rho_fn(x) - rho_fn(y)
+    rho_fn = _requirement(spec, asset, 1e-12)
     return CheckReport(
         "asset-comonotone-additivity", False, 1 if x is one else 2, None,
-        witness={"x": x, "y": y, "gap": gap}, note=note,
+        witness={"x": x, "y": y, "gap": rho_fn(x + y) - rho_fn(x) - rho_fn(y)}, note=note,
     )
 
 

@@ -342,10 +342,7 @@ def discounted_acceptance(spec: AcceptanceSpec, asset: EligibleAsset) -> Accepta
     membership evaluates the original functional at X' * S1.
     """
     payoff = asset.payoff
-    return AcceptanceSpec.explicit(
-        lambda xp: spec.functional_value(xp * payoff),
-        label=f"discounted {spec.label}",
-    )
+    return AcceptanceSpec.explicit(lambda xp: spec.functional_value(xp * payoff))
 
 
 def _payoff_steps(asset: EligibleAsset) -> Iterator[RandVar]:

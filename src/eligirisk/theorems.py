@@ -18,6 +18,7 @@ proof.  r1 = rho(1) is the closed form -S0 / F(-S1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -601,15 +602,24 @@ def _verdict(statement: str, mismatches: list[str], values: dict) -> TheoremVerd
     )
 
 
+def _matches(want, got) -> bool:
+    if not isinstance(got, float):
+        return got == want
+    is_number = isinstance(want, (int, float)) and not isinstance(want, bool)
+    return is_number and abs(want) <= sys.float_info.max and abs(got - want) <= 1e-12
+
+
 def _mismatches(expected: dict, got: dict) -> list[str]:
     """One message per computed value that misses its expected value.
 
-    Floats match within 1e-12, every other value by equality.
+    Floats match a finite expected number within 1e-12; any other expected
+    value (a string, null, a bool) is a mismatch.  Every other value matches
+    by equality.
     """
     return [
         f"{k}: expected {expected[k]!r}, computed {v!r}"
         for k, v in got.items()
-        if not (abs(v - expected[k]) <= 1e-12 if isinstance(v, float) else v == expected[k])
+        if not _matches(expected[k], v)
     ]
 
 

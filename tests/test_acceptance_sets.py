@@ -307,7 +307,7 @@ class TestDecideMonotoneAndCone:
     def test_oracle_catches_an_increasing_set_that_is_not_monotone(self, space3):
         # the property oracle has teeth: adding a nonnegative bump to a member
         # of {E[X] <= 0} leaves the set
-        spec = AcceptanceSpec.explicit(expectation, label="increasing-expectation")
+        spec = AcceptanceSpec.explicit(expectation)
         x = RandVar(space3, [-1.0, 0.0, 0.0])
         assert accepts(spec, x)
         with pytest.raises(AssertionError):
@@ -315,7 +315,7 @@ class TestDecideMonotoneAndCone:
 
     def test_oracle_catches_a_shifted_var_set_at_the_origin(self, space3):
         # VaR + 1 accepts only positions with a margin, so 0 * x leaves the set
-        spec = AcceptanceSpec.explicit(lambda x: var(x, Level(0.1)) + 1.0, label="var-plus-one")
+        spec = AcceptanceSpec.explicit(lambda x: var(x, Level(0.1)) + 1.0)
         x = RandVar.constant(space3, 2.0)
         assert accepts(spec, x) and not accepts(spec, 0.0 * x)
         with pytest.raises(AssertionError):
@@ -324,7 +324,7 @@ class TestDecideMonotoneAndCone:
     @pytest.mark.parametrize("decide", [decide_monotone, decide_cone])
     def test_explicit_criterion_is_rejected(self, decide):
         # an increasing functional: its set is not monotone, and nothing decides that
-        spec = AcceptanceSpec.explicit(expectation, label="increasing-expectation")
+        spec = AcceptanceSpec.explicit(expectation)
         with pytest.raises(ValueError, match="built-in"):
             decide(spec)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: contracts, exit codes, determinism."""
 
+import argparse
 import inspect
 import json
 import math
@@ -519,6 +520,23 @@ class TestSizeContract:
         assert result["trials"] <= 2 and result["seed"] is None
         assert len(evaluated) <= 6
 
+    @pytest.mark.parametrize(
+        "spec,payoff",
+        [(acceptance.AcceptanceSpec.expectation_floor(), [1.0, 2.0, 4.0]),
+         (acceptance.AcceptanceSpec.es_level(0.1), [1.5, 1.5, 1.5]),
+         # pricing (1, -1) against this payoff overflows; the rule needs no price
+         (acceptance.AcceptanceSpec.var_level(0.1), [1e-310, 1e-310, 1e-310])],
+        ids=["linear-risky", "es-risk-free", "var-tiny-risk-free"],
+    )
+    def test_comonotone_additivity_that_holds_evaluates_nothing(self, monkeypatch, spec, payoff):
+        from eligirisk import FiniteSpace, RandVar
+
+        _, evaluated = count_calls(monkeypatch)
+        asset = engine.EligibleAsset(1.0, RandVar(FiniteSpace([0.25, 0.25, 0.5]), payoff))
+        report = comonotone.additivity_on_S_comonotone(spec, asset)
+        assert (report.passed, report.trials, report.witness) == (True, 1, None)
+        assert evaluated == []
+
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_cash_reduction_evaluates_constructed_pairs(self, capsys, monkeypatch, scenarios_2000,
                                                         kind):
@@ -732,6 +750,30 @@ class TestReplicate:
         assert len(failing) == 1
         assert failing[0]["statement"] == "replicate-svar-superadditivity"
         assert "rho_sum" in failing[0]["note"]
+
+    @pytest.mark.parametrize(
+        "expected,fieldpath",
+        [([{"svar-superadditivity": {}}], "expected"),
+         ({"es-pointedness": 5}, "expected.es-pointedness")],
+        ids=["top-level-list", "entry-not-an-object"],
+    )
+    def test_malformed_expected_exits_2_naming_the_field(self, tmp_path, capsys, expected,
+                                                         fieldpath):
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps(expected))
+        code, out, err = run_cli(["replicate", "--expected", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"scenario error: {fieldpath}: ")
+
+    @pytest.mark.parametrize("value", ["a", None], ids=["string", "null"])
+    def test_non_number_expected_quantity_fails_naming_it(self, tmp_path, capsys, value):
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps({"svar-superadditivity": {"rho_x": value}}))
+        code, out, err = run_cli(["replicate", "--expected", str(path)], capsys)
+        assert (code, err) == (1, "")
+        failing = [r for r in json.loads(out)["results"] if r["verdict"] == "fail"]
+        assert [r["statement"] for r in failing] == ["replicate-svar-superadditivity"]
+        assert failing[0]["note"].startswith(f"rho_x: expected {value!r}, computed ")
 
     def test_same_invocation_byte_identical(self, tmp_path):
         out_a = tmp_path / "a.json"
@@ -1056,6 +1098,19 @@ class TestUsage:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert argv[-2] in err
+
+    def test_each_command_takes_exactly_its_options(self):
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        taken = {name: sorted(s for a in p._actions for s in a.option_strings)
+                 for name, p in commands.choices.items()}
+        every = ["-h", "--help", "--out", "--format"]
+        assert taken == {
+            "eval": sorted(every + ["--scenario", "--tol", "--position"]),
+            "check": sorted(every + ["--scenario", "--seed", "--tol", "--statement", "--trials"]),
+            "search": sorted(every + ["--scenario", "--seed", "--budget"]),
+            "replicate": sorted(every + ["--expected"]),
+        }
 
     def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.json"

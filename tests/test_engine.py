@@ -140,7 +140,7 @@ class TestRhoBisection:
             rho(a_var05, asset3, RandVar.constant(space3, 1.0), method="newton")
 
     def test_bracket_failure_for_non_decreasing_functional(self, space3, asset3):
-        broken = AcceptanceSpec.explicit(expectation, label="increasing")
+        broken = AcceptanceSpec.explicit(expectation)
         with pytest.raises(BracketExpansionError):
             rho(broken, asset3, RandVar.constant(space3, 1.0), tol=1e-9)
 
