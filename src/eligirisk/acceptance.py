@@ -5,13 +5,14 @@ position is acceptable iff the functional value is <= 0.  Membership uses an
 exact comparison with no tolerance, because the interesting counterexamples
 live on boundaries which exact constructions can hit.
 
-For the built-in kinds, the set properties are decided by kind, with one
-sample and no seed.  VaR is read through the integer loss limit of
-:func:`var_loss_limit`: it accepts X iff the mass of {X < 0} is within the
-limit, so its monotonicity and conicity are exact on floats and its
-convexity and risk invariants are decided from atom masses.  ES,
-distortion mixtures and the expectation floor are decreasing, positively
-homogeneous and subadditive, so their exact sets are monotone convex cones
+The built-in kinds are VaR and distortion mixtures, with expected
+shortfall and the expectation floor as one-point mixtures; their set
+properties are decided by kind, with one sample and no seed.  VaR is read
+through the integer loss limit of :func:`var_loss_limit`: it accepts X iff
+the mass of {X < 0} is within the limit, so its monotonicity and conicity
+are exact on floats and its convexity and risk invariants are decided from
+atom masses.  Distortion mixtures are decreasing, positively homogeneous
+and subadditive, so their exact sets are monotone convex cones
 by construction (:func:`decide_monotone`, :func:`decide_cone`,
 :func:`decide_convex`); the float functional is not exactly conic at the
 boundary, where the rounding of t * X can push a member just outside.
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .measures import DistortionWeights, Level, distortion, es, var
+from .measures import DistortionWeights, Level, distortion, var
 from .reporting import CheckReport
-from .spaces import FiniteSpace, RandVar, expectation
+from .spaces import FiniteSpace, RandVar
 
 __all__ = [
     "AcceptanceSpec",
@@ -39,15 +40,18 @@ __all__ = [
     "decide_risk_invariant",
 ]
 
-BUILTIN_KINDS = ("var", "es", "distortion", "expectation")
+BUILTIN_KINDS = ("var", "distortion")
 
 
 @dataclass(frozen=True, eq=False)
 class AcceptanceSpec:
     """Tagged acceptability criterion.
 
-    Built-in kinds pair a standard tail functional with the zero threshold;
-    the ``explicit`` kind wraps a user-supplied decreasing functional with
+    Built-in kinds pair a standard tail functional with the zero threshold:
+    ``var`` at a level, and ``distortion``, a mixture of expected shortfall
+    levels.  Expected shortfall at alpha is the one-point mixture
+    ((alpha, 1)) and the expectation floor the mixture ((1, 1)).  The
+    ``explicit`` kind wraps a user-supplied decreasing functional with
     membership ``functional(X) <= 0`` (the wrapped functional must be
     continuous and decreasing for the induced set to be closed and monotone;
     this is documented, not checked at runtime).
@@ -61,8 +65,8 @@ class AcceptanceSpec:
     def __post_init__(self) -> None:
         if self.kind not in BUILTIN_KINDS + ("explicit",):
             raise ValueError(f"unknown acceptance kind {self.kind!r}")
-        if self.kind in ("var", "es") and self.level is None:
-            raise ValueError(f"kind {self.kind!r} needs a level")
+        if self.kind == "var" and self.level is None:
+            raise ValueError("kind 'var' needs a level")
         if self.kind == "distortion" and self.weights is None:
             raise ValueError("kind 'distortion' needs mixture weights")
         if self.kind == "explicit" and self.functional is None:
@@ -74,7 +78,7 @@ class AcceptanceSpec:
 
     @classmethod
     def es_level(cls, alpha: float) -> "AcceptanceSpec":
-        return cls("es", level=Level(alpha))
+        return cls.distortion_mix(DistortionWeights(((Level(alpha).alpha, 1.0),)))
 
     @classmethod
     def distortion_mix(cls, weights: DistortionWeights) -> "AcceptanceSpec":
@@ -82,7 +86,7 @@ class AcceptanceSpec:
 
     @classmethod
     def expectation_floor(cls) -> "AcceptanceSpec":
-        return cls("expectation")
+        return cls.distortion_mix(DistortionWeights(((1.0, 1.0),)))
 
     @classmethod
     def explicit(cls, functional: Callable[[RandVar], float]) -> "AcceptanceSpec":
@@ -91,12 +95,8 @@ class AcceptanceSpec:
     def functional_value(self, x: RandVar) -> float:
         if self.kind == "var":
             return var(x, self.level)
-        if self.kind == "es":
-            return es(x, self.level)
         if self.kind == "distortion":
             return distortion(x, self.weights)
-        if self.kind == "expectation":
-            return -expectation(x)
         return float(self.functional(x))
 
     @property
@@ -106,14 +106,12 @@ class AcceptanceSpec:
     @property
     def is_convex_kind(self) -> bool:
         """Kinds whose functional is subadditive, hence set convex."""
-        return self.kind in ("es", "distortion", "expectation")
+        return self.kind == "distortion"
 
     @property
     def is_linear_kind(self) -> bool:
-        """Negated-expectation kinds: expectation, and a distortion that is the point mass at 1."""
-        return self.kind == "expectation" or (
-            self.kind == "distortion" and self.weights.is_pure_expectation
-        )
+        """The negated expectation: a distortion that is the point mass at level 1."""
+        return self.kind == "distortion" and self.weights.is_pure_expectation
 
     @property
     def is_pointed_kind(self) -> bool:

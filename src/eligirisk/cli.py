@@ -104,42 +104,53 @@ def _number_list(raw, path: str, length: int | None = None) -> list[float]:
     return out
 
 
+def _parse_alpha(raw: dict, path: str) -> float:
+    alpha = _require(raw, "alpha", path)
+    if not _is_number(alpha) or not 0.0 < alpha < 1.0:
+        raise ScenarioError(f"{path}.alpha", f"must be a number in (0, 1), got {alpha!r}")
+    return alpha
+
+
+def _parse_distortion(raw: dict, path: str) -> AcceptanceSpec:
+    weights = _require(raw, "weights", path)
+    if not isinstance(weights, list) or not weights:
+        raise ScenarioError(f"{path}.weights", "must be a nonempty array")
+    points = []
+    for i, item in enumerate(weights):
+        if not isinstance(item, dict) or "alpha" not in item or "w" not in item:
+            raise ScenarioError(f"{path}.weights[{i}]", "must be an object with 'alpha' and 'w'")
+        for key in ("alpha", "w"):
+            if not _is_number(item[key]):
+                raise ScenarioError(
+                    f"{path}.weights[{i}].{key}",
+                    f"expected a finite number, got {item[key]!r}",
+                )
+        points.append((item["alpha"], item["w"]))
+    try:
+        mix = DistortionWeights(tuple(points))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}.weights", str(exc)) from exc
+    return AcceptanceSpec.distortion_mix(mix)
+
+
+#: The scenario's acceptance kinds, each with the parser of its object.
+ACCEPTANCE_KINDS: dict[str, Callable[[dict, str], AcceptanceSpec]] = {
+    "var": lambda raw, path: AcceptanceSpec.var_level(_parse_alpha(raw, path)),
+    "es": lambda raw, path: AcceptanceSpec.es_level(_parse_alpha(raw, path)),
+    "distortion": _parse_distortion,
+    "expectation": lambda raw, path: AcceptanceSpec.expectation_floor(),
+}
+
+
 def _parse_acceptance(raw, path: str) -> AcceptanceSpec:
     if not isinstance(raw, dict):
         raise ScenarioError(path, "must be an object")
     kind = _require(raw, "kind", path)
-    if kind == "var" or kind == "es":
-        alpha = _require(raw, "alpha", path)
-        if not _is_number(alpha) or not 0.0 < alpha < 1.0:
-            raise ScenarioError(f"{path}.alpha", f"must be a number in (0, 1), got {alpha!r}")
-        return AcceptanceSpec.var_level(alpha) if kind == "var" else AcceptanceSpec.es_level(alpha)
-    if kind == "distortion":
-        weights = _require(raw, "weights", path)
-        if not isinstance(weights, list) or not weights:
-            raise ScenarioError(f"{path}.weights", "must be a nonempty array")
-        points = []
-        for i, item in enumerate(weights):
-            if not isinstance(item, dict) or "alpha" not in item or "w" not in item:
-                raise ScenarioError(
-                    f"{path}.weights[{i}]", "must be an object with 'alpha' and 'w'"
-                )
-            for key in ("alpha", "w"):
-                if not _is_number(item[key]):
-                    raise ScenarioError(
-                        f"{path}.weights[{i}].{key}",
-                        f"expected a finite number, got {item[key]!r}",
-                    )
-            points.append((item["alpha"], item["w"]))
-        try:
-            mix = DistortionWeights(tuple(points))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}.weights", str(exc)) from exc
-        return AcceptanceSpec.distortion_mix(mix)
-    if kind == "expectation":
-        return AcceptanceSpec.expectation_floor()
-    raise ScenarioError(
-        f"{path}.kind", f"unknown kind {kind!r}; expected var, es, distortion, or expectation"
-    )
+    if not isinstance(kind, str) or kind not in ACCEPTANCE_KINDS:
+        raise ScenarioError(
+            f"{path}.kind", f"unknown kind {kind!r}; expected var, es, distortion, or expectation"
+        )
+    return ACCEPTANCE_KINDS[kind](raw, path)
 
 
 def _parse_asset(raw, path: str, space: FiniteSpace) -> EligibleAsset:
@@ -348,7 +359,8 @@ def _replicate(args) -> tuple[dict, list, bool]:
     try:
         verdicts = run_replication_suite(overrides)
     except KeyError as exc:
-        raise ScenarioError("expected", str(exc)) from exc
+        path, message = exc.args
+        raise ScenarioError(f"expected.{path}", message) from exc
     passed = all(v.passed for v in verdicts)
     return {"expected": args.expected, "all_passed": passed}, verdicts, passed
 

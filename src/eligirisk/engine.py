@@ -7,28 +7,29 @@ payoff bounded away from zero, and a position X, the engine computes
 
 Acceptability of the shifted position is monotone nondecreasing in m (the
 payoff is strictly positive and the set is monotone), so the infimum is a
-bracketed root of a membership predicate.  Four closed forms bypass the
+bracketed root of a membership predicate.  Three closed forms bypass the
 bracketing entirely:
 
 * value-at-risk criteria reduce pointwise to S0 * var(X / S1, alpha), the
   order statistic of the raw quotient (an overflow to +-inf only orders the
   atoms; an infinite quote is a ``ValueError``);
-* expectation-linear criteria give -S0 * E[X] / E[S1];
 * risk-free assets rescale the cash functional: (S0 / s) * functional(X);
 * X = 0 yields exactly 0 for every conic built-in criterion.
 
-Expected shortfall and distortion mixtures with a risky payoff run a finite
-Newton iteration: their requirement function is convex, decreasing and
-piecewise linear, so a few steps land on the root.  Each iterate costs one
-argsort and one walk of the shifted position,
-:func:`~eligirisk.measures.shortfall_and_slope`, which returns the value
-and the right slope together.  Explicit criteria, and
+Distortion mixtures (expected shortfall and the expectation floor among
+them) with a risky payoff run a finite Newton iteration: their requirement
+function is convex, decreasing and piecewise linear, so a few steps land on
+the root.  Each iterate costs one argsort and one walk of the shifted
+position, :func:`~eligirisk.measures.shortfall_and_slope`, which returns
+the value and the right slope together.  Explicit criteria, and
 ``method="bisection"``, run bracketed bisection.  Both solvers return the
 upper end ``hi`` of a certified bracket: ``hi`` is accepted and
 ``hi - bracket_width`` is rejected, with the width at most
 ``max(tol, ulp(hi))``: two adjacent floats when the requested tol is finer
 than the float grid at ``hi``.  Membership uses the exact functional
-comparison; the bracket width is the only approximation.
+comparison, and a solver's bracket width is its only approximation.  The
+VaR and risk-free closed forms are not certified: the rounding of their
+value and of the shifted position can leave it just outside the set.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _bisect(
 def _newton(
     spec: AcceptanceSpec, asset: EligibleAsset, x: RandVar, pays: list[float], shifted
 ) -> tuple[float | None, float | None, int]:
-    """Finite Newton on g(m) = functional(X + (m / S0) * S1) for ES and distortion mixtures.
+    """Finite Newton on g(m) = functional(X + (m / S0) * S1) for a distortion mixture.
 
     g is convex, decreasing and piecewise linear: linear wherever the order
     of the position is fixed.  The tangent along the right derivative lies
@@ -197,7 +198,6 @@ def _newton(
     :func:`rho`'s; an iterate outside the float range raises a ``ValueError``.
     """
     s0, payoff = asset.price, asset.payoff
-    mu = spec.level if spec.kind == "es" else spec.weights
     mass = (x.space.probs * payoff.values).tolist()
     mean = expectation(payoff)
 
@@ -206,7 +206,7 @@ def _newton(
     values = shifted(m)
     for steps in range(MAX_NEWTON_STEPS + 1):
         y = RandVar._fresh(x.space, values)
-        g, slope = shortfall_and_slope(y, mu, pays, mass, mean)
+        g, slope = shortfall_and_slope(y, spec.weights, pays, mass, mean)
         if g <= 0.0 and (steps > 0 or g == 0.0):
             return lo, m, steps
         if g > 0.0:
@@ -274,9 +274,6 @@ def rho(
             if not math.isfinite(value):
                 raise ValueError(f"the VaR quote S0 * VaR(X / S1) overflows: VaR(X / S1) is {q!r}")
             return RiskQuote(value, "closed_form", 0, 0.0)
-        if spec.is_linear_kind:
-            value = -asset.price * expectation(x) / expectation(asset.payoff)
-            return RiskQuote(value, "closed_form", 0, 0.0)
         if asset.risk_free and spec.is_builtin:
             s = float(asset.payoff.values[0])
             value = asset.price * spec.functional_value(x) / s
@@ -300,7 +297,7 @@ def rho(
     def member(m: float) -> bool:
         return spec.functional_value(RandVar._fresh(x.space, shifted(m))) <= 0.0
 
-    # what the closed forms leave of the built-in kinds: es and distortion, risky payoff
+    # what the closed forms leave of the built-in kinds: distortion, risky payoff
     newton = method == "auto" and spec.is_builtin
     lo, hi, steps = _newton(spec, asset, x, pays, shifted) if newton else (None, None, 0)
     if tol is None:

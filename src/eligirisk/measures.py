@@ -156,12 +156,12 @@ def distortion(x: RandVar, mu: DistortionWeights) -> float:
 
 
 def shortfall_and_slope(
-    y: RandVar, mu: Level | DistortionWeights, payoff: list[float], mass: list[float], mean: float
+    y: RandVar, mu: DistortionWeights, payoff: list[float], mass: list[float], mean: float
 ) -> tuple[float, float]:
-    """ES (``mu`` a :class:`Level`) or mixture value at ``y`` and its right slope along a payoff.
+    """The mixture value at ``y`` and its right slope along a payoff.
 
-    The value is :func:`es` or :func:`distortion` bit for bit: one argsort
-    and the loop walk of :func:`~eligirisk.spaces._lower_tail`
+    The value is :func:`distortion` bit for bit: one argsort and the loop
+    walk of :func:`~eligirisk.spaces._lower_tail`
     (:func:`~eligirisk.spaces._walk`), which also gives each run's start.
     The slope is the right derivative of t -> value(Y + t * S1) at t = 0.
     Just right of 0 the atoms sort by Y, ties by S1, so level alpha's slope
@@ -171,13 +171,12 @@ def shortfall_and_slope(
     ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is
     E[S1]; a Newton solve takes them once per quote.
     """
-    points = ((mu.alpha, 1.0),) if isinstance(mu, Level) else mu.points
     nums, den = y.space.int_probs
     order = y.values.argsort().tolist()
-    below = [a for a, _ in points if a < 1.0]
+    below = [a for a, _ in mu.points if a < 1.0]
     distinct, cum, starts = _walk(y.space, y.values.tolist(), order, max(below) if below else 0.0)
     slope = 0.0
-    for alpha, weight in points:
+    for alpha, weight in mu.points:
         if alpha == 0.0:
             s = -min(payoff[i] for i in order[: starts[1][0]])
         elif alpha == 1.0:
@@ -203,9 +202,7 @@ def shortfall_and_slope(
                 i = order[j]
             s = -(part / alpha + (alpha - before) / alpha * payoff[i])
         slope += weight * s
-    if isinstance(mu, Level):
-        return _shortfall_sum(distinct, cum, mu.alpha), slope
-    return _mixture(y, points, distinct, cum), slope
+    return _mixture(y, mu.points, distinct, cum), slope
 
 
 def es_choquet_oracle(x: RandVar, level: Level) -> float:

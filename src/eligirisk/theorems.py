@@ -530,27 +530,18 @@ def find_additivity_violation(
 # Replication of the worked reference examples
 # ---------------------------------------------------------------------------
 
-#: Frozen expected values of the worked examples.  ``run_replication_suite``
-#: recomputes every quantity and compares against these; overriding an entry
-#: is the supported way to run a tampering negative control.
+#: Frozen expected values of the quantities that the worked examples compare.
+#: ``run_replication_suite`` recomputes each one and compares it against
+#: these; overriding an entry is the supported way to run a tampering
+#: negative control.  The examples' inputs are fixed in their runners.
 REFERENCE_VALUES: dict[str, dict[str, Any]] = {
     "svar-superadditivity": {
-        "probs": [0.05, 0.05, 0.9],
-        "alpha": 0.05,
-        "price": 1.0,
-        "payoff": [1.0, 2.0, 1.0],
-        "x": [-2.0, -3.0, 2.0],
-        "y": [-4.0, -9.0, 0.0],
         "rho_x": 1.5,
         "rho_y": 4.0,
         "rho_sum": 6.0,
         "pairs_comonotone": True,
     },
     "svar-near-risk-free": {
-        "probs": [0.1, 0.1, 0.8],
-        "alpha": 0.1,
-        "price": 1.0,
-        "payoff": [1.0, 2.0, 1.0],
         "rho_one": -1.0,
         "necessary_condition": "pass",
         "theorem_b": "fail",
@@ -558,38 +549,38 @@ REFERENCE_VALUES: dict[str, dict[str, Any]] = {
         "witness_shifted": [-1.0, -1.0, 0.0],
     },
     "accept-var-indicators": {
-        "probs": [0.1, 0.1, 0.8],
-        "alpha": 0.1,
         "single_event_accepted": True,
         "double_event_accepted": False,
     },
     "es-pointedness": {
-        "probs": [0.5, 0.5],
-        "alpha": 0.1,
-        "risky_payoff": [1.0, 2.0],
         "risky_verdict": "fail",
-        "risk_free_payoff": [2.0, 2.0],
         "risk_free_verdict": "pass",
         "certificate_strictly_positive": True,
     },
     "distortion-expectation": {
-        "probs": [0.1, 0.1, 0.8],
-        "risky_payoff": [1.0, 2.0, 1.0],
         "verdict": "pass",
-        "value_example_x": [-2.0, -3.0, 2.0],
         "value_example": -1.1,
     },
 }
 
 
 def _merge_expected(overrides: dict | None) -> dict:
+    """``REFERENCE_VALUES`` patched by ``overrides``.
+
+    An unknown fixture, or a key that is not one of its compared quantities,
+    is a ``KeyError`` whose arguments are the path and a message.
+    """
     if not overrides:
         return REFERENCE_VALUES
     merged = {k: dict(v) for k, v in REFERENCE_VALUES.items()}
-    for key, patch in overrides.items():
-        if key not in merged:
-            raise KeyError(f"unknown replication fixture {key!r}")
-        merged[key].update(patch)
+    for fixture, patch in overrides.items():
+        if fixture not in merged:
+            raise KeyError(fixture, "unknown replication fixture")
+        for key in patch:
+            if key not in merged[fixture]:
+                compared = ", ".join(merged[fixture])
+                raise KeyError(f"{fixture}.{key}", f"not a compared quantity; expected one of {compared}")
+        merged[fixture].update(patch)
     return merged
 
 
@@ -624,11 +615,11 @@ def _mismatches(expected: dict, got: dict) -> list[str]:
 
 
 def _replicate_superadditivity(exp: dict) -> TheoremVerdict:
-    space = FiniteSpace(exp["probs"])
-    spec = AcceptanceSpec.var_level(exp["alpha"])
-    asset = EligibleAsset(exp["price"], RandVar(space, exp["payoff"]))
-    x = RandVar(space, exp["x"])
-    y = RandVar(space, exp["y"])
+    space = FiniteSpace([0.05, 0.05, 0.9])
+    spec = AcceptanceSpec.var_level(0.05)
+    asset = EligibleAsset(1.0, RandVar(space, [1.0, 2.0, 1.0]))
+    x = RandVar(space, [-2.0, -3.0, 2.0])
+    y = RandVar(space, [-4.0, -9.0, 0.0])
     got = {
         "rho_x": rho(spec, asset, x).value,
         "rho_y": rho(spec, asset, y).value,
@@ -642,9 +633,9 @@ def _replicate_superadditivity(exp: dict) -> TheoremVerdict:
 
 
 def _replicate_near_risk_free(exp: dict) -> TheoremVerdict:
-    space = FiniteSpace(exp["probs"])
-    spec = AcceptanceSpec.var_level(exp["alpha"])
-    asset = EligibleAsset(exp["price"], RandVar(space, exp["payoff"]))
+    space = FiniteSpace([0.1, 0.1, 0.8])
+    spec = AcceptanceSpec.var_level(0.1)
+    asset = EligibleAsset(1.0, RandVar(space, [1.0, 2.0, 1.0]))
     r1 = _rho_one(spec, asset)
     necessary = check_var_necessary_condition(spec, asset)
     stability = check_theorem_condition_b(spec, asset)
@@ -659,8 +650,8 @@ def _replicate_near_risk_free(exp: dict) -> TheoremVerdict:
 
 
 def _replicate_indicators(exp: dict) -> TheoremVerdict:
-    space = FiniteSpace(exp["probs"])
-    spec = AcceptanceSpec.var_level(exp["alpha"])
+    space = FiniteSpace([0.1, 0.1, 0.8])
+    spec = AcceptanceSpec.var_level(0.1)
     single = -1.0 * RandVar.indicator(space, [0])
     double = -1.0 * RandVar.indicator(space, [0, 1])
     got = {
@@ -671,10 +662,10 @@ def _replicate_indicators(exp: dict) -> TheoremVerdict:
 
 
 def _replicate_es_pointedness(exp: dict) -> TheoremVerdict:
-    space = FiniteSpace(exp["probs"])
-    spec = AcceptanceSpec.es_level(exp["alpha"])
-    risky = EligibleAsset(1.0, RandVar(space, exp["risky_payoff"]))
-    risk_free = EligibleAsset(1.0, RandVar(space, exp["risk_free_payoff"]))
+    space = FiniteSpace([0.5, 0.5])
+    spec = AcceptanceSpec.es_level(0.1)
+    risky = EligibleAsset(1.0, RandVar(space, [1.0, 2.0]))
+    risk_free = EligibleAsset(1.0, RandVar(space, [2.0, 2.0]))
     got = {
         "risky_verdict": check_corollary_convex(spec, risky).verdict,
         "risk_free_verdict": check_corollary_convex(spec, risk_free).verdict,
@@ -690,15 +681,12 @@ def _replicate_es_pointedness(exp: dict) -> TheoremVerdict:
 
 
 def _replicate_distortion_expectation(exp: dict) -> TheoremVerdict:
-    from .measures import DistortionWeights, distortion
-
-    space = FiniteSpace(exp["probs"])
-    mu = DistortionWeights(((1.0, 1.0),))
-    spec = AcceptanceSpec.distortion_mix(mu)
-    risky = EligibleAsset(1.0, RandVar(space, exp["risky_payoff"]))
+    space = FiniteSpace([0.1, 0.1, 0.8])
+    spec = AcceptanceSpec.expectation_floor()  # the mixture ((1, 1))
+    risky = EligibleAsset(1.0, RandVar(space, [1.0, 2.0, 1.0]))
     got = {
         "verdict": check_corollary_convex(spec, risky).verdict,
-        "value_example": distortion(RandVar(space, exp["value_example_x"]), mu),
+        "value_example": spec.functional_value(RandVar(space, [-2.0, -3.0, 2.0])),
     }
     return _verdict("replicate-distortion-expectation", _mismatches(exp, got), got)
 

@@ -754,8 +754,10 @@ class TestReplicate:
     @pytest.mark.parametrize(
         "expected,fieldpath",
         [([{"svar-superadditivity": {}}], "expected"),
-         ({"es-pointedness": 5}, "expected.es-pointedness")],
-        ids=["top-level-list", "entry-not-an-object"],
+         ({"es-pointedness": 5}, "expected.es-pointedness"),
+         ({"svar-superadditivity": {"rho_summ": 6.1}}, "expected.svar-superadditivity.rho_summ"),
+         ({"svar-superadditivity": {"probs": "a"}}, "expected.svar-superadditivity.probs")],
+        ids=["top-level-list", "entry-not-an-object", "misspelled-quantity", "input-not-compared"],
     )
     def test_malformed_expected_exits_2_naming_the_field(self, tmp_path, capsys, expected,
                                                          fieldpath):

@@ -93,15 +93,6 @@ class TestRhoClosedForm:
         assert quote.method == "closed_form"
         assert quote.value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_expectation_kind_closed_form(self, space3):
-        spec = AcceptanceSpec.expectation_floor()
-        asset = EligibleAsset(1.0, RandVar(space3, [1.0, 2.0, 1.0]))
-        x = RandVar(space3, [-2.0, -3.0, 2.0])
-        quote = rho(spec, asset, x)
-        assert quote.method == "closed_form"
-        expected = -expectation(x) / expectation(asset.payoff)
-        assert quote.value == pytest.approx(expected, abs=1e-12)
-
     def test_zero_position_is_exactly_zero(self, space3, asset3):
         specs = [
             AcceptanceSpec.var_level(0.05),
@@ -174,26 +165,43 @@ class TestRhoBisection:
 #: ``MIX`` is the benchmark's mixture; ``ENDS`` uses both boundary levels.
 MIX = ((0.01, 0.5), (0.1, 0.3), (0.5, 0.2))
 ENDS = ((0.0, 0.25), (0.5, 0.5), (1.0, 0.25))
+#: The two linear criteria, the expectation floor and the pure-expectation
+#: mixture, come last so that the pinned ``which`` indices hold.
 NEWTON_SPECS = [AcceptanceSpec.es_level(a) for a in (0.05, 0.1, 0.25, 0.5, 0.9)] + [
     AcceptanceSpec.distortion_mix(DistortionWeights(MIX)),
     AcceptanceSpec.distortion_mix(DistortionWeights(ENDS)),
+    AcceptanceSpec.expectation_floor(),
+    AcceptanceSpec.distortion_mix(DistortionWeights(((1.0, 1.0),))),
 ]
 
 
 def choquet_oracle(spec, y):
     """The criterion by the Choquet sums of ``es_choquet_oracle`` (boundary levels closed form)."""
-    points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
     return math.fsum(
         w * (
             -essential_infimum(y) if a == 0.0 else -expectation(y) if a == 1.0
             else es_choquet_oracle(y, Level(a))
         )
-        for a, w in points
+        for a, w in spec.weights.points
     )
 
 
 class TestNewton:
     """Every ES and distortion quote with a risky payoff is a certified Newton bracket."""
+
+    def test_expectation_kind_matches_the_mean_ratio(self, space3):
+        # g is linear with slope -E[S1]: one step lands on -E[X] / E[S1]
+        spec = AcceptanceSpec.expectation_floor()
+        asset = EligibleAsset(1.0, RandVar(space3, [1.0, 2.0, 1.0]))
+        x = RandVar(space3, [-2.0, -3.0, 2.0])
+        quote = rho(spec, asset, x)
+        assert quote.method == "newton"
+        expected = -expectation(x) / expectation(asset.payoff)
+        tol = default_tol(asset, x)
+        assert abs(quote.value - expected) <= tol
+        assert 0.0 < quote.bracket_width <= tol
+        assert accepts(spec, x + quote.value * asset.payoff)
+        assert not accepts(spec, x + (quote.value - quote.bracket_width) * asset.payoff)
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
@@ -324,9 +332,8 @@ def slope_oracle(spec, y, payoff):
     nums, den = y.space.int_probs
     ys, pays = y.tolist(), payoff.tolist()
     order = sorted(range(len(ys)), key=lambda i: (ys[i], pays[i]))
-    points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
     total = Fraction(0)
-    for alpha, weight in points:
+    for alpha, weight in spec.weights.points:
         acc, prev = 0, Fraction(0)
         for i in order:
             acc += nums[i]
@@ -338,9 +345,8 @@ def slope_oracle(spec, y, payoff):
 
 def value_and_slope(spec, y, payoff):
     """Newton's pricing of one iterate: ``shortfall_and_slope`` with the payoff terms of a quote."""
-    mu = spec.level if spec.kind == "es" else spec.weights
     mass = (y.space.probs * payoff.values).tolist()
-    return shortfall_and_slope(y, mu, payoff.tolist(), mass, expectation(payoff))
+    return shortfall_and_slope(y, spec.weights, payoff.tolist(), mass, expectation(payoff))
 
 
 SLOPE_LEVELS = (0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eligirisk import (
+    AcceptanceSpec,
     DistortionWeights,
     FiniteSpace,
     Level,
@@ -213,6 +214,11 @@ class TestLowerTail:
             assert upper_quantile(x, beta).hex() == float(prof.values[k]).hex()
         for alpha in levels:
             assert es(x, Level(alpha)).hex() == profile_shortfall(x, alpha).hex()
+            # ES is the one-point mixture ((alpha, 1)), bit for bit
+            assert AcceptanceSpec.es_level(alpha).functional_value(x).hex() == es(x, Level(alpha)).hex()
+        # the expectation floor is the mixture ((1, 1)): equal by value only,
+        # since the mixture's fsum may turn the -0.0 of a zero mean into +0.0
+        assert AcceptanceSpec.expectation_floor().functional_value(x) == -expectation(x)
 
         points = [(a, 1.0 / (len(levels) + len(ends))) for a in [*levels, *sorted(ends)]]
         mu = DistortionWeights(tuple(points))

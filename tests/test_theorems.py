@@ -110,10 +110,7 @@ def exact_criterion(spec: AcceptanceSpec, x: RandVar) -> Fraction:
             acc, cum = acc + take * v, cum + take
         return -acc / a
 
-    if spec.kind == "expectation":
-        return shortfall(Fraction(1))
-    points = ((spec.level.alpha, 1.0),) if spec.kind == "es" else spec.weights.points
-    return sum((Fraction(w) * shortfall(Fraction(a)) for a, w in points), Fraction(0))
+    return sum((Fraction(w) * shortfall(Fraction(a)) for a, w in spec.weights.points), Fraction(0))
 
 
 def leveraged_payoff(spec: AcceptanceSpec, asset: EligibleAsset) -> RandVar:
@@ -1163,3 +1160,9 @@ class TestReplicationSuite:
     def test_unknown_fixture_rejected(self):
         with pytest.raises(KeyError):
             run_replication_suite({"no-such-fixture": {}})
+
+    @pytest.mark.parametrize("key", ["rho_summ", "probs"])
+    def test_only_compared_quantities_may_be_overridden(self, key):
+        with pytest.raises(KeyError) as info:
+            run_replication_suite({"svar-superadditivity": {key: 6.1}})
+        assert info.value.args[0] == f"svar-superadditivity.{key}"
