@@ -142,7 +142,7 @@ def var_loss_limit(spec: AcceptanceSpec, space: FiniteSpace) -> int:
 def _by_construction(name: str, spec: AcceptanceSpec, var_note: str, note: str) -> CheckReport:
     if not spec.is_builtin:
         raise ValueError(f"exact {name} decision requires a built-in criterion")
-    return CheckReport(name, True, 1, None, note=var_note if spec.kind == "var" else note)
+    return CheckReport(name, True, 1, note=var_note if spec.kind == "var" else note)
 
 
 def decide_monotone(spec: AcceptanceSpec) -> CheckReport:
@@ -193,7 +193,7 @@ def decide_convex(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:
     if not spec.is_builtin:
         raise ValueError("exact convex decision requires a built-in criterion")
     if spec.kind != "var":
-        return CheckReport("convex", True, 1, None, note="subadditive criterion: convex by construction")
+        return CheckReport("convex", True, 1, note="subadditive criterion: convex by construction")
     nums, _ = space.int_probs
     limit = var_loss_limit(spec, space)
     singles = sorted((i for i, m in enumerate(nums) if m <= limit), key=nums.__getitem__)
@@ -208,12 +208,12 @@ def decide_convex(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:
             if not accepts(spec, x) or not accepts(spec, y) or accepts(spec, blend):
                 raise ArithmeticError("convex witness failed re-verification through accepts")
             return CheckReport(
-                "convex", False, 1, None,
+                "convex", False, 1,
                 witness={"x": x, "y": y, "t": 0.5, "blend": blend},
                 note="exact decision: the atoms accepted one at a time are not accepted together",
             )
     return CheckReport(
-        "convex", True, 1, None,
+        "convex", True, 1,
         note="exact decision: the atoms accepted one at a time are accepted together",
     )
 
@@ -241,7 +241,7 @@ def decide_risk_invariant(spec: AcceptanceSpec, space: FiniteSpace) -> CheckRepo
         raise ValueError("exact risk-invariant decision requires a built-in criterion")
     if spec.is_pointed_kind:
         return CheckReport(
-            "risk-invariant", True, 1, None,
+            "risk-invariant", True, 1,
             note="pointed criterion: F(X) + F(-X) > 0 for nonconstant X, so no nonzero invariant exists",
         )
     if spec.kind == "var":
@@ -249,25 +249,25 @@ def decide_risk_invariant(spec: AcceptanceSpec, space: FiniteSpace) -> CheckRepo
         atom = next((i for i, m in enumerate(space.int_probs[0]) if m <= limit), None)
         if atom is None:
             return CheckReport(
-                "risk-invariant", True, 1, None,
+                "risk-invariant", True, 1,
                 note="exact decision: no atom may be lost alone, so no invariant exists",
             )
         w = RandVar.indicator(space, [atom])
         if not accepts(spec, w) or not accepts(spec, -w):
             raise ArithmeticError("risk-invariant witness failed re-verification through accepts")
         return CheckReport(
-            "risk-invariant", False, 1, None, witness={"w": w},
+            "risk-invariant", False, 1, witness={"w": w},
             note="exact decision: an atom that may be lost alone gives an invariant",
         )
     if space.n_atoms == 1:
         return CheckReport(
-            "risk-invariant", True, 1, None,
+            "risk-invariant", True, 1,
             note="expectation-linear criterion on one atom: only 0 has mean zero",
         )
     p0, p1 = space.probs[:2].tolist()
     w = RandVar(space, [p1, -p0] + [0.0] * (space.n_atoms - 2))
     return CheckReport(
-        "risk-invariant", False, 1, None, witness={"w": w},
+        "risk-invariant", False, 1, witness={"w": w},
         note="expectation-linear criterion: a two-atom position with mean zero in exact rationals",
     )
 

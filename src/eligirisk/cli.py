@@ -20,7 +20,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from . import __version__
@@ -70,14 +70,14 @@ class ScenarioError(ValueError):
 
 @dataclass
 class Scenario:
-    """Parsed scenario: space, named positions, asset(s), acceptance, options."""
+    """Parsed scenario: space, named positions, asset(s), acceptance, ``options.tol``."""
 
     space: FiniteSpace
     positions: dict[str, RandVar]
     asset: EligibleAsset
     acceptance: AcceptanceSpec
     asset_r: EligibleAsset | None = None
-    options: dict[str, Any] = field(default_factory=dict)
+    tol: float | None = None
 
 
 def _require(obj: dict, key: str, path: str):
@@ -199,19 +199,12 @@ def parse_scenario(doc: Any) -> Scenario:
     if not isinstance(options, dict):
         raise ScenarioError("scenario.options", "must be an object")
     for key, val in options.items():
-        if key == "tol":
-            if not _is_number(val) or not val > 0:
-                raise ScenarioError("scenario.options.tol", f"must be positive and finite, got {val!r}")
-        elif key in ("seed", "trials", "budget"):
-            least, word = (0, "nonnegative") if key == "seed" else (1, "positive")
-            if isinstance(val, bool) or not isinstance(val, int) or val < least:
-                raise ScenarioError(
-                    f"scenario.options.{key}", f"must be a {word} integer, got {val!r}"
-                )
-        else:
+        if key != "tol":
             raise ScenarioError(f"scenario.options.{key}", "unknown option")
+        if not _is_number(val) or not val > 0:
+            raise ScenarioError("scenario.options.tol", f"must be positive and finite, got {val!r}")
 
-    return Scenario(space, positions, asset, acceptance, asset_r, dict(options))
+    return Scenario(space, positions, asset, acceptance, asset_r, options.get("tol"))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -249,9 +242,11 @@ def _base_report(command: str, **echo) -> dict:
     return report
 
 
-def _input(args, scenario: Scenario, name: str, default=None):
-    flag = getattr(args, name)
-    return flag if flag is not None else scenario.options.get(name, default)
+def _tol(args, scenario: Scenario, default: float | None = None):
+    """``--tol`` if given, else the scenario's ``options.tol``, else ``default``."""
+    if args.tol is not None:
+        return args.tol
+    return scenario.tol if scenario.tol is not None else default
 
 
 def _asset_r(scenario: Scenario) -> EligibleAsset:
@@ -279,11 +274,11 @@ def _sorted_positions(scenario: Scenario) -> list[RandVar]:
     return [scenario.positions[name] for name in sorted(scenario.positions)]
 
 
-#: Inputs that neither a flag nor the scenario's ``options`` set.
-DEFAULTS = {"tol": 1e-9}
+#: Comparison tolerance of ``check`` when neither ``--tol`` nor ``options.tol`` sets it.
+DEFAULT_TOL = 1e-9
 
-#: Statement id -> checker on ``sc`` and the inputs it reads, which ``check``
-#: passes and echoes.  The ids are the choices of ``check --statement``.
+#: Statement id -> checker on ``sc``, and on ``tol`` if it compares within one;
+#: ``check`` passes and echoes that tol.  The ids are the choices of ``check --statement``.
 STATEMENTS: dict[str, Callable[..., Any]] = {
     "theorem-b": lambda sc: check_theorem_condition_b(sc.acceptance, sc.asset),
     "corollary-convex": lambda sc: check_corollary_convex(_convex_spec(sc), sc.asset),
@@ -313,7 +308,7 @@ def _eval(args) -> tuple[dict, list, bool]:
     for name in names:
         if name not in scenario.positions:
             raise ScenarioError(f"scenario.positions.{name}", "position not defined")
-    tol = _input(args, scenario, "tol")
+    tol = _tol(args, scenario)
     quotes = [
         {"position": name,
          **asdict(rho(scenario.acceptance, scenario.asset, scenario.positions[name], tol=tol))}
@@ -325,8 +320,8 @@ def _eval(args) -> tuple[dict, list, bool]:
 def _check(args) -> tuple[dict, list, bool]:
     scenario = load_scenario(args.scenario)
     checker = STATEMENTS[args.statement]
-    names = list(inspect.signature(checker).parameters)[1:]
-    inputs = {name: _input(args, scenario, name, DEFAULTS[name]) for name in names}
+    compares = "tol" in inspect.signature(checker).parameters
+    inputs = {"tol": _tol(args, scenario, DEFAULT_TOL)} if compares else {}
     result = checker(scenario, **inputs)
     echo = {"scenario": args.scenario, "statement": args.statement, **inputs}
     return echo, [result], result.passed
@@ -386,8 +381,8 @@ def positive_float(text: str) -> float:
 
 
 #: Flag -> its ``add_argument`` keywords.  No checker or search samples:
-#: ``--seed``, ``--trials`` and ``--budget`` are validated for existing
-#: callers, but not read.
+#: ``--seed``, ``--trials`` and ``--budget`` are kept, validated but not read,
+#: only because the benchmark's op lists still pass them.
 FLAGS: dict[str, dict[str, Any]] = {
     "scenario": {"required": True, "help": "path to a scenario JSON file"},
     "seed": {"type": int_at_least(0), "help": "accepted, not read"},

@@ -112,10 +112,10 @@ def additivity_on_S_comonotone(spec: AcceptanceSpec, asset: EligibleAsset) -> Ch
     one = RandVar.constant(asset.payoff.space, 1.0)
     x, y, note = _decided_pair(spec, asset, one)
     if x is None:
-        return CheckReport("asset-comonotone-additivity", True, 1, None, note=note)
+        return CheckReport("asset-comonotone-additivity", True, 1, note=note)
     rho_fn = _requirement(spec, asset, 1e-12)
     return CheckReport(
-        "asset-comonotone-additivity", False, 1 if x is one else 2, None,
+        "asset-comonotone-additivity", False, 1 if x is one else 2,
         witness={"x": x, "y": y, "gap": rho_fn(x + y) - rho_fn(x) - rho_fn(y)}, note=note,
     )
 
@@ -199,7 +199,7 @@ def comono_preservation_under_numeraire(asset: EligibleAsset) -> CheckReport:
     """
     if asset.risk_free:
         return CheckReport(
-            "numeraire-comonotonicity", True, 1, None,
+            "numeraire-comonotonicity", True, 1,
             note="constant payoff: multiplication preserves comonotonicity exactly",
         )
     forward, reverse = _numeraire_witnesses(asset.payoff)
@@ -208,7 +208,7 @@ def comono_preservation_under_numeraire(asset: EligibleAsset) -> CheckReport:
                 or is_comonotone(w["x"], w["y"]) == discounted_comonotone):
             raise ArithmeticError("numeraire witness failed re-verification through is_comonotone")
     return CheckReport(
-        "numeraire-comonotonicity", False, 1, None,
+        "numeraire-comonotonicity", False, 1,
         witness={"forward": forward, "reverse": reverse},
         note="witnesses in both directions: multiplication by the payoff disrupts comonotonicity",
     )

@@ -374,7 +374,7 @@ def _identity_check(statement: str, comparisons: Iterable[tuple], note: str) -> 
         if abs(left - right) > 10.0 * tol_eff:
             found = {**fields, "lhs": left, "rhs": right}
             break
-    return CheckReport(statement, found is None, count, None, found, note, {"worst_error": worst})
+    return CheckReport(statement, found is None, count, found, note, {"worst_error": worst})
 
 
 def s_additivity_check(

@@ -29,9 +29,9 @@ def witness_to_jsonable(witness: dict | None) -> dict | None:
 class CheckReport:
     """Outcome of a property check.
 
-    No statement checker samples, so ``seed`` is None.  Fixed-list checks count
-    their comparisons as ``trials``; exact checks (decided by construction)
-    count the positions or pairs they evaluated, 1 or 2.  On failure the
+    No statement checker samples.  Fixed-list checks count their comparisons
+    as ``trials``; exact checks (decided by construction) count the positions
+    or pairs they evaluated, 1 or 2.  On failure the
     witness dict holds the violating positions, re-verifiable through the
     public membership and comonotonicity predicates.
     """
@@ -39,7 +39,6 @@ class CheckReport:
     name: str
     passed: bool
     trials: int
-    seed: int | None = None
     witness: dict | None = None
     note: str = ""
     data: dict = field(default_factory=dict)
@@ -49,7 +48,6 @@ class CheckReport:
             "name": self.name,
             "passed": self.passed,
             "trials": self.trials,
-            "seed": self.seed,
             "witness": witness_to_jsonable(self.witness),
             "note": self.note,
             "data": witness_to_jsonable(self.data),

@@ -63,7 +63,6 @@ class TheoremVerdict:
     statement: str
     verdict: str
     samples: int = 0
-    seed: int | None = None
     witness: dict | None = None
     condition_values: dict = field(default_factory=dict)
     note: str = ""
@@ -77,7 +76,6 @@ class TheoremVerdict:
             "statement": self.statement,
             "verdict": self.verdict,
             "samples": self.samples,
-            "seed": self.seed,
             "witness": witness_to_jsonable(self.witness),
             "condition_values": witness_to_jsonable(self.condition_values),
             "note": self.note,
@@ -210,12 +208,11 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
     witness = absorbs(spec, space, w)
     if witness is not None:
         return TheoremVerdict(
-            "theorem-b", "fail", 1, None, witness=witness, condition_values=values,
+            "theorem-b", "fail", 1, witness=witness, condition_values=values,
             note="acceptable position ejected by the leveraged payoff",
         )
     return TheoremVerdict(
-        "theorem-b", "pass", 1, None,
-        condition_values=values,
+        "theorem-b", "pass", 1, condition_values=values,
         note="exact subset-sum decision: no acceptable position is ejected",
     )
 
@@ -247,7 +244,7 @@ def check_corollary_convex(spec: AcceptanceSpec, asset: EligibleAsset) -> Theore
                 "is no risk invariant and the measure is not comonotonic")
     values = (0.0, 0.0) if ok else (spec.functional_value(w_inv), spec.functional_value(-w_inv))
     return TheoremVerdict(
-        "corollary-convex", "pass" if ok else "fail", 1, None,
+        "corollary-convex", "pass" if ok else "fail", 1,
         witness=None if ok else {"w_invariant": w_inv},
         condition_values={"rho_one": r1, "w_invariant": w_inv,
                           "value_plus": values[0], "value_minus": values[1]},
@@ -317,7 +314,7 @@ def check_cash_reduction_identity(
         ok = identity_witness is not None
         note = f"additivity fails; the cash reduction identity {holds} {route}"
     return TheoremVerdict(
-        "cash-reduction", "pass" if ok else "fail", len(positions), None,
+        "cash-reduction", "pass" if ok else "fail", len(positions),
         witness=identity_witness,
         condition_values={"rho_one": r1, "identity_factor": -r1,
                           "additivity_passed": additivity.passed,
@@ -363,7 +360,7 @@ def check_lemma_equality(
         note = ("an accepted position is ejected along the gap direction, and the carried "
                 f"position is priced {'apart' if a_witness else 'alike to within tol'}")
     return TheoremVerdict(
-        "lemma-equality", "pass" if ok else "fail", 0 if b_holds else 1, None,
+        "lemma-equality", "pass" if ok else "fail", 0 if b_holds else 1,
         witness={"equality": a_witness, "stability": b_witness} if b_witness else None,
         condition_values={"equality_holds": a_holds, "stability_holds": b_holds,
                           "gap_direction": gap},
@@ -394,7 +391,7 @@ def check_var_necessary_condition(spec: AcceptanceSpec, asset: EligibleAsset) ->
     num_alpha, den_alpha = alpha.as_integer_ratio()
     holds = sum(nums[i] for i in event) * den_alpha >= (den_alpha - 2 * num_alpha) * den
     return TheoremVerdict(
-        "var-necessary", "pass" if holds else "fail", 1, None,
+        "var-necessary", "pass" if holds else "fail", 1,
         condition_values={
             "var_of_reciprocal_payoff": v,
             "payoff_constant": s_star,
@@ -442,7 +439,7 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
             else "every candidate event is spoiled by a subset of its complement"
         )
         return TheoremVerdict(
-            "var-condition-b", "fail", candidates, None,
+            "var-condition-b", "fail", candidates,
             condition_values={
                 "alpha": alpha,
                 "candidate_events": candidates,
@@ -455,7 +452,7 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
     asset = EligibleAsset(1.0, RandVar.constant(space, 1.0) + RandVar.indicator(space, [j]))
     stability = check_theorem_condition_b(AcceptanceSpec.var_level(alpha), asset)
     return TheoremVerdict(
-        "var-condition-b", stability.verdict, candidates, None,
+        "var-condition-b", stability.verdict, candidates,
         witness=stability.witness,
         condition_values={
             "alpha": alpha,
@@ -514,14 +511,14 @@ def find_additivity_violation(
         gap = rho_fn(x + y) - rho_fn(x) - rho_fn(y)
         if abs(gap) > ADDITIVITY_THRESHOLD:
             return TheoremVerdict(
-                "additivity-violation", "fail", samples, None,
+                "additivity-violation", "fail", samples,
                 witness={"x": x, "y": y, "gap": gap},
                 condition_values={"threshold": ADDITIVITY_THRESHOLD,
                                   "direction": "superadditive" if gap > 0 else "subadditive"},
                 note="verified comonotone pair with non-additive requirement",
             )
     return TheoremVerdict(
-        "additivity-violation", "pass", samples, None,
+        "additivity-violation", "pass", samples,
         condition_values={"threshold": ADDITIVITY_THRESHOLD},
         note="no constructed comonotone pair exceeds the threshold",
     )
@@ -587,8 +584,7 @@ def _merge_expected(overrides: dict | None) -> dict:
 def _verdict(statement: str, mismatches: list[str], values: dict) -> TheoremVerdict:
     ok = not mismatches
     return TheoremVerdict(
-        statement, "pass" if ok else "fail", 1, None,
-        condition_values=values,
+        statement, "pass" if ok else "fail", 1, condition_values=values,
         note="all reference values reproduced" if ok else "; ".join(mismatches),
     )
 

@@ -97,11 +97,11 @@ def additivity_on_comonotone(
         if abs(gap) > tol and (worst is None or abs(gap) > abs(worst[0])):
             worst = (gap, pair.x, pair.y)
     if worst is None:
-        return CheckReport("comonotone-additivity", True, trials, seed)
+        return CheckReport("comonotone-additivity", True, trials)
     gap, x, y = worst
     assert is_comonotone(x, y)
     return CheckReport(
-        "comonotone-additivity", False, trials, seed,
+        "comonotone-additivity", False, trials,
         witness={"x": x, "y": y, "gap": gap},
         note="superadditive" if gap > 0 else "subadditive",
     )

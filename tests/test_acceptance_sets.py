@@ -88,6 +88,10 @@ class TestSpecConstruction:
         with pytest.raises(ValueError):
             AcceptanceSpec("distortion")
 
+    def test_explicit_needs_functional(self):
+        with pytest.raises(ValueError, match="kind 'explicit' needs a functional"):
+            AcceptanceSpec("explicit")
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             AcceptanceSpec("quantile")
@@ -195,7 +199,7 @@ class TestPointedDistortion:
         mu = DistortionWeights(((0.2, 0.5), (1.0, 0.5)))
         spec = AcceptanceSpec.distortion_mix(mu)
         report = decide_risk_invariant(spec, space3)
-        assert report.passed and (report.trials, report.seed) == (1, None)
+        assert report.passed and report.trials == 1
         assert "pointed criterion" in report.note
 
 
@@ -302,7 +306,7 @@ class TestDecideMonotoneAndCone:
     def test_every_builtin_kind_passes(self, spec):
         for decide, name in ((decide_monotone, "monotone"), (decide_cone, "cone")):
             report = decide(spec)
-            assert (report.name, report.passed, report.trials, report.seed) == (name, True, 1, None)
+            assert (report.name, report.passed, report.trials) == (name, True, 1)
             assert report.witness is None and report.note
 
     def test_oracle_catches_an_increasing_set_that_is_not_monotone(self, space3):
@@ -378,7 +382,7 @@ class TestDecideConvex:
         closed = all(a | b in members for a in accepted for b in accepted)
         report = decide_convex(spec, sp)
         assert report.passed == closed
-        assert (report.trials, report.seed) == (1, None)
+        assert report.trials == 1
         if not report.passed:
             x, y, t = report.witness["x"], report.witness["y"], report.witness["t"]
             assert accepts(spec, x) and accepts(spec, y)
@@ -387,7 +391,7 @@ class TestDecideConvex:
     def test_var_fails_with_witness(self, space3, a_var):
         # atoms 0 and 1 may each be lost alone at alpha 0.1, but not together
         report = decide_convex(a_var, space3)
-        assert not report.passed and (report.trials, report.seed) == (1, None)
+        assert not report.passed and report.trials == 1
         x, y, t = report.witness["x"], report.witness["y"], report.witness["t"]
         assert (x.tolist(), y.tolist(), t) == ([-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], 0.5)
         assert accepts(a_var, x) and accepts(a_var, y)
@@ -409,7 +413,7 @@ class TestDecideConvex:
         sp = _var_space(weights.tolist())
         spec = AcceptanceSpec.var_level(0.1)
         report = decide_convex(spec, sp)
-        assert not report.passed and (report.trials, report.seed) == (1, None)
+        assert not report.passed and report.trials == 1
         x, y, blend = report.witness["x"], report.witness["y"], report.witness["blend"]
         assert accepts(spec, x) and accepts(spec, y) and not accepts(spec, blend)
         lost = np.flatnonzero(x.values < 0.0)
@@ -443,7 +447,7 @@ class TestDecideRiskInvariant:
 
     def test_es_has_no_invariant(self, space3, a_es):
         report = decide_risk_invariant(a_es, space3)
-        assert report.passed and (report.trials, report.seed) == (1, None)
+        assert report.passed and report.trials == 1
         assert "pointed criterion" in report.note
         # pointedness on the indicator probes: ES(W) + ES(-W) > 0
         for i, j in product(range(3), repeat=2):
@@ -469,7 +473,7 @@ class TestDecideRiskInvariant:
         )
         decided = decide_risk_invariant(spec, sp)
         assert decided.passed == (not exists)
-        assert (decided.trials, decided.seed) == (1, None)
+        assert decided.trials == 1
         if exists:
             w = decided.witness["w"]
             (atom,) = np.flatnonzero(w.values)
@@ -520,11 +524,15 @@ class TestDecideRiskInvariant:
         sp = FiniteSpace([0.1, 0.3, 0.6])
         for spec in CONVEX_SPECS[-2:]:
             report = decide_risk_invariant(spec, sp)
-            assert not report.passed and (report.trials, report.seed) == (1, None)
+            assert not report.passed and report.trials == 1
             w = report.witness["w"]
             nums, _ = sp.int_probs
             assert w.tolist() == [0.3, -0.1, 0.0]
             assert sum(n * Fraction(v) for n, v in zip(nums, w.tolist())) == 0
+
+    def test_explicit_criterion_has_no_decision(self, space3):
+        with pytest.raises(ValueError, match="built-in"):
+            decide_risk_invariant(AcceptanceSpec.explicit(expectation), space3)
 
     def test_expectation_on_one_atom_has_no_invariant(self):
         sp = FiniteSpace([1.0])

@@ -320,7 +320,7 @@ class TestCheck:
         )
         report = json.loads(out)
         result = report["results"][0]
-        assert (code, result["verdict"], result["samples"], result["seed"]) == (0, "pass", 3, None)
+        assert (code, result["verdict"], result["samples"]) == (0, "pass", 3)
         assert "trials" not in report and "seed" not in report
         values = result["condition_values"]
         assert (values["additivity_passed"], values["threshold"]) == (False, 1e-7)
@@ -351,7 +351,7 @@ class TestCheck:
             ["check", "--scenario", str(path), "--statement", "var-condition-b", *extra], capsys
         )
         result = json.loads(out)["results"][0]
-        assert (code, result["verdict"], result["seed"]) == (1, "fail", None)
+        assert (code, result["verdict"]) == (1, "fail")
         assert "event" in result["condition_values"]
         space = FiniteSpace(probs)
         spec = AcceptanceSpec.var_level(alpha)
@@ -392,7 +392,7 @@ class TestCheck:
         assert reports[0] == reports[1] == reports[2]
         assert "trials" not in reports[0] and "seed" not in reports[0]
         (result,) = reports[0]["results"]
-        assert (result["passed"], result["trials"], result["seed"]) == (True, 1, None)
+        assert (result["passed"], result["trials"]) == (True, 1)
 
     @pytest.mark.parametrize("statement", [*sorted(IDENTITIES), "s-comonotone-additivity"])
     def test_identity_statements_ignore_trials_and_seed(self, capsys, statement):
@@ -409,7 +409,7 @@ class TestCheck:
         report = json.loads(outs[0])
         reads = list(inspect.signature(STATEMENTS[statement]).parameters)[1:]
         assert set(report) == {"command", "version", "results", "scenario", "statement", *reads}
-        assert report["results"][0]["seed"] is None
+        assert "seed" not in report["results"][0]
 
     @pytest.mark.parametrize("statement", sorted(STATEMENTS))
     def test_report_echoes_exactly_the_inputs_the_statement_reads(
@@ -502,7 +502,7 @@ class TestSizeContract:
         code, out, err = run_cli(argv, capsys)
         assert code in (0, 1) and err == ""
         (result,) = json.loads(out)["results"]
-        assert (result["trials"], result["seed"]) == (1, None)
+        assert result["trials"] == 1
         assert len(tested) <= 3 and len(evaluated) <= 3
 
     def test_comonotone_additivity_with_a_zero_sum(self, tmp_path, capsys, monkeypatch,
@@ -517,7 +517,7 @@ class TestSizeContract:
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (1, "")
         (result,) = json.loads(out)["results"]
-        assert result["trials"] <= 2 and result["seed"] is None
+        assert result["trials"] <= 2
         assert len(evaluated) <= 6
 
     @pytest.mark.parametrize(
@@ -546,7 +546,7 @@ class TestSizeContract:
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         (result,) = json.loads(out)["results"]
-        assert (result["samples"], result["seed"]) == (3, None)
+        assert result["samples"] == 3
         assert not result["condition_values"]["additivity_passed"]
         assert len(evaluated) <= 9 + 3
 
@@ -559,7 +559,7 @@ class TestSizeContract:
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         (result,) = json.loads(out)["results"]
-        assert (result["samples"], result["seed"], result["witness"]) == (0, None, None)
+        assert (result["samples"], result["witness"]) == (0, None)
         assert (len(tested), len(evaluated)) == (0, 0)
 
     @pytest.mark.parametrize("kind", ["var", "es"])
@@ -597,7 +597,7 @@ class TestSizeContract:
         assert (code, err) == (0, "")
         (result,) = json.loads(out)["results"]
         positions = 1 + 3 + 2 * 63  # X, constants 0, 1, -1, two steps per lower payoff level
-        assert (result["passed"], result["seed"]) == (True, None)
+        assert result["passed"] is True
         assert result["trials"] == per_position * positions
         assert len(quoted) <= quotes_per_position * positions
 
@@ -661,7 +661,6 @@ class TestSearch:
             "positions": {"x": [0.0, -1.0]},
             "asset": {"price": 1.0, "payoff": [2.0, 2.0]},
             "acceptance": {"kind": "es", "alpha": 0.25},
-            "options": {"budget": 300},
         }
         path = tmp_path / "rf.json"
         path.write_text(json.dumps(doc))
@@ -675,28 +674,28 @@ class TestSearch:
             _, out, _ = run_cli(["search", "--scenario", path, *extra], capsys)
             results.append(json.loads(out)["results"][1])
         assert results[0] == results[1]
-        assert (results[0]["trials"], results[0]["seed"]) == (1, None)
+        assert results[0]["trials"] == 1
 
     def test_budget_and_seed_are_accepted_not_read(self, tmp_path, capsys):
-        # the search evaluates constructed pairs only: neither a flag nor the
-        # scenario's options change the report, and neither is echoed
-        doc = json.loads((SCENARIOS / "superadditive_var.json").read_text())
-        doc["options"] = {"budget": 300, "seed": 4}
-        path = tmp_path / "options.json"
-        path.write_text(json.dumps(doc))
+        # the search evaluates constructed pairs only: the flags do not change
+        # the report and are not echoed, and a scenario may not set them
+        path = SCENARIOS / "superadditive_var.json"
         reports = []
-        for scenario, extra in (
-            (SCENARIOS / "superadditive_var.json", []),
-            (SCENARIOS / "superadditive_var.json", ["--budget", "1", "--seed", "3"]),
-            (path, []),
-        ):
-            code, out, _ = run_cli(["search", "--scenario", str(scenario), *extra], capsys)
+        for extra in ([], ["--budget", "1", "--seed", "3"]):
+            code, out, _ = run_cli(["search", "--scenario", str(path), *extra], capsys)
             report = json.loads(out)
             assert code == 1
             assert set(report) == {"command", "version", "results", "scenario"}
-            assert report["results"][0]["seed"] is None
+            assert "seed" not in report["results"][0]
             reports.append(report["results"])
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
+        doc = json.loads(path.read_text())
+        doc["options"] = {"budget": 300, "seed": 4}
+        options = tmp_path / "options.json"
+        options.write_text(json.dumps(doc))
+        code, out, err = run_cli(["search", "--scenario", str(options)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "scenario error: scenario.options.budget: unknown option\n"
 
     def test_theorem_b_enumeration_cap_exits_2(self, tmp_path, capsys):
         # (1, -1) is additive, so VaR asks theorem-b, whose loss event leaves
@@ -799,8 +798,35 @@ class TestReplicate:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def _patched(**fields) -> str:
+    """A valid two-atom VaR scenario with ``fields`` replaced, as JSON text."""
+    doc = {
+        "space": {"probs": [0.5, 0.5]},
+        "positions": {"x": [0.0, 0.0]},
+        "asset": {"price": 1.0, "payoff": [1.0, 1.0]},
+        "acceptance": {"kind": "var", "alpha": 0.1},
+    }
+    return json.dumps({**doc, **fields})
+
+
 MALFORMED = [
     ("not json at all {", "scenario"),
+    # the shapes of the document and of each object in it
+    ("[]", "scenario: top level must be an object"),
+    (_patched(space=[0.5, 0.5]), "scenario.space: must be an object"),
+    (_patched(space={"probs": []}), "scenario.space.probs: must be a nonempty array of numbers"),
+    (_patched(positions={}), "scenario.positions: must be a nonempty object of named vectors"),
+    (_patched(asset=[1.0, 1.0]), "scenario.asset: must be an object"),
+    (_patched(acceptance="var"), "scenario.acceptance: must be an object"),
+    (
+        _patched(acceptance={"kind": "distortion", "weights": []}),
+        "scenario.acceptance.weights: must be a nonempty array",
+    ),
+    (
+        _patched(acceptance={"kind": "distortion", "weights": [{"alpha": 0.5}]}),
+        "scenario.acceptance.weights[0]: must be an object with 'alpha' and 'w'",
+    ),
+    (_patched(options=[1e-9]), "scenario.options: must be an object"),
     (json.dumps({"positions": {"x": [0.0]}}), "scenario.space"),
     (
         json.dumps(
@@ -937,7 +963,7 @@ MALFORMED = [
                 "options": {"trials": 0},
             }
         ),
-        "scenario.options.trials",
+        "scenario.options.trials: unknown option",
     ),
     (
         json.dumps(
@@ -949,7 +975,7 @@ MALFORMED = [
                 "options": {"budget": 0},
             }
         ),
-        "scenario.options.budget",
+        "scenario.options.budget: unknown option",
     ),
     # non-finite numbers load from JSON's Infinity and NaN; the diagnostic
     # names the field and the value
@@ -1043,6 +1069,17 @@ class TestMalformedScenarios:
         code, _, err = run_cli(["eval", "--scenario", str(path)], capsys)
         assert code == 2
         assert fieldpath in err
+
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(["eval", "--scenario", str(missing)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"scenario error: scenario: cannot read {missing}: ")
+
+    def test_unreadable_expected_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(["replicate", "--expected", str(tmp_path / "missing.json")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("scenario error: expected: cannot load expected values: ")
 
 
 class TestInProcessReuse:

@@ -200,7 +200,7 @@ class TestAdditivityOnAssetComonotone:
         spec = AcceptanceSpec.var_level(0.05)
         asset = EligibleAsset(1.0, RandVar.constant(space3, 2.0))
         report = additivity_on_S_comonotone(spec, asset)
-        assert (report.passed, report.trials, report.seed) == (True, 1, None)
+        assert (report.passed, report.trials) == (True, 1)
 
     def test_risky_es_two_atoms_fails(self):
         sp = FiniteSpace([0.5, 0.5])
@@ -208,7 +208,7 @@ class TestAdditivityOnAssetComonotone:
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0]))
         report = additivity_on_S_comonotone(spec, asset)
         # decided by the constant pair (1, -1)
-        assert (report.passed, report.trials, report.seed) == (False, 1, None)
+        assert (report.passed, report.trials) == (False, 1)
         x, y = report.witness["x"], report.witness["y"]
         assert (x.tolist(), y.tolist()) == ([1.0, 1.0], [-1.0, -1.0])
         assert is_comonotone(x, y)
@@ -220,7 +220,7 @@ class TestAdditivityOnAssetComonotone:
         spec = AcceptanceSpec.var_level(0.1)
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0, 1.0]))
         report = additivity_on_S_comonotone(spec, asset)
-        assert (report.passed, report.trials, report.seed, report.witness) == (True, 1, None, None)
+        assert (report.passed, report.trials, report.witness) == (True, 1, None)
 
     def test_explicit_criterion_raises(self, space3):
         spec = AcceptanceSpec.explicit(lambda v: -float(v.values.min()))
@@ -275,7 +275,7 @@ class TestConstantPairFirst:
         spec = {"var": AcceptanceSpec.var_level(alpha), "es": AcceptanceSpec.es_level(alpha),
                 "mix": MIX, "mean": AcceptanceSpec.expectation_floor()}[kind]
         report = additivity_on_S_comonotone(spec, asset)
-        assert report.seed is None and report.trials in (1, 2)
+        assert report.trials in (1, 2)
         assert report.passed == probe_and_draw_passes(spec, asset, 60, 3)
         if report.passed:
             return
@@ -343,7 +343,7 @@ class TestExactDecision:
         asset = EligibleAsset(1.0, RandVar(sp, [top, math.nextafter(top, 0.0)]))
         report = additivity_on_S_comonotone(spec, asset)
         assert not check_corollary_convex(spec, asset).passed
-        assert (report.passed, report.trials, report.seed) == (False, 1, None)
+        assert (report.passed, report.trials) == (False, 1)
         assert abs(report.witness["gap"]) <= 1e-9
         assert report.note.startswith("exact decision")
 
@@ -361,7 +361,7 @@ class TestNumerairePreservation:
         report = comono_preservation_under_numeraire(asset)
         assert report.passed
         assert report.witness is None
-        assert (report.trials, report.seed) == (1, None)
+        assert report.trials == 1
 
     def test_two_atom_witnesses_both_directions(self):
         sp = FiniteSpace([0.5, 0.5])
@@ -391,7 +391,7 @@ class TestNumerairePreservation:
         asset = EligibleAsset(1.0, RandVar(sp, values))
         report = comono_preservation_under_numeraire(asset)
         assert report.passed == (len(set(values)) == 1)
-        assert (report.trials, report.seed) == (1, None)
+        assert report.trials == 1
         if report.passed:
             return
         for direction, discounted_comonotone in (("forward", True), ("reverse", False)):

@@ -130,9 +130,17 @@ class TestRhoBisection:
         with pytest.raises(ValueError):
             rho(a_var05, asset3, RandVar.constant(space3, 1.0), method="newton")
 
-    def test_bracket_failure_for_non_decreasing_functional(self, space3, asset3):
-        broken = AcceptanceSpec.explicit(expectation)
-        with pytest.raises(BracketExpansionError):
+    @pytest.mark.parametrize(
+        "functional, message",
+        [
+            (expectation, "no acceptable capital level found; functional is not decreasing"),
+            (lambda x: -1.0, "every capital level is acceptable; criterion is not proper"),
+        ],
+        ids=["never-acceptable", "always-acceptable"],
+    )
+    def test_bracket_failure_for_non_decreasing_functional(self, space3, asset3, functional, message):
+        broken = AcceptanceSpec.explicit(functional)
+        with pytest.raises(BracketExpansionError, match=message):
             rho(broken, asset3, RandVar.constant(space3, 1.0), tol=1e-9)
 
     def test_agrees_with_closed_form_on_var(self):
@@ -560,6 +568,14 @@ class TestRhoCash:
             engine = rho(spec, cash_asset(sp), x, tol=1e-12).value
             assert engine == pytest.approx(direct, abs=1e-10)
 
+    def test_explicit_criterion_takes_the_solver(self):
+        sp = FiniteSpace([0.1, 0.1, 0.8])
+        x = RandVar(sp, [-2.0, -2.0, -0.75])
+        spec = AcceptanceSpec.es_level(0.3)
+        solved = rho_cash(AcceptanceSpec.explicit(spec.functional_value), x)
+        assert (solved, rho_cash(spec, x)) == (1.583333333430346, 1.5833333333333333)
+        assert abs(solved - rho_cash(spec, x)) <= default_tol(cash_asset(sp), x) == 2e-10
+
 
 def grid_draws(space, count, seed):
     """Seeded 1/64-grid positions in [-4, 4], passed to the identity checks as test inputs."""
@@ -573,7 +589,7 @@ class TestSAdditivity:
         assert report.passed
         assert report.data["worst_error"] <= 1e-12
         # each of 300 draws, 0, 1, -1 and two payoff steps at six lambdas
-        assert (report.trials, report.seed) == (6 * 305, None)
+        assert report.trials == 6 * 305
 
     def test_es_kind_within_tolerance(self, space3):
         asset = EligibleAsset(1.0, RandVar(space3, [1.0, 2.0, 1.0]))
@@ -610,7 +626,7 @@ class TestNumeraireIdentity:
         spec = AcceptanceSpec.var_level(0.05)
         report = numeraire_identity_check(spec, asset, grid_draws(space3, 50, 11))
         assert report.passed
-        assert (report.trials, report.seed) == (53, None)
+        assert report.trials == 53
 
     def test_var_risky(self, space3, asset3, a_var05):
         report = numeraire_identity_check(a_var05, asset3, grid_draws(space3, 50, 13))
@@ -659,7 +675,7 @@ class TestIdentityChecks:
         for check, per_position in ((s_additivity_check, 6), (numeraire_identity_check, 1)):
             report = check(spec, asset, positions, tol)
             assert report.passed, report.witness
-            assert (report.trials, report.seed) == (per_position * count, None)
+            assert report.trials == per_position * count
 
     @pytest.mark.parametrize(
         "check, trials, x",
@@ -683,7 +699,7 @@ class TestIdentityChecks:
         monkeypatch.setattr(engine, "rho", off)
         asset = EligibleAsset(2.0, RandVar(space3, [1.0, 2.0, 1.0]))
         report = check(a_var05, asset, positions=())
-        assert (report.passed, report.trials, report.seed) == (False, trials, None)
+        assert (report.passed, report.trials) == (False, trials)
         assert report.witness["x"].tolist() == [x] * 3
         gap = abs(report.witness["lhs"] - report.witness["rhs"])
         assert gap == report.data["worst_error"] == pytest.approx(1e-3)

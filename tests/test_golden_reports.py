@@ -7,18 +7,24 @@ refactor of the checkers must reproduce them byte for byte.  To record
 them again after an intended output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+The recorded witnesses are also re-verified from their JSON floats, through
+the public membership and comonotonicity predicates alone.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from eligirisk.cli import STATEMENTS, main
+from eligirisk import RandVar, accepts, is_comonotone
+from eligirisk.cli import STATEMENTS, Scenario, load_scenario, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "reports.json"
@@ -86,6 +92,119 @@ def test_report_is_byte_identical(want, monkeypatch):
         assert _usage_error(got["stderr"]) == _usage_error(want["stderr"])
     else:
         assert got["stderr"] == want["stderr"]
+
+
+def _results(case: dict) -> list[dict]:
+    """The results of a golden report, read from its JSON or its text lines."""
+    if case["exit"] == 2:
+        return []
+    if case["stdout"].startswith("{"):
+        return json.loads(case["stdout"])["results"]
+    return [json.loads(line) for line in case["stdout"].splitlines()[1:]]
+
+
+def test_no_result_has_a_seed_key():
+    results = [result for case in GOLDEN_CASES for result in _results(case)]
+    assert results and not any("seed" in result for result in results)
+
+
+def _name(result: dict) -> str:
+    """A statement verdict's ``statement``, or a property report's ``name``."""
+    return result.get("statement", result.get("name"))
+
+
+@functools.cache
+def _scenario(path: str) -> Scenario:
+    return load_scenario(str(ROOT / path))
+
+
+def _certify_ejection(sc: Scenario, witness: dict) -> tuple[RandVar, RandVar]:
+    """x is accepted and the shifted position is not: the shift ejects x."""
+    x, shifted = RandVar(sc.space, witness["x"]), RandVar(sc.space, witness["shifted"])
+    assert accepts(sc.acceptance, x) and not accepts(sc.acceptance, shifted)
+    return x, shifted
+
+
+def _certify_theorem_b(sc: Scenario, result: dict) -> None:
+    x, shifted = _certify_ejection(sc, result["witness"])
+    w = RandVar(sc.space, result["condition_values"]["w"])
+    assert shifted.tolist() == (x + w if result["witness"]["direction"] == "+" else x - w).tolist()
+
+
+def _certify_convex(sc: Scenario, result: dict) -> None:
+    witness = result["witness"]
+    x, y, blend = (RandVar(sc.space, witness[key]) for key in ("x", "y", "blend"))
+    assert accepts(sc.acceptance, x) and accepts(sc.acceptance, y)
+    assert not accepts(sc.acceptance, blend)
+    assert blend.tolist() == (witness["t"] * x + (1.0 - witness["t"]) * y).tolist()
+
+
+def _certify_risk_invariant(sc: Scenario, result: dict) -> None:
+    w = RandVar(sc.space, result["witness"]["w"])
+    if sc.acceptance.kind == "var":
+        assert accepts(sc.acceptance, w) and accepts(sc.acceptance, -w)
+    else:
+        # expectation-linear: the mean is zero in exact rationals over the
+        # stored probabilities, which the float mean need not show
+        nums, _ = sc.space.int_probs
+        assert w.max_abs > 0.0 and sum(n * Fraction(v) for n, v in zip(nums, w.tolist())) == 0
+
+
+def _certify_numeraire(sc: Scenario, result: dict) -> None:
+    payoff = sc.asset.payoff
+    for direction, discounted_comonotone in (("forward", True), ("reverse", False)):
+        found = result["witness"][direction]
+        xd, yd, x, y = (
+            RandVar(sc.space, found[key]) for key in ("x_discounted", "y_discounted", "x", "y")
+        )
+        assert ((xd * payoff).tolist(), (yd * payoff).tolist()) == (x.tolist(), y.tolist())
+        assert is_comonotone(xd, yd, method="pairwise") == discounted_comonotone
+        assert is_comonotone(x, y, method="pairwise") != discounted_comonotone
+
+
+def _certify_pair(sc: Scenario, result: dict, with_payoff: bool) -> None:
+    x, y = (RandVar(sc.space, result["witness"][key]) for key in ("x", "y"))
+    assert is_comonotone(x, y, method="pairwise")
+    if with_payoff:
+        assert is_comonotone(x, sc.asset.payoff, method="pairwise")
+        assert is_comonotone(y, sc.asset.payoff, method="pairwise")
+
+
+#: Result name -> the re-verification of its witness.  The ``cash-reduction``
+#: witnesses and a convex criterion's ``w_invariant`` need pricing or an exact
+#: functional, so they are not re-verified here.
+CERTIFIERS = {
+    "theorem-b": _certify_theorem_b,
+    "lemma-equality": lambda sc, result: _certify_ejection(sc, result["witness"]["stability"]),
+    "convex": _certify_convex,
+    "risk-invariant": _certify_risk_invariant,
+    "numeraire-comonotonicity": _certify_numeraire,
+    "additivity-violation": functools.partial(_certify_pair, with_payoff=False),
+    "asset-comonotone-additivity": functools.partial(_certify_pair, with_payoff=True),
+}
+
+WITNESSES = [
+    (case["argv"], result)
+    for case in GOLDEN_CASES
+    for result in _results(case)
+    if result.get("witness")
+    and _name(result) in CERTIFIERS
+    and "w_invariant" not in result["witness"]
+]
+
+
+def test_every_certifier_has_a_golden_witness():
+    assert {_name(result) for _, result in WITNESSES} == set(CERTIFIERS)
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    WITNESSES,
+    ids=[" ".join(argv) + " " + _name(result) for argv, result in WITNESSES],
+)
+def test_witness_re_verifies_from_json(argv, result):
+    sc = _scenario(argv[argv.index("--scenario") + 1])
+    CERTIFIERS[_name(result)](sc, result)
 
 
 if __name__ == "__main__":

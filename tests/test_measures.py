@@ -67,6 +67,14 @@ class TestDistortionWeights:
         with pytest.raises(ValueError):
             DistortionWeights(((0.5, 0.5), (0.5, 0.5)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            DistortionWeights(())
+
+    def test_rejects_level_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=r"mixture level 1\.5 outside \[0, 1\]"):
+            DistortionWeights(((1.5, 1.0),))
+
     def test_weight_at_one(self):
         mu = DistortionWeights(((0.2, 0.25), (1.0, 0.75)))
         assert not mu.is_pure_expectation

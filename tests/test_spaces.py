@@ -48,6 +48,11 @@ class TestFiniteSpace:
         with pytest.raises(ValueError):
             FiniteSpace([])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="probs must be finite"):
+            FiniteSpace([0.5, bad])
+
     def test_renormalizes_to_exact_one(self):
         sp = FiniteSpace([1 / 3, 1 / 3, 1 / 3])
         assert math.fsum(sp.probs.tolist()) == pytest.approx(1.0, abs=0)

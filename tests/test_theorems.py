@@ -234,7 +234,7 @@ class TestTheoremConditionB:
         spec = AcceptanceSpec.var_level(0.3)
         asset = EligibleAsset(1.0, RandVar(space, payoff))
         verdict = check_theorem_condition_b(spec, asset)
-        assert (verdict.verdict, verdict.samples, verdict.seed) == ("fail", 1, None)
+        assert (verdict.verdict, verdict.samples) == ("fail", 1)
         self.assert_witness_reverifies(spec, verdict)
 
     def test_whole_space_is_rejected_at_alpha_below_one(self):
@@ -523,7 +523,7 @@ class TestPropCashReduction:
         assert verdict.verdict == "pass"
         assert verdict.condition_values["additivity_passed"]
         assert verdict.condition_values["identity_factor"] == pytest.approx(0.5, abs=1e-12)
-        assert (verdict.samples, verdict.seed) == (0, None)
+        assert verdict.samples == 0
 
     def test_constructed_asset_identity_holds(self, constructed_asset):
         spec = AcceptanceSpec.var_level(0.1)
@@ -538,7 +538,7 @@ class TestPropCashReduction:
         w = verdict.witness
         assert w is not None
         assert abs(w["lhs"] - w["rhs"]) > 1e-9
-        assert (verdict.samples, verdict.seed) == (3, None)
+        assert verdict.samples == 3
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
@@ -589,7 +589,7 @@ class TestLemmaEquality:
         assert verdict.condition_values["equality_holds"]
         assert verdict.condition_values["stability_holds"]
         assert verdict.condition_values["gap_direction"].max_abs == 0.0
-        assert (verdict.samples, verdict.seed, verdict.witness) == (0, None, None)
+        assert (verdict.samples, verdict.witness) == (0, None)
 
     def test_two_distinct_risk_free_assets_both_fail(self, near_rf_space, a_var01):
         s = EligibleAsset(1.0, RandVar.constant(near_rf_space, 1.0))
@@ -630,7 +630,7 @@ class TestLemmaEquality:
         s = EligibleAsset(1.0, RandVar.constant(near_rf_space, 1.0))
         r = EligibleAsset(1.0, RandVar(near_rf_space, [1.25, 1.0, 1.0]))
         verdict = check_lemma_equality(a_var01, s, r)
-        assert (verdict.verdict, verdict.samples, verdict.seed) == ("pass", 1, None)
+        assert (verdict.verdict, verdict.samples) == ("pass", 1)
         values = verdict.condition_values
         assert not values["equality_holds"] and not values["stability_holds"]
         self.assert_witnesses_reverify(a_var01, s, r, verdict)
@@ -1006,9 +1006,10 @@ class TestFindAdditivityViolation:
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0, 1.0]))
         x = RandVar(sp, [-2.0, -3.0, 2.0])
         y = RandVar(sp, [-4.0, -9.0, 0.0])
-        verdict = find_additivity_violation(spec, asset, seed_pairs=[(x, y)])
-        assert verdict.verdict == "fail"
-        assert abs(verdict.witness["gap"]) >= 0.5 - 1e-9
+        # (x, -x) is not comonotone: it is skipped, and not counted as a sample
+        verdict = find_additivity_violation(spec, asset, seed_pairs=[(x, -x), (x, y)])
+        assert (verdict.verdict, verdict.samples, verdict.witness["gap"]) == ("fail", 1, 0.5)
+        assert (verdict.witness["x"].tolist(), verdict.witness["y"].tolist()) == (x.tolist(), y.tolist())
         assert verdict.condition_values["direction"] == "superadditive"
 
     def test_risk_free_es_finds_nothing(self, near_rf_space):
