@@ -18,12 +18,11 @@ witnesses built from the payoff's extreme atoms.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from .acceptance import AcceptanceSpec, var_loss_limit
-from .engine import EligibleAsset, rho
+from .engine import EligibleAsset, _requirement
 from .reporting import CheckReport
 from .spaces import RandVar, SpaceMismatchError, upper_quantile
 
@@ -56,17 +55,6 @@ def is_comonotone(x: RandVar, y: RandVar, method: str = "sorted") -> bool:
         s = vy[np.lexsort((vy, vx))]
         return not np.count_nonzero(s[1:] < s[:-1])
     raise ValueError(f"unknown method {method!r}")
-
-
-def _requirement(
-    spec: AcceptanceSpec, asset: EligibleAsset, tol: float | None = None
-) -> Callable[[RandVar], float]:
-    """The requirement X -> rho(X) at solver tolerance ``tol``.
-
-    ``rho`` is looked up on every call, not bound once, so that a wrapper
-    installed on this module's ``rho`` sees every evaluation.
-    """
-    return lambda x: rho(spec, asset, x, tol=tol).value
 
 
 def additivity_on_S_comonotone(spec: AcceptanceSpec, asset: EligibleAsset) -> CheckReport:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -377,17 +377,47 @@ def _identity_check(statement: str, comparisons: Iterable[tuple], note: str) -> 
     return CheckReport(statement, found is None, count, found, note, {"worst_error": worst})
 
 
+def _requirement(
+    spec: AcceptanceSpec, asset: EligibleAsset, tol: float | None = None
+) -> Callable[..., float]:
+    """The requirement ``(X, tol=tol) -> rho(X)``, pricing each distinct position once.
+
+    Quotes are kept for the life of the returned function, one statement
+    call, keyed by ``(X.space, X.values.tobytes(), tol)``.  ``rho`` is pure
+    in those, so a hit returns exactly what a new call would.  The space
+    object is part of the key, so a position on another space always misses
+    and reaches ``rho``; bytes keep -0.0 apart from 0.0, so a key can miss
+    on equal values but never hit on different ones.  ``rho`` is looked up
+    on each miss, not bound once, so that a wrapper installed on this
+    module's ``rho`` sees every evaluation.
+    """
+    quotes: dict[tuple, float] = {}
+
+    def requirement(x: RandVar, tol: float | None = tol) -> float:
+        key = (x.space, x.values.tobytes(), tol)
+        if key not in quotes:
+            quotes[key] = rho(spec, asset, x, tol=tol).value
+        return quotes[key]
+
+    return requirement
+
+
 def s_additivity_check(
     spec: AcceptanceSpec, asset: EligibleAsset, positions: Iterable[RandVar] = (),
     tol: float | None = None,
 ) -> CheckReport:
-    """Check that a shift by lambda * payoff moves an audit position's quote by -lambda * price."""
+    """Check that a shift by lambda * payoff moves an audit position's quote by -lambda * price.
+
+    Each distinct (position, tolerance) is priced once: rho(X) recurs over
+    the six lambda wherever their tolerances agree.
+    """
+    requirement = _requirement(spec, asset)
 
     def sides(x: RandVar, lam: float):
         shifted = x + lam * asset.payoff
         tol_eff = tol if tol is not None else max(default_tol(asset, x), default_tol(asset, shifted))
-        left = rho(spec, asset, shifted, tol_eff).value
-        right = rho(spec, asset, x, tol_eff).value - lam * asset.price
+        left = requirement(shifted, tol_eff)
+        right = requirement(x, tol_eff) - lam * asset.price
         return {"x": x, "lambda": lam}, left, right, tol_eff
 
     comparisons = (

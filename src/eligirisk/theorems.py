@@ -25,8 +25,8 @@ from typing import Any
 import numpy as np
 
 from .acceptance import AcceptanceSpec, accepts, var_loss_limit
-from .comonotone import _requirement, is_comonotone
-from .engine import EligibleAsset, rho, rho_cash
+from .comonotone import is_comonotone
+from .engine import EligibleAsset, _requirement, rho, rho_cash
 from .measures import Level, var
 from .reporting import witness_to_jsonable
 from .spaces import FiniteSpace, RandVar

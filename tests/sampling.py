@@ -14,8 +14,7 @@ from typing import Callable
 import numpy as np
 
 from eligirisk import CheckReport, FiniteSpace, RandVar, is_comonotone
-from eligirisk.comonotone import _requirement
-from eligirisk.engine import _payoff_steps
+from eligirisk.engine import _payoff_steps, _requirement
 
 GRID = 64
 #: Draws lie on the grid within [-SPAN, SPAN].

@@ -464,11 +464,11 @@ def scenarios_2000(tmp_path_factory):
 def count_calls(monkeypatch) -> tuple[list, list]:
     """Membership tests and requirement evaluations, counted through wrappers."""
     tested, evaluated = [], []
-    accepts, quote = acceptance.accepts, comonotone.rho
+    accepts, quote = acceptance.accepts, engine.rho
     counted = lambda *a: tested.append(1) or accepts(*a)
     monkeypatch.setattr(acceptance, "accepts", counted)
     monkeypatch.setattr(theorems, "accepts", counted)
-    monkeypatch.setattr(comonotone, "rho", lambda *a, **k: evaluated.append(1) or quote(*a, **k))
+    monkeypatch.setattr(engine, "rho", lambda *a, **k: evaluated.append(1) or quote(*a, **k))
     return tested, evaluated
 
 
@@ -477,14 +477,19 @@ class TestSizeContract:
 
     The decided statements report one sample and make at most three
     membership tests and three requirement evaluations, counted through
-    wrappers.  ``cash-reduction`` makes at most two constructed pairs' worth
-    of requirement evaluations plus one per identity position, of which
-    there are at most three: 9 + 3.  ``lemma-equality`` evaluates nothing
+    wrappers.  Each statement prices a distinct position once.
+    ``cash-reduction`` prices its constructed pairs' distinct positions,
+    1, -1 and 0 for (1, -1) and at most x and x ± 1 more for a second pair,
+    plus one per identity position, of which there are at most three:
+    5 + 3.  Both scenarios fail at (1, -1) and price its three identity
+    positions apart: 3 + 3.  ``lemma-equality`` evaluates nothing
     when the gap direction D is zero; with D nonzero on one atom, ES decides
     it in at most two membership tests and VaR exits 2 at the enumeration
     cap.  ``s-additivity`` and ``numeraire-identity`` compare at P = 130
     positions (the scenario's one, three constants and 126 payoff steps),
-    6·P and P comparisons of two requirement evaluations each.  Every other
+    6·P and P comparisons of at most two requirement evaluations each; an
+    s-additivity position recurs over the six lambda and is priced again
+    only at a new tolerance.  Every other
     statement answers within a loose 10 s guard or exits 2 naming its limit.
     Both payoffs have F(S1) + F(-S1) != 0, so (1, -1) decides
     ``s-comonotone-additivity``.  A VaR payoff with a zero sum (1.5 on all
@@ -548,7 +553,7 @@ class TestSizeContract:
         (result,) = json.loads(out)["results"]
         assert result["samples"] == 3
         assert not result["condition_values"]["additivity_passed"]
-        assert len(evaluated) <= 9 + 3
+        assert len(evaluated) == 3 + 3
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_lemma_equality_with_zero_gap_evaluates_nothing(self, capsys, monkeypatch,

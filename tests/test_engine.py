@@ -19,13 +19,16 @@ from eligirisk import (
     Level,
     RandVar,
     RiskQuote,
+    SpaceMismatchError,
     accepts,
     cash_asset,
     change_numeraire,
+    discounted_acceptance,
     es,
     es_choquet_oracle,
     essential_infimum,
     expectation,
+    find_additivity_violation,
     numeraire_identity_check,
     rho,
     rho_cash,
@@ -705,3 +708,83 @@ class TestIdentityChecks:
         assert gap == report.data["worst_error"] == pytest.approx(1e-3)
         if check is s_additivity_check:
             assert report.witness["lambda"] == -2.0
+
+
+class TestRequirementMemo:
+    """A statement's quote memo returns exactly what fresh ``rho`` calls return."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(st.integers(1, 16), st.integers(4, 16)), min_size=2, max_size=7),
+        drawn=st.lists(
+            st.lists(st.integers(-64, 64), min_size=7, max_size=7), min_size=1, max_size=3),
+        risky=st.booleans(),
+        price=st.integers(1, 8),
+        kind=st.sampled_from(sorted(IDENTITY_SPECS)),
+        alpha=st.floats(0.05, 0.6),
+        tol=st.sampled_from([None, 1e-9]),
+    )
+    def test_memo_matches_fresh_quotes(self, atoms, drawn, risky, price, kind, alpha, tol):
+        weights, pays = zip(*atoms)
+        n = len(atoms)
+        sp = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        payoff = RandVar(sp, np.array(pays) / 8 if risky else np.full(n, pays[0] / 8))
+        asset = EligibleAsset(price / 4, payoff)
+        spec = IDENTITY_SPECS[kind](alpha)
+        positions = [RandVar(sp, np.array(v[:n]) / 16) for v in drawn]
+
+        def fresh(x: RandVar, tol_x: float | None) -> float:
+            return engine.rho(spec, asset, x, tol_x).value
+
+        # multiples and negatives of the drawn positions: many sums coincide
+        book = [c * x for x in positions for c in (1.0, 2.0, -1.0)]
+        seed_pairs = [(x, y) for i, x in enumerate(book) for y in book[i:]]
+        verdict = find_additivity_violation(spec, asset, seed_pairs)
+        if not verdict.passed:
+            x, y = verdict.witness["x"], verdict.witness["y"]
+            gap = fresh(x + y, 1e-12) - fresh(x, 1e-12) - fresh(y, 1e-12)
+            assert verdict.witness["gap"].hex() == gap.hex()
+
+        # s-additivity recomputed with one fresh quote per side
+        worst, witness = 0.0, None
+        for x in engine._audit_positions(asset, positions):
+            for lam in engine.S_ADDITIVITY_LAMBDAS:
+                shifted = x + lam * asset.payoff
+                t = tol if tol is not None else max(default_tol(asset, x), default_tol(asset, shifted))
+                left, right = fresh(shifted, t), fresh(x, t) - lam * asset.price
+                worst = max(worst, abs(left - right))
+                if abs(left - right) > 10.0 * t:
+                    witness = (x.tolist(), lam, left, right)
+                    break
+            if witness is not None:
+                break
+        report = s_additivity_check(spec, asset, positions, tol)
+        assert report.data["worst_error"].hex() == worst.hex()
+        if witness is None:
+            assert report.witness is None
+        else:
+            w = report.witness
+            assert (w["x"].tolist(), w["lambda"], w["lhs"], w["rhs"]) == witness
+
+    def test_signed_zeros_are_priced_apart(self, monkeypatch, asset3, a_var05, space3):
+        calls = []
+        quote = engine.rho
+        monkeypatch.setattr(engine, "rho", lambda *a, **k: calls.append(a[2]) or quote(*a, **k))
+        requirement = engine._requirement(a_var05, asset3, 1e-12)
+        zero = RandVar.constant(space3, 0.0)
+        for x in (zero, -zero, zero, -zero):
+            assert requirement(x) == 0.0
+        assert [math.copysign(1.0, x.values[0]) for x in calls] == [1.0, -1.0]
+        requirement(zero, 1e-9)
+        assert len(calls) == 3
+
+    def test_a_position_on_another_space_still_raises(self, space3, asset3, a_var05):
+        # the discounted set multiplies by the asset's payoff, whose space must match;
+        # the same bytes on an incompatible space miss the priced key
+        disc = discounted_acceptance(a_var05, asset3)
+        requirement = engine._requirement(disc, cash_asset(space3), 1e-9)
+        x = RandVar(space3, [1.0, -2.0, 0.5])
+        assert requirement(x) == rho(disc, cash_asset(space3), x, 1e-9).value
+        other = FiniteSpace([0.5, 0.25, 0.25])
+        with pytest.raises(SpaceMismatchError):
+            requirement(RandVar(other, x.values))

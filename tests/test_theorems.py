@@ -31,6 +31,7 @@ from eligirisk import (
     rho_cash,
     run_replication_suite,
 )
+from eligirisk import engine
 from eligirisk.theorems import ADDITIVITY_THRESHOLD, _rho_one, _subset_sums, absorbs
 
 from sampling import additivity_on_comonotone, generate_comonotone_pair
@@ -999,6 +1000,24 @@ class TestRhoOne:
             _rho_one(a_var01, asset)
 
 
+def count_quotes(monkeypatch) -> list[tuple[bytes, float | None]]:
+    """Every ``engine.rho`` evaluation, as (position bytes, tol), recorded through a wrapper."""
+    calls = []
+    quote = engine.rho
+
+    def counted(spec, asset, x, tol=None, method="auto"):
+        calls.append((x.values.tobytes(), tol))
+        return quote(spec, asset, x, tol, method)
+
+    monkeypatch.setattr(engine, "rho", counted)
+    return calls
+
+
+def distinct_quotes(pairs) -> int:
+    """The number of distinct positions among x, y and x + y over ``pairs``."""
+    return len({v.values.tobytes() for x, y in pairs for v in (x, y, x + y)})
+
+
 class TestFindAdditivityViolation:
     def test_reference_pair_recovers_half_gap(self):
         sp = FiniteSpace([0.05, 0.05, 0.9])
@@ -1045,22 +1064,37 @@ class TestFindAdditivityViolation:
     @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("risky", [True, False], ids=["risky", "risk-free"])
     def test_two_thousand_atoms_take_a_few_pairs(self, kind, risky, monkeypatch):
-        # at most the caller's pairs and two constructed ones, three quotes each
-        import eligirisk.comonotone as comonotone
-
-        calls = []
-        quote = comonotone.rho
-        monkeypatch.setattr(comonotone, "rho", lambda *a, **k: calls.append(1) or quote(*a, **k))
+        # the caller's pair and (1, -1): x, 2x, 3x, then 1, -1 and 0, each priced once
+        calls = count_quotes(monkeypatch)
         n = 2000
         space = FiniteSpace(np.arange(1, n + 1) / (n * (n + 1) / 2))
         payoff = 1.0 + (np.arange(n) % 4) / 4 if risky else np.full(n, 1.25)
         asset = EligibleAsset(1.0, RandVar(space, payoff))
         spec = AcceptanceSpec.var_level(0.1) if kind == "var" else AcceptanceSpec.es_level(0.1)
         x = RandVar(space, np.arange(n) / 64)
+        one = RandVar.constant(space, 1.0)
         verdict = find_additivity_violation(spec, asset, seed_pairs=[(x, 2.0 * x)])
         assert verdict.passed != risky
-        assert verdict.samples <= 1 + 2
-        assert len(calls) == 3 * verdict.samples <= 9
+        assert verdict.samples == 2
+        assert len(calls) == distinct_quotes([(x, 2.0 * x), (one, -one)]) == 6
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_prices_each_distinct_position_once(self, kind, monkeypatch):
+        # a book of 24 multiples k * d: its 300 pairs and (1, -1) hold 51 distinct
+        # positions (k * d for k = 1..48, then 1, -1 and 0), not 3 * 301
+        calls = count_quotes(monkeypatch)
+        space = FiniteSpace(np.array([3.0, 1.0, 2.0, 5.0, 1.0, 4.0]) / 16)
+        asset = EligibleAsset(1.5, RandVar(space, np.array([40.0, 64.0, 72.0, 48.0, 96.0, 80.0]) / 64))
+        spec = AcceptanceSpec.var_level(0.25) if kind == "var" else AcceptanceSpec.es_level(0.25)
+        d = RandVar(space, np.array([-37.0, 5.0, 12.0, -3.0, 40.0, 17.0]) / 64)
+        book = [k * d for k in range(1, 25)]
+        seed_pairs = [(x, y) for i, x in enumerate(book) for y in book[i:]]
+        one = RandVar.constant(space, 1.0)
+        verdict = find_additivity_violation(spec, asset, seed_pairs)
+        assert (verdict.verdict, verdict.samples) == ("fail", len(seed_pairs) + 1)
+        assert verdict.witness["x"].tolist() == one.tolist()
+        assert len(calls) == distinct_quotes([*seed_pairs, (one, -one)]) == 51
+        assert {tol for _, tol in calls} == {1e-12}
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
