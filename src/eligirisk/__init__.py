@@ -52,11 +52,10 @@ from .engine import (
     RiskQuote,
     cash_asset,
     change_numeraire,
+    decide_identity,
     discounted_acceptance,
-    numeraire_identity_check,
     rho,
     rho_cash,
-    s_additivity_check,
 )
 from .comonotone import (
     additivity_on_S_comonotone,
@@ -109,10 +108,9 @@ __all__ = [
     "cash_asset",
     "rho",
     "rho_cash",
-    "s_additivity_check",
     "change_numeraire",
     "discounted_acceptance",
-    "numeraire_identity_check",
+    "decide_identity",
     "is_comonotone",
     "additivity_on_S_comonotone",
     "comono_preservation_under_numeraire",

@@ -35,12 +35,7 @@ from .comonotone import (
     additivity_on_S_comonotone,
     comono_preservation_under_numeraire,
 )
-from .engine import (
-    EligibleAsset,
-    numeraire_identity_check,
-    rho,
-    s_additivity_check,
-)
+from .engine import EligibleAsset, decide_identity, rho
 from .measures import DistortionWeights
 from .spaces import FiniteSpace, RandVar
 from .theorems import (
@@ -293,10 +288,8 @@ STATEMENTS: dict[str, Callable[..., Any]] = {
     "cone": lambda sc: decide_cone(sc.acceptance),
     "convex": lambda sc: decide_convex(sc.acceptance, sc.space),
     "risk-invariant": lambda sc: decide_risk_invariant(sc.acceptance, sc.space),
-    "s-additivity": lambda sc, tol: s_additivity_check(
-        sc.acceptance, sc.asset, _sorted_positions(sc), tol),
-    "numeraire-identity": lambda sc, tol: numeraire_identity_check(
-        sc.acceptance, sc.asset, _sorted_positions(sc), tol),
+    "s-additivity": lambda sc: decide_identity("s-additivity"),
+    "numeraire-identity": lambda sc: decide_identity("numeraire-identity"),
     "s-comonotone-additivity": lambda sc: additivity_on_S_comonotone(sc.acceptance, sc.asset),
     "comono-preservation": lambda sc: comono_preservation_under_numeraire(sc.asset),
 }

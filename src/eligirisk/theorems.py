@@ -17,10 +17,11 @@ proof.  r1 = rho(1) is the closed form -S0 / F(-S1).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -257,9 +258,10 @@ def check_cash_reduction_identity(
 ) -> TheoremVerdict:
     """Consistency of comonotonic additivity with the cash-reduction identity.
 
-    The additivity half is :func:`find_additivity_violation`, so it is
-    decided on constructed pairs against :data:`ADDITIVITY_THRESHOLD` and
-    VaR inherits theorem-b's :data:`SUBSET_SUM_MAX_ATOMS` cap.  The identity
+    The additivity half is :func:`find_additivity_violation` on this
+    checker's quote memo, so it is decided on constructed pairs against
+    :data:`ADDITIVITY_THRESHOLD` and VaR inherits theorem-b's
+    :data:`SUBSET_SUM_MAX_ATOMS` cap.  The identity
     rho_S = -r1 * rho_cash is the lemma of :func:`check_lemma_equality` for
     the asset R = (-r1, 1), whose gap direction is D = S1 / S0 + 1 / r1; the
     requirement is compared with -r1 times the cash requirement, to within
@@ -281,7 +283,7 @@ def check_cash_reduction_identity(
     """
     r1 = _rho_one(spec, asset)
     rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
-    additivity = find_additivity_violation(spec, asset)
+    additivity = find_additivity_violation(spec, asset, requirement=rho_fn)
     if additivity.witness is not None:
         x, y = additivity.witness["x"], additivity.witness["y"]
         positions = [x, y, x + y]
@@ -472,6 +474,7 @@ def find_additivity_violation(
     spec: AcceptanceSpec,
     asset: EligibleAsset,
     seed_pairs: list[tuple[RandVar, RandVar]] | None = None,
+    requirement: Callable[..., float] | None = None,
 ) -> TheoremVerdict:
     """Decide comonotonic additivity of the requirement on constructed pairs.
 
@@ -489,9 +492,12 @@ def find_additivity_violation(
     The verdict is "fail" with the first such pair, "pass" when none exceeds
     the threshold; VaR inherits the :data:`SUBSET_SUM_MAX_ATOMS` cap of
     theorem-b.  r1 is taken first, so explicit criteria are rejected up front.
+    A caller's ``requirement`` (of :func:`~eligirisk.engine._requirement`)
+    shares its quotes; either way the pairs are priced at solver tolerance
+    1e-12, far below the threshold.
     """
     _rho_one(spec, asset)
-    rho_fn = _requirement(spec, asset, 1e-12)  # far below the threshold
+    rho_fn = functools.partial(requirement or _requirement(spec, asset), tol=1e-12)
     one = RandVar.constant(asset.payoff.space, 1.0)
 
     def pairs():

@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from eligirisk import CheckReport, FiniteSpace, RandVar, is_comonotone
-from eligirisk.engine import _payoff_steps, _requirement
+from eligirisk.engine import _requirement
+from identity_audits import _payoff_steps
 
 GRID = 64
 #: Draws lie on the grid within [-SPAN, SPAN].

@@ -32,13 +32,12 @@ from eligirisk import (
     expectation,
     find_additivity_violation,
     is_comonotone,
-    numeraire_identity_check,
     rho,
-    s_additivity_check,
     var,
 )
 from eligirisk.cli import main
 
+from identity_audits import numeraire_identity_check, s_additivity_check
 from sampling import generate_comonotone_pair
 
 

@@ -17,14 +17,21 @@ import pytest
 from eligirisk import acceptance, cli, comonotone, engine, theorems
 from eligirisk.cli import STATEMENTS, main
 
+from identity_audits import numeraire_identity_check, s_additivity_check
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 EXACT_STATEMENTS = {
     "theorem-b", "corollary-convex", "var-necessary", "var-condition-b", "comono-preservation",
     "convex", "risk-invariant", "monotone", "cone", "s-comonotone-additivity",
+    "s-additivity", "numeraire-identity",
 }
-#: Identities compared on a fixed position list: (comparisons, evaluations) per position.
-IDENTITIES = {"s-additivity": (6, 12), "numeraire-identity": (1, 2)}
+#: Identities decided by their lemmas, each with its solver audit on a fixed
+#: position list: (audit, comparisons, evaluations) per position.
+IDENTITIES = {
+    "s-additivity": (s_additivity_check, 6, 12),
+    "numeraire-identity": (numeraire_identity_check, 1, 2),
+}
 
 
 def run_cli(argv, capsys):
@@ -160,14 +167,10 @@ class TestCheck:
         assert json.loads(out)["results"][0]["verdict"] == "pass"
 
     @pytest.mark.parametrize(
-        "argv, code, expected",
-        [
-            (["--statement", "var-necessary"], 1, None),
-            (["--statement", "numeraire-identity"], 2, "discounted position X / S1 leaves"),
-        ],
+        "statement, code", [("var-necessary", 1), ("numeraire-identity", 0)],
         ids=["var-necessary", "numeraire-identity"],
     )
-    def test_tiny_payoff_decides_or_names_the_overflow(self, tmp_path, capsys, argv, code, expected):
+    def test_tiny_payoff_decides_or_names_the_overflow(self, tmp_path, capsys, statement, code):
         doc = {
             "space": {"probs": [0.5, 0.5]},
             "positions": {"X": [1.0, 1.0]},
@@ -178,16 +181,21 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, out, err = run_cli(["check", "--scenario", str(path), *argv], capsys)
-        assert got == code
-        if expected is None:
+            got, out, err = run_cli(
+                ["check", "--scenario", str(path), "--statement", statement], capsys)
+            assert (got, err) == (code, "")
             result = json.loads(out)["results"][0]
-            assert result["verdict"] == "fail"
-            assert result["condition_values"] == {
-                "mass_at_constant": 0.5, "payoff_constant": 1.0, "threshold": 0.8,
-                "var_of_reciprocal_payoff": -1.0}
-        else:
-            assert expected in err
+            if statement == "var-necessary":
+                assert result["verdict"] == "fail"
+                assert result["condition_values"] == {
+                    "mass_at_constant": 0.5, "payoff_constant": 1.0, "threshold": 0.8,
+                    "var_of_reciprocal_payoff": -1.0}
+            else:
+                # decided by the lemma, which holds whether or not X / S1 is a float
+                assert (result["passed"], result["trials"]) == (True, 1)
+                scenario = cli.load_scenario(str(path))
+                with pytest.raises(ValueError, match="discounted position X / S1 leaves"):
+                    engine.change_numeraire(scenario.positions["X"], scenario.asset)
 
     @pytest.mark.parametrize(
         "statement, scenario",
@@ -437,8 +445,9 @@ class TestCheck:
         assert {name: report[name] for name in reads} == {name: flags[name] for name in reads}
 
 
-#: Statements decided by kind or by the constant pair: one sample, a few evaluations.
-DECIDED = {"monotone", "cone", "convex", "risk-invariant", "s-comonotone-additivity"}
+#: Statements decided by kind, by a lemma or by the constant pair: one sample, a few evaluations.
+DECIDED = {"monotone", "cone", "convex", "risk-invariant", "s-comonotone-additivity",
+           "s-additivity", "numeraire-identity"}
 
 
 @pytest.fixture(scope="module")
@@ -478,14 +487,15 @@ class TestSizeContract:
     The decided statements report one sample and make at most three
     membership tests and three requirement evaluations, counted through
     wrappers.  Each statement prices a distinct position once.
-    ``cash-reduction`` prices its constructed pairs' distinct positions,
-    1, -1 and 0 for (1, -1) and at most x and x ± 1 more for a second pair,
-    plus one per identity position, of which there are at most three:
-    5 + 3.  Both scenarios fail at (1, -1) and price its three identity
-    positions apart: 3 + 3.  ``lemma-equality`` evaluates nothing
+    ``cash-reduction`` shares one memo between its two halves, so it prices
+    its constructed pairs' distinct positions, 1, -1 and 0 for (1, -1) and
+    at most x and x ± 1 more for a second pair, plus at most one carried
+    identity position: 5 + 1.  Both scenarios fail at (1, -1), whose x, y
+    and x + y are its identity positions: 3.  ``lemma-equality`` evaluates nothing
     when the gap direction D is zero; with D nonzero on one atom, ES decides
     it in at most two membership tests and VaR exits 2 at the enumeration
-    cap.  ``s-additivity`` and ``numeraire-identity`` compare at P = 130
+    cap.  ``s-additivity`` and ``numeraire-identity`` are decided by their
+    lemmas and price nothing.  Their solver audits compare at P = 130
     positions (the scenario's one, three constants and 126 payoff steps),
     6·P and P comparisons of at most two requirement evaluations each; an
     s-additivity position recurs over the six lambda and is priced again
@@ -553,7 +563,7 @@ class TestSizeContract:
         (result,) = json.loads(out)["results"]
         assert result["samples"] == 3
         assert not result["condition_values"]["additivity_passed"]
-        assert len(evaluated) == 3 + 3
+        assert len(evaluated) == 3
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_lemma_equality_with_zero_gap_evaluates_nothing(self, capsys, monkeypatch,
@@ -590,20 +600,31 @@ class TestSizeContract:
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("statement", sorted(IDENTITIES))
-    def test_identity_statements_audit_the_fixed_list(self, capsys, monkeypatch, scenarios_2000,
-                                                      kind, statement):
-        per_position, quotes_per_position = IDENTITIES[statement]
-        quoted = []
-        quote = engine.rho
-        monkeypatch.setattr(engine, "rho", lambda *a, **k: quoted.append(1) or quote(*a, **k))
+    def test_identity_statements_price_nothing(self, capsys, monkeypatch, scenarios_2000, kind,
+                                               statement):
+        _, evaluated = count_calls(monkeypatch)
         argv = ["check", "--statement", statement, "--scenario", str(scenarios_2000[kind]),
                 "--trials", "5"]
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
         (result,) = json.loads(out)["results"]
+        assert (result["passed"], result["trials"], result["data"]) == (True, 1, {})
+        assert evaluated == []
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("statement", sorted(IDENTITIES))
+    def test_identity_statements_audit_the_fixed_list(self, monkeypatch, scenarios_2000, kind,
+                                                      statement):
+        audit, per_position, quotes_per_position = IDENTITIES[statement]
+        quoted = []
+        quote = engine.rho
+        monkeypatch.setattr(engine, "rho", lambda *a, **k: quoted.append(1) or quote(*a, **k))
+        scenario = cli.load_scenario(str(scenarios_2000[kind]))
+        report = audit(scenario.acceptance, scenario.asset, [scenario.positions["X"]],
+                       cli.DEFAULT_TOL)
         positions = 1 + 3 + 2 * 63  # X, constants 0, 1, -1, two steps per lower payoff level
-        assert result["passed"] is True
-        assert result["trials"] == per_position * positions
+        assert report.passed is True
+        assert report.trials == per_position * positions
         assert len(quoted) <= quotes_per_position * positions
 
     @pytest.mark.parametrize("kind", ["var", "es"])

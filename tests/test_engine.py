@@ -29,16 +29,21 @@ from eligirisk import (
     essential_infimum,
     expectation,
     find_additivity_violation,
-    numeraire_identity_check,
     rho,
     rho_cash,
-    s_additivity_check,
     shortfall_and_slope,
 )
 from eligirisk import engine
-from eligirisk.engine import MAX_NEWTON_STEPS, _payoff_steps, default_tol
+from eligirisk.engine import MAX_NEWTON_STEPS, default_tol
 
 import sampling as smp
+from identity_audits import (
+    S_ADDITIVITY_LAMBDAS,
+    _audit_positions,
+    _payoff_steps,
+    numeraire_identity_check,
+    s_additivity_check,
+)
 
 
 @pytest.fixture
@@ -580,6 +585,38 @@ class TestRhoCash:
         assert abs(solved - rho_cash(spec, x)) <= default_tol(cash_asset(sp), x) == 2e-10
 
 
+class TestPositionSpace:
+    """``rho`` and ``change_numeraire`` price only a position on the payoff's space."""
+
+    PAYOFF = RandVar(FiniteSpace([0.05, 0.05, 0.9]), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("spec", [AcceptanceSpec.var_level(0.1), AcceptanceSpec.es_level(0.1)],
+                             ids=["var", "es"])
+    @pytest.mark.parametrize(
+        "probs, values",
+        [([0.5, 0.25, 0.25], [-1.0, 0.0, 1.0]), ([0.25] * 4, [-1.0, 0.0, 1.0, 2.0])],
+        ids=["other-probabilities", "other-atom-count"],
+    )
+    def test_another_space_raises(self, spec, probs, values):
+        asset = EligibleAsset(1.0, self.PAYOFF)
+        x = RandVar(FiniteSpace(probs), values)
+        with pytest.raises(SpaceMismatchError):
+            rho(spec, asset, x)
+        with pytest.raises(SpaceMismatchError):
+            change_numeraire(x, asset)
+
+    @pytest.mark.parametrize("spec", [AcceptanceSpec.var_level(0.1), AcceptanceSpec.es_level(0.1)],
+                             ids=["var", "es"])
+    def test_an_equal_copy_of_the_space_is_accepted(self, spec):
+        asset = EligibleAsset(1.0, self.PAYOFF)
+        values = [-1.0, 0.0, 1.0]
+        copy = RandVar(FiniteSpace([0.05, 0.05, 0.9]), values)
+        same = RandVar(asset.payoff.space, values)
+        assert copy.space is not same.space
+        assert rho(spec, asset, copy) == rho(spec, asset, same)
+        assert change_numeraire(copy, asset).tolist() == [-1.0, 0.0, 1.0 / 3.0]
+
+
 def grid_draws(space, count, seed):
     """Seeded 1/64-grid positions in [-4, 4], passed to the identity checks as test inputs."""
     rng = smp.as_rng(seed)
@@ -747,8 +784,8 @@ class TestRequirementMemo:
 
         # s-additivity recomputed with one fresh quote per side
         worst, witness = 0.0, None
-        for x in engine._audit_positions(asset, positions):
-            for lam in engine.S_ADDITIVITY_LAMBDAS:
+        for x in _audit_positions(asset, positions):
+            for lam in S_ADDITIVITY_LAMBDAS:
                 shifted = x + lam * asset.payoff
                 t = tol if tol is not None else max(default_tol(asset, x), default_tol(asset, shifted))
                 left, right = fresh(shifted, t), fresh(x, t) - lam * asset.price
@@ -788,3 +825,8 @@ class TestRequirementMemo:
         other = FiniteSpace([0.5, 0.25, 0.25])
         with pytest.raises(SpaceMismatchError):
             requirement(RandVar(other, x.values))
+        # a built-in criterion reaches rho's own check
+        builtin = engine._requirement(a_var05, asset3, 1e-9)
+        assert builtin(x) == rho(a_var05, asset3, x, 1e-9).value
+        with pytest.raises(SpaceMismatchError):
+            builtin(RandVar(other, x.values))
