@@ -13,16 +13,17 @@ of :func:`_lower_tail`, :func:`_walk`, which also returns where each run
 starts; it loops at every atom count.
 
 The walk of :func:`_lower_tail` is a Python loop below ``VECTOR_MIN_ATOMS``
-atoms and numpy from there (:func:`_numpy_tail`), with the same results
-bit for bit.  The numpy walk has a fixed cost of some 20 us.  On random
-weights and distinct values (2 shared vCPUs, Python 3.11, numpy 2.4), at
-256 atoms the loop took 19 us against numpy's 30 at level 0.05 and 70
-against 36 at level 0.5; at 512 atoms and level 0.05 they were level (44
-against 43 us).  The loop sums each run's probability as a Python integer
-over :attr:`FiniteSpace.int_probs`; numpy sums the numerators split at
-2**32 into two int64 limbs (:attr:`FiniteSpace.limbs`), each sum exact
-while it stays below 2**53, and rounds ``high * 2**32 + low`` once, as the
-loop rounds ``acc / den``.
+atoms and numpy from there (:func:`_numpy_tail`), with the same results bit
+for bit.  The numpy walk has a fixed cost of some 20 us.  On random weights
+and distinct values (2 shared vCPUs, Python 3.11, numpy 2.4, best of 300
+calls, three runs), at 256 atoms the loop took 18-22 us against numpy's
+28-36 at level 0.05 and 53-95 against 26-39 at level 0.5; at 512 atoms and
+level 0.05, 40-50 against 33-41; at 2000, selecting before the sort cut
+numpy's 75-109 us to 53-59.  The loop sums each run's probability as a
+Python integer over :attr:`FiniteSpace.int_probs`; numpy sums the numerators
+split at 2**32 into two int64 limbs (:attr:`FiniteSpace.limbs`), each sum
+exact while it stays below 2**53, and rounds ``high * 2**32 + low`` once, as
+the loop rounds ``acc / den``.
 
 Operators adopt the array they allocate; the public constructor copies.
 ``RandVar(space, values)`` copies and validates foreign input; arithmetic,
@@ -186,27 +187,53 @@ class SortedProfile:
         self.cum.setflags(write=False)
 
 
+def _limb_runs(
+    space: FiniteSpace, values: np.ndarray, order: np.ndarray, level: float
+) -> tuple[list[float], list[float]] | None:
+    """The runs of ``values[order]`` up to the first with ``cum > level``, over the limbs.
+
+    ``order`` sorts atoms closed downward in value.  If they are not all the
+    atoms, the last run's ``cum`` is its exact sum, not the pinned 1.0, and
+    None means that no run passes the level.
+    """
+    high, low, k = space.limbs
+    sv = values[order]
+    ends = (sv[1:] != sv[:-1]).nonzero()[0]  # the last sorted index of each run but the last
+    pinned = order.size == values.size
+    if not pinned:
+        ends = np.append(ends, order.size - 1)
+    cum = np.ldexp(high[order].cumsum()[ends] * 2.0**32 + low[order].cumsum()[ends], -k)
+    r = int(cum.searchsorted(level, side="right"))  # the first run with cum > level
+    if r == ends.size and not pinned:
+        return None
+    starts = np.concatenate(([0], ends[:r] + 1))
+    cum = cum[: r + 1].tolist() if r < ends.size else cum.tolist() + [1.0]
+    return (sv[starts] + 0.0).tolist(), cum
+
+
 def _numpy_tail(
     space: FiniteSpace, values: np.ndarray, level: float
 ) -> tuple[list[float], list[float]] | None:
     """The walk of :func:`_lower_tail` in numpy, or None where the space has no limbs.
 
-    Each limb of :attr:`FiniteSpace.limbs` is summed in sorted order in
-    int64, without rounding; a run's ``cum`` is ``ldexp(high * 2**32 + low,
-    -k)``, one correctly rounded addition of two exact floats, hence the
-    loop's ``acc / den`` bit for bit.
+    Below level 0.5, where ``m = floor(2 * level * n) + 32`` is below ``n``,
+    it sorts only the atoms at or below the ``m``-th least value, ties
+    included: closed downward in value, they hold whole runs of the full
+    profile with the same sums.  If none passes the level, it sorts every
+    atom.  Each limb is summed in sorted order in int64, without rounding;
+    a run's ``cum`` is ``ldexp(high * 2**32 + low, -k)``, one correctly
+    rounded addition of two exact floats, hence the loop's ``acc / den``
+    bit for bit.
     """
     if space.limbs is None:
         return None
-    high, low, k = space.limbs
-    order = values.argsort()
-    sv = values[order]
-    ends = (sv[1:] != sv[:-1]).nonzero()[0]  # the last sorted index of each run but the last
-    cum = np.ldexp(high[order].cumsum()[ends] * 2.0**32 + low[order].cumsum()[ends], -k)
-    r = int(cum.searchsorted(level, side="right"))  # the first run with cum > level
-    starts = np.concatenate(([0], ends[:r] + 1))
-    cum = cum[: r + 1].tolist() if r < ends.size else cum.tolist() + [1.0]
-    return (sv[starts] + 0.0).tolist(), cum
+    m = int(2.0 * level * values.size) + 32 if 0.0 <= level < 0.5 else values.size
+    if m < values.size:
+        below = (values <= np.partition(values, m - 1)[m - 1]).nonzero()[0]
+        runs = _limb_runs(space, values, below[values[below].argsort()], level)
+        if runs is not None:
+            return runs
+    return _limb_runs(space, values, values.argsort(), level)
 
 
 def _walk(
@@ -253,8 +280,8 @@ def _lower_tail(
     the last run's ``cum`` to 1.0: the stored probabilities need not sum to
     exactly 1.  Every prefix is the same prefix of the full profile, bit for
     bit.  ``values`` may hold +-inf, which then only orders the atoms.  From
-    ``VECTOR_MIN_ATOMS`` atoms the same walk runs in numpy
-    (:func:`_numpy_tail`), over the limbs of the numerators.
+    ``VECTOR_MIN_ATOMS`` atoms the walk runs in numpy (:func:`_numpy_tail`),
+    over the limbs of the numerators; below level 0.5 it selects first.
     """
     runs = _numpy_tail(space, values, level) if values.size >= VECTOR_MIN_ATOMS else None
     if runs is not None:

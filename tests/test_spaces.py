@@ -1,6 +1,7 @@
 """Tests for finite spaces, random variables, and the quantile machinery."""
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eligirisk import (
+    DistortionWeights,
     FiniteSpace,
+    Level,
     RandVar,
     SpaceMismatchError,
+    distortion,
+    es,
     essential_infimum,
     expectation,
     same_distribution,
     upper_quantile,
+    var,
 )
 from eligirisk import spaces
 from eligirisk.spaces import _lower_tail
@@ -482,6 +488,148 @@ class TestNumpyWalk:
         assert_profile_exact(x)
         for level in (0.0, 0.05, 0.5):
             assert walk(space, x.values, level, 1) == walk(space, x.values, level, math.inf)
+
+
+#: Levels at which the selected walk is checked, besides every run's own cum.
+SELECT_LEVELS = (0.0, 1e-9, 0.01, 0.05, 0.1, 0.3, 0.49, 0.5, math.inf)
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, 1e300, -1e300)
+#: The distortion mixture of the quote-large benchmark.
+BENCH_MIX = ((0.01, 0.5), (0.1, 0.3), (0.5, 0.2))
+
+
+def dyadic_space(rng: np.random.Generator, values: np.ndarray, tiny_share: float) -> FiniteSpace:
+    """Probabilities ``w / 2**B`` summing to 1 exactly, the lowest ``tiny_share`` of atoms tiny.
+
+    The atoms lowest in value weigh 1 to 7 and the others about 2**36, so
+    their numerators fill both limbs while ``2**B`` is near ``2**37 * n``.
+    The shortfall to a power of two is spread over the others.
+    """
+    n = values.size
+    weights = rng.integers(2**36, 2**37, n)
+    tiny = values.argsort(kind="stable")[: int(tiny_share * n)]
+    weights[tiny] = rng.integers(1, 8, tiny.size)
+    others = np.setdiff1d(np.arange(n), tiny)
+    total = int(weights.sum())
+    shortfall = (1 << total.bit_length()) - total
+    weights[others] += shortfall // others.size
+    weights[others[0]] += shortfall % others.size
+    return FiniteSpace(weights / float(1 << total.bit_length()))
+
+
+def traced_tail(space: FiniteSpace, values: np.ndarray, level: float) -> tuple[tuple, list]:
+    """``_lower_tail``, and per ``_limb_runs`` call the atoms it summed and whether it found no run."""
+    limb_runs = spaces._limb_runs
+    calls = []
+
+    def record(space, values, order, level):
+        runs = limb_runs(space, values, order, level)
+        calls.append((order.size, runs is None))
+        return runs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_limb_runs", record)
+        return _lower_tail(space, values, level), calls
+
+
+def expected_calls(values: np.ndarray, level: float, last: float) -> list[tuple[int, bool]]:
+    """The ``_limb_runs`` calls of the numpy walk whose last run holds ``last``.
+
+    Below level 0.5 it first sums the atoms at or below the ``m``-th least
+    value; it sorts every atom at once when ``m`` reaches ``n``, and after
+    that selection when the last run lies past that value.
+    """
+    n = values.size
+    m = int(2.0 * level * n) + 32 if 0.0 <= level < 0.5 else n
+    if m >= n:
+        return [(n, False)]
+    u = np.sort(values)[m - 1]
+    selected = int(np.count_nonzero(values <= u))
+    return [(selected, False)] if last <= u else [(selected, True), (n, False)]
+
+
+class TestSelectedWalk:
+    """Below level 0.5 the numpy walk sorts only the atoms at or below an order statistic."""
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(512, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        ticks=st.integers(4, 512),
+        specials=st.integers(0, 8),
+        tiny_share=st.sampled_from([None, 0.0, 0.1, 0.5, 0.9]),
+    )
+    def test_matches_the_full_sort_and_the_loop(self, n, seed, ticks, specials, tiny_share):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-ticks, ticks + 1, n) / 64  # a 1/64 grid: ties everywhere
+        values[rng.integers(0, n, specials)] = rng.choice(SPECIAL_VALUES, specials)
+        if tiny_share is None:
+            weights = rng.random(n) + 0.5
+            space = FiniteSpace(weights / math.fsum(weights.tolist()))
+        else:
+            space = dyadic_space(rng, values, tiny_share)
+        assert space.limbs is not None
+        full_values, full_cum = walk(space, values, math.inf, math.inf)
+        for level in SELECT_LEVELS:
+            (distinct, cum), calls = traced_tail(space, values, level)
+            everything = spaces._limb_runs(space, values, values.argsort(), level)
+            loop = walk(space, values, level, math.inf)
+            assert (signed(distinct), cum) == (signed(everything[0]), everything[1])
+            assert (signed(distinct), cum) == (signed(loop[0]), loop[1])
+            assert calls == expected_calls(values, level, distinct[-1])
+        # at a run's own cum the walk goes on to the next run: a prefix of the loop's profile
+        for level in full_cum:
+            (distinct, cum), calls = traced_tail(space, values, level)
+            k = bisect_right(full_cum, level, hi=len(full_cum) - 1) + 1
+            assert (signed(distinct), cum) == (signed(full_values[:k]), full_cum[:k])
+            assert calls == expected_calls(values, level, distinct[-1])
+
+    def test_each_branch(self):
+        n = 2000
+        rng = np.random.default_rng(39)
+        values = rng.integers(-256, 257, n) / 64
+        weights = rng.random(n) + 0.5
+        space = FiniteSpace(weights / math.fsum(weights.tolist()))
+        tiny = dyadic_space(rng, values, 0.5)  # the 1000 lowest atoms carry some 2**-35 in all
+        for sp, vals, level, branch in [
+            (space, values, 0.05, "selected"),
+            (space, (np.arange(n) % 2) / 64, 0.01, "selected"),  # 1000 atoms tie at the statistic 0.0
+            (tiny, values, 0.01, "fallback"),
+            (space, values, 0.5, "full"),
+            (space, values, math.inf, "full"),
+            (space, np.full(n, 0.25), 0.0, "full"),  # every atom ties with the order statistic
+        ]:
+            runs, calls = traced_tail(sp, vals, level)
+            loop = walk(sp, vals, level, math.inf)
+            assert (signed(runs[0]), runs[1]) == (signed(loop[0]), loop[1])
+            sizes = [size for size, _ in calls]
+            taken = "fallback" if len(sizes) == 2 else "full" if sizes == [n] else "selected"
+            assert taken == branch
+            assert calls == expected_calls(vals, level, runs[0][-1])
+
+    def test_ten_thousand_atoms_match_the_loop(self):
+        # aim 1's grid size: a uniform 10**4 grid and a 10**4 random-weight space
+        rng = np.random.default_rng(10_000)
+        weights = rng.random(10_000) + 0.5
+        uniform = FiniteSpace(np.full(10_000, 1e-4))
+        for space in (uniform, FiniteSpace(weights / math.fsum(weights.tolist()))):
+            assert space.limbs is not None
+            x = RandVar(space, rng.integers(-256, 257, 10_000) / 64)
+
+            def quotes():
+                return [
+                    var(x, Level(0.05)),
+                    es(x, Level(0.1)),
+                    distortion(x, DistortionWeights(BENCH_MIX)),
+                    upper_quantile(x, 0.05),
+                    upper_quantile(x, 0.3),
+                ]
+
+            numpy = quotes()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spaces, "VECTOR_MIN_ATOMS", math.inf)
+                loop = quotes()
+            assert [q.hex() for q in numpy] == [q.hex() for q in loop]
+            assert traced_tail(space, x.values, 0.05)[1][0][0] < 10_000
 
 
 class TestSharedWalk:
