@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import sys
@@ -237,13 +236,6 @@ def _base_report(command: str, **echo) -> dict:
     return report
 
 
-def _tol(args, scenario: Scenario, default: float | None = None):
-    """``--tol`` if given, else the scenario's ``options.tol``, else ``default``."""
-    if args.tol is not None:
-        return args.tol
-    return scenario.tol if scenario.tol is not None else default
-
-
 def _asset_r(scenario: Scenario) -> EligibleAsset:
     if scenario.asset_r is None:
         raise ScenarioError("scenario.asset_r", "lemma-equality needs a second asset")
@@ -269,17 +261,13 @@ def _sorted_positions(scenario: Scenario) -> list[RandVar]:
     return [scenario.positions[name] for name in sorted(scenario.positions)]
 
 
-#: Comparison tolerance of ``check`` when neither ``--tol`` nor ``options.tol`` sets it.
-DEFAULT_TOL = 1e-9
-
-#: Statement id -> checker on ``sc``, and on ``tol`` if it compares within one;
-#: ``check`` passes and echoes that tol.  The ids are the choices of ``check --statement``.
-STATEMENTS: dict[str, Callable[..., Any]] = {
+#: Statement id -> checker on the scenario ``sc``; no checker reads a tolerance.
+#: The ids are the choices of ``check --statement``.
+STATEMENTS: dict[str, Callable[[Scenario], Any]] = {
     "theorem-b": lambda sc: check_theorem_condition_b(sc.acceptance, sc.asset),
     "corollary-convex": lambda sc: check_corollary_convex(_convex_spec(sc), sc.asset),
-    "cash-reduction": lambda sc, tol: check_cash_reduction_identity(sc.acceptance, sc.asset, tol),
-    "lemma-equality": lambda sc, tol: check_lemma_equality(
-        sc.acceptance, sc.asset, _asset_r(sc), tol),
+    "cash-reduction": lambda sc: check_cash_reduction_identity(sc.acceptance, sc.asset),
+    "lemma-equality": lambda sc: check_lemma_equality(sc.acceptance, sc.asset, _asset_r(sc)),
     "var-necessary": lambda sc: check_var_necessary_condition(
         _var_spec(sc, "var-necessary"), sc.asset),
     "var-condition-b": lambda sc: check_var_condition_b(
@@ -301,7 +289,7 @@ def _eval(args) -> tuple[dict, list, bool]:
     for name in names:
         if name not in scenario.positions:
             raise ScenarioError(f"scenario.positions.{name}", "position not defined")
-    tol = _tol(args, scenario)
+    tol = args.tol if args.tol is not None else scenario.tol
     quotes = [
         {"position": name,
          **asdict(rho(scenario.acceptance, scenario.asset, scenario.positions[name], tol=tol))}
@@ -311,13 +299,8 @@ def _eval(args) -> tuple[dict, list, bool]:
 
 
 def _check(args) -> tuple[dict, list, bool]:
-    scenario = load_scenario(args.scenario)
-    checker = STATEMENTS[args.statement]
-    compares = "tol" in inspect.signature(checker).parameters
-    inputs = {"tol": _tol(args, scenario, DEFAULT_TOL)} if compares else {}
-    result = checker(scenario, **inputs)
-    echo = {"scenario": args.scenario, "statement": args.statement, **inputs}
-    return echo, [result], result.passed
+    result = STATEMENTS[args.statement](load_scenario(args.scenario))
+    return {"scenario": args.scenario, "statement": args.statement}, [result], result.passed
 
 
 def _search(args) -> tuple[dict, list, bool]:
@@ -375,13 +358,14 @@ def positive_float(text: str) -> float:
 
 #: Flag -> its ``add_argument`` keywords.  No checker or search samples:
 #: ``--seed``, ``--trials`` and ``--budget`` are kept, validated but not read,
-#: only because the benchmark's op lists still pass them.
+#: only because the benchmark's op lists still pass them.  Only ``eval`` reads
+#: ``--tol``, as its solver tolerance; no ``check`` statement compares within one.
 FLAGS: dict[str, dict[str, Any]] = {
     "scenario": {"required": True, "help": "path to a scenario JSON file"},
     "seed": {"type": int_at_least(0), "help": "accepted, not read"},
     "trials": {"type": int_at_least(1), "help": "accepted, not read"},
     "budget": {"type": int_at_least(1), "help": "accepted, not read"},
-    "tol": {"type": positive_float, "help": "solver / comparison tolerance"},
+    "tol": {"type": positive_float, "help": "solver tolerance"},
     "position": {"action": "append", "help": "position name (repeatable)"},
     "statement": {"required": True, "choices": STATEMENTS, "metavar": "ID",
                   "help": "statement id: " + ", ".join(sorted(STATEMENTS))},
@@ -396,7 +380,7 @@ FLAGS: dict[str, dict[str, Any]] = {
 COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[..., tuple[dict, list, bool]]]] = {
     "eval": ("price named positions", ("scenario", "tol", "out", "format", "position"), _eval),
     "check": ("run a statement checker",
-              ("scenario", "seed", "tol", "out", "format", "statement", "trials"), _check),
+              ("scenario", "seed", "out", "format", "statement", "trials"), _check),
     "search": ("search for additivity and numeraire witnesses",
                ("scenario", "seed", "out", "format", "budget"), _search),
     "replicate": ("recompute the reference examples", ("out", "format", "expected"), _replicate),

@@ -2,32 +2,31 @@
 additivity of the eligible-asset risk measure to properties of the
 acceptance set and the asset.
 
-Every checker here decides its statement by construction, with no seed: a
-rule read off the kind and the payoff for convex criteria, integer mass
-comparisons, one pass over integer subset sums for VaR (at its least
-probability atom for ``var-condition-b``), and a few constructed comonotone
-pairs for the additivity search and the additivity half of ``cash-reduction``.  The
-paper's lemma, rho_S = rho_R iff A + t * D = A for every real t, with
-D = S1/S0 - R1/R0, is decided by one absorption test, :func:`absorbs`:
-``theorem-b`` asks it for the leveraged payoff W, ``lemma-equality`` for D,
-and the identity half of ``cash-reduction`` for D at R = (-r1, 1).  An
-ejected position is carried to a position priced apart by the lemma's
-proof.  r1 = rho(1) is the closed form -S0 / F(-S1).
+Every checker here decides its statement by construction, with no seed and
+no tolerance argument: a rule read off the kind and the payoff for convex criteria,
+integer mass comparisons, one pass over integer subset sums for VaR (at its
+least probability atom for ``var-condition-b``), and a few constructed
+comonotone pairs for the additivity search.  The paper's lemma, rho_S =
+rho_R iff A + t * D = A for every real t, with D = S1/S0 - R1/R0, is
+decided by one absorption test, :func:`absorbs`: ``theorem-b`` asks it for
+the leveraged payoff W, and ``lemma-equality`` for D, whose ejected
+position is carried to a position priced apart by the lemma's proof.
+``cash-reduction`` is the lemma at R = (-r1, 1), where W = r1 * D, so it
+holds by construction.  r1 = rho(1) is the closed form -S0 / F(-S1).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from .acceptance import AcceptanceSpec, accepts, var_loss_limit
 from .comonotone import is_comonotone
-from .engine import EligibleAsset, _requirement, rho, rho_cash
+from .engine import EligibleAsset, _requirement, rho
 from .measures import Level, var
 from .reporting import witness_to_jsonable
 from .spaces import FiniteSpace, RandVar
@@ -253,120 +252,58 @@ def check_corollary_convex(spec: AcceptanceSpec, asset: EligibleAsset) -> Theore
     )
 
 
-def check_cash_reduction_identity(
-    spec: AcceptanceSpec, asset: EligibleAsset, tol: float = 1e-9
-) -> TheoremVerdict:
-    """Consistency of comonotonic additivity with the cash-reduction identity.
+def check_cash_reduction_identity(spec: AcceptanceSpec, asset: EligibleAsset) -> TheoremVerdict:
+    """Consistency of comonotonic additivity with the cash-reduction identity, by the lemma.
 
-    The additivity half is :func:`find_additivity_violation` on this
-    checker's quote memo, so it is decided on constructed pairs against
-    :data:`ADDITIVITY_THRESHOLD` and VaR inherits theorem-b's
-    :data:`SUBSET_SUM_MAX_ATOMS` cap.  The identity
-    rho_S = -r1 * rho_cash is the lemma of :func:`check_lemma_equality` for
-    the asset R = (-r1, 1), whose gap direction is D = S1 / S0 + 1 / r1; the
-    requirement is compared with -r1 times the cash requirement, to within
-    ``tol``, at these positions:
-
-    * when additivity fails, x, y and x + y of its witness: every
-      constructed pair holds a constant and the cash requirement is cash
-      additive, so the identity errors e satisfy e(x + y) - e(x) - e(y) =
-      gap, and one of the three exceeds ``tol`` whenever ``tol`` <
-      threshold / 3;
-    * when it holds and :func:`absorbs` ejects x along t * D (t = +1 or -1),
-      the carried Z = x - t * R1 / R0 = x + t / r1, at which
-      -r1 * rho_cash(Z) <= t < rho_S(Z);
-    * none when the set absorbs D (a constant payoff gives D = 0 exactly):
-      the identity then holds by the lemma.
-
-    The verdict is "pass" when the two halves are consistent.  r1 is taken
-    first, so explicit criteria are rejected up front.
+    The identity rho_S = -r1 * rho_cash is the lemma of
+    :func:`check_lemma_equality` for the asset R = (-r1, 1): it holds iff the
+    set absorbs D = S1/S0 - R1/R0 = S1/S0 + 1/r1.  The theorem's leveraged
+    payoff is W = 1 + (r1/S0) * S1 = r1 * D with r1 < 0, and a built-in set
+    is a cone, so it absorbs W, which is comonotonic additivity, iff it
+    absorbs D.  The two halves are therefore always consistent: the verdict
+    is "pass" with nothing priced and nothing enumerated.  r1 is taken in
+    closed form, so explicit criteria and an overflowing r1 are rejected.
     """
     r1 = _rho_one(spec, asset)
-    rho_fn = _requirement(spec, asset, min(tol * 1e-2, 1e-12))
-    additivity = find_additivity_violation(spec, asset, requirement=rho_fn)
-    if additivity.witness is not None:
-        x, y = additivity.witness["x"], additivity.witness["y"]
-        positions = [x, y, x + y]
-        route = "at the additivity witness x, y and x + y"
-    else:
-        d = asset.payoff / asset.price + 1.0 / r1
-        ejected = None if asset.risk_free else absorbs(spec, d.space, d)
-        if ejected is None:
-            positions, route = [], "by the lemma: the set absorbs D = S1/S0 + 1/r1"
-        else:
-            t = 1.0 if ejected["direction"] == "+" else -1.0
-            positions = [ejected["x"] + t / r1]
-            route = "at the position carried from an ejection along D = S1/S0 + 1/r1"
-
-    identity_witness = None
-    worst = 0.0
-    for x in positions:
-        lhs = rho_fn(x)
-        rhs = -r1 * rho_cash(spec, x)
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        if err > tol and identity_witness is None:
-            identity_witness = {"x": x, "lhs": lhs, "rhs": rhs}
-
-    holds = "fails" if identity_witness else "holds"
-    if additivity.passed:
-        ok = identity_witness is None
-        note = f"additivity holds on the constructed pairs; the cash reduction identity {holds} {route}"
-    else:
-        ok = identity_witness is not None
-        note = f"additivity fails; the cash reduction identity {holds} {route}"
     return TheoremVerdict(
-        "cash-reduction", "pass" if ok else "fail", len(positions),
-        witness=identity_witness,
-        condition_values={"rho_one": r1, "identity_factor": -r1,
-                          "additivity_passed": additivity.passed,
-                          "threshold": ADDITIVITY_THRESHOLD,
-                          "worst_identity_error": worst},
-        note=note,
+        "cash-reduction", "pass", 1,
+        condition_values={"rho_one": r1, "identity_factor": -r1},
+        note="by the lemma: W = r1 * D with D = S1/S0 + 1/r1, so the set absorbs W "
+        "(comonotonic additivity) iff it absorbs D (the cash reduction identity)",
     )
 
 
 def check_lemma_equality(
-    spec: AcceptanceSpec, asset_s: EligibleAsset, asset_r: EligibleAsset, tol: float = 1e-9
+    spec: AcceptanceSpec, asset_s: EligibleAsset, asset_r: EligibleAsset
 ) -> TheoremVerdict:
     """Two assets price every position equally iff the set absorbs their gap direction.
 
     Side (b) asks :func:`absorbs` for D = S1/S0 - R1/R0; D = 0 exactly holds
-    with no call.  If the set absorbs D, side (a), rho_S = rho_R, holds by
-    the lemma and nothing is evaluated.  Otherwise x is accepted and
-    x + t * D rejected (t = +1 or -1 from the witness's direction), and side
-    (a) is priced, to within ``tol``, at the carried Z = x - t * R1/R0, where
-    rho_R(Z) <= t < rho_S(Z).  ``samples`` counts the positions priced (0 or
-    1).  The verdict is "pass" when the two sides agree.  Explicit criteria
-    are rejected.
+    with no call.  Side (a), rho_S = rho_R, holds iff side (b) does, by the
+    lemma, so nothing is priced.  When x is accepted and x + t * D rejected
+    (t = +1 or -1 from the witness's direction), the lemma's proof carries x
+    to Z = x - t * R1/R0, where rho_R(Z) <= t < rho_S(Z): Z is side (a)'s
+    witness, and ``samples`` counts it (0 or 1).  The verdict is "pass", as
+    the two sides agree.  Explicit criteria are rejected.
     """
     if not spec.is_builtin:
         raise ValueError("lemma-equality requires a built-in criterion")
     unit_r = asset_r.payoff / asset_r.price
     gap = asset_s.payoff / asset_s.price - unit_r
-    b_witness = None if gap.max_abs == 0.0 else absorbs(spec, gap.space, gap)
-    a_witness = None
-    if b_witness is not None:
-        t = 1.0 if b_witness["direction"] == "+" else -1.0
-        z = b_witness["x"] - t * unit_r
-        solver_tol = min(tol * 1e-2, 1e-12)
-        rho_s, rho_r = (_requirement(spec, a, solver_tol)(z) for a in (asset_s, asset_r))
-        if abs(rho_s - rho_r) > tol:
-            a_witness = {"x": z, "rho_s": rho_s, "rho_r": rho_r}
-    a_holds, b_holds = a_witness is None, b_witness is None
-
-    ok = a_holds == b_holds
-    if b_holds:
-        note = "the set absorbs the gap direction, so by the lemma the requirements agree"
-    else:
-        note = ("an accepted position is ejected along the gap direction, and the carried "
-                f"position is priced {'apart' if a_witness else 'alike to within tol'}")
+    ejected = None if gap.max_abs == 0.0 else absorbs(spec, gap.space, gap)
+    holds = ejected is None
+    witness = None
+    if not holds:
+        t = 1.0 if ejected["direction"] == "+" else -1.0
+        witness = {"equality": {"x": ejected["x"] - t * unit_r}, "stability": ejected}
     return TheoremVerdict(
-        "lemma-equality", "pass" if ok else "fail", 0 if b_holds else 1,
-        witness={"equality": a_witness, "stability": b_witness} if b_witness else None,
-        condition_values={"equality_holds": a_holds, "stability_holds": b_holds,
+        "lemma-equality", "pass", 0 if holds else 1,
+        witness=witness,
+        condition_values={"equality_holds": holds, "stability_holds": holds,
                           "gap_direction": gap},
-        note=note,
+        note="the set absorbs the gap direction, so by the lemma the requirements agree" if holds
+        else "an accepted position is ejected along the gap direction, so by the lemma the "
+        "carried position is priced apart",
     )
 
 
@@ -474,7 +411,6 @@ def find_additivity_violation(
     spec: AcceptanceSpec,
     asset: EligibleAsset,
     seed_pairs: list[tuple[RandVar, RandVar]] | None = None,
-    requirement: Callable[..., float] | None = None,
 ) -> TheoremVerdict:
     """Decide comonotonic additivity of the requirement on constructed pairs.
 
@@ -492,12 +428,11 @@ def find_additivity_violation(
     The verdict is "fail" with the first such pair, "pass" when none exceeds
     the threshold; VaR inherits the :data:`SUBSET_SUM_MAX_ATOMS` cap of
     theorem-b.  r1 is taken first, so explicit criteria are rejected up front.
-    A caller's ``requirement`` (of :func:`~eligirisk.engine._requirement`)
-    shares its quotes; either way the pairs are priced at solver tolerance
-    1e-12, far below the threshold.
+    Each distinct position is priced once, at solver tolerance 1e-12, far
+    below the threshold.
     """
     _rho_one(spec, asset)
-    rho_fn = functools.partial(requirement or _requirement(spec, asset), tol=1e-12)
+    rho_fn = _requirement(spec, asset, 1e-12)
     one = RandVar.constant(asset.payoff.space, 1.0)
 
     def pairs():

@@ -1,7 +1,6 @@
 """Tests for the command-line interface: contracts, exit codes, determinism."""
 
 import argparse
-import inspect
 import json
 import math
 import re
@@ -17,15 +16,10 @@ import pytest
 from eligirisk import acceptance, cli, comonotone, engine, theorems
 from eligirisk.cli import STATEMENTS, main
 
-from identity_audits import numeraire_identity_check, s_additivity_check
+from identity_audits import cash_reduction_audit, numeraire_identity_check, s_additivity_check
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
-EXACT_STATEMENTS = {
-    "theorem-b", "corollary-convex", "var-necessary", "var-condition-b", "comono-preservation",
-    "convex", "risk-invariant", "monotone", "cone", "s-comonotone-additivity",
-    "s-additivity", "numeraire-identity",
-}
 #: Identities decided by their lemmas, each with its solver audit on a fixed
 #: position list: (audit, comparisons, evaluations) per position.
 IDENTITIES = {
@@ -304,12 +298,11 @@ class TestCheck:
         assert "--trials" in err
 
     def test_infinite_tol_exits_2(self, capsys):
-        # an infinite tolerance would pass the sampled additivity vacuously
+        # an infinite solver tolerance would accept any bracket
         code, out, err = run_cli(
             [
-                "check",
+                "eval",
                 "--scenario", str(SCENARIOS / "near_risk_free_var.json"),
-                "--statement", "cash-reduction",
                 "--tol", "inf",
             ],
             capsys,
@@ -319,20 +312,26 @@ class TestCheck:
 
     @pytest.mark.parametrize("scenario", ["superadditive_var.json", "near_risk_free_var.json"])
     def test_cash_reduction_takes_the_constructed_additivity_witness(self, capsys, scenario):
-        # 6 sampled comonotone pairs missed the violation that (x, 1), with x
-        # ejected by theorem-b, exhibits; x, y and x + y then break the identity
+        # the check passes by the lemma; its audit finds the violation that
+        # (x, 1), with x ejected by theorem-b, exhibits (6 sampled comonotone
+        # pairs missed it), and x, y and x + y then break the identity
+        path = str(SCENARIOS / scenario)
         code, out, _ = run_cli(
-            ["check", "--scenario", str(SCENARIOS / scenario), "--statement", "cash-reduction",
+            ["check", "--scenario", path, "--statement", "cash-reduction",
              "--trials", "12", "--seed", "5"],
             capsys,
         )
         report = json.loads(out)
         result = report["results"][0]
-        assert (code, result["verdict"], result["samples"]) == (0, "pass", 3)
+        assert (code, result["verdict"], result["samples"], result["witness"]) == (0, "pass", 1, None)
+        assert set(result["condition_values"]) == {"rho_one", "identity_factor"}
         assert "trials" not in report and "seed" not in report
-        values = result["condition_values"]
+        sc = cli.load_scenario(path)
+        audit = cash_reduction_audit(sc.acceptance, sc.asset)
+        assert (audit.verdict, audit.samples) == ("pass", 3)
+        values = audit.condition_values
         assert (values["additivity_passed"], values["threshold"]) == (False, 1e-7)
-        assert abs(result["witness"]["lhs"] - result["witness"]["rhs"]) > 1e-9
+        assert abs(audit.witness["lhs"] - audit.witness["rhs"]) > 1e-9
 
     @pytest.mark.parametrize(
         "extra", [["--trials", "1"], [], ["--trials", "12", "--seed", "5"]],
@@ -415,16 +414,14 @@ class TestCheck:
             outs.append(out)
         assert outs == [outs[0]] * 4
         report = json.loads(outs[0])
-        reads = list(inspect.signature(STATEMENTS[statement]).parameters)[1:]
-        assert set(report) == {"command", "version", "results", "scenario", "statement", *reads}
+        assert set(report) == {"command", "version", "results", "scenario", "statement"}
         assert "seed" not in report["results"][0]
 
     @pytest.mark.parametrize("statement", sorted(STATEMENTS))
     def test_report_echoes_exactly_the_inputs_the_statement_reads(
         self, tmp_path, capsys, statement
     ):
-        # every flag is given; the ones the statement does not read are
-        # ignored and not echoed
+        # every flag check takes is given; no statement reads one, so none is echoed
         doc = json.loads((SCENARIOS / "near_risk_free_var.json").read_text())
         doc["asset_r"] = {"price": 2.0, "payoff": [2, 4, 2]}
         if statement == "corollary-convex":  # needs a convex criterion
@@ -433,16 +430,12 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         code, out, _ = run_cli(
             ["check", "--scenario", str(path), "--statement", statement,
-             "--trials", "12", "--seed", "5", "--tol", "1e-8"],
+             "--trials", "12", "--seed", "5"],
             capsys,
         )
         report = json.loads(out)
-        reads = list(inspect.signature(STATEMENTS[statement]).parameters)[1:]
         assert code in (0, 1)
-        assert (reads == []) == (statement in EXACT_STATEMENTS)
-        assert set(report) == {"command", "version", "results", "scenario", "statement", *reads}
-        flags = {"trials": 12, "seed": 5, "tol": 1e-8}
-        assert {name: report[name] for name in reads} == {name: flags[name] for name in reads}
+        assert set(report) == {"command", "version", "results", "scenario", "statement"}
 
 
 #: Statements decided by kind, by a lemma or by the constant pair: one sample, a few evaluations.
@@ -487,14 +480,14 @@ class TestSizeContract:
     The decided statements report one sample and make at most three
     membership tests and three requirement evaluations, counted through
     wrappers.  Each statement prices a distinct position once.
-    ``cash-reduction`` shares one memo between its two halves, so it prices
-    its constructed pairs' distinct positions, 1, -1 and 0 for (1, -1) and
-    at most x and x ± 1 more for a second pair, plus at most one carried
-    identity position: 5 + 1.  Both scenarios fail at (1, -1), whose x, y
-    and x + y are its identity positions: 3.  ``lemma-equality`` evaluates nothing
-    when the gap direction D is zero; with D nonzero on one atom, ES decides
-    it in at most two membership tests and VaR exits 2 at the enumeration
-    cap.  ``s-additivity`` and ``numeraire-identity`` are decided by their
+    ``cash-reduction`` holds by the lemma and prices and enumerates nothing,
+    at any size.  Its audit prices each of its two halves on its own memo:
+    both scenarios fail additivity at (1, -1), whose 1, -1 and 0 are then
+    its identity positions, so 3 distinct positions are priced twice.
+    ``lemma-equality`` evaluates nothing: with the gap direction D zero it
+    makes no membership test, and with D nonzero on one atom ES decides it
+    in at most two and VaR exits 2 at the enumeration cap.
+    ``s-additivity`` and ``numeraire-identity`` are decided by their
     lemmas and price nothing.  Their solver audits compare at P = 130
     positions (the scenario's one, three constants and 126 payoff steps),
     6·P and P comparisons of at most two requirement evaluations each; an
@@ -553,17 +546,16 @@ class TestSizeContract:
         assert evaluated == []
 
     @pytest.mark.parametrize("kind", ["var", "es"])
-    def test_cash_reduction_evaluates_constructed_pairs(self, capsys, monkeypatch, scenarios_2000,
-                                                        kind):
-        _, evaluated = count_calls(monkeypatch)
-        argv = ["check", "--statement", "cash-reduction", "--scenario", str(scenarios_2000[kind]),
-                "--trials", "5"]
-        code, out, err = run_cli(argv, capsys)
-        assert (code, err) == (0, "")
-        (result,) = json.loads(out)["results"]
-        assert result["samples"] == 3
-        assert not result["condition_values"]["additivity_passed"]
-        assert len(evaluated) == 3
+    def test_cash_reduction_evaluates_constructed_pairs(self, monkeypatch, scenarios_2000, kind):
+        quoted = []
+        quote = engine.rho
+        monkeypatch.setattr(engine, "rho", lambda *a, **k: quoted.append(a[2].values.tobytes())
+                            or quote(*a, **k))
+        scenario = cli.load_scenario(str(scenarios_2000[kind]))
+        audit = cash_reduction_audit(scenario.acceptance, scenario.asset)
+        assert audit.samples == 3
+        assert not audit.condition_values["additivity_passed"]
+        assert len(quoted) == 6 and len(set(quoted)) == 3
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_lemma_equality_with_zero_gap_evaluates_nothing(self, capsys, monkeypatch,
@@ -596,7 +588,7 @@ class TestSizeContract:
         values = result["condition_values"]
         assert not values["equality_holds"] and not values["stability_holds"]
         assert result["samples"] == 1
-        assert len(tested) <= 2 and len(evaluated) <= 2
+        assert len(tested) <= 2 and evaluated == []
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("statement", sorted(IDENTITIES))
@@ -612,6 +604,43 @@ class TestSizeContract:
         assert evaluated == []
 
     @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_cash_reduction_prices_nothing(self, capsys, monkeypatch, scenarios_2000, kind):
+        tested, evaluated = count_calls(monkeypatch)
+        argv = ["check", "--statement", "cash-reduction", "--scenario", str(scenarios_2000[kind])]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out)["results"]
+        assert (result["verdict"], result["samples"], result["witness"]) == ("pass", 1, None)
+        assert (tested, evaluated) == ([], [])
+
+    @pytest.mark.parametrize(
+        "acceptance",
+        [{"kind": "var", "alpha": 0.1}, {"kind": "es", "alpha": 0.1},
+         {"kind": "distortion", "weights": [{"alpha": 0.1, "w": 0.5}, {"alpha": 1.0, "w": 0.5}]},
+         {"kind": "expectation"}],
+        ids=["var", "es", "distortion", "expectation"],
+    )
+    def test_cash_reduction_past_the_enumeration_cap(self, tmp_path, capsys, monkeypatch,
+                                                     acceptance):
+        # 64 uniform atoms, payoff 1.0 on two of them: for VaR(0.1), 62 atoms
+        # lie outside the loss event of D, past the cap that an enumeration
+        # would hit, but the lemma needs none, for any kind
+        doc = {
+            "space": {"probs": [1.0 / 64] * 64},
+            "positions": {"X": [0.0] * 64},
+            "asset": {"price": 1.0, "payoff": [1.0, 1.0] + [1.5] * 62},
+            "acceptance": acceptance,
+        }
+        path = tmp_path / "uniform64.json"
+        path.write_text(json.dumps(doc))
+        tested, evaluated = count_calls(monkeypatch)
+        code, out, err = run_cli(["check", "--statement", "cash-reduction", "--scenario", str(path)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"][0]["verdict"] == "pass"
+        assert (tested, evaluated) == ([], [])
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("statement", sorted(IDENTITIES))
     def test_identity_statements_audit_the_fixed_list(self, monkeypatch, scenarios_2000, kind,
                                                       statement):
@@ -620,8 +649,7 @@ class TestSizeContract:
         quote = engine.rho
         monkeypatch.setattr(engine, "rho", lambda *a, **k: quoted.append(1) or quote(*a, **k))
         scenario = cli.load_scenario(str(scenarios_2000[kind]))
-        report = audit(scenario.acceptance, scenario.asset, [scenario.positions["X"]],
-                       cli.DEFAULT_TOL)
+        report = audit(scenario.acceptance, scenario.asset, [scenario.positions["X"]], 1e-9)
         positions = 1 + 3 + 2 * 63  # X, constants 0, 1, -1, two steps per lower payoff level
         assert report.passed is True
         assert report.trials == per_position * positions
@@ -1156,8 +1184,10 @@ class TestUsage:
             ["search", "--scenario", str(SCENARIOS / "lemma_two_atom.json"), "--tol", "1e-9"],
             ["replicate", "--seed", "1"],
             ["replicate", "--tol", "1e-9"],
+            ["check", "--scenario", str(SCENARIOS / "lemma_two_atom.json"),
+             "--statement", "cash-reduction", "--tol", "1e-9"],
         ],
-        ids=["eval-seed", "search-tol", "replicate-seed", "replicate-tol"],
+        ids=["eval-seed", "search-tol", "replicate-seed", "replicate-tol", "check-tol"],
     )
     def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -1172,7 +1202,7 @@ class TestUsage:
         every = ["-h", "--help", "--out", "--format"]
         assert taken == {
             "eval": sorted(every + ["--scenario", "--tol", "--position"]),
-            "check": sorted(every + ["--scenario", "--seed", "--tol", "--statement", "--trials"]),
+            "check": sorted(every + ["--scenario", "--seed", "--statement", "--trials"]),
             "search": sorted(every + ["--scenario", "--seed", "--budget"]),
             "replicate": sorted(every + ["--expected"]),
         }

@@ -34,6 +34,7 @@ from eligirisk import (
 from eligirisk import engine
 from eligirisk.theorems import ADDITIVITY_THRESHOLD, _rho_one, _subset_sums, absorbs
 
+from identity_audits import cash_reduction_audit, lemma_equality_audit
 from sampling import additivity_on_comonotone, generate_comonotone_pair
 
 
@@ -520,7 +521,7 @@ class TestAbsorbs:
 class TestPropCashReduction:
     def test_risk_free_identity_with_half_factor(self, near_rf_space, a_var01):
         asset = EligibleAsset(1.0, RandVar.constant(near_rf_space, 2.0))
-        verdict = check_cash_reduction_identity(a_var01, asset)
+        verdict = cash_reduction_audit(a_var01, asset)
         assert verdict.verdict == "pass"
         assert verdict.condition_values["additivity_passed"]
         assert verdict.condition_values["identity_factor"] == pytest.approx(0.5, abs=1e-12)
@@ -528,12 +529,12 @@ class TestPropCashReduction:
 
     def test_constructed_asset_identity_holds(self, constructed_asset):
         spec = AcceptanceSpec.var_level(0.1)
-        verdict = check_cash_reduction_identity(spec, constructed_asset)
+        verdict = cash_reduction_audit(spec, constructed_asset)
         assert verdict.verdict == "pass"
         assert verdict.condition_values["additivity_passed"]
 
     def test_near_rf_asset_fails_consistently(self, a_var01, near_rf_asset):
-        verdict = check_cash_reduction_identity(a_var01, near_rf_asset)
+        verdict = cash_reduction_audit(a_var01, near_rf_asset)
         assert verdict.verdict == "pass"
         assert not verdict.condition_values["additivity_passed"]
         w = verdict.witness
@@ -560,7 +561,7 @@ class TestPropCashReduction:
         values = [payoff[0]] * n if constant else payoff[:n]
         asset = EligibleAsset(price, RandVar(space, np.array(values, dtype=float) / 32))
         spec = builtin_spec(kind, alpha)
-        verdict = check_cash_reduction_identity(spec, asset)
+        verdict = cash_reduction_audit(spec, asset)
         assert verdict.verdict == "pass"
         additivity = find_additivity_violation(spec, asset)
         assert verdict.condition_values["additivity_passed"] == additivity.passed
@@ -585,7 +586,7 @@ class TestPropCashReduction:
 class TestLemmaEquality:
     def test_scaled_asset_gives_exact_equality(self, near_rf_space, a_var01, near_rf_asset):
         doubled = EligibleAsset(2.0, 2.0 * near_rf_asset.payoff)
-        verdict = check_lemma_equality(a_var01, near_rf_asset, doubled)
+        verdict = lemma_equality_audit(a_var01, near_rf_asset, doubled)
         assert verdict.verdict == "pass"
         assert verdict.condition_values["equality_holds"]
         assert verdict.condition_values["stability_holds"]
@@ -595,7 +596,7 @@ class TestLemmaEquality:
     def test_two_distinct_risk_free_assets_both_fail(self, near_rf_space, a_var01):
         s = EligibleAsset(1.0, RandVar.constant(near_rf_space, 1.0))
         r = EligibleAsset(1.0, RandVar.constant(near_rf_space, 2.0))
-        verdict = check_lemma_equality(a_var01, s, r)
+        verdict = lemma_equality_audit(a_var01, s, r)
         assert verdict.verdict == "pass"
         assert not verdict.condition_values["equality_holds"]
         assert not verdict.condition_values["stability_holds"]
@@ -605,7 +606,7 @@ class TestLemmaEquality:
     def test_constructed_asset_vs_cash_equivalent(self, two_atom_space, constructed_asset):
         spec = AcceptanceSpec.var_level(0.1)
         cash_equiv = EligibleAsset(1.0, RandVar.constant(two_atom_space, 1.0))
-        verdict = check_lemma_equality(spec, constructed_asset, cash_equiv)
+        verdict = lemma_equality_audit(spec, constructed_asset, cash_equiv)
         assert verdict.verdict == "pass"
         assert verdict.condition_values["equality_holds"]
         assert verdict.condition_values["stability_holds"]
@@ -630,7 +631,7 @@ class TestLemmaEquality:
         # sampled its violation
         s = EligibleAsset(1.0, RandVar.constant(near_rf_space, 1.0))
         r = EligibleAsset(1.0, RandVar(near_rf_space, [1.25, 1.0, 1.0]))
-        verdict = check_lemma_equality(a_var01, s, r)
+        verdict = lemma_equality_audit(a_var01, s, r)
         assert (verdict.verdict, verdict.samples) == ("pass", 1)
         values = verdict.condition_values
         assert not values["equality_holds"] and not values["stability_holds"]
@@ -652,7 +653,7 @@ class TestLemmaEquality:
         s = EligibleAsset(1.0, RandVar.constant(space, 1.0))
         r = EligibleAsset(1.0, RandVar(space, bumped))
         spec = builtin_spec(kind, alpha)
-        verdict = check_lemma_equality(spec, s, r)
+        verdict = lemma_equality_audit(spec, s, r)
         assert verdict.verdict == "pass"
         if not verdict.condition_values["stability_holds"]:
             self.assert_witnesses_reverify(spec, s, r, verdict)
@@ -679,7 +680,7 @@ class TestLemmaEquality:
         s = EligibleAsset(1.0, RandVar(space, unit))
         r = EligibleAsset(price_r, RandVar(space, price_r * bumped))
         spec = builtin_spec(kind, alpha)
-        verdict = check_lemma_equality(spec, s, r)
+        verdict = lemma_equality_audit(spec, s, r)
         assert verdict.verdict == "pass"
         if not verdict.condition_values["stability_holds"]:
             self.assert_witnesses_reverify(spec, s, r, verdict)
@@ -710,7 +711,7 @@ class TestLemmaEquality:
         s = EligibleAsset(1.0, RandVar(space, unit))
         r = EligibleAsset(price_r, RandVar(space, price_r * bumped))
         spec = builtin_spec(kind, alpha)
-        verdict = check_lemma_equality(spec, s, r)
+        verdict = lemma_equality_audit(spec, s, r)
         if not verdict.condition_values["equality_holds"]:
             self.assert_witnesses_reverify(spec, s, r, verdict)
             return
@@ -724,6 +725,89 @@ class TestLemmaEquality:
             assert abs(gap) <= 1e-9
 
 
+class TestDecidedByTheLemma:
+    """``cash-reduction`` and ``lemma-equality`` price nothing; their audits are the oracle."""
+
+    @pytest.mark.parametrize("payoff", [[2.0, 2.0, 2.0], [1.0, 2.0, 1.0]], ids=["risk-free", "risky"])
+    @pytest.mark.parametrize("kind", ["var", "es", "mix", "mean"])
+    def test_cash_reduction_passes_pricing_nothing(self, near_rf_space, monkeypatch, payoff, kind):
+        calls = count_quotes(monkeypatch)
+        spec = builtin_spec(kind, 0.1)
+        asset = EligibleAsset(1.0, RandVar(near_rf_space, payoff))
+        verdict = check_cash_reduction_identity(spec, asset)
+        r1 = _rho_one(spec, asset)
+        assert (verdict.verdict, verdict.samples, verdict.witness) == ("pass", 1, None)
+        assert verdict.condition_values == {"rho_one": r1, "identity_factor": -r1}
+        assert "W = r1 * D" in verdict.note
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["var", "es", "mix", "mean"])
+    def test_lemma_equality_carries_the_ejection_pricing_nothing(self, near_rf_space, monkeypatch,
+                                                                 kind):
+        calls = count_quotes(monkeypatch)
+        spec = builtin_spec(kind, 0.1)
+        s = EligibleAsset(1.0, RandVar.constant(near_rf_space, 1.0))
+        r = EligibleAsset(1.0, RandVar(near_rf_space, [1.25, 1.0, 1.0]))
+        verdict = check_lemma_equality(spec, s, r)
+        assert (verdict.verdict, verdict.samples) == ("pass", 1)
+        values = verdict.condition_values
+        assert not values["equality_holds"] and not values["stability_holds"]
+        assert calls == []
+        ejected = verdict.witness["stability"]
+        t = 1.0 if ejected["direction"] == "+" else -1.0
+        z = verdict.witness["equality"]["x"]
+        assert set(verdict.witness["equality"]) == {"x"}
+        assert z.tolist() == (ejected["x"] - t * (r.payoff / r.price)).tolist()
+        # the lemma's proof: rho_R(Z) <= t < rho_S(Z)
+        assert rho(spec, r, z, tol=1e-12).value <= t < rho(spec, s, z, tol=1e-12).value
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 31), min_size=2, max_size=7),
+        s_payoff=st.lists(st.integers(16, 128), min_size=7, max_size=7),
+        r_payoff=st.lists(st.integers(16, 128), min_size=7, max_size=7),
+        r_shape=st.sampled_from(["any", "scaled", "bumped", "constant"]),
+        kind=st.sampled_from(["var", "es", "mix", "mean"]),
+        alpha=st.floats(0.05, 0.6),
+        price_s=st.sampled_from([0.5, 1.0, 2.0]),
+        price_r=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_decisions_meet_their_audits(
+        self, weights, s_payoff, r_payoff, r_shape, kind, alpha, price_s, price_r
+    ):
+        n = len(weights)
+        space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        unit_s = np.array(s_payoff[:n], dtype=float) / 32
+        unit_r = {"any": np.array(r_payoff[:n], dtype=float) / 32,
+                  "scaled": unit_s,
+                  "bumped": np.where(np.arange(n) == r_payoff[0] % n, 1.25 * unit_s, unit_s),
+                  "constant": np.full(n, r_payoff[0] / 32)}[r_shape]
+        s = EligibleAsset(price_s, RandVar(space, price_s * unit_s))
+        r = EligibleAsset(price_r, RandVar(space, price_r * unit_r))
+        spec = builtin_spec(kind, alpha)
+
+        verdict = check_lemma_equality(spec, s, r)
+        audit = lemma_equality_audit(spec, s, r)
+        values = verdict.condition_values
+        assert verdict.verdict == "pass"
+        assert values["equality_holds"] == values["stability_holds"]
+        assert values["stability_holds"] == audit.condition_values["stability_holds"]
+        assert verdict.samples == audit.samples
+        if audit.witness is None or audit.witness["equality"] is not None:
+            # the audit priced Z apart (or priced nothing): the decision agrees
+            assert values["equality_holds"] == audit.condition_values["equality_holds"]
+        if verdict.witness is not None:
+            ejected = verdict.witness["stability"]
+            t = 1.0 if ejected["direction"] == "+" else -1.0
+            z = verdict.witness["equality"]["x"]
+            assert z.tolist() == (ejected["x"] - t * (r.payoff / r.price)).tolist()
+            if audit.witness["equality"] is not None:
+                assert z.tolist() == audit.witness["equality"]["x"].tolist()
+
+        if check_cash_reduction_identity(spec, s).passed:
+            assert cash_reduction_audit(spec, s).passed
+
+
 @pytest.mark.parametrize(
     "needs_r1",
     [
@@ -731,8 +815,11 @@ class TestLemmaEquality:
         lambda spec, asset: check_cash_reduction_identity(spec, asset),
         lambda spec, asset: check_lemma_equality(spec, asset, asset),
         lambda spec, asset: find_additivity_violation(spec, asset, seed_pairs=[(None, None)]),
+        lambda spec, asset: cash_reduction_audit(spec, asset),
+        lambda spec, asset: lemma_equality_audit(spec, asset, asset),
     ],
-    ids=["rho-one", "cash-reduction", "lemma-equality", "additivity-violation"],
+    ids=["rho-one", "cash-reduction", "lemma-equality", "additivity-violation",
+         "cash-reduction-audit", "lemma-equality-audit"],
 )
 def test_r1_needs_a_builtin_criterion(needs_r1, near_rf_asset):
     # r1 = -S0 / F(-S1) holds for cash-additive, positively homogeneous F only,
