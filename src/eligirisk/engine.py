@@ -19,9 +19,11 @@ bracketing entirely:
 Distortion mixtures (expected shortfall and the expectation floor among
 them) with a risky payoff run a finite Newton iteration: their requirement
 function is convex, decreasing and piecewise linear, so a few steps land on
-the root.  Each iterate costs one argsort and one walk of the shifted
-position, :func:`~eligirisk.measures.shortfall_and_slope`, which returns
-the value and the right slope together.  Explicit criteria, and
+the root.  Each iterate costs one argsort and one fused walk of the shifted
+values, :func:`~eligirisk.measures.shortfall_and_slope`, which resolves
+every level's value and right slope as it passes it; below
+``VECTOR_MIN_ATOMS`` atoms the membership probes that certify the landing
+read the same walk's value.  Explicit criteria, and
 ``method="bisection"``, run bracketed bisection.  Both solvers return the
 upper end ``hi`` of a certified bracket: ``hi`` is accepted and
 ``hi - bracket_width`` is rejected, with the width at most
@@ -48,7 +50,7 @@ import numpy as np
 from .acceptance import AcceptanceSpec
 from .measures import shortfall_and_slope, var_of_ratio
 from .reporting import CheckReport
-from .spaces import FiniteSpace, RandVar, SpaceMismatchError, expectation
+from .spaces import VECTOR_MIN_ATOMS, FiniteSpace, RandVar, SpaceMismatchError, expectation
 
 __all__ = [
     "EligibleAsset",
@@ -188,7 +190,7 @@ def _bisect(
 
 
 def _newton(
-    spec: AcceptanceSpec, asset: EligibleAsset, x: RandVar, pays: list[float], shifted
+    price: Callable[[np.ndarray], tuple[float, float]], asset: EligibleAsset, shifted
 ) -> tuple[float | None, float | None, int]:
     """Finite Newton on g(m) = functional(X + (m / S0) * S1) for a distortion mixture.
 
@@ -196,25 +198,22 @@ def _newton(
     of the position is fixed.  The tangent along the right derivative lies
     below g, so the step from m = 0 lands at or left of the root, and the
     rejected iterates then rise onto it after finitely many steps.  Each
-    iterate is priced by one sorted walk, :func:`shortfall_and_slope`, which
-    returns g and its right slope together.  A step from a rejected iterate
-    moves m by at least one float; when it would leave the rounded position
-    unchanged, it moves m by ulp(max|Y|) * S0 / eps instead, the position's
-    own rounding scale.  Returns ``(lo, hi, steps)``: ``hi`` is the first
-    accepted iterate after m = 0 (None at the step cap), ``lo`` the last
-    rejected one (or None).  ``pays`` lists S1, and ``shifted`` is
-    :func:`rho`'s; an iterate outside the float range raises a ``ValueError``.
+    iterate is priced by ``price``, one fused walk of the shifted values
+    (:func:`shortfall_and_slope`), which returns g and its right slope
+    together.  A step from a rejected iterate moves m by at least one float;
+    when it would leave the rounded position unchanged, it moves m by
+    ulp(max|Y|) * S0 / eps instead, the position's own rounding scale.
+    Returns ``(lo, hi, steps)``: ``hi`` is the first accepted iterate after
+    m = 0 (None at the step cap), ``lo`` the last rejected one (or None).
+    ``shifted`` is :func:`rho`'s; an iterate outside the float range raises a
+    ``ValueError``.
     """
-    s0, payoff = asset.price, asset.payoff
-    mass = (x.space.probs * payoff.values).tolist()
-    mean = expectation(payoff)
-
+    s0 = asset.price
     lo = None
     m = 0.0
     values = shifted(m)
     for steps in range(MAX_NEWTON_STEPS + 1):
-        y = RandVar._fresh(x.space, values)
-        g, slope = shortfall_and_slope(y, spec.weights, pays, mass, mean)
+        g, slope = price(values)
         if g <= 0.0 and (steps > 0 or g == 0.0):
             return lo, m, steps
         if g > 0.0:
@@ -225,12 +224,12 @@ def _newton(
         nxt = m - s0 * g / slope if slope else math.copysign(math.inf, g)
         if g > 0.0:
             nxt = max(nxt, math.nextafter(m, math.inf))
-        values = shifted(nxt)
-        if g > 0.0 and not np.count_nonzero(values != y.values):
+        stepped = shifted(nxt)
+        if g > 0.0 and not np.count_nonzero(stepped != values):
             # the step leaves the rounded position, hence g, unchanged
-            nxt = max(nxt, m + s0 * math.ulp(y.max_abs) / asset.eps)
-            values = shifted(nxt)
-        m = nxt
+            nxt = max(nxt, m + s0 * math.ulp(float(np.abs(values).max())) / asset.eps)
+            stepped = shifted(nxt)
+        m, values = nxt, stepped
 
 
 def _close(member, lo: float | None, hi: float, tol: float, steps: int) -> tuple[float, float, int]:
@@ -303,12 +302,25 @@ def rho(
             raise ValueError(f"the shifted position X + (m / S0) * S1 leaves the float range at m = {m!r}")
         return values
 
-    def member(m: float) -> bool:
-        return spec.functional_value(RandVar._fresh(x.space, shifted(m))) <= 0.0
-
     # what the closed forms leave of the built-in kinds: distortion, risky payoff
     newton = method == "auto" and spec.is_builtin
-    lo, hi, steps = _newton(spec, asset, x, pays, shifted) if newton else (None, None, 0)
+    if newton:
+        mu = spec.weights
+        mass = (x.space.probs * payoff.values).tolist()
+        mean = expectation(payoff) if any(a == 1.0 for a, _ in mu.points) else None
+
+        def price(values: np.ndarray) -> tuple[float, float]:
+            return shortfall_and_slope(x.space, values, mu, pays, mass, mean)
+
+    # below VECTOR_MIN_ATOMS the walk's value is the loop's, bit for bit, and cheaper
+    walked = newton and x.space.n_atoms < VECTOR_MIN_ATOMS
+
+    def member(m: float) -> bool:
+        if walked:
+            return price(shifted(m))[0] <= 0.0
+        return spec.functional_value(RandVar._fresh(x.space, shifted(m))) <= 0.0
+
+    lo, hi, steps = _newton(price, asset, shifted) if newton else (None, None, 0)
     if tol is None:
         tol = _tol_at(start)
     if hi is not None:

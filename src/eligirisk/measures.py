@@ -10,12 +10,11 @@ floating-point rounding; the test suite asserts exactly that.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import RandVar, _lower_tail, _walk, expectation, upper_quantile
+from .spaces import FiniteSpace, RandVar, _lower_tail, expectation, upper_quantile
 
 __all__ = [
     "Level",
@@ -130,79 +129,115 @@ def es(x: RandVar, level: Level) -> float:
     return _shortfall_sum(*_lower_tail(x.space, x.values, alpha), alpha)
 
 
-def _mixture(
-    x: RandVar, points: tuple[tuple[float, float], ...], distinct: list[float], cum: list[float]
-) -> float:
-    """The mixture over ``points`` from a walk of ``x`` past its largest level below 1.
-
-    Level 0 is the worst case ``-distinct[0]``, -min(X) up to the sign of a
-    zero, which ``fsum`` drops; level 1 is ``-expectation(x)``.
-    """
-    return math.fsum(
-        w * (-distinct[0] if a == 0.0 else -expectation(x) if a == 1.0 else _shortfall_sum(distinct, cum, a))
-        for a, w in points
-    )
-
-
 def distortion(x: RandVar, mu: DistortionWeights) -> float:
     """Weighted mixture of expected shortfall over the levels in ``mu``.
 
     One walk of the lower tail, up to the largest level below 1, serves
-    every level but 1.
+    every level but 1.  Level 0 is the worst case ``-values[0]``, -min(X) up
+    to the sign of a zero, which ``fsum`` drops; level 1 is
+    ``-expectation(x)``.
     """
     below = [a for a, _ in mu.points if a < 1.0]
     values, cum = _lower_tail(x.space, x.values, max(below)) if below else ([], [])
-    return _mixture(x, mu.points, values, cum)
+    return math.fsum(
+        w * (-values[0] if a == 0.0 else -expectation(x) if a == 1.0 else _shortfall_sum(values, cum, a))
+        for a, w in mu.points
+    )
+
+
+def _straddle_slope(
+    order: list[int], nums: list[int], den: int, payoff: list[float],
+    j: int, end: int, acc: int, part: float, before: float, alpha: float,
+) -> float:
+    """Level ``alpha``'s slope from the run ``order[j:end]``, the first to reach ``cum >= alpha``.
+
+    ``acc`` and ``part`` are the numerators and the p * S1 of the atoms
+    before the run, ``before`` the cum of the run before it (0.0 for the
+    first).  The run's atoms are taken by ascending payoff until cum reaches
+    ``alpha``; the last takes the rest.
+    """
+    if end - j > 1:
+        for i in sorted(order[j:end], key=payoff.__getitem__):
+            acc += nums[i]
+            c = acc / den
+            if c >= alpha:
+                break
+            part += (c - before) * payoff[i]
+            before = c
+    else:
+        i = order[j]
+    return -(part / alpha + (alpha - before) / alpha * payoff[i])
 
 
 def shortfall_and_slope(
-    y: RandVar, mu: DistortionWeights, payoff: list[float], mass: list[float], mean: float
+    space: FiniteSpace,
+    values: np.ndarray,
+    mu: DistortionWeights,
+    payoff: list[float],
+    mass: list[float],
+    mean: float | None,
 ) -> tuple[float, float]:
-    """The mixture value at ``y`` and its right slope along a payoff.
+    """The mixture value at Y = ``values`` and its right slope along a payoff.
 
-    The value is :func:`distortion` bit for bit: one argsort and the loop
-    walk of :func:`~eligirisk.spaces._lower_tail`
-    (:func:`~eligirisk.spaces._walk`), which also gives each run's start.
-    The slope is the right derivative of t -> value(Y + t * S1) at t = 0.
-    Just right of 0 the atoms sort by Y, ties by S1, so level alpha's slope
-    is minus the mass of the runs below alpha, plus that of the run
-    reaching alpha taken by ascending payoff up to alpha, over alpha.  Level
-    0 takes the first run's least payoff and level 1 takes E[S1].
-    ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is
-    E[S1]; a Newton solve takes them once per quote.
+    The value is :func:`distortion` bit for bit, and the slope is the right
+    derivative of t -> value(Y + t * S1) at t = 0.  Just right of 0 the
+    atoms sort by Y, ties by S1, so level alpha's slope is minus the mass of
+    the runs below alpha, plus that of the run reaching alpha taken by
+    ascending payoff up to alpha, over alpha.  Level 0 takes the first run's
+    least payoff and level 1 takes E[S1].  ``values`` must be finite;
+    ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is E[S1],
+    None where no level is 1; a Newton solve takes them once per quote.
+
+    One argsort and one walk of the atoms in sorted order carry the
+    numerators, p * S1 and the shortfall sum over the runs passed.  Each
+    level is resolved where a run first reaches it, with the breakpoint sum
+    of :func:`_shortfall_sum` and the run's slope, and the walk stops at the
+    largest level below 1.
     """
-    nums, den = y.space.int_probs
-    order = y.values.argsort().tolist()
-    below = [a for a, _ in mu.points if a < 1.0]
-    distinct, cum, starts = _walk(y.space, y.values.tolist(), order, max(below) if below else 0.0)
-    slope = 0.0
-    for alpha, weight in mu.points:
-        if alpha == 0.0:
-            s = -min(payoff[i] for i in order[: starts[1][0]])
-        elif alpha == 1.0:
-            s = -mean
-        else:
-            k = bisect_left(cum, alpha)
-            j, acc = starts[k]
-            end = starts[k + 1][0]
-            part = 0.0
-            for i in order[:j]:  # the mass of the runs below alpha, summed in sorted order
-                part += mass[i]
-            before = cum[k - 1] if k else 0.0
-            # the run's atoms by ascending payoff until cum reaches alpha; the last takes the rest
-            if end - j > 1:
-                for i in sorted(order[j:end], key=payoff.__getitem__):
-                    acc += nums[i]
-                    c = acc / den
-                    if c >= alpha:
-                        break
-                    part += (c - before) * payoff[i]
-                    before = c
-            else:
-                i = order[j]
-            s = -(part / alpha + (alpha - before) / alpha * payoff[i])
-        slope += weight * s
-    return _mixture(y, mu.points, distinct, cum), slope
+    terms: dict[float, tuple[float, float]] = {}
+    pending = sorted([a for a, _ in mu.points if a < 1.0])
+    if pending:
+        nums, den = space.int_probs
+        vals, order = values.tolist(), values.argsort().tolist()
+        n, r = len(order), 0
+        vals.append(math.nan)  # a nan past the last atom ends the last run
+        order.append(n)
+        last = vals[order[0]] + 0.0
+        # numerators, p * S1 and the shortfall sum over the runs passed, and their
+        # last cum: it never falls before the pinned end, so both sums break at it
+        acc, part, tail, prev = 0, 0.0, 0.0, 0.0
+        start, acc0, part0 = 0, 0, 0.0  # where the current run starts
+        for j, i in enumerate(order):
+            v = vals[i]
+            if v != last:  # the run of ``last`` ends at j: resolve the levels it reaches
+                c = acc / den if j < n else 1.0
+                while r < len(pending) and c >= pending[r]:
+                    alpha = pending[r]
+                    if alpha == 0.0:
+                        terms[alpha] = -last, -min(payoff[k] for k in order[:j])
+                    else:
+                        terms[alpha] = (
+                            (tail + (-last) * (alpha - prev)) / alpha,
+                            _straddle_slope(order, nums, den, payoff, start, j, acc0, part0, prev, alpha),
+                        )
+                    r += 1
+                if r == len(pending):
+                    break
+                if c > prev:
+                    tail += (-last) * (c - prev)
+                    prev = c
+                start, acc0, part0 = j, acc, part
+                last = v + 0.0
+            acc += nums[i]
+            part += mass[i]
+    if mean is not None:
+        terms[1.0] = -float(np.dot(space.probs, values)), -mean
+    parts, slope = [], 0.0
+    for a, w in mu.points:
+        value, s = terms[a]
+        parts.append(w * value)
+        slope += w * s
+    return math.fsum(parts), slope
 
 
 def es_choquet_oracle(x: RandVar, level: Level) -> float:

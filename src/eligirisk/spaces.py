@@ -5,12 +5,11 @@ some 10**5 times per hundred CLI checks on spaces of a few atoms, where
 numpy's fixed cost per call outweighs the arithmetic.  They use ndarray
 methods (``a.argsort()``, ``a.tolist()``) and ``np.count_nonzero``, never
 the ``np.<func>`` wrappers or ``.all()``/``.any()`` reductions, which add
-microseconds of dispatch per call.  A Newton iterate is the hottest of
-these paths: one argsort and one walk give the value and the slope
-together, on the one ``RandVar`` the iterate builds
-(:func:`~eligirisk.measures.shortfall_and_slope`).  That walk is the loop
-of :func:`_lower_tail`, :func:`_walk`, which also returns where each run
-starts; it loops at every atom count.
+microseconds of dispatch per call.  Two loops walk the atoms in sorted
+order: :func:`_walk`, the loop of :func:`_lower_tail`, and the fused walk of
+a Newton iterate (:func:`~eligirisk.measures.shortfall_and_slope`), the
+hottest of these paths.  That one reads the shifted array itself, with no
+``RandVar``, and loops at every atom count.
 
 The walk of :func:`_lower_tail` is a Python loop below ``VECTOR_MIN_ATOMS``
 atoms and numpy from there (:func:`_numpy_tail`), with the same results bit
@@ -238,33 +237,25 @@ def _numpy_tail(
 
 def _walk(
     space: FiniteSpace, vals: list[float], order: list[int], level: float
-) -> tuple[list[float], list[float], list[tuple[int, int]]]:
-    """The loop walk of :func:`_lower_tail` over ``vals`` sorted by ``order``, with its run starts.
-
-    ``starts[k]`` is ``(j, acc)``: run ``k`` begins at ``order[j]``, after
-    the runs whose numerators sum to ``acc``.  One more start closes the
-    last run, so run ``k`` is ``order[starts[k][0]:starts[k + 1][0]]``.
-    """
+) -> tuple[list[float], list[float]]:
+    """The loop walk of :func:`_lower_tail` over ``vals`` sorted by ``order``."""
     nums, den = space.int_probs
     last = vals[order[0]] + 0.0
     distinct = [last]
     cum: list[float] = []
-    starts = [(0, 0)]
     acc = 0
-    for j, i in enumerate(order):
+    for i in order:
         v = vals[i]
         if v != last:  # the run of the previous value ends: round its sum once
             c = acc / den
             cum.append(c)
-            starts.append((j, acc))
             if c > level:
-                return distinct, cum, starts
+                return distinct, cum
             last = v + 0.0
             distinct.append(last)
         acc += nums[i]
     cum.append(1.0)
-    starts.append((len(order), acc))
-    return distinct, cum, starts
+    return distinct, cum
 
 
 def _lower_tail(
@@ -286,7 +277,7 @@ def _lower_tail(
     runs = _numpy_tail(space, values, level) if values.size >= VECTOR_MIN_ATOMS else None
     if runs is not None:
         return runs
-    return _walk(space, values.tolist(), values.argsort().tolist(), level)[:2]
+    return _walk(space, values.tolist(), values.argsort().tolist(), level)
 
 
 def _sealed(arr: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from eligirisk import (
     rho_cash,
     shortfall_and_slope,
 )
-from eligirisk import engine
+from eligirisk import engine, spaces
 from eligirisk.engine import MAX_NEWTON_STEPS, default_tol
 
 import sampling as smp
@@ -44,6 +44,7 @@ from identity_audits import (
     numeraire_identity_check,
     s_additivity_check,
 )
+from two_pass import two_pass_value_and_slope, walk_with_starts
 
 
 @pytest.fixture
@@ -359,10 +360,11 @@ def slope_oracle(spec, y, payoff):
     return -total
 
 
-def value_and_slope(spec, y, payoff):
-    """Newton's pricing of one iterate: ``shortfall_and_slope`` with the payoff terms of a quote."""
+def value_and_slope(spec, y, payoff, kernel=shortfall_and_slope):
+    """Newton's pricing of one iterate: ``kernel`` with the payoff terms of a quote."""
     mass = (y.space.probs * payoff.values).tolist()
-    return shortfall_and_slope(y, spec.weights, payoff.tolist(), mass, expectation(payoff))
+    mean = expectation(payoff) if any(a == 1.0 for a, _ in spec.weights.points) else None
+    return kernel(y.space, y.values, spec.weights, payoff.tolist(), mass, mean)
 
 
 SLOPE_LEVELS = (0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)
@@ -424,6 +426,113 @@ class TestRightSlope:
         # n**2)
         bound = 2 * sp.n_atoms * math.ulp(float(np.max(payoff.values)))
         assert abs(Fraction(slope) - slope_oracle(spec, y, payoff)) <= bound
+
+
+#: Levels 0, 1 and interior, with the extremes of the open interval.
+FUSED_LEVELS = st.sampled_from(SLOPE_LEVELS + (2.0**-60, 1.0 - 2.0**-53)) | st.floats(0.0, 1.0)
+#: Atom weights, with some whose exact sums pass 2**53 and round.
+FUSED_WEIGHTS = st.integers(1, 16).map(float) | st.floats(1e-30, 1.0).map(lambda u: u**4)
+#: Few values, so that ties are common, a signed zero, and magnitudes 1e-4 to 1e4.
+FUSED_VALUES = st.integers(-3, 3).map(lambda v: v / 2) | st.just(-0.0) | st.floats(-1e4, 1e4)
+#: Payoffs from 8 values, which often tie within a run of Y, or from 1e-4 to 1e4.
+FUSED_PAYOFFS = st.integers(1, 8).map(lambda v: v / 8) | st.floats(1e-4, 1e4)
+
+
+@st.composite
+def fused_specs(draw):
+    """Expected shortfall at an interior level, or a mixture over up to four levels in [0, 1]."""
+    levels = draw(st.lists(FUSED_LEVELS, min_size=1, max_size=4, unique=True))
+    if 0.0 < levels[0] < 1.0 and draw(st.booleans()):
+        return AcceptanceSpec.es_level(levels[0])
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(levels), max_size=len(levels)))
+    total = sum(weights)
+    return AcceptanceSpec.distortion_mix(
+        DistortionWeights(tuple((a, w / total) for a, w in zip(levels, weights)))
+    )
+
+
+class TestFusedWalk:
+    """Newton's one fused walk against the two-pass kernel it replaced, bit for bit."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(st.tuples(FUSED_WEIGHTS, FUSED_VALUES, FUSED_PAYOFFS), min_size=1, max_size=16),
+        spec=fused_specs(),
+    )
+    # the first run's cum is exactly the level 1/3: that run resolves it, not the next
+    @example(
+        atoms=[(2.0, -0.5, 1.75), (6.0, 0.0, 2.375), (4.0, -1.0, 1.75)],
+        spec=AcceptanceSpec.es_level(1 / 3),
+    )
+    # the numerators sum to 1 - 2**-52, below the level: the pinned last run resolves it
+    @example(
+        atoms=[
+            (0.8816028378292521, 0.5, 0.3),
+            (0.22415319281384183, 0.5, 0.7),
+            (0.06328925257421858, -1.0, 0.1),
+        ],
+        spec=AcceptanceSpec.es_level(1.0 - 2.0**-53),
+    )
+    def test_matches_the_two_pass_kernel(self, atoms, spec):
+        weights, ys, pays = zip(*atoms)
+        total = math.fsum(weights)
+        sp = FiniteSpace(np.array([w / total for w in weights]))
+        y, payoff = RandVar(sp, ys), RandVar(sp, pays)
+        value, slope = value_and_slope(spec, y, payoff)
+        want = value_and_slope(spec, y, payoff, two_pass_value_and_slope)
+        assert (value.hex(), slope.hex()) == (want[0].hex(), want[1].hex())
+        assert value.hex() == spec.functional_value(y).hex()
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(FUSED_WEIGHTS, FUSED_VALUES | st.sampled_from([math.inf, -math.inf, 1e300, -1e300])),
+            min_size=1, max_size=60,
+        ),
+        level=st.sampled_from([0.0, 1e-9, 0.5, math.inf]) | st.floats(0.0, 1.0),
+    )
+    def test_oracle_runs_start_where_their_value_does(self, atoms, level):
+        # the oracle's run starts are what its rescans read: each run is a
+        # slice of the sorted atoms, after the exact numerators of the runs before it
+        total = math.fsum(w for w, _ in atoms)
+        space = FiniteSpace(np.array([w / total for w, _ in atoms]))
+        values = np.array([v for _, v in atoms])
+        vals, order = values.tolist(), values.argsort().tolist()
+        distinct, cum, starts = walk_with_starts(space, vals, order, level)
+        assert (distinct, cum) == spaces._walk(space, vals, order, level)
+        nums, den = space.int_probs
+        assert len(starts) == len(distinct) + 1 and starts[0] == (0, 0)
+        for k, v in enumerate(distinct):
+            (j, acc), (end, after) = starts[k], starts[k + 1]
+            assert j < end and all(vals[i] == v for i in order[j:end])
+            assert acc == sum(nums[i] for i in order[:j])
+            assert after == acc + sum(nums[i] for i in order[j:end])
+            # a run's cum is the next start's sum rounded once, or the pinned 1.0 at the end
+            assert cum[k] == (1.0 if end == len(order) else after / den)
+        assert cum[-1] > level or starts[-1][0] == len(order)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.tuples(st.integers(1, 16), st.integers(-16, 16), st.integers(1, 8)),
+            min_size=2, max_size=16,
+        ),
+        price=st.integers(1, 4),
+        spec=fused_specs(),
+        tol=st.sampled_from([None, 1e-15, 1e-3]),
+    )
+    def test_quotes_match_the_two_pass_kernel(self, atoms, price, spec, tol):
+        weights, xs, pays = zip(*atoms)
+        sp = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        x = RandVar(sp, np.array(xs) / 4)
+        payoff = RandVar(sp, np.array(pays) / 4)
+        assume(not payoff.is_constant and x.max_abs > 0.0)  # else a closed form applies
+        asset = EligibleAsset(price / 2, payoff)
+        quote = rho(spec, asset, x, tol=tol)
+        assert quote.method == "newton"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "shortfall_and_slope", two_pass_value_and_slope)
+            assert repr(rho(spec, asset, x, tol=tol)) == repr(quote)
 
 
 class TestFloatRange:

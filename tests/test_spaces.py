@@ -633,29 +633,33 @@ class TestSelectedWalk:
 
 
 class TestSharedWalk:
-    """``_walk`` is the one loop walk; ``_lower_tail`` and Newton's value and slope read it."""
+    """``_walk`` is the one loop walk of ``_lower_tail``: distinct values and their rounded sums."""
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(
         atoms=st.lists(st.tuples(WALK_WEIGHTS, WALK_VALUES), min_size=1, max_size=60),
         level=WALK_LEVELS,
     )
-    def test_runs_start_where_their_value_does(self, atoms, level):
+    def test_runs_round_their_exact_sums(self, atoms, level):
         total = math.fsum(w for w, _ in atoms)
         space = FiniteSpace(np.array([w / total for w, _ in atoms]))
         values = np.array([v for _, v in atoms])
-        vals, order = values.tolist(), values.argsort().tolist()
-        distinct, cum, starts = spaces._walk(space, vals, order, level)
-        loop = walk(space, values, level, math.inf)
-        assert (signed(distinct), cum) == (signed(loop[0]), loop[1])
-        # run k is order[starts[k][0]:starts[k + 1][0]], after the numerators of the runs before it
+        vals = values.tolist()
+        # tied atoms in either order give the same walk
+        order = values.argsort().tolist()
+        reverse = sorted(range(len(vals)), key=lambda i: (vals[i], -i))
+        distinct, cum = spaces._walk(space, vals, order, level)
+        tied = spaces._walk(space, vals, reverse, level)
+        assert (signed(distinct), cum) == (signed(tied[0]), tied[1])
+        # run k is every atom of the k-th least value, stored plus 0.0; its cum
+        # is the exact numerator sum of the atoms up to it, rounded once, or
+        # the pinned 1.0 at the end
+        runs = sorted(set(vals))
+        assert distinct == runs[: len(distinct)]
+        assert all(math.copysign(1.0, v) == 1.0 for v in distinct if v == 0.0)
         nums, den = space.int_probs
-        assert len(starts) == len(distinct) + 1 and starts[0] == (0, 0)
-        for k, v in enumerate(distinct):
-            (j, acc), (end, after) = starts[k], starts[k + 1]
-            assert j < end and all(vals[i] == v for i in order[j:end])
-            assert acc == sum(nums[i] for i in order[:j])
-            assert after == acc + sum(nums[i] for i in order[j:end])
-            # a run's cum is the next start's sum rounded once, or the pinned 1.0 at the end
-            assert cum[k] == (1.0 if end == len(order) else after / den)
-        assert cum[-1] > level or starts[-1][0] == len(order)
+        for v, c in zip(distinct, cum):
+            acc = sum(nums[i] for i in range(len(vals)) if vals[i] <= v)
+            assert c == (1.0 if v == runs[-1] else acc / den)
+        assert all(c <= level for c in cum[:-1])
+        assert cum[-1] > level or len(distinct) == len(runs)
