@@ -21,9 +21,8 @@ them) with a risky payoff run a finite Newton iteration: their requirement
 function is convex, decreasing and piecewise linear, so a few steps land on
 the root.  Each iterate costs one argsort and one fused walk of the shifted
 values, :func:`~eligirisk.measures.shortfall_and_slope`, which resolves
-every level's value and right slope as it passes it; below
-``VECTOR_MIN_ATOMS`` atoms the membership probes that certify the landing
-read the same walk's value.  Explicit criteria, and
+every level's value and right slope as it passes it; the membership
+probes that certify the landing read the same walk's value.  Explicit criteria, and
 ``method="bisection"``, run bracketed bisection.  Both solvers return the
 upper end ``hi`` of a certified bracket: ``hi`` is accepted and
 ``hi - bracket_width`` is rejected, with the width at most
@@ -50,7 +49,7 @@ import numpy as np
 from .acceptance import AcceptanceSpec
 from .measures import shortfall_and_slope, var_of_ratio
 from .reporting import CheckReport
-from .spaces import VECTOR_MIN_ATOMS, FiniteSpace, RandVar, SpaceMismatchError, expectation
+from .spaces import FiniteSpace, RandVar, SpaceMismatchError, expectation
 
 __all__ = [
     "EligibleAsset",
@@ -307,16 +306,13 @@ def rho(
     if newton:
         mu = spec.weights
         mass = (x.space.probs * payoff.values).tolist()
-        mean = expectation(payoff) if any(a == 1.0 for a, _ in mu.points) else None
+        mean = expectation(payoff)
 
         def price(values: np.ndarray) -> tuple[float, float]:
             return shortfall_and_slope(x.space, values, mu, pays, mass, mean)
 
-    # below VECTOR_MIN_ATOMS the walk's value is the loop's, bit for bit, and cheaper
-    walked = newton and x.space.n_atoms < VECTOR_MIN_ATOMS
-
     def member(m: float) -> bool:
-        if walked:
+        if newton:  # the walk's value is the functional's, bit for bit
             return price(shifted(m))[0] <= 0.0
         return spec.functional_value(RandVar._fresh(x.space, shifted(m))) <= 0.0
 

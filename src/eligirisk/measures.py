@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import FiniteSpace, RandVar, _lower_tail, expectation, upper_quantile
+from .spaces import FiniteSpace, RandVar, _lower_tail, _mean, expectation, upper_quantile
 
 __all__ = [
     "Level",
@@ -175,7 +175,7 @@ def shortfall_and_slope(
     mu: DistortionWeights,
     payoff: list[float],
     mass: list[float],
-    mean: float | None,
+    mean: float,
 ) -> tuple[float, float]:
     """The mixture value at Y = ``values`` and its right slope along a payoff.
 
@@ -185,8 +185,8 @@ def shortfall_and_slope(
     the runs below alpha, plus that of the run reaching alpha taken by
     ascending payoff up to alpha, over alpha.  Level 0 takes the first run's
     least payoff and level 1 takes E[S1].  ``values`` must be finite;
-    ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is E[S1],
-    None where no level is 1; a Newton solve takes them once per quote.
+    ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is E[S1];
+    a Newton solve takes them once per quote.
 
     One argsort and one walk of the atoms in sorted order carry the
     numerators, p * S1 and the shortfall sum over the runs passed.  Each
@@ -230,11 +230,9 @@ def shortfall_and_slope(
                 last = v + 0.0
             acc += nums[i]
             part += mass[i]
-    if mean is not None:
-        terms[1.0] = -float(np.dot(space.probs, values)), -mean
     parts, slope = [], 0.0
     for a, w in mu.points:
-        value, s = terms[a]
+        value, s = terms[a] if a < 1.0 else (-_mean(space, values), -mean)
         parts.append(w * value)
         slope += w * s
     return math.fsum(parts), slope

@@ -392,9 +392,14 @@ class RandVar:
         return self.values.tolist()
 
 
+def _mean(space: FiniteSpace, values: np.ndarray) -> float:
+    """Probability-weighted sum of ``values``: the one float mean of every value and slope."""
+    return float(np.dot(space.probs, values))
+
+
 def expectation(x: RandVar) -> float:
     """Probability-weighted sum of the atom values."""
-    return float(np.dot(x.space.probs, x.values))
+    return _mean(x.space, x.values)
 
 
 def upper_quantile(x: RandVar, beta: float) -> float:

@@ -363,8 +363,7 @@ def slope_oracle(spec, y, payoff):
 def value_and_slope(spec, y, payoff, kernel=shortfall_and_slope):
     """Newton's pricing of one iterate: ``kernel`` with the payoff terms of a quote."""
     mass = (y.space.probs * payoff.values).tolist()
-    mean = expectation(payoff) if any(a == 1.0 for a, _ in spec.weights.points) else None
-    return kernel(y.space, y.values, spec.weights, payoff.tolist(), mass, mean)
+    return kernel(y.space, y.values, spec.weights, payoff.tolist(), mass, expectation(payoff))
 
 
 SLOPE_LEVELS = (0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)
@@ -481,6 +480,25 @@ class TestFusedWalk:
         value, slope = value_and_slope(spec, y, payoff)
         want = value_and_slope(spec, y, payoff, two_pass_value_and_slope)
         assert (value.hex(), slope.hex()) == (want[0].hex(), want[1].hex())
+        assert value.hex() == spec.functional_value(y).hex()
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(spaces.VECTOR_MIN_ATOMS, 4096),
+        seed=st.integers(0, 2**32 - 1),
+        ticks=st.integers(4, 512),
+        spec=fused_specs(),
+    )
+    def test_matches_the_numpy_walk_from_vector_min_atoms(self, n, seed, ticks, spec):
+        # Newton's membership probes read the fused walk at every size, where
+        # functional_value walks in numpy: the two values agree bit for bit
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n) + 0.5
+        sp = FiniteSpace(weights / math.fsum(weights.tolist()))
+        assert sp.limbs is not None
+        y = RandVar(sp, rng.integers(-ticks, ticks + 1, n) / 64)  # a 1/64 grid: ties everywhere
+        payoff = RandVar(sp, rng.integers(1, 9, n) / 8)
+        value, _ = value_and_slope(spec, y, payoff)
         assert value.hex() == spec.functional_value(y).hex()
 
     @settings(max_examples=400, derandomize=True, deadline=None)

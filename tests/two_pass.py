@@ -55,7 +55,7 @@ def two_pass_value_and_slope(
     mu: DistortionWeights,
     payoff: list[float],
     mass: list[float],
-    mean: float | None,
+    mean: float,
 ) -> tuple[float, float]:
     """``shortfall_and_slope``'s value and right slope, walk first and levels after.
 
