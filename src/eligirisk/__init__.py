@@ -40,9 +40,7 @@ from .measures import (
 from .acceptance import (
     AcceptanceSpec,
     accepts,
-    decide_cone,
     decide_convex,
-    decide_monotone,
     decide_risk_invariant,
     var_loss_limit,
 )
@@ -52,7 +50,6 @@ from .engine import (
     RiskQuote,
     cash_asset,
     change_numeraire,
-    decide_identity,
     discounted_acceptance,
     rho,
     rho_cash,
@@ -69,10 +66,10 @@ from .theorems import (
     absorbs,
     check_corollary_convex,
     check_lemma_equality,
-    check_cash_reduction_identity,
     check_theorem_condition_b,
     check_var_condition_b,
     check_var_necessary_condition,
+    decide_by_construction,
     find_additivity_violation,
     run_replication_suite,
 )
@@ -98,8 +95,6 @@ __all__ = [
     "AcceptanceSpec",
     "accepts",
     "var_loss_limit",
-    "decide_monotone",
-    "decide_cone",
     "decide_convex",
     "decide_risk_invariant",
     "EligibleAsset",
@@ -110,7 +105,6 @@ __all__ = [
     "rho_cash",
     "change_numeraire",
     "discounted_acceptance",
-    "decide_identity",
     "is_comonotone",
     "additivity_on_S_comonotone",
     "comono_preservation_under_numeraire",
@@ -119,7 +113,7 @@ __all__ = [
     "absorbs",
     "check_theorem_condition_b",
     "check_corollary_convex",
-    "check_cash_reduction_identity",
+    "decide_by_construction",
     "check_lemma_equality",
     "check_var_necessary_condition",
     "check_var_condition_b",

@@ -13,8 +13,8 @@ the mass of {X < 0} is within the limit, so its monotonicity and conicity
 are exact on floats and its convexity and risk invariants are decided from
 atom masses.  Distortion mixtures are decreasing, positively homogeneous
 and subadditive, so their exact sets are monotone convex cones
-by construction (:func:`decide_monotone`, :func:`decide_cone`,
-:func:`decide_convex`); the float functional is not exactly conic at the
+by construction (:func:`decide_convex`; ``theorems.BY_CONSTRUCTION``
+for monotone and cone); the float functional is not exactly conic at the
 boundary, where the rounding of t * X can push a member just outside.
 Explicit criteria have no set-property decision.
 """
@@ -34,8 +34,6 @@ __all__ = [
     "AcceptanceSpec",
     "accepts",
     "var_loss_limit",
-    "decide_monotone",
-    "decide_cone",
     "decide_convex",
     "decide_risk_invariant",
 ]
@@ -137,44 +135,6 @@ def var_loss_limit(spec: AcceptanceSpec, space: FiniteSpace) -> int:
     alpha = spec.level.alpha
     limit = math.floor((Fraction(alpha) + Fraction(math.nextafter(alpha, 1.0))) / 2 * den)
     return min(limit - (limit / den > alpha), sum(nums) - 1)
-
-
-def _by_construction(name: str, spec: AcceptanceSpec, var_note: str, note: str) -> CheckReport:
-    if not spec.is_builtin:
-        raise ValueError(f"exact {name} decision requires a built-in criterion")
-    return CheckReport(name, True, 1, note=var_note if spec.kind == "var" else note)
-
-
-def decide_monotone(spec: AcceptanceSpec) -> CheckReport:
-    """Exact monotonicity of a built-in acceptance set: it always holds.
-
-    VaR accepts X iff the mass of {X < 0} is within :func:`var_loss_limit`,
-    and Y >= X gives {Y < 0} within {X < 0}, on floats too.  ES, distortion
-    mixtures and the expectation floor are decreasing functionals, so their
-    exact sets are monotone by construction.
-    """
-    return _by_construction(
-        "monotone", spec,
-        "exact decision: Y >= X loses only atoms that X loses",
-        "decreasing criterion: monotone by construction",
-    )
-
-
-def decide_cone(spec: AcceptanceSpec) -> CheckReport:
-    """Exact conicity of a built-in acceptance set: it always holds.
-
-    VaR: for t >= 0 the rounded t * X is negative only where X is (the sign
-    of a float product is exact, and an underflow gives a zero), so
-    {t * X < 0} lies within {X < 0}.  ES, distortion mixtures and the
-    expectation floor are positively homogeneous, so their exact sets are
-    cones by construction; the float functional need not be conic at a
-    boundary member.
-    """
-    return _by_construction(
-        "cone", spec,
-        "exact decision: t * X for t >= 0 loses only atoms that X loses",
-        "positively homogeneous criterion: a cone by construction",
-    )
 
 
 def decide_convex(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:

@@ -23,27 +23,21 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from . import __version__
-from .acceptance import (
-    AcceptanceSpec,
-    decide_cone,
-    decide_convex,
-    decide_monotone,
-    decide_risk_invariant,
-)
+from .acceptance import AcceptanceSpec, decide_convex, decide_risk_invariant
 from .comonotone import (
     additivity_on_S_comonotone,
     comono_preservation_under_numeraire,
 )
-from .engine import EligibleAsset, decide_identity, rho
+from .engine import EligibleAsset, rho
 from .measures import DistortionWeights
 from .spaces import FiniteSpace, RandVar
 from .theorems import (
     check_corollary_convex,
     check_lemma_equality,
-    check_cash_reduction_identity,
     check_theorem_condition_b,
     check_var_condition_b,
     check_var_necessary_condition,
+    decide_by_construction,
     find_additivity_violation,
     run_replication_suite,
 )
@@ -257,27 +251,24 @@ def _convex_spec(scenario: Scenario) -> AcceptanceSpec:
     return scenario.acceptance
 
 
-def _sorted_positions(scenario: Scenario) -> list[RandVar]:
-    return [scenario.positions[name] for name in sorted(scenario.positions)]
-
-
 #: Statement id -> checker on the scenario ``sc``; no checker reads a tolerance.
 #: The ids are the choices of ``check --statement``.
 STATEMENTS: dict[str, Callable[[Scenario], Any]] = {
     "theorem-b": lambda sc: check_theorem_condition_b(sc.acceptance, sc.asset),
     "corollary-convex": lambda sc: check_corollary_convex(_convex_spec(sc), sc.asset),
-    "cash-reduction": lambda sc: check_cash_reduction_identity(sc.acceptance, sc.asset),
+    "cash-reduction": lambda sc: decide_by_construction("cash-reduction", sc.acceptance, sc.asset),
     "lemma-equality": lambda sc: check_lemma_equality(sc.acceptance, sc.asset, _asset_r(sc)),
     "var-necessary": lambda sc: check_var_necessary_condition(
         _var_spec(sc, "var-necessary"), sc.asset),
     "var-condition-b": lambda sc: check_var_condition_b(
         sc.space, _var_spec(sc, "var-condition-b").level),
-    "monotone": lambda sc: decide_monotone(sc.acceptance),
-    "cone": lambda sc: decide_cone(sc.acceptance),
+    "monotone": lambda sc: decide_by_construction("monotone", sc.acceptance, sc.asset),
+    "cone": lambda sc: decide_by_construction("cone", sc.acceptance, sc.asset),
     "convex": lambda sc: decide_convex(sc.acceptance, sc.space),
     "risk-invariant": lambda sc: decide_risk_invariant(sc.acceptance, sc.space),
-    "s-additivity": lambda sc: decide_identity("s-additivity"),
-    "numeraire-identity": lambda sc: decide_identity("numeraire-identity"),
+    "s-additivity": lambda sc: decide_by_construction("s-additivity", sc.acceptance, sc.asset),
+    "numeraire-identity": lambda sc: decide_by_construction(
+        "numeraire-identity", sc.acceptance, sc.asset),
     "s-comonotone-additivity": lambda sc: additivity_on_S_comonotone(sc.acceptance, sc.asset),
     "comono-preservation": lambda sc: comono_preservation_under_numeraire(sc.asset),
 }
@@ -305,7 +296,7 @@ def _check(args) -> tuple[dict, list, bool]:
 
 def _search(args) -> tuple[dict, list, bool]:
     scenario = load_scenario(args.scenario)
-    positions = _sorted_positions(scenario)
+    positions = [scenario.positions[name] for name in sorted(scenario.positions)]
     seed_pairs = [(x, y) for i, x in enumerate(positions) for y in positions[i:]]
     results = [
         find_additivity_violation(scenario.acceptance, scenario.asset, seed_pairs),

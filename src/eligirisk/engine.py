@@ -34,8 +34,8 @@ value and of the shifted position can leave it just outside the set.
 
 The position must live on the payoff's space (or a compatible copy);
 any other is a ``SpaceMismatchError``.  S-additivity and the change of
-numeraire hold by definition, so :func:`decide_identity` decides them by
-their lemmas; the tests keep the solver audits of both as an oracle.
+numeraire hold by definition, so ``theorems.BY_CONSTRUCTION`` decides
+them by their lemmas; the tests keep the solver audits of both as an oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 
 from .acceptance import AcceptanceSpec
 from .measures import shortfall_and_slope, var_of_ratio
-from .reporting import CheckReport
 from .spaces import FiniteSpace, RandVar, SpaceMismatchError, expectation
 
 __all__ = [
@@ -61,8 +60,6 @@ __all__ = [
     "rho_cash",
     "change_numeraire",
     "discounted_acceptance",
-    "IDENTITY_LEMMAS",
-    "decide_identity",
 ]
 
 MAX_BRACKET_DOUBLINGS = 128
@@ -358,21 +355,6 @@ def discounted_acceptance(spec: AcceptanceSpec, asset: EligibleAsset) -> Accepta
     """
     payoff = asset.payoff
     return AcceptanceSpec.explicit(lambda xp: spec.functional_value(xp * payoff))
-
-
-#: The identities that hold for every acceptance set, eligible asset and
-#: position, each noted with the substitution in the infimum that proves it.
-IDENTITY_LEMMAS = {
-    "s-additivity": "lemma: X + lambda*S1 + (m/S0)*S1 = X + ((m + lambda*S0)/S0)*S1, "
-    "so rho(X + lambda*S1) = rho(X) - lambda*S0 for every set, asset and position",
-    "numeraire-identity": "lemma: X + (m/S0)*S1 is in A iff X/S1 + m/S0 is in A^S, "
-    "so rho_{A,S}(X) = S0*rho_{A^S,1}(X/S1) for every set, asset and position",
-}
-
-
-def decide_identity(statement: str) -> CheckReport:
-    """Decide an identity of :data:`IDENTITY_LEMMAS` by its lemma: it holds, and nothing is priced."""
-    return CheckReport(statement, True, 1, note=IDENTITY_LEMMAS[statement])
 
 
 def _requirement(

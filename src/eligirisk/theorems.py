@@ -11,8 +11,8 @@ rho_R iff A + t * D = A for every real t, with D = S1/S0 - R1/R0, is
 decided by one absorption test, :func:`absorbs`: ``theorem-b`` asks it for
 the leveraged payoff W, and ``lemma-equality`` for D, whose ejected
 position is carried to a position priced apart by the lemma's proof.
-``cash-reduction`` is the lemma at R = (-r1, 1), where W = r1 * D, so it
-holds by construction.  r1 = rho(1) is the closed form -S0 / F(-S1).
+``cash-reduction``, the lemma at R = (-r1, 1) where W = r1 * D, and four more
+statements hold by construction (:data:`BY_CONSTRUCTION`); r1 = rho(1) = -S0 / F(-S1).
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .acceptance import AcceptanceSpec, accepts, var_loss_limit
 from .comonotone import is_comonotone
-from .engine import EligibleAsset, _requirement, rho
+from .engine import EligibleAsset, _check_space, _requirement, rho
 from .measures import Level, var
-from .reporting import witness_to_jsonable
+from .reporting import CheckReport, witness_to_jsonable
 from .spaces import FiniteSpace, RandVar
 
 __all__ = [
@@ -36,7 +36,8 @@ __all__ = [
     "absorbs",
     "check_theorem_condition_b",
     "check_corollary_convex",
-    "check_cash_reduction_identity",
+    "BY_CONSTRUCTION",
+    "decide_by_construction",
     "check_lemma_equality",
     "check_var_necessary_condition",
     "check_var_condition_b",
@@ -186,8 +187,6 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
     exactly.  The verdict also records the necessary condition that
     S1 + S0 / r1 is a risk invariant.
     """
-    if not spec.is_builtin:
-        raise ValueError("stability check requires a comonotonic built-in criterion")
     if spec.is_convex_kind:
         inner = check_corollary_convex(spec, asset)
         prefix = "convex criterion: decided by kind as the corollary for convex criteria. "
@@ -252,25 +251,63 @@ def check_corollary_convex(spec: AcceptanceSpec, asset: EligibleAsset) -> Theore
     )
 
 
-def check_cash_reduction_identity(spec: AcceptanceSpec, asset: EligibleAsset) -> TheoremVerdict:
-    """Consistency of comonotonic additivity with the cash-reduction identity, by the lemma.
+class ByConstruction(NamedTuple):
+    """A statement that passes with one sample; ``quantities`` make it a TheoremVerdict."""
 
-    The identity rho_S = -r1 * rho_cash is the lemma of
-    :func:`check_lemma_equality` for the asset R = (-r1, 1): it holds iff the
-    set absorbs D = S1/S0 - R1/R0 = S1/S0 + 1/r1.  The theorem's leveraged
-    payoff is W = 1 + (r1/S0) * S1 = r1 * D with r1 < 0, and a built-in set
-    is a cone, so it absorbs W, which is comonotonic additivity, iff it
-    absorbs D.  The two halves are therefore always consistent: the verdict
-    is "pass" with nothing priced and nothing enumerated.  r1 is taken in
-    closed form, so explicit criteria and an overflowing r1 are rejected.
-    """
-    r1 = _rho_one(spec, asset)
-    return TheoremVerdict(
-        "cash-reduction", "pass", 1,
-        condition_values={"rho_one": r1, "identity_factor": -r1},
-        note="by the lemma: W = r1 * D with D = S1/S0 + 1/r1, so the set absorbs W "
+    builtin_only: bool  # an explicit criterion is rejected
+    note: str
+    var_note: str | None = None  # the note for a VaR criterion, where it differs
+    quantities: Callable[[AcceptanceSpec, EligibleAsset], dict] | None = None
+
+
+#: Statement id -> why it holds, read by :func:`decide_by_construction`.
+BY_CONSTRUCTION = {
+    # VaR accepts X iff the mass of {X < 0} is within var_loss_limit, and Y >= X gives
+    # {Y < 0} within {X < 0}, on floats too.  ES, distortion mixtures and the expectation
+    # floor are decreasing functionals, so their exact sets are monotone by construction.
+    "monotone": ByConstruction(True, "decreasing criterion: monotone by construction",
+                               "exact decision: Y >= X loses only atoms that X loses"),
+    # VaR: for t >= 0 the rounded t * X is negative only where X is (the sign of a float
+    # product is exact, and an underflow gives a zero), so {t * X < 0} lies within
+    # {X < 0}.  ES, distortion mixtures and the expectation floor are positively
+    # homogeneous, so their exact sets are cones by construction; the float functional
+    # need not be conic at a boundary member.
+    "cone": ByConstruction(True, "positively homogeneous criterion: a cone by construction",
+                           "exact decision: t * X for t >= 0 loses only atoms that X loses"),
+    # The two identities hold for every acceptance set, eligible asset and position,
+    # explicit criteria too: each note names the substitution in the infimum that proves it.
+    "s-additivity": ByConstruction(False, "lemma: X + lambda*S1 + (m/S0)*S1 = X + ((m + "
+                                   "lambda*S0)/S0)*S1, so rho(X + lambda*S1) = rho(X) - "
+                                   "lambda*S0 for every set, asset and position"),
+    "numeraire-identity": ByConstruction(False, "lemma: X + (m/S0)*S1 is in A iff X/S1 + m/S0 "
+                                         "is in A^S, so rho_{A,S}(X) = S0*rho_{A^S,1}(X/S1) "
+                                         "for every set, asset and position"),
+    # The identity rho_S = -r1 * rho_cash is the lemma of check_lemma_equality for the
+    # asset R = (-r1, 1): it holds iff the set absorbs D = S1/S0 - R1/R0 = S1/S0 + 1/r1.
+    # The theorem's leveraged payoff is W = 1 + (r1/S0) * S1 = r1 * D with r1 < 0, and a
+    # built-in set is a cone, so it absorbs W, which is comonotonic additivity, iff it
+    # absorbs D: the two halves always agree.  r1 is taken in closed form, so an
+    # overflowing r1 is rejected.
+    "cash-reduction": ByConstruction(
+        True, "by the lemma: W = r1 * D with D = S1/S0 + 1/r1, so the set absorbs W "
         "(comonotonic additivity) iff it absorbs D (the cash reduction identity)",
-    )
+        quantities=lambda spec, asset: {"rho_one": (r1 := _rho_one(spec, asset)),
+                                        "identity_factor": -r1}),
+}
+
+
+def decide_by_construction(
+    statement: str, spec: AcceptanceSpec, asset: EligibleAsset
+) -> CheckReport | TheoremVerdict:
+    """Decide a statement of :data:`BY_CONSTRUCTION`: it passes, and nothing is priced."""
+    row = BY_CONSTRUCTION[statement]
+    if row.builtin_only and not spec.is_builtin:
+        raise ValueError(f"exact {statement} decision requires a built-in criterion")
+    note = row.var_note if row.var_note and spec.kind == "var" else row.note
+    if row.quantities is None:
+        return CheckReport(statement, True, 1, note=note)
+    return TheoremVerdict(statement, "pass", 1, condition_values=row.quantities(spec, asset),
+                          note=note)
 
 
 def check_lemma_equality(
@@ -284,12 +321,18 @@ def check_lemma_equality(
     (t = +1 or -1 from the witness's direction), the lemma's proof carries x
     to Z = x - t * R1/R0, where rho_R(Z) <= t < rho_S(Z): Z is side (a)'s
     witness, and ``samples`` counts it (0 or 1).  The verdict is "pass", as
-    the two sides agree.  Explicit criteria are rejected.
+    the two sides agree.  Explicit criteria are rejected, and an overflow of
+    S1/S0 or R1/R0 is a ``ValueError`` naming D.
     """
     if not spec.is_builtin:
         raise ValueError("lemma-equality requires a built-in criterion")
-    unit_r = asset_r.payoff / asset_r.price
-    gap = asset_s.payoff / asset_s.price - unit_r
+    _check_space(asset_r.payoff, asset_s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit_r = asset_r.payoff.values / asset_r.price
+        gap = asset_s.payoff.values / asset_s.price - unit_r
+    if np.count_nonzero(np.isfinite(gap)) != gap.size:  # a quotient overflowed
+        raise ValueError("the gap direction D = S1/S0 - R1/R0 leaves the float range")
+    unit_r, gap = (RandVar._fresh(asset_s.payoff.space, v) for v in (unit_r, gap))
     ejected = None if gap.max_abs == 0.0 else absorbs(spec, gap.space, gap)
     holds = ejected is None
     witness = None

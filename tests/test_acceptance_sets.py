@@ -17,10 +17,10 @@ from eligirisk import (
     Level,
     RandVar,
     accepts,
+    cash_asset,
     check_corollary_convex,
-    decide_cone,
+    decide_by_construction,
     decide_convex,
-    decide_monotone,
     decide_risk_invariant,
     distortion,
     es,
@@ -303,9 +303,9 @@ class TestDecideMonotoneAndCone:
         _assert_monotone_and_conic(spec, x, bump, t)
 
     @pytest.mark.parametrize("spec", [AcceptanceSpec.var_level(0.1), *CONVEX_SPECS])
-    def test_every_builtin_kind_passes(self, spec):
-        for decide, name in ((decide_monotone, "monotone"), (decide_cone, "cone")):
-            report = decide(spec)
+    def test_every_builtin_kind_passes(self, spec, space3):
+        for name in ("monotone", "cone"):
+            report = decide_by_construction(name, spec, cash_asset(space3))
             assert (report.name, report.passed, report.trials) == (name, True, 1)
             assert report.witness is None and report.note
 
@@ -326,12 +326,12 @@ class TestDecideMonotoneAndCone:
         with pytest.raises(AssertionError):
             _assert_monotone_and_conic(spec, x, RandVar.constant(space3, 0.0), 1.0)
 
-    @pytest.mark.parametrize("decide", [decide_monotone, decide_cone])
-    def test_explicit_criterion_is_rejected(self, decide):
+    @pytest.mark.parametrize("statement", ["monotone", "cone"])
+    def test_explicit_criterion_is_rejected(self, statement, space3):
         # an increasing functional: its set is not monotone, and nothing decides that
         spec = AcceptanceSpec.explicit(expectation)
         with pytest.raises(ValueError, match="built-in"):
-            decide(spec)
+            decide_by_construction(statement, spec, cash_asset(space3))
 
 
 class TestVarLossLimit:

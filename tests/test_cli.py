@@ -15,6 +15,7 @@ import pytest
 
 from eligirisk import acceptance, cli, comonotone, engine, theorems
 from eligirisk.cli import STATEMENTS, main
+from eligirisk.theorems import BY_CONSTRUCTION, decide_by_construction
 
 from identity_audits import cash_reduction_audit, numeraire_identity_check, s_additivity_check
 
@@ -190,6 +191,28 @@ class TestCheck:
                 scenario = cli.load_scenario(str(path))
                 with pytest.raises(ValueError, match="discounted position X / S1 leaves"):
                     engine.change_numeraire(scenario.positions["X"], scenario.asset)
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("swapped", [False, True], ids=["s-overflows", "r-overflows"])
+    def test_lemma_equality_names_an_overflowing_gap_direction(self, tmp_path, capsys, kind,
+                                                               swapped):
+        tiny = {"price": 1e-300, "payoff": [1e-300, 1e300]}
+        plain = {"price": 2.0, "payoff": [3.0, 1.0]}
+        doc = {
+            "space": {"probs": [0.5, 0.5]},
+            "positions": {"X": [1.0, 1.0]},
+            "asset": plain if swapped else tiny,
+            "asset_r": tiny if swapped else plain,
+            "acceptance": {"kind": kind, "alpha": 0.1},
+        }
+        path = tmp_path / "overflowing_gap.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_cli(
+                ["check", "--scenario", str(path), "--statement", "lemma-equality"], capsys)
+        assert (got, out) == (2, "")
+        assert err == "error: the gap direction D = S1/S0 - R1/R0 leaves the float range\n"
 
     @pytest.mark.parametrize(
         "statement, scenario",
@@ -436,6 +459,26 @@ class TestCheck:
         report = json.loads(out)
         assert code in (0, 1)
         assert set(report) == {"command", "version", "results", "scenario", "statement"}
+
+
+class TestByConstruction:
+    @pytest.mark.parametrize(
+        "scenario", [SCENARIOS / "superadditive_var.json", ROOT / "tests/golden/distortion_mix.json"],
+        ids=["var", "distortion-mix"],
+    )
+    @pytest.mark.parametrize("statement", sorted(BY_CONSTRUCTION))
+    def test_statement_rows_emit_the_table_decision(self, capsys, scenario, statement):
+        code, out, err = run_cli(["check", "--scenario", str(scenario), "--statement", statement],
+                                 capsys)
+        sc = cli.load_scenario(str(scenario))
+        want = decide_by_construction(statement, sc.acceptance, sc.asset).to_jsonable()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"] == [json.loads(json.dumps(want))]
+
+    def test_the_table_holds_five_check_statements(self):
+        assert set(BY_CONSTRUCTION) == {
+            "monotone", "cone", "s-additivity", "numeraire-identity", "cash-reduction"}
+        assert set(BY_CONSTRUCTION) < set(STATEMENTS)
 
 
 #: Statements decided by kind, by a lemma or by the constant pair: one sample, a few evaluations.

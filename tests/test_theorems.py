@@ -17,13 +17,14 @@ from eligirisk import (
     FiniteSpace,
     Level,
     RandVar,
+    SpaceMismatchError,
     accepts,
     check_corollary_convex,
     check_lemma_equality,
-    check_cash_reduction_identity,
     check_theorem_condition_b,
     check_var_condition_b,
     check_var_necessary_condition,
+    decide_by_construction,
     expectation,
     find_additivity_violation,
     is_comonotone,
@@ -31,8 +32,14 @@ from eligirisk import (
     rho_cash,
     run_replication_suite,
 )
-from eligirisk import engine
-from eligirisk.theorems import ADDITIVITY_THRESHOLD, _rho_one, _subset_sums, absorbs
+from eligirisk import acceptance, engine, theorems
+from eligirisk.theorems import (
+    ADDITIVITY_THRESHOLD,
+    BY_CONSTRUCTION,
+    _rho_one,
+    _subset_sums,
+    absorbs,
+)
 
 from identity_audits import cash_reduction_audit, lemma_equality_audit
 from sampling import additivity_on_comonotone, generate_comonotone_pair
@@ -584,6 +591,26 @@ class TestPropCashReduction:
 
 
 class TestLemmaEquality:
+    @pytest.mark.parametrize("spec", [AcceptanceSpec.var_level(0.1), AcceptanceSpec.es_level(0.1)],
+                             ids=["var", "es"])
+    @pytest.mark.parametrize("order", ["s-overflows", "r-overflows", "both-overflow"])
+    def test_an_overflowing_quotient_names_the_gap_direction(self, spec, order):
+        space = FiniteSpace([0.5, 0.5])
+        tiny = EligibleAsset(1e-300, RandVar(space, [1e-300, 1e300]))
+        plain = EligibleAsset(2.0, RandVar(space, [3.0, 1.0]))
+        s, r = {"s-overflows": (tiny, plain), "r-overflows": (plain, tiny),
+                "both-overflow": (tiny, tiny)}[order]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gap direction D = S1/S0 - R1/R0 leaves"):
+                check_lemma_equality(spec, s, r)
+
+    def test_assets_on_different_spaces_are_rejected(self, a_var01):
+        s = EligibleAsset(1.0, RandVar(FiniteSpace([0.5, 0.5]), [1.0, 2.0]))
+        r = EligibleAsset(1.0, RandVar(FiniteSpace([0.25, 0.75]), [1.0, 2.0]))
+        with pytest.raises(SpaceMismatchError):
+            check_lemma_equality(a_var01, s, r)
+
     def test_scaled_asset_gives_exact_equality(self, near_rf_space, a_var01, near_rf_asset):
         doubled = EligibleAsset(2.0, 2.0 * near_rf_asset.payoff)
         verdict = lemma_equality_audit(a_var01, near_rf_asset, doubled)
@@ -725,6 +752,63 @@ class TestLemmaEquality:
             assert abs(gap) <= 1e-9
 
 
+class TestByConstruction:
+    """The five rows of ``BY_CONSTRUCTION`` pass with one sample, pricing and enumerating nothing."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 31), min_size=1, max_size=7),
+        payoff=st.lists(st.integers(16, 128), min_size=7, max_size=7),
+        alpha=st.floats(0.05, 0.6),
+        price=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    @pytest.mark.parametrize("risk_free", [True, False], ids=["risk-free", "risky"])
+    @pytest.mark.parametrize("kind", ["var", "es", "mix", "mean"])
+    @pytest.mark.parametrize("statement", sorted(BY_CONSTRUCTION))
+    def test_every_row_passes_on_every_builtin_kind(
+        self, statement, kind, risk_free, weights, payoff, alpha, price
+    ):
+        n = len(weights)
+        space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        values = np.array([payoff[0]] * n if risk_free else payoff[:n], dtype=float) / 32
+        asset = EligibleAsset(price, RandVar(space, values))
+        spec = builtin_spec(kind, alpha)
+        row = BY_CONSTRUCTION[statement]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{statement} priced, tested or enumerated")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for owner, name in ((engine, "rho"), (theorems, "rho"), (acceptance, "accepts"),
+                                (theorems, "accepts"), (theorems, "_subset_sums")):
+                mp.setattr(owner, name, refuse)
+            result = decide_by_construction(statement, spec, asset)
+        assert result.passed and result.witness is None
+        assert result.note == (row.var_note if kind == "var" and row.var_note else row.note)
+        if row.quantities is None:
+            assert (result.name, result.trials, result.data) == (statement, 1, {})
+        else:
+            r1 = _rho_one(spec, asset)
+            assert (result.statement, result.verdict, result.samples) == (statement, "pass", 1)
+            assert result.condition_values == {"rho_one": r1, "identity_factor": -r1}
+
+    @pytest.mark.parametrize("statement", ["monotone", "cone", "cash-reduction"])
+    def test_explicit_criterion_is_rejected(self, statement, near_rf_asset):
+        broken = AcceptanceSpec.explicit(lambda x: -expectation(x))
+        with pytest.raises(ValueError, match="built-in"):
+            decide_by_construction(statement, broken, near_rf_asset)
+
+    @pytest.mark.parametrize("statement", ["s-additivity", "numeraire-identity"])
+    def test_identities_hold_for_an_explicit_criterion(self, statement, near_rf_asset):
+        # the substitution in the infimum holds for every acceptance set
+        explicit = AcceptanceSpec.explicit(lambda x: -expectation(x))
+        report = decide_by_construction(statement, explicit, near_rf_asset)
+        assert (report.name, report.passed, report.trials, report.witness) == (
+            statement, True, 1, None)
+        assert report.note == BY_CONSTRUCTION[statement].note
+        assert report.note.startswith("lemma: ")
+
+
 class TestDecidedByTheLemma:
     """``cash-reduction`` and ``lemma-equality`` price nothing; their audits are the oracle."""
 
@@ -734,7 +818,7 @@ class TestDecidedByTheLemma:
         calls = count_quotes(monkeypatch)
         spec = builtin_spec(kind, 0.1)
         asset = EligibleAsset(1.0, RandVar(near_rf_space, payoff))
-        verdict = check_cash_reduction_identity(spec, asset)
+        verdict = decide_by_construction("cash-reduction", spec, asset)
         r1 = _rho_one(spec, asset)
         assert (verdict.verdict, verdict.samples, verdict.witness) == ("pass", 1, None)
         assert verdict.condition_values == {"rho_one": r1, "identity_factor": -r1}
@@ -804,7 +888,7 @@ class TestDecidedByTheLemma:
             if audit.witness["equality"] is not None:
                 assert z.tolist() == audit.witness["equality"]["x"].tolist()
 
-        if check_cash_reduction_identity(spec, s).passed:
+        if decide_by_construction("cash-reduction", spec, s).passed:
             assert cash_reduction_audit(spec, s).passed
 
 
@@ -812,7 +896,7 @@ class TestDecidedByTheLemma:
     "needs_r1",
     [
         _rho_one,
-        lambda spec, asset: check_cash_reduction_identity(spec, asset),
+        lambda spec, asset: decide_by_construction("cash-reduction", spec, asset),
         lambda spec, asset: check_lemma_equality(spec, asset, asset),
         lambda spec, asset: find_additivity_violation(spec, asset, seed_pairs=[(None, None)]),
         lambda spec, asset: cash_reduction_audit(spec, asset),
