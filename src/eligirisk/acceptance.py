@@ -7,9 +7,10 @@ live on boundaries which exact constructions can hit.
 
 The built-in kinds are VaR and distortion mixtures, with expected
 shortfall and the expectation floor as one-point mixtures; their set
-properties are decided by kind, with one sample and no seed.  VaR is read
-through the integer loss limit of :func:`var_loss_limit`: it accepts X iff
-the mass of {X < 0} is within the limit, so its monotonicity and conicity
+properties are decided by kind, with one sample and no seed.  VaR accepts
+X iff P(X < 0) <= alpha in exact rationals, the paper's set: the mass of
+{X < 0} is within the integer loss limit of :func:`var_loss_limit`, and
+every VaR walk stops by the same comparison.  So its monotonicity and conicity
 are exact on floats and its convexity and risk invariants are decided from
 atom masses.  Distortion mixtures are decreasing, positively homogeneous
 and subadditive, so their exact sets are monotone convex cones
@@ -21,9 +22,7 @@ Explicit criteria have no set-property decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .measures import DistortionWeights, Level, distortion, var
@@ -123,18 +122,16 @@ def accepts(spec: AcceptanceSpec, x: RandVar) -> bool:
 
 
 def var_loss_limit(spec: AcceptanceSpec, space: FiniteSpace) -> int:
-    """The largest integer mass over ``space.int_probs`` that VaR may lose.
+    """The largest integer mass over ``space.int_probs`` that VaR may lose: floor(alpha * den).
 
-    :func:`accepts` compares the correctly rounded P(X < 0) with alpha: a
-    mass s passes iff s / den lies below the midpoint of alpha and the next
-    float (one step down where that tie rounds up); the whole space never
-    passes.  So a VaR criterion accepts X iff the numerators of {X < 0} sum
-    to at most this limit.
+    VaR accepts X iff P(X < 0) <= alpha exactly, the sum of the numerators
+    of {X < 0} compared with alpha over the denominator ``den``; the whole
+    space never passes, as the walks pin its probability to 1.  So a VaR
+    criterion accepts X iff those numerators sum to at most this limit.
     """
     nums, den = space.int_probs
-    alpha = spec.level.alpha
-    limit = math.floor((Fraction(alpha) + Fraction(math.nextafter(alpha, 1.0))) / 2 * den)
-    return min(limit - (limit / den > alpha), sum(nums) - 1)
+    num, scale = spec.level.alpha.as_integer_ratio()
+    return min(num * den // scale, sum(nums) - 1)
 
 
 def decide_convex(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:
@@ -191,9 +188,8 @@ def decide_risk_invariant(spec: AcceptanceSpec, space: FiniteSpace) -> CheckRepo
     * Expectation-linear kinds: the invariants are the mean-zero positions,
       so one exists iff there are two atoms.  The witness is
       p_1 * 1_0 - p_0 * 1_1: its mean p_0 * p_1 - p_1 * p_0 is zero in exact
-      rationals over the stored probabilities.  It is not re-verified
-      through ``accepts``, which sums the mean in floats: a fused
-      multiply-add can leave the rounding residue of p_0 * p_1 there.
+      rationals over the stored probabilities, and the correctly rounded
+      mean of :func:`accepts` reads that zero, so it is re-verified there.
 
     ``passed`` is True when no invariant exists.
     """
@@ -226,6 +222,8 @@ def decide_risk_invariant(spec: AcceptanceSpec, space: FiniteSpace) -> CheckRepo
         )
     p0, p1 = space.probs[:2].tolist()
     w = RandVar(space, [p1, -p0] + [0.0] * (space.n_atoms - 2))
+    if not accepts(spec, w) or not accepts(spec, -w):
+        raise ArithmeticError("risk-invariant witness failed re-verification through accepts")
     return CheckReport(
         "risk-invariant", False, 1, witness={"w": w},
         note="expectation-linear criterion: a two-atom position with mean zero in exact rationals",

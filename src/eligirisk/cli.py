@@ -7,7 +7,10 @@ returns what its report echoes, its results and whether they passed;
 :func:`main` builds, emits and scores the report for every command.
 
 Exit codes: 0 for pass/computed, 1 for a failed check or a found witness,
-2 for usage or scenario-schema errors.  Reports echo the inputs that shaped
+2 for usage or scenario-schema errors, and for the package's own runtime
+failures on an input: a ``BracketExpansionError``, or the bare
+``ArithmeticError`` of a witness that fails re-verification.  Exit 2 writes
+one ``error:`` line to stderr and no report.  Reports echo the inputs that shaped
 them and the tool version and contain no timestamps, so identical
 invocations are byte-identical.
 """
@@ -28,7 +31,7 @@ from .comonotone import (
     additivity_on_S_comonotone,
     comono_preservation_under_numeraire,
 )
-from .engine import EligibleAsset, rho
+from .engine import BracketExpansionError, EligibleAsset, rho
 from .measures import DistortionWeights
 from .spaces import FiniteSpace, RandVar
 from .theorems import (
@@ -406,7 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, BracketExpansionError, ArithmeticError) as exc:
+        if isinstance(exc, ArithmeticError) and type(exc) is not ArithmeticError:
+            raise  # a ZeroDivisionError or OverflowError is a bug, not an input error
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     return EXIT_OK if passed else EXIT_WITNESS

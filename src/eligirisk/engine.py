@@ -303,7 +303,8 @@ def rho(
     if newton:
         mu = spec.weights
         mass = (x.space.probs * payoff.values).tolist()
-        mean = expectation(payoff)
+        # E[S1] is the slope of a level-1 point only
+        mean = expectation(payoff) if any(a == 1.0 for a, _ in mu.points) else math.nan
 
         def price(values: np.ndarray) -> tuple[float, float]:
             return shortfall_and_slope(x.space, values, mu, pays, mass, mean)

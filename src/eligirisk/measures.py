@@ -185,8 +185,8 @@ def shortfall_and_slope(
     the runs below alpha, plus that of the run reaching alpha taken by
     ascending payoff up to alpha, over alpha.  Level 0 takes the first run's
     least payoff and level 1 takes E[S1].  ``values`` must be finite;
-    ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is E[S1];
-    a Newton solve takes them once per quote.
+    ``payoff`` lists S1 by atom, ``mass`` lists p * S1 and ``mean`` is E[S1],
+    read only for a level-1 point; a Newton solve takes them once per quote.
 
     One argsort and one walk of the atoms in sorted order carry the
     numerators, p * S1 and the shortfall sum over the runs passed.  Each

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -189,7 +190,7 @@ class SortedProfile:
 def _limb_runs(
     space: FiniteSpace, values: np.ndarray, order: np.ndarray, level: float
 ) -> tuple[list[float], list[float]] | None:
-    """The runs of ``values[order]`` up to the first with ``cum > level``, over the limbs.
+    """The runs of ``values[order]`` up to the first with exact cum > ``level``, over the limbs.
 
     ``order`` sorts atoms closed downward in value.  If they are not all the
     atoms, the last run's ``cum`` is its exact sum, not the pinned 1.0, and
@@ -201,8 +202,12 @@ def _limb_runs(
     pinned = order.size == values.size
     if not pinned:
         ends = np.append(ends, order.size - 1)
-    cum = np.ldexp(high[order].cumsum()[ends] * 2.0**32 + low[order].cumsum()[ends], -k)
+    hi, lo = high[order].cumsum()[ends], low[order].cumsum()[ends]
+    cum = np.ldexp(hi * 2.0**32 + lo, -k)
     r = int(cum.searchsorted(level, side="right"))  # the first run with cum > level
+    # a run whose cum rounds to the level itself ends the walk iff its exact sum exceeds it
+    while r and cum[r - 1] == level and Fraction(int(hi[r - 1]) * 2**32 + int(lo[r - 1]), 2**k) > level:
+        r -= 1
     if r == ends.size and not pinned:
         return None
     starts = np.concatenate(([0], ends[:r] + 1))
@@ -249,7 +254,7 @@ def _walk(
         if v != last:  # the run of the previous value ends: round its sum once
             c = acc / den
             cum.append(c)
-            if c > level:
+            if c > level or c == level and Fraction(acc, den) > level:
                 return distinct, cum
             last = v + 0.0
             distinct.append(last)
@@ -261,13 +266,17 @@ def _walk(
 def _lower_tail(
     space: FiniteSpace, values: np.ndarray, level: float
 ) -> tuple[list[float], list[float]]:
-    """The profile of ``values`` up to and including its first run with ``cum > level``.
+    """The profile of ``values`` up to and including its first run with exact cum > ``level``.
 
     One walk over the atoms in sorted order, :func:`_walk`, adds each
     ``int_probs`` numerator to an integer and rounds the sum once, when a
-    run of tied values ends.  A run is stored as its value plus 0.0, so a
-    zero is +0.0 whichever sign its atoms have; the tied atoms of a run are
-    then interchangeable, and the sort need not be stable.  The walk pins
+    run of tied values ends.  Rounding is monotone, so a rounded cum above
+    ``level`` is an exact one; only a run whose cum rounds to ``level``
+    itself is settled by comparing its exact sum, as a ``Fraction``.  So the
+    walk stops where P(X <= v) > level exactly, the paper's VaR set.  A run
+    is stored as its value plus 0.0, so a zero is +0.0 whichever sign its
+    atoms have; the tied atoms of a run are then interchangeable, and the
+    sort need not be stable.  The walk pins
     the last run's ``cum`` to 1.0: the stored probabilities need not sum to
     exactly 1.  Every prefix is the same prefix of the full profile, bit for
     bit.  ``values`` may hold +-inf, which then only orders the atoms.  From
@@ -392,23 +401,55 @@ class RandVar:
         return self.values.tolist()
 
 
+#: Veltkamp's splitter 2**27 + 1: ``c - (c - a)`` with ``c = SPLIT * a`` holds
+#: the high 26 bits of ``a``, and ``a`` minus it the rest, both exactly.
+SPLIT = 134217729.0
+
+
 def _mean(space: FiniteSpace, values: np.ndarray) -> float:
-    """Probability-weighted sum of ``values``: the one float mean of every value and slope."""
-    return float(np.dot(space.probs, values))
+    """sum(p * v) over the stored probabilities, correctly rounded: the one mean.
+
+    It is the exact dot of :attr:`FiniteSpace.int_probs` and ``values``,
+    rounded once, on every CPU; a zero mean is +0.0.  Dekker's TwoProduct
+    writes each p * v as ``h + l`` exactly (split at 2**27 + 1), and
+    ``math.fsum`` rounds the sum of all h and l once (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
+    That holds while no split overflows, |v| <= 2**995, and no error term
+    underflows, |p * v| >= 2**-960 for every nonzero v; outside that guard
+    the numerators are summed as exact rationals instead.
+    """
+    p = space.probs
+    products = p * values
+    magnitude = np.abs(values)
+    tiny = (np.abs(products) < 2.0**-960) & (magnitude > 0.0)
+    if magnitude.max() <= 2.0**995 and not np.count_nonzero(tiny):
+        c = SPLIT * p
+        p_high = c - (c - p)
+        c = SPLIT * values
+        v_high = c - (c - values)
+        p_low, v_low = p - p_high, values - v_high
+        errors = ((p_high * v_high - products) + p_high * v_low + p_low * v_high) + p_low * v_low
+        return math.fsum(products.tolist() + errors.tolist())
+    nums, den = space.int_probs
+    total = sum(m * Fraction(v) for m, v in zip(nums, values.tolist()))
+    try:
+        return float(total / den)
+    except OverflowError:  # past the float range, the mean rounds to an infinity
+        return math.inf if total > 0 else -math.inf
 
 
 def expectation(x: RandVar) -> float:
-    """Probability-weighted sum of the atom values."""
+    """Probability-weighted sum of the atom values, correctly rounded (:func:`_mean`)."""
     return _mean(x.space, x.values)
 
 
 def upper_quantile(x: RandVar, beta: float) -> float:
     """sup{v : P(X < v) <= beta}, computed exactly from the lower tail up to ``beta``.
 
-    ``beta`` must lie in ``[0, 1)``.  The result is the k-th distinct value
-    where ``beta`` falls in ``[cum[k-1], cum[k])``, the last value of the
-    walk; no tolerance enters the comparison, since the definition is purely
-    order based.
+    ``beta`` must lie in ``[0, 1)``.  The result is the first distinct value
+    whose exact cumulative probability exceeds ``beta``, the last value of
+    the walk: P(X < v) is compared with ``beta`` in exact rationals, where a
+    cum rounds to ``beta`` itself, so VaR reads the paper's P(X < 0) <= alpha.
     """
     beta = float(beta)
     if not 0.0 <= beta < 1.0:

@@ -91,7 +91,8 @@ def _rho_one(spec: AcceptanceSpec, asset: EligibleAsset) -> float:
     """
     if not spec.is_builtin:
         raise ValueError("stability check requires a comonotonic built-in criterion")
-    r1 = -asset.price / spec.functional_value(-asset.payoff)
+    f = spec.functional_value(-asset.payoff)
+    r1 = -asset.price / f if f else -math.inf  # F(-S1) underflowed to 0: r1 overflows
     if not -math.inf < r1 < 0.0:
         raise ValueError(f"requirement of the constant 1 is {r1!r}, not a finite negative number")
     return r1
@@ -107,15 +108,14 @@ SUBSET_SUM_MAX_ATOMS = 20
 def _subset_sums(weights: list[int], limit: int) -> np.ndarray:
     """The integer sums of all subsets of ``weights``, indexed by bitmask.
 
-    The first index holding a value is the least bitmask attaining it.  The
-    callers compare the sums with different integer limits, as they decide
-    different sets: ``var-condition-b`` decides the paper's P(B) <= alpha in
-    exact rationals (the exact floor of alpha, pinned by its oracle test),
-    and ``theorem-b`` the set :func:`accepts` implements, so that its witness
-    re-verifies.  The sums are int64 when the total and ``limit`` lie below
-    2**62, so no sum or comparison overflows, and Python ints otherwise
-    (numerators over a 2**-1074 denominator do not fit); callers turn an
-    int64 back into an int before dividing, as int64 / int rounds to float.
+    The first index holding a value is the least bitmask attaining it.
+    Every caller compares the sums with :func:`var_loss_limit`, the paper's
+    P(B) <= alpha in exact rationals, which is the set :func:`accepts`
+    implements, so every witness re-verifies.  The sums are int64 when the
+    total and ``limit`` lie below 2**62, so no sum or comparison overflows,
+    and Python ints otherwise (numerators over a 2**-1074 denominator do not
+    fit); callers turn an int64 back into an int before dividing, as
+    int64 / int rounds to float.
     """
     if len(weights) > SUBSET_SUM_MAX_ATOMS:
         raise ValueError(
@@ -200,7 +200,11 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
         w = w_inv = RandVar.constant(space, 0.0)
     else:
         unit_r1 = _rho_one(spec, EligibleAsset(1.0, asset.payoff))
-        w = RandVar.constant(space, 1.0) + unit_r1 * asset.payoff
+        with np.errstate(over="ignore"):
+            w = 1.0 + unit_r1 * asset.payoff.values
+        if np.count_nonzero(np.isfinite(w)) != w.size:
+            raise ValueError("the leveraged payoff W = 1 + (r1 / S0) * S1 leaves the float range")
+        w = RandVar._fresh(space, w)
         w_inv = asset.payoff + asset.price / r1
     invariant_ok = accepts(spec, w_inv) and accepts(spec, -w_inv)
     values = {"rho_one": r1, "w": w, "invariant_candidate_ok": invariant_ok}
@@ -396,16 +400,16 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
     inner({j}^c)).  So {j} is the least-probability, then least-bitmask,
     event meeting the condition if any does, and it attains the least total.
     It is decided exactly over the subset sums of the other atoms'
-    :attr:`FiniteSpace.int_probs`, alpha entering as its exact floor on that
-    scale.  ``samples`` counts the events with 0 < P(A) <= alpha.  On success
-    the witness asset (price 1, payoff 2 on j, 1 elsewhere) goes through the
-    exact theorem-b pass under the rounding of :func:`accepts`, whose verdict
-    and witness are reported.
+    :attr:`FiniteSpace.int_probs`, against :func:`var_loss_limit`, the one
+    VaR set.  ``samples`` counts the events with 0 < P(A) <= alpha.  On
+    success the witness asset (price 1, payoff 2 on j, 1 elsewhere) passes
+    the exact theorem-b decision, as the paper's theorem says; that run
+    re-verifies it, and a failure raises ``ArithmeticError``.
     """
     alpha = level.alpha
+    spec = AcceptanceSpec.var_level(alpha)
     weights, scale = space.int_probs
-    num, den = alpha.as_integer_ratio()
-    limit = num * scale // den  # P(B) <= alpha  iff  sums[B] <= limit
+    limit = var_loss_limit(spec, space)  # P(B) <= alpha  iff  sums[B] <= limit
     p = min(weights)
     j = weights.index(p)
     sums = _subset_sums(weights[:j] + weights[j + 1:], limit)
@@ -432,10 +436,10 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
         )
 
     asset = EligibleAsset(1.0, RandVar.constant(space, 1.0) + RandVar.indicator(space, [j]))
-    stability = check_theorem_condition_b(AcceptanceSpec.var_level(alpha), asset)
+    if not check_theorem_condition_b(spec, asset).passed:
+        raise ArithmeticError("var-condition-b's witness asset failed re-verification by theorem-b")
     return TheoremVerdict(
-        "var-condition-b", stability.verdict, candidates,
-        witness=stability.witness,
+        "var-condition-b", "pass", candidates,
         condition_values={
             "alpha": alpha,
             "event": [j],
@@ -443,10 +447,7 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
             "inner_max": inner / scale,
             "witness_payoff": asset.payoff,
         },
-        note="condition holds; constructed risky asset passes the exact theorem-b check"
-        if stability.passed
-        else "condition holds, but under the rounding of accepts the constructed asset "
-        "ejects an accepted position",
+        note="condition holds; constructed risky asset passes the exact theorem-b check",
     )
 
 
@@ -492,7 +493,11 @@ def find_additivity_violation(
         if not is_comonotone(x, y):
             continue
         samples += 1
-        gap = rho_fn(x + y) - rho_fn(x) - rho_fn(y)
+        with np.errstate(over="ignore"):
+            total = x.values + y.values
+        if np.count_nonzero(np.isfinite(total)) != total.size:
+            raise ValueError("the comonotone sum X + Y leaves the float range")
+        gap = rho_fn(RandVar._fresh(x.space, total)) - rho_fn(x) - rho_fn(y)
         if abs(gap) > ADDITIVITY_THRESHOLD:
             return TheoremVerdict(
                 "additivity-violation", "fail", samples,

@@ -345,6 +345,37 @@ class TestVarLossLimit:
         loss = -RandVar.indicator(sp, event)
         assert accepts(spec, loss) == (sum(nums[i] for i in event) <= var_loss_limit(spec, sp))
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 7), st.sampled_from([100, 600, 2000])),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.02, 0.2, 0.45, 0.7]),
+        nudge=st.sampled_from([-1.0, 0.0, 1.0]),
+    )
+    def test_one_set_at_an_event_probability(self, n, seed, share, nudge):
+        # alpha at P(E) correctly rounded, or one ulp either side: accepts and the
+        # limit read P(X < 0) <= alpha in exact rationals, in the loop walk below
+        # 512 atoms and in numpy from there (selected below level 0.5, else sorted)
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(1, 50, n)
+        sp = FiniteSpace(weights / weights.sum())
+        nums, den = sp.int_probs
+        event = np.flatnonzero(rng.random(n) < share).tolist() or [0]
+        mass = sum(nums[i] for i in event)
+        alpha = mass / den
+        alpha = math.nextafter(alpha, alpha + nudge) if nudge else alpha
+        if not 0.0 < alpha < 1.0:
+            return
+        spec = AcceptanceSpec.var_level(alpha)
+        limit = var_loss_limit(spec, sp)
+        assert limit <= sum(nums) - 1 and Fraction(limit, den) <= alpha
+        assert limit == sum(nums) - 1 or Fraction(limit + 1, den) > alpha
+        # -1 on E and distinct positive values elsewhere, so the walk has runs past E
+        values = np.arange(1.0, n + 1.0)
+        values[event] = -1.0
+        exact = mass < sum(nums) and Fraction(mass, den) <= alpha
+        assert accepts(spec, RandVar(sp, values)) == exact == (mass <= limit)
+
     def test_the_whole_space_is_never_within_the_limit(self):
         # renormalized, these probabilities sum to 1 - 1.2e-16, below the
         # float under 1, yet accepts pins the last cumulative probability to 1

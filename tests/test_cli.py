@@ -1,17 +1,22 @@
 """Tests for the command-line interface: contracts, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eligirisk import acceptance, cli, comonotone, engine, theorems
 from eligirisk.cli import STATEMENTS, main
@@ -360,11 +365,12 @@ class TestCheck:
         "extra", [["--trials", "1"], [], ["--trials", "12", "--seed", "5"]],
         ids=["trials-1", "defaults", "trials-12-seed-5"],
     )
-    def test_var_condition_b_fails_exactly_at_a_rounding_boundary(self, tmp_path, capsys, extra):
-        # the condition holds in exact rationals, but under the rounding of
-        # accepts the constructed asset ejects an accepted position; a single
-        # sampled comonotone pair missed it
-        from eligirisk import AcceptanceSpec, FiniteSpace, RandVar, accepts
+    def test_var_condition_b_holds_at_a_rounding_boundary(self, tmp_path, capsys, extra):
+        # P({0, 2}) rounds to alpha but exceeds it in exact rationals: the one
+        # VaR set rejects that event, so the constructed asset passes theorem-b
+        from fractions import Fraction
+
+        from eligirisk import AcceptanceSpec, FiniteSpace, RandVar, accepts, var_loss_limit
 
         probs = [0.1942221981974611, 0.14151299486797725, 0.40351874408036076,
                  0.26074606285420093]
@@ -381,13 +387,23 @@ class TestCheck:
             ["check", "--scenario", str(path), "--statement", "var-condition-b", *extra], capsys
         )
         result = json.loads(out)["results"][0]
-        assert (code, result["verdict"]) == (1, "fail")
-        assert "event" in result["condition_values"]
+        assert (code, result["verdict"], result["witness"]) == (0, "pass", None)
+        assert result["condition_values"]["event"] == [1]
         space = FiniteSpace(probs)
         spec = AcceptanceSpec.var_level(alpha)
-        x = RandVar(space, result["witness"]["x"])
-        assert accepts(spec, x)
-        assert not accepts(spec, RandVar(space, result["witness"]["shifted"]))
+        nums, den = space.int_probs
+        mass = nums[0] + nums[2]
+        assert mass / den == alpha and Fraction(mass, den) > alpha
+        assert var_loss_limit(spec, space) == mass - 1
+        assert not accepts(spec, RandVar(space, [-1.0, 0.0, -1.0, 0.0]))
+        payoff = result["condition_values"]["witness_payoff"]
+        assert payoff == [1.0, 2.0, 1.0, 1.0]
+        doc["asset"]["payoff"] = payoff
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(
+            ["check", "--scenario", str(path), "--statement", "theorem-b"], capsys
+        )
+        assert (code, json.loads(out)["results"][0]["verdict"]) == (0, "pass")
 
     def test_risk_invariant_finds_a_single_atom_invariant(self, capsys):
         # VaR 0.1 on [0.1, 0.9]: only atom 0 may be lost, so no pair probe is
@@ -1345,3 +1361,96 @@ class TestDistortionScenario:
         assert code == 0
         value = json.loads(out)["results"][0]["value"]
         assert abs(value - 2.75) <= 1e-10
+
+
+def _with_neighbours(values: list[float]) -> list[float]:
+    """Each value and its float neighbours, inside the float range."""
+    out = []
+    for v in values:
+        out += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+    return sorted({v for v in out if math.isfinite(v)})
+
+
+#: 0, 5e-324, 1e-300, 1, 1e300 and the largest float, both signs, with their neighbours.
+EXTREMES = _with_neighbours(
+    [s * v for v in (0.0, 5e-324, 1e-300, 1.0, 1e300, sys.float_info.max) for s in (1.0, -1.0)]
+)
+POSITIVE_EXTREMES = [v for v in EXTREMES if v > 0.0]
+#: VaR, ES, a mixture and the mean, at levels near 0, 0.5 and 1.
+EXTREME_ACCEPTANCE = st.one_of(
+    st.tuples(st.sampled_from(["var", "es"]), st.sampled_from([5e-324, 1e-300, 0.5, 1 - 2**-53]))
+    .map(lambda ka: {"kind": ka[0], "alpha": ka[1]}),
+    st.just({"kind": "distortion", "weights": [{"alpha": 0.0, "w": 0.25}, {"alpha": 0.5, "w": 0.5},
+                                                {"alpha": 1.0, "w": 0.25}]}),
+    st.just({"kind": "expectation"}),
+)
+
+
+class TestErrorContract:
+    """Every command exits 0, 1 or 2 on any finite input, with no traceback."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_command_keeps_the_exit_contract(self, data):
+        n = data.draw(st.integers(1, 4))
+        vector = st.lists(st.sampled_from(EXTREMES), min_size=n, max_size=n)
+        payoff = st.lists(st.sampled_from(POSITIVE_EXTREMES), min_size=n, max_size=n)
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        doc = {
+            "space": {"probs": [w / sum(weights) for w in weights]},
+            "positions": {"X": data.draw(vector), "Y": data.draw(vector)},
+            "asset": {"price": data.draw(st.sampled_from(POSITIVE_EXTREMES)), "payoff": data.draw(payoff)},
+            "asset_r": {"price": data.draw(st.sampled_from(POSITIVE_EXTREMES)), "payoff": data.draw(payoff)},
+            "acceptance": data.draw(EXTREME_ACCEPTANCE),
+        }
+        commands = [["eval"], ["search"]] + [["check", "--statement", s] for s in sorted(STATEMENTS)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "extreme.json"
+            path.write_text(json.dumps(doc))
+            for command in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command[0], "--scenario", str(path), *command[1:]])
+                assert code in (0, 1, 2), (command, doc)
+                if code == 2:
+                    assert out.getvalue() == "", (command, doc)
+                    assert err.getvalue().count("\n") == 1 and "error: " in err.getvalue()
+                else:
+                    assert err.getvalue() == "", (command, doc)
+                    results = json.loads(out.getvalue())["results"]
+                    failed = any(r.get("verdict") == "fail" or r.get("passed") is False for r in results)
+                    assert failed == (code == 1), (command, doc)
+
+    def test_the_search_bracket_failure_exits_two(self, tmp_path, capsys):
+        # the float shift of X = [1e300, -1e300] by the payoff [1e-300, 1] leaves
+        # it unchanged far below the root 0, so no rejected level is reached
+        doc = {
+            "space": {"probs": [0.5, 0.5]},
+            "positions": {"X": [1e300, -1e300], "Y": [0.0, 1.0]},
+            "asset": {"price": 1.0, "payoff": [1e-300, 1.0]},
+            "acceptance": {"kind": "expectation"},
+        }
+        path = tmp_path / "bracket.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["search", "--scenario", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: every capital level is acceptable; criterion is not proper\n"
+
+    def test_a_bare_runtime_error_still_surfaces(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setitem(cli.COMMANDS, "search", (*cli.COMMANDS["search"][:2], broken))
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["search", "--scenario", str(SCENARIOS / "lemma_two_atom.json")])
+
+    def test_a_failed_re_verification_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            theorems, "check_theorem_condition_b", lambda spec, asset: theorems.TheoremVerdict("theorem-b", "fail")
+        )
+        code, out, err = run_cli(
+            ["check", "--scenario", str(SCENARIOS / "lemma_two_atom.json"),
+             "--statement", "var-condition-b"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

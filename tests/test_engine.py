@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -367,6 +370,44 @@ def value_and_slope(spec, y, payoff, kernel=shortfall_and_slope):
 
 
 SLOPE_LEVELS = (0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)
+
+#: Means, a level-1 mixture's Newton quotes and the pinned slope on random
+#: inputs of 2-63 atoms, printed in hex: the float dot of BLAS differs by kernel here.
+KERNEL_PROBE = """
+import numpy as np
+from eligirisk import AcceptanceSpec, DistortionWeights, EligibleAsset, FiniteSpace, RandVar, expectation, rho
+from eligirisk.measures import shortfall_and_slope
+rng = np.random.default_rng(21)
+mix = AcceptanceSpec.distortion_mix(DistortionWeights(((0.0, 0.25), (0.5, 0.5), (1.0, 0.25))))
+out = []
+for _ in range(200):
+    n = int(rng.integers(2, 64))
+    w = rng.random(n) + 0.01
+    space = FiniteSpace(w / w.sum())
+    x = RandVar(space, rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-5, 4, n))
+    asset = EligibleAsset(1.0, RandVar(space, rng.uniform(0.5, 2.0, n)))
+    out += [expectation(x).hex(), rho(mix, asset, x).value.hex()]
+sp = FiniteSpace(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]) / 25)
+y = np.array([0.5, -1.25, 0.5, -1.25, 2.0, 0.5, -1.25])
+payoff = RandVar(sp, [1.5, 0.75, 0.25, 2.0, 1.0, 3.0, 0.5])
+mass = (sp.probs * payoff.values).tolist()
+out.append(shortfall_and_slope(sp, y, mix.weights, payoff.tolist(), mass, expectation(payoff))[1].hex())
+print(" ".join(out))
+"""
+
+
+def test_blas_kernels_give_the_same_results():
+    # every x86-64 runner has both kernels; the mean is an exact dot rounded
+    # once, so no value depends on the one OpenBLAS picks for the CPU
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE], capture_output=True, text=True, check=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+        ).stdout
+        for kernel in ("Sandybridge", "Haswell")
+    ]
+    assert len(outputs[0].split()) == 401
+    assert outputs[0] == outputs[1]
 
 
 class TestRightSlope:

@@ -2,6 +2,7 @@
 
 import math
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,8 +218,14 @@ class TestLowerTail:
             {*(inner[k % len(inner)] for k in picks if inner), *levels, math.nextafter(1.0, 0.0)}
         )
 
+        # each run's exact cum, the last pinned to 1: the quantile's run is the first past beta
+        nums, den = space.int_probs
+        exact = [
+            Fraction(sum(m for m, u in zip(nums, values.tolist()) if u <= v), den)
+            for v in prof.values.tolist()[:-1]
+        ] + [Fraction(1)]
         for beta in [0.0, *levels]:
-            k = int(np.searchsorted(prof.cum, beta, side="right"))
+            k = next(i for i, c in enumerate(exact) if c > beta)
             assert upper_quantile(x, beta).hex() == float(prof.values[k]).hex()
         for alpha in levels:
             assert es(x, Level(alpha)).hex() == profile_shortfall(x, alpha).hex()

@@ -1,7 +1,7 @@
 """Tests for finite spaces, random variables, and the quantile machinery."""
 
 import math
-from bisect import bisect_right
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -340,6 +340,14 @@ def exact_profile(values: list[float], probs: list[float]) -> tuple[list[float],
     return distinct, cum
 
 
+def first_past(exact_cum: list[Fraction], level: float) -> int:
+    """How many runs the walk takes: up to the first whose exact cum exceeds ``level``.
+
+    The last run is pinned to 1, whatever its exact sum.
+    """
+    return next((k + 1 for k, c in enumerate(exact_cum[:-1]) if c > level), len(exact_cum))
+
+
 def assert_profile_exact(x: RandVar) -> None:
     distinct, cum = exact_profile(x.values.tolist(), x.space.probs.tolist())
     assert x.profile.values.tolist() == distinct
@@ -423,6 +431,61 @@ WALK_VALUES = st.one_of(
 WALK_LEVELS = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, math.inf]), st.floats(0.0, 1.0))
 
 
+def exact_mean(space: FiniteSpace, values: list[float]) -> float:
+    """The mean over the stored probabilities in exact rationals, rounded once."""
+    nums, den = space.int_probs
+    total = sum((m * Fraction(v) for m, v in zip(nums, values)), Fraction(0)) / den
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def _around(v: float) -> list[float]:
+    return [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+
+
+#: Magnitudes at the TwoProduct guard (|v| <= 2**995, |p * v| >= 2**-960) and the float range's ends.
+MEAN_EDGES = sorted(
+    {e for v in (2.0**995, 2.0**-960, 2.0**-900, 2.0**-1022, 5e-324, 1.0, sys.float_info.max)
+     for e in _around(v) if math.isfinite(e)}
+)
+MEAN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6),
+    st.tuples(st.sampled_from(MEAN_EDGES), st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1]),
+)
+
+
+class TestCorrectlyRoundedMean:
+    """``expectation`` is the exact mean over the stored probabilities, rounded once."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(atoms=st.lists(st.tuples(WALK_WEIGHTS | TINY_WEIGHTS, MEAN_VALUES), min_size=1, max_size=40))
+    def test_matches_the_exact_oracle(self, atoms):
+        total = math.fsum(w for w, _ in atoms)
+        space = FiniteSpace(np.array([w / total for w, _ in atoms]))
+        values = [v for _, v in atoms]
+        assert expectation(RandVar(space, values)).hex() == exact_mean(space, values).hex()
+
+    @pytest.mark.parametrize("scale", [2.0**995, math.nextafter(2.0**995, math.inf), 2.0**-900, 2.0**-1000])
+    def test_each_side_of_the_guard(self, scale):
+        rng = np.random.default_rng(21)
+        for n in (2, 7, 600):
+            w = rng.random(n) + 0.5
+            space = FiniteSpace(w / math.fsum(w.tolist()))
+            values = (rng.uniform(-1.0, 1.0, n) * scale).tolist()
+            assert expectation(RandVar(space, values)).hex() == exact_mean(space, values).hex()
+
+    def test_a_mean_past_the_float_range_is_infinite(self):
+        # stored, these probabilities sum past 1 + 2**-53: the mean of max rounds past the range
+        weights = np.array([31, 9, 2, 13, 12, 26])
+        space = FiniteSpace(weights / weights.sum())
+        nums, den = space.int_probs
+        assert Fraction(sum(nums), den) > 1 + Fraction(1, 2**53)
+        assert expectation(RandVar.constant(space, sys.float_info.max)) == math.inf
+
+
 class TestNumpyWalk:
     """From ``VECTOR_MIN_ATOMS`` atoms the tail walk runs in numpy; the loop is its oracle."""
 
@@ -440,17 +503,18 @@ class TestNumpyWalk:
         assert (signed(distinct), cum) == (signed(loop[0]), loop[1])
         # every run is stored as its value plus 0.0
         assert all(math.copysign(1.0, v) == 1.0 for v in distinct if v == 0.0)
-        # the first run past the level ends the walk, and it is a prefix of the full profile
+        # the first run whose exact cum passes the level ends the walk, and it is a
+        # prefix of the full profile
         assert all(c <= level for c in cum[:-1])
         full_values, full_cum = walk(space, values, math.inf, 1)
         k = len(cum)
         assert (signed(full_values[:k]), full_cum[:k]) == (signed(distinct), cum)
         assert full_cum[-1] == 1.0
-        assert cum[-1] > level or k == len(full_cum)
         oracle_values, oracle_cum = exact_profile(values.tolist(), space.probs.tolist())
+        assert k == first_past(oracle_cum, level)
         assert full_values == oracle_values
         assert full_cum[:-1] == [float(c) for c in oracle_cum[:-1]]
-        for tie in full_cum:  # a run whose cum equals the level does not end the walk
+        for tie in full_cum:  # a run whose cum rounds to the level ends the walk iff it passes it
             assert walk(space, values, tie, 1) == walk(space, values, tie, math.inf)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -576,10 +640,11 @@ class TestSelectedWalk:
             assert (signed(distinct), cum) == (signed(everything[0]), everything[1])
             assert (signed(distinct), cum) == (signed(loop[0]), loop[1])
             assert calls == expected_calls(values, level, distinct[-1])
-        # at a run's own cum the walk goes on to the next run: a prefix of the loop's profile
+        # at a run's own cum the walk ends at the first run whose exact cum passes it
+        _, exact = exact_profile(values.tolist(), space.probs.tolist())
         for level in full_cum:
             (distinct, cum), calls = traced_tail(space, values, level)
-            k = bisect_right(full_cum, level, hi=len(full_cum) - 1) + 1
+            k = first_past(exact, level)
             assert (signed(distinct), cum) == (signed(full_values[:k]), full_cum[:k])
             assert calls == expected_calls(values, level, distinct[-1])
 
