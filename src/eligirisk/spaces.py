@@ -411,25 +411,28 @@ def _mean(space: FiniteSpace, values: np.ndarray) -> float:
 
     It is the exact dot of :attr:`FiniteSpace.int_probs` and ``values``,
     rounded once, on every CPU; a zero mean is +0.0.  Dekker's TwoProduct
-    writes each p * v as ``h + l`` exactly (split at 2**27 + 1), and
-    ``math.fsum`` rounds the sum of all h and l once (Ogita, Rump and Oishi,
+    writes each p * v as ``x + e`` exactly (split at 2**27 + 1), and
+    ``math.fsum`` rounds the sum of all x and e once (Ogita, Rump and Oishi,
     "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
     That holds while no split overflows, |v| <= 2**995, and no error term
     underflows, |p * v| >= 2**-960 for every nonzero v; outside that guard
-    the numerators are summed as exact rationals instead.
+    the numerators are summed as exact rationals instead.  A Python loop:
+    on 3-16 atoms it takes 1.3-5.7 us, where the same steps in numpy took
+    11-15 (2 shared vCPUs, Python 3.11, numpy 2.4).
     """
-    p = space.probs
-    products = p * values
-    magnitude = np.abs(values)
-    tiny = (np.abs(products) < 2.0**-960) & (magnitude > 0.0)
-    if magnitude.max() <= 2.0**995 and not np.count_nonzero(tiny):
+    terms: list[float] = []
+    for p, v in zip(space.probs.tolist(), values.tolist()):
+        x = p * v
+        if not (abs(v) <= 2.0**995 and (abs(x) >= 2.0**-960 or v == 0.0)):
+            break
         c = SPLIT * p
         p_high = c - (c - p)
-        c = SPLIT * values
-        v_high = c - (c - values)
-        p_low, v_low = p - p_high, values - v_high
-        errors = ((p_high * v_high - products) + p_high * v_low + p_low * v_high) + p_low * v_low
-        return math.fsum(products.tolist() + errors.tolist())
+        c = SPLIT * v
+        v_high = c - (c - v)
+        p_low, v_low = p - p_high, v - v_high
+        terms += (x, ((p_high * v_high - x) + p_high * v_low + p_low * v_high) + p_low * v_low)
+    else:
+        return math.fsum(terms)
     nums, den = space.int_probs
     total = sum(m * Fraction(v) for m, v in zip(nums, values.tolist()))
     try:
