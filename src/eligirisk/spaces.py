@@ -349,7 +349,7 @@ class RandVar:
         values, cum = _lower_tail(self.space, self.values, math.inf)
         return SortedProfile(np.array(values, dtype=float), np.array(cum, dtype=float))
 
-    @cached_property
+    @property
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
 

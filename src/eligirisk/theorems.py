@@ -489,23 +489,26 @@ def find_additivity_violation(
                 yield x, one if stability.witness["direction"] == "+" else -one
 
     samples = 0
-    for x, y in pairs():
-        if not is_comonotone(x, y):
-            continue
-        samples += 1
-        if x.max_abs + y.max_abs == math.inf:  # the sum may leave the float range
-            with np.errstate(over="ignore"):
-                if not np.isfinite(x.values + y.values).all():
-                    raise ValueError("the comonotone sum X + Y leaves the float range")
-        gap = rho_fn(x + y) - rho_fn(x) - rho_fn(y)
-        if abs(gap) > ADDITIVITY_THRESHOLD:
-            return TheoremVerdict(
-                "additivity-violation", "fail", samples,
-                witness={"x": x, "y": y, "gap": gap},
-                condition_values={"threshold": ADDITIVITY_THRESHOLD,
-                                  "direction": "superadditive" if gap > 0 else "subadditive"},
-                note="verified comonotone pair with non-additive requirement",
-            )
+    # an overflowing X + Y is then RandVar's ValueError, not a numpy warning; the
+    # quotes guard their own shifts, and no other step here can overflow
+    with np.errstate(over="ignore"):
+        for x, y in pairs():
+            if not is_comonotone(x, y):
+                continue
+            samples += 1
+            try:
+                total = x + y
+            except ValueError:
+                raise ValueError("the comonotone sum X + Y leaves the float range") from None
+            gap = rho_fn(total) - rho_fn(x) - rho_fn(y)
+            if abs(gap) > ADDITIVITY_THRESHOLD:
+                return TheoremVerdict(
+                    "additivity-violation", "fail", samples,
+                    witness={"x": x, "y": y, "gap": gap},
+                    condition_values={"threshold": ADDITIVITY_THRESHOLD,
+                                      "direction": "superadditive" if gap > 0 else "subadditive"},
+                    note="verified comonotone pair with non-additive requirement",
+                )
     return TheoremVerdict(
         "additivity-violation", "pass", samples,
         condition_values={"threshold": ADDITIVITY_THRESHOLD},
