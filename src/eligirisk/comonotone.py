@@ -42,7 +42,7 @@ def is_comonotone(x: RandVar, y: RandVar, method: str = "sorted") -> bool:
     lexicographically by (x, y) and counts the steps along that order where
     y decreases; it is an O(n log n) equivalent.  On finite floats
     ``s[k+1] < s[k]`` is exactly ``s[k+1] - s[k] < 0``, with ``-0.0`` and
-    ``0.0`` a tie.
+    ``0.0`` a tie.  :func:`_sorted_rows` is the same test on a block of pairs.
     """
     if not x.space.compatible(y.space):
         raise SpaceMismatchError("random variables live on different spaces")
@@ -55,6 +55,16 @@ def is_comonotone(x: RandVar, y: RandVar, method: str = "sorted") -> bool:
         s = vy[np.lexsort((vy, vx))]
         return not np.count_nonzero(s[1:] < s[:-1])
     raise ValueError(f"unknown method {method!r}")
+
+
+def _sorted_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row k is the ``sorted`` verdict of :func:`is_comonotone` on ``(xs[k], ys[k])``.
+
+    One lexsort orders every row of the block by (x, y); the steps where y
+    then decreases are the same comparisons as the one-pair test's.
+    """
+    s = np.take_along_axis(ys, np.lexsort((ys, xs), axis=-1), axis=-1)
+    return ~np.any(s[:, 1:] < s[:, :-1], axis=1)
 
 
 def additivity_on_S_comonotone(spec: AcceptanceSpec, asset: EligibleAsset) -> CheckReport:

@@ -253,4 +253,5 @@ def es_choquet_oracle(x: RandVar, level: Level) -> float:
     cum[-1] = 1.0
     g = np.minimum(cum / level.alpha, 1.0)
     inc = np.diff(np.concatenate(([0.0], g)))
-    return float(-np.dot(inc, v))
+    # each product rounded once, then one correctly rounded sum: no BLAS kernel decides it
+    return -math.fsum((inc * v).tolist())

@@ -371,12 +371,13 @@ def value_and_slope(spec, y, payoff, kernel=shortfall_and_slope):
 
 SLOPE_LEVELS = (0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)
 
-#: Means, a level-1 mixture's Newton quotes and the pinned slope on random
-#: inputs of 2-63 atoms, printed in hex: the float dot of BLAS differs by kernel here.
+#: Means, a level-1 mixture's Newton quotes, the Choquet ES oracle and the pinned
+#: slope on random inputs of 2-63 atoms, printed in hex: the float dot of BLAS
+#: differs by kernel here.
 KERNEL_PROBE = """
 import numpy as np
 from eligirisk import AcceptanceSpec, DistortionWeights, EligibleAsset, FiniteSpace, RandVar, expectation, rho
-from eligirisk.measures import shortfall_and_slope
+from eligirisk.measures import Level, es_choquet_oracle, shortfall_and_slope
 rng = np.random.default_rng(21)
 mix = AcceptanceSpec.distortion_mix(DistortionWeights(((0.0, 0.25), (0.5, 0.5), (1.0, 0.25))))
 out = []
@@ -386,7 +387,7 @@ for _ in range(200):
     space = FiniteSpace(w / w.sum())
     x = RandVar(space, rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-5, 4, n))
     asset = EligibleAsset(1.0, RandVar(space, rng.uniform(0.5, 2.0, n)))
-    out += [expectation(x).hex(), rho(mix, asset, x).value.hex()]
+    out += [expectation(x).hex(), rho(mix, asset, x).value.hex(), es_choquet_oracle(x, Level(0.9)).hex()]
 sp = FiniteSpace(np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]) / 25)
 y = np.array([0.5, -1.25, 0.5, -1.25, 2.0, 0.5, -1.25])
 payoff = RandVar(sp, [1.5, 0.75, 0.25, 2.0, 1.0, 3.0, 0.5])
@@ -406,7 +407,7 @@ def test_blas_kernels_give_the_same_results():
         ).stdout
         for kernel in ("Sandybridge", "Haswell")
     ]
-    assert len(outputs[0].split()) == 401
+    assert len(outputs[0].split()) == 601
     assert outputs[0] == outputs[1]
 
 
@@ -943,8 +944,7 @@ class TestRequirementMemo:
 
         # multiples and negatives of the drawn positions: many sums coincide
         book = [c * x for x in positions for c in (1.0, 2.0, -1.0)]
-        seed_pairs = [(x, y) for i, x in enumerate(book) for y in book[i:]]
-        verdict = find_additivity_violation(spec, asset, seed_pairs)
+        verdict = find_additivity_violation(spec, asset, book)
         if not verdict.passed:
             x, y = verdict.witness["x"], verdict.witness["y"]
             gap = fresh(x + y, 1e-12) - fresh(x, 1e-12) - fresh(y, 1e-12)

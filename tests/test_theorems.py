@@ -42,6 +42,7 @@ from eligirisk.theorems import (
 )
 
 from identity_audits import cash_reduction_audit, lemma_equality_audit
+from pair_loop import loop_additivity_violation
 from sampling import additivity_on_comonotone, generate_comonotone_pair
 
 
@@ -898,7 +899,7 @@ class TestDecidedByTheLemma:
         _rho_one,
         lambda spec, asset: decide_by_construction("cash-reduction", spec, asset),
         lambda spec, asset: check_lemma_equality(spec, asset, asset),
-        lambda spec, asset: find_additivity_violation(spec, asset, seed_pairs=[(None, None)]),
+        lambda spec, asset: find_additivity_violation(spec, asset, book=[None]),
         lambda spec, asset: cash_reduction_audit(spec, asset),
         lambda spec, asset: lemma_equality_audit(spec, asset, asset),
     ],
@@ -1195,9 +1196,10 @@ class TestFindAdditivityViolation:
         asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0, 1.0]))
         x = RandVar(sp, [-2.0, -3.0, 2.0])
         y = RandVar(sp, [-4.0, -9.0, 0.0])
+        # the book's pairs (x, x), (x, -x), (x, y), ...: (x, x) is additive, and
         # (x, -x) is not comonotone: it is skipped, and not counted as a sample
-        verdict = find_additivity_violation(spec, asset, seed_pairs=[(x, -x), (x, y)])
-        assert (verdict.verdict, verdict.samples, verdict.witness["gap"]) == ("fail", 1, 0.5)
+        verdict = find_additivity_violation(spec, asset, book=[x, -x, y])
+        assert (verdict.verdict, verdict.samples, verdict.witness["gap"]) == ("fail", 2, 0.5)
         assert (verdict.witness["x"].tolist(), verdict.witness["y"].tolist()) == (x.tolist(), y.tolist())
         assert verdict.condition_values["direction"] == "superadditive"
 
@@ -1234,7 +1236,8 @@ class TestFindAdditivityViolation:
     @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("risky", [True, False], ids=["risky", "risk-free"])
     def test_two_thousand_atoms_take_a_few_pairs(self, kind, risky, monkeypatch):
-        # the caller's pair and (1, -1): x, 2x, 3x, then 1, -1 and 0, each priced once
+        # the book's pairs (x, x), (x, 2x), (2x, 2x) and (1, -1): 2x, x, 3x, 4x,
+        # then 0, 1 and -1, each priced once
         calls = count_quotes(monkeypatch)
         n = 2000
         space = FiniteSpace(np.arange(1, n + 1) / (n * (n + 1) / 2))
@@ -1243,10 +1246,12 @@ class TestFindAdditivityViolation:
         spec = AcceptanceSpec.var_level(0.1) if kind == "var" else AcceptanceSpec.es_level(0.1)
         x = RandVar(space, np.arange(n) / 64)
         one = RandVar.constant(space, 1.0)
-        verdict = find_additivity_violation(spec, asset, seed_pairs=[(x, 2.0 * x)])
+        book = [x, 2.0 * x]
+        verdict = find_additivity_violation(spec, asset, book)
         assert verdict.passed != risky
-        assert verdict.samples == 2
-        assert len(calls) == distinct_quotes([(x, 2.0 * x), (one, -one)]) == 6
+        assert verdict.samples == 4
+        pairs = [(x, x), (x, book[1]), (book[1], book[1]), (one, -one)]
+        assert len(calls) == distinct_quotes(pairs) == 7
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_prices_each_distinct_position_once(self, kind, monkeypatch):
@@ -1258,13 +1263,118 @@ class TestFindAdditivityViolation:
         spec = AcceptanceSpec.var_level(0.25) if kind == "var" else AcceptanceSpec.es_level(0.25)
         d = RandVar(space, np.array([-37.0, 5.0, 12.0, -3.0, 40.0, 17.0]) / 64)
         book = [k * d for k in range(1, 25)]
-        seed_pairs = [(x, y) for i, x in enumerate(book) for y in book[i:]]
+        pairs = [(x, y) for i, x in enumerate(book) for y in book[i:]]
         one = RandVar.constant(space, 1.0)
-        verdict = find_additivity_violation(spec, asset, seed_pairs)
-        assert (verdict.verdict, verdict.samples) == ("fail", len(seed_pairs) + 1)
+        verdict = find_additivity_violation(spec, asset, book)
+        assert (verdict.verdict, verdict.samples) == ("fail", len(pairs) + 1)
         assert verdict.witness["x"].tolist() == one.tolist()
-        assert len(calls) == distinct_quotes([*seed_pairs, (one, -one)]) == 51
+        assert len(calls) == distinct_quotes([*pairs, (one, -one)]) == 51
         assert {tol for _, tol in calls} == {1e-12}
+
+    def test_an_overflow_is_raised_only_where_the_walk_reaches_it(self):
+        # c + c leaves the float range; (a, b) fails first, and (a, c) is not comonotone
+        sp = FiniteSpace([0.05, 0.05, 0.9])
+        spec = AcceptanceSpec.var_level(0.05)
+        asset = EligibleAsset(1.0, RandVar(sp, [1.0, 2.0, 1.0]))
+        a = RandVar(sp, [-2.0, -3.0, 2.0])
+        b = RandVar(sp, [-4.0, -9.0, 0.0])
+        c = RandVar(sp, [1e308, 1.5e308, 1.7e308])
+        verdict = find_additivity_violation(spec, asset, [a, b, c])
+        assert (verdict.verdict, verdict.samples, verdict.witness["gap"]) == ("fail", 2, 0.5)
+        with pytest.raises(ValueError, match="^the comonotone sum X [+] Y leaves the float range$"):
+            find_additivity_violation(spec, asset, [a, c])
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 31), min_size=1, max_size=8),
+        payoff=st.lists(st.integers(32, 128), min_size=8, max_size=8),
+        risky=st.booleans(),
+        drawn=st.lists(
+            st.tuples(
+                # signed zeros, ties and values whose doubled sum leaves the float range
+                st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -3.0]),
+                         min_size=8, max_size=8),
+                st.booleans(),
+                st.sampled_from([1.0, 1.0, 1.0, 2.0**1022]),
+            ),
+            min_size=1, max_size=6,
+        ),
+        kind=st.sampled_from(["var", "es", "mix", "mean"]),
+        alpha=st.floats(0.05, 0.6),
+        block=st.sampled_from([None, 1, 2, 3]),
+    )
+    def test_sweep_matches_the_pair_loop(self, weights, payoff, risky, drawn, kind, alpha, block):
+        # verdict, samples, witness, gap bits, exception and every engine.rho
+        # call, in order, on books swept in blocks of 1-3 pairs or one block
+        n = len(weights)
+        space = FiniteSpace(np.array(weights, dtype=float) / sum(weights))
+        pays = payoff[:n] if risky else [payoff[0]] * n
+        asset = EligibleAsset(1.0, RandVar(space, np.array(pays, dtype=float) / 32))
+        spec = builtin_spec(kind, alpha)
+        book = [RandVar(space, np.array([v[0]] * n if constant else v[:n]) * scale)
+                for v, constant, scale in drawn]
+        calls = []
+        quote = engine.rho
+
+        def recorded(spec, asset, x, tol=None, method="auto"):
+            calls.append((x.values.tobytes(), tol))
+            return quote(spec, asset, x, tol, method)
+
+        def outcome(search):
+            calls.clear()
+            try:
+                v = search(spec, asset, book)
+            except Exception as exc:  # the exception itself is compared
+                return (type(exc), str(exc)), list(calls)
+            w = v.witness or {}
+            return (
+                v.verdict, v.samples, v.condition_values, v.note,
+                [w[k].values.tobytes() for k in ("x", "y") if k in w],
+                w["gap"].hex() if w else None,
+            ), list(calls)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "rho", recorded)
+            if block is not None:
+                mp.setattr(theorems, "_SWEEP_BLOCK_VALUES", block * n)
+            assert outcome(find_additivity_violation) == outcome(loop_additivity_violation)
+
+        # the pairs the sweep walks are those the normative test calls comonotone;
+        # an overflowing difference or sum keeps its sign
+        one = RandVar.constant(space, 1.0)
+        positions = [*book, one, -one]
+        pairs = [(i, j) for i in range(len(book)) for j in range(i, len(book))]
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            if block is not None:
+                mp.setattr(theorems, "_SWEEP_BLOCK_VALUES", block * n)
+            want = [(i, j) for i, j in [*pairs, (len(book), len(book) + 1)]
+                    if is_comonotone(positions[i], positions[j], method="pairwise")]
+            walked = [(i, j) for i, j, _ in theorems._comonotone_pairs(positions, len(book))]
+        assert walked == want
+
+    def test_a_large_book_is_swept_in_bounded_blocks(self, monkeypatch):
+        # 150 positions, 11325 pairs on 40 atoms: 453000 values per array in one
+        # block, at most _SWEEP_BLOCK_VALUES in each of the blocks taken.  Every
+        # comonotone pair of the book is additive, so the walk reaches (1, -1)
+        space = FiniteSpace(np.full(40, 1 / 40))
+        asset = EligibleAsset(1.0, RandVar(space, 1.0 + (np.arange(40) % 4) / 4))
+        spec = AcceptanceSpec.var_level(0.1)
+        d = RandVar(space, (np.arange(40) % 7 - 3) / 8)
+        e = RandVar(space, (np.arange(40) % 5 - 2) / 8)
+        book = [k * d for k in range(1, 76)] + [k * e for k in range(1, 76)]
+        held = []
+        sorted_rows = theorems._sorted_rows
+
+        def spied(xs, ys):
+            held.append(xs.size)
+            return sorted_rows(xs, ys)
+
+        monkeypatch.setattr(theorems, "_sorted_rows", spied)
+        verdict = find_additivity_violation(spec, asset, book)
+        want = loop_additivity_violation(spec, asset, book)
+        assert (verdict.verdict, verdict.samples) == (want.verdict, want.samples)
+        assert verdict.witness["gap"].hex() == want.witness["gap"].hex()
+        assert len(held) > 1 and max(held) <= theorems._SWEEP_BLOCK_VALUES
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
