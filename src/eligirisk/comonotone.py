@@ -63,8 +63,9 @@ def _sorted_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     One lexsort orders every row of the block by (x, y); the steps where y
     then decreases are the same comparisons as the one-pair test's.
     """
-    s = np.take_along_axis(ys, np.lexsort((ys, xs), axis=-1), axis=-1)
-    return ~np.any(s[:, 1:] < s[:, :-1], axis=1)
+    order = np.lexsort((ys, xs), axis=-1)
+    s = np.take(ys, order + xs.shape[1] * np.arange(len(xs))[:, None])
+    return ~(s[:, 1:] < s[:, :-1]).any(axis=1)
 
 
 def additivity_on_S_comonotone(spec: AcceptanceSpec, asset: EligibleAsset) -> CheckReport:

@@ -543,9 +543,10 @@ def _sweep(
             key = total.tobytes()
             if key not in sum_quotes:
                 sum_quotes[key] = rho_fn(RandVar._fresh(space, total.copy()))
-            for k in (i, j):
-                if quoted[k] is None:
-                    quoted[k] = rho_fn(positions[k])
+            if quoted[i] is None:
+                quoted[i] = rho_fn(positions[i])
+            if quoted[j] is None:
+                quoted[j] = rho_fn(positions[j])
             gap = sum_quotes[key] - quoted[i] - quoted[j]
             if abs(gap) > ADDITIVITY_THRESHOLD:
                 return samples, (positions[i], positions[j], gap)
@@ -557,26 +558,21 @@ def _comonotone_pairs(
 ) -> Iterator[tuple[int, int, np.ndarray | None]]:
     """``(i, j, X + Y)`` for the comonotone pairs of :func:`_sweep`, in order.
 
-    The sum is ``None`` where it leaves the float range.  Pairs (x, x) and
-    pairs with a constant side are comonotone by definition.  A book of two
+    The sum is ``None`` where it leaves the float range.  A book of two
     positions or more is taken in blocks of its pairs: their sums at once,
-    and one :func:`_sorted_rows` call for the pairs left to test.  The probe
-    and the one pair of a one-position book need no test and build no block:
-    they are summed one at a time.
+    and their comonotone tests in one :func:`_sorted_rows` call.  Sorting
+    the pairs (x, x) with the rest costs less than picking them out.  The
+    probe and the one pair of a one-position book, (x, x), are comonotone by
+    definition: they build no block and are summed one at a time.
     """
     if b > 1:
         values = np.stack([x.values for x in positions[:b]])
-        constant = values.max(axis=1) == values.min(axis=1)
         for rows, cols in _pair_blocks(b, max(1, _SWEEP_BLOCK_VALUES // values.shape[1])):
             xs, ys = values[rows], values[cols]
             sums = xs + ys
+            comonotone = _sorted_rows(xs, ys).tolist()
             finite = np.isfinite(sums).all(axis=1).tolist()
-            comonotone = np.ones(rows.size, dtype=bool)
-            tested = (rows != cols) & ~constant[rows] & ~constant[cols]
-            if tested.any():
-                comonotone[tested] = _sorted_rows(xs[tested], ys[tested])
-            for i, j, flag, ok, total in zip(rows.tolist(), cols.tolist(), comonotone.tolist(),
-                                             finite, sums):
+            for i, j, flag, ok, total in zip(rows.tolist(), cols.tolist(), comonotone, finite, sums):
                 if flag:
                     yield i, j, total if ok else None
     for i, j in [(0, 0), (1, 2)] if b == 1 else [(b, b + 1)]:

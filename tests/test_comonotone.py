@@ -97,11 +97,15 @@ class TestIsComonotone:
             vx = rng.integers(-3, 4, n).astype(float)
             vy = rng.integers(-3, 4, n).astype(float)
             # at 1e-200 and below, products of differences underflow to +-0.0
-            for scale in (1.0, 1e-200, 5e-324):
+            scales = (1.0, 1e-200, 5e-324)
+            want = []
+            for scale in scales:
                 x, y = RandVar(sp, scale * vx), RandVar(sp, scale * vy)
-                assert is_comonotone(x, y, method="pairwise") == is_comonotone(
-                    x, y, method="sorted"
-                )
+                want.append(is_comonotone(x, y, method="pairwise"))
+                assert want[-1] == is_comonotone(x, y, method="sorted")
+            # the block form: one row per scale
+            block = [np.stack([scale * v for scale in scales]) for v in (vx, vy)]
+            assert comonotone._sorted_rows(*block).tolist() == want
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(
