@@ -527,9 +527,10 @@ def _sweep(
     The pairs are (positions[i], positions[j]) for i <= j < b in row-major
     order, then the probe (positions[b], positions[b + 1]), whose second
     side is constant.  Each comonotone pair (:func:`_comonotone_pairs`) is
-    counted, its sum must be finite, and X + Y, X, then Y are priced through
-    ``rho_fn`` on first use.  The walk stops at the first gap above
-    :data:`ADDITIVITY_THRESHOLD`.
+    counted, and X + Y, X, then Y are priced through ``rho_fn`` on first
+    use.  A sum is checked finite when it is first met, so every pair with
+    an overflowing sum reaches that check.  The walk stops at the first gap
+    above :data:`ADDITIVITY_THRESHOLD`.
     """
     space = positions[0].space
     quoted: list[float | None] = [None] * len(positions)
@@ -538,11 +539,13 @@ def _sweep(
     with np.errstate(over="ignore"):
         for i, j, total in _comonotone_pairs(positions, b):
             samples += 1
-            if total is None:
-                raise ValueError("the comonotone sum X + Y leaves the float range")
             key = total.tobytes()
             if key not in sum_quotes:
-                sum_quotes[key] = rho_fn(RandVar._fresh(space, total.copy()))
+                try:
+                    x_plus_y = RandVar._fresh(space, total.copy())
+                except ValueError:
+                    raise ValueError("the comonotone sum X + Y leaves the float range") from None
+                sum_quotes[key] = rho_fn(x_plus_y)
             if quoted[i] is None:
                 quoted[i] = rho_fn(positions[i])
             if quoted[j] is None:
@@ -555,12 +558,12 @@ def _sweep(
 
 def _comonotone_pairs(
     positions: list[RandVar], b: int
-) -> Iterator[tuple[int, int, np.ndarray | None]]:
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """``(i, j, X + Y)`` for the comonotone pairs of :func:`_sweep`, in order.
 
-    The sum is ``None`` where it leaves the float range.  A book of two
-    positions or more is taken in blocks of its pairs: their sums at once,
-    and their comonotone tests in one :func:`_sorted_rows` call.  Sorting
+    A book of two positions or more is taken in blocks of its pairs: their
+    sums at once, and their comonotone tests in one :func:`_sorted_rows`
+    call.  Sorting
     the pairs (x, x) with the rest costs less than picking them out.  The
     probe and the one pair of a one-position book, (x, x), are comonotone by
     definition: they build no block and are summed one at a time.
@@ -569,15 +572,12 @@ def _comonotone_pairs(
         values = np.stack([x.values for x in positions[:b]])
         for rows, cols in _pair_blocks(b, max(1, _SWEEP_BLOCK_VALUES // values.shape[1])):
             xs, ys = values[rows], values[cols]
-            sums = xs + ys
-            comonotone = _sorted_rows(xs, ys).tolist()
-            finite = np.isfinite(sums).all(axis=1).tolist()
-            for i, j, flag, ok, total in zip(rows.tolist(), cols.tolist(), comonotone, finite, sums):
+            sums, flags = xs + ys, _sorted_rows(xs, ys).tolist()
+            for i, j, flag, total in zip(rows.tolist(), cols.tolist(), flags, sums):
                 if flag:
-                    yield i, j, total if ok else None
+                    yield i, j, total
     for i, j in [(0, 0), (1, 2)] if b == 1 else [(b, b + 1)]:
-        total = positions[i].values + positions[j].values
-        yield i, j, total if np.isfinite(total).all() else None
+        yield i, j, positions[i].values + positions[j].values
 
 
 def _pair_blocks(b: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
