@@ -563,10 +563,10 @@ def _comonotone_pairs(
 
     A book of two positions or more is taken in blocks of its pairs: their
     sums at once, and their comonotone tests in one :func:`_sorted_rows`
-    call.  Sorting
-    the pairs (x, x) with the rest costs less than picking them out.  The
-    probe and the one pair of a one-position book, (x, x), are comonotone by
-    definition: they build no block and are summed one at a time.
+    call.  Sorting the pairs (x, x) with the rest costs less than picking
+    them out.  The probe and the one pair of a one-position book, (x, x),
+    are comonotone by definition: they build no block and are summed one at
+    a time.
     """
     if b > 1:
         values = np.stack([x.values for x in positions[:b]])
