@@ -454,9 +454,9 @@ def check_var_condition_b(space: FiniteSpace, level: Level) -> TheoremVerdict:
 #: Most values that each array of one block of the additivity sweep holds:
 #: pairs per block times atoms, 512 KB of floats.  A larger book is swept
 #: block by block, so it never holds all its pair sums at once.  Books of
-#: 11325 pairs on 40 atoms and 1830 pairs on 2000 atoms swept about as fast
-#: at 2**14 to 2**18 values, and 10-40 % slower at 2**12 and 2**20 (2 shared
-#: vCPUs, Python 3.11, numpy 2.4).
+#: 11325 pairs on 40 atoms and 1830 pairs on 2000 atoms swept fastest at
+#: 2**14 to 2**16 values; at 2**12, 2**18 and 2**20 one or both took 8-36 %
+#: longer (2 shared vCPUs, Python 3.11, numpy 2.4).
 _SWEEP_BLOCK_VALUES = 1 << 16
 
 
