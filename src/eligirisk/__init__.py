@@ -17,107 +17,24 @@ absorbs the fully leveraged payoff, and never when the set is pointed.
 
 __version__ = "0.1.0"
 
-from .spaces import (
-    FiniteSpace,
-    RandVar,
-    SortedProfile,
-    SpaceMismatchError,
-    essential_infimum,
-    expectation,
-    same_distribution,
-    upper_quantile,
-)
-from .measures import (
-    DistortionWeights,
-    Level,
-    distortion,
-    es,
-    es_choquet_oracle,
-    shortfall_and_slope,
-    var,
-    var_of_ratio,
-)
-from .acceptance import (
-    AcceptanceSpec,
-    accepts,
-    decide_convex,
-    decide_risk_invariant,
-    var_loss_limit,
-)
-from .engine import (
-    BracketExpansionError,
-    EligibleAsset,
-    RiskQuote,
-    cash_asset,
-    change_numeraire,
-    discounted_acceptance,
-    rho,
-    rho_cash,
-)
-from .comonotone import (
-    additivity_on_S_comonotone,
-    comono_preservation_under_numeraire,
-    is_comonotone,
-)
-from .reporting import CheckReport
-from .theorems import (
-    REFERENCE_VALUES,
-    TheoremVerdict,
-    absorbs,
-    check_corollary_convex,
-    check_lemma_equality,
-    check_theorem_condition_b,
-    check_var_condition_b,
-    check_var_necessary_condition,
-    decide_by_construction,
-    find_additivity_violation,
-    run_replication_suite,
-)
+# each layer's ``__all__`` is its public surface; the package re-exports them
+# in layer order and states no name of its own but the version
+from . import acceptance, comonotone, engine, measures, reporting, spaces, theorems
+from .spaces import *
+from .measures import *
+from .acceptance import *
+from .engine import *
+from .comonotone import *
+from .reporting import *
+from .theorems import *
 
 __all__ = [
     "__version__",
-    "FiniteSpace",
-    "RandVar",
-    "SortedProfile",
-    "SpaceMismatchError",
-    "expectation",
-    "upper_quantile",
-    "essential_infimum",
-    "same_distribution",
-    "Level",
-    "DistortionWeights",
-    "var",
-    "var_of_ratio",
-    "es",
-    "distortion",
-    "shortfall_and_slope",
-    "es_choquet_oracle",
-    "AcceptanceSpec",
-    "accepts",
-    "var_loss_limit",
-    "decide_convex",
-    "decide_risk_invariant",
-    "EligibleAsset",
-    "RiskQuote",
-    "BracketExpansionError",
-    "cash_asset",
-    "rho",
-    "rho_cash",
-    "change_numeraire",
-    "discounted_acceptance",
-    "is_comonotone",
-    "additivity_on_S_comonotone",
-    "comono_preservation_under_numeraire",
-    "CheckReport",
-    "TheoremVerdict",
-    "absorbs",
-    "check_theorem_condition_b",
-    "check_corollary_convex",
-    "decide_by_construction",
-    "check_lemma_equality",
-    "check_var_necessary_condition",
-    "check_var_condition_b",
-    "find_additivity_violation",
-    "run_replication_suite",
-    "REFERENCE_VALUES",
+    *spaces.__all__,
+    *measures.__all__,
+    *acceptance.__all__,
+    *engine.__all__,
+    *comonotone.__all__,
+    *reporting.__all__,
+    *theorems.__all__,
 ]

@@ -204,7 +204,7 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError("scenario", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError: JSON text is UTF-8
         raise ScenarioError("scenario", f"invalid JSON in {path}: {exc}") from exc
     return parse_scenario(doc)
 
@@ -308,25 +308,9 @@ def _search(args) -> tuple[dict, list, bool]:
 
 
 def _replicate(args) -> tuple[dict, list, bool]:
-    overrides = None
-    if args.expected:
-        try:
-            with open(args.expected, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioError("expected", f"cannot load expected values: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ScenarioError("expected", "top level must be an object of fixture patches")
-        for key, patch in overrides.items():
-            if not isinstance(patch, dict):
-                raise ScenarioError(f"expected.{key}", f"must be an object, got {patch!r}")
-    try:
-        verdicts = run_replication_suite(overrides)
-    except KeyError as exc:
-        path, message = exc.args
-        raise ScenarioError(f"expected.{path}", message) from exc
+    verdicts = run_replication_suite()
     passed = all(v.passed for v in verdicts)
-    return {"expected": args.expected, "all_passed": passed}, verdicts, passed
+    return {"all_passed": passed}, verdicts, passed
 
 
 def int_at_least(least: int) -> Callable[[str], int]:
@@ -362,7 +346,6 @@ FLAGS: dict[str, dict[str, Any]] = {
     "position": {"action": "append", "help": "position name (repeatable)"},
     "statement": {"required": True, "choices": STATEMENTS, "metavar": "ID",
                   "help": "statement id: " + ", ".join(sorted(STATEMENTS))},
-    "expected": {"help": "JSON file overriding expected fixture values"},
     "out": {"help": "write the report here instead of stdout"},
     "format": {"choices": ("json", "text"), "default": "json"},
 }
@@ -376,7 +359,7 @@ COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[..., tuple[dict, list, 
               ("scenario", "seed", "out", "format", "statement", "trials"), _check),
     "search": ("search for additivity and numeraire witnesses",
                ("scenario", "seed", "out", "format", "budget"), _search),
-    "replicate": ("recompute the reference examples", ("out", "format", "expected"), _replicate),
+    "replicate": ("recompute the reference examples", ("out", "format"), _replicate),
 }
 
 
@@ -408,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         sys.stderr.write(f"scenario error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, KeyError, BracketExpansionError, ArithmeticError) as exc:
+    except (ValueError, BracketExpansionError, ArithmeticError) as exc:
         if isinstance(exc, ArithmeticError) and type(exc) is not ArithmeticError:
             raise  # a ZeroDivisionError or OverflowError is a bug, not an input error
         sys.stderr.write(f"error: {exc}\n")

@@ -22,8 +22,10 @@ function is convex, decreasing and piecewise linear, so a few steps land on
 the root.  Each iterate costs one argsort and one fused walk of the shifted
 values, :func:`~eligirisk.measures.shortfall_and_slope`, which resolves
 every level's value and right slope as it passes it; the membership
-probes that certify the landing read the same walk's value.  Explicit criteria, and
-``method="bisection"``, run bracketed bisection.  Both solvers return the
+probes that certify the landing read the same walk's value.  Explicit
+criteria run bracketed bisection; wrapping a built-in functional,
+``AcceptanceSpec.explicit(spec.functional_value)``, forces it for that
+criterion, with the same membership floats.  Both solvers return the
 upper end ``hi`` of a certified bracket: ``hi`` is accepted and
 ``hi - bracket_width`` is rejected, with the width at most
 ``max(tol, ulp(hi))``: two adjacent floats when the requested tol is finer
@@ -124,10 +126,10 @@ class RiskQuote:
 def default_tol(asset: EligibleAsset, x: RandVar) -> float:
     """Relative default tolerance, 1e-10 of the bracket scale B = S0 * max|X| / eps.
 
-    Bisection (explicit criteria, ``method="bisection"``) from the initial
-    bracket [-B - 1, B] then takes about log2(2e10), i.e. 35, halvings at
-    every magnitude.  Newton lands within it in a few steps, and its closing
-    test at ``hi - tol`` certifies the bracket.
+    Bisection (explicit criteria) from the initial bracket [-B - 1, B] then
+    takes about log2(2e10), i.e. 35, halvings at every magnitude.  Newton
+    lands within it in a few steps, and its closing test at ``hi - tol``
+    certifies the bracket.
     """
     return _tol_at(x.max_abs * asset.price / asset.eps)
 
@@ -260,28 +262,24 @@ def rho(
     asset: EligibleAsset,
     x: RandVar,
     tol: float | None = None,
-    method: str = "auto",
 ) -> RiskQuote:
     """Least capital invested in the asset that makes the position acceptable."""
     _check_space(x, asset)
     if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if method not in ("auto", "bisection"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        if spec.is_builtin and not np.count_nonzero(x.values):
-            # conic criteria price the zero position at exactly zero
-            return RiskQuote(0.0, "closed_form", 0, 0.0)
-        if spec.kind == "var":
-            q = var_of_ratio(x, asset.payoff, spec.level)
-            value = asset.price * q
-            if not math.isfinite(value):
-                raise ValueError(f"the VaR quote S0 * VaR(X / S1) overflows: VaR(X / S1) is {q!r}")
-            return RiskQuote(value, "closed_form", 0, 0.0)
-        if asset.risk_free and spec.is_builtin:
-            s = float(asset.payoff.values[0])
-            value = asset.price * spec.functional_value(x) / s
-            return RiskQuote(value, "closed_form", 0, 0.0)
+    if spec.is_builtin and not np.count_nonzero(x.values):
+        # conic criteria price the zero position at exactly zero
+        return RiskQuote(0.0, "closed_form", 0, 0.0)
+    if spec.kind == "var":
+        q = var_of_ratio(x, asset.payoff, spec.level)
+        value = asset.price * q
+        if not math.isfinite(value):
+            raise ValueError(f"the VaR quote S0 * VaR(X / S1) overflows: VaR(X / S1) is {q!r}")
+        return RiskQuote(value, "closed_form", 0, 0.0)
+    if asset.risk_free and spec.is_builtin:
+        s = float(asset.payoff.values[0])
+        value = asset.price * spec.functional_value(x) / s
+        return RiskQuote(value, "closed_form", 0, 0.0)
     s0, payoff = asset.price, asset.payoff
     pays = payoff.values.tolist()
     xmax, top = x.max_abs, max(pays)
@@ -299,7 +297,7 @@ def rho(
         return values
 
     # what the closed forms leave of the built-in kinds: distortion, risky payoff
-    newton = method == "auto" and spec.is_builtin
+    newton = spec.is_builtin
     if newton:
         mu = spec.weights
         mass = (x.space.probs * payoff.values).tolist()

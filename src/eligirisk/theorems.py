@@ -18,7 +18,6 @@ statements hold by construction (:data:`BY_CONSTRUCTION`); r1 = rho(1) = -S0 / F
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -89,10 +88,19 @@ def _rho_one(spec: AcceptanceSpec, asset: EligibleAsset) -> float:
     F(1 + t * S1) = -1 + |t| * F(-S1) for t <= 0, as a built-in F is cash
     additive and positively homogeneous; an overflow or underflow is rejected.
     """
+    return _r1_at(asset.price, _f_of_minus_payoff(spec, asset))
+
+
+def _f_of_minus_payoff(spec: AcceptanceSpec, asset: EligibleAsset) -> float:
+    """F(-S1), the one functional value that r1 at every price S0 divides."""
     if not spec.is_builtin:
         raise ValueError("stability check requires a comonotonic built-in criterion")
-    f = spec.functional_value(-asset.payoff)
-    r1 = -asset.price / f if f else -math.inf  # F(-S1) underflowed to 0: r1 overflows
+    return spec.functional_value(-asset.payoff)
+
+
+def _r1_at(price: float, f: float) -> float:
+    """r1 = -S0 / F(-S1) at S0 = ``price`` and F(-S1) = ``f``, checked finite and negative."""
+    r1 = -price / f if f else -math.inf  # F(-S1) underflowed to 0: r1 overflows
     if not -math.inf < r1 < 0.0:
         raise ValueError(f"requirement of the constant 1 is {r1!r}, not a finite negative number")
     return r1
@@ -194,12 +202,13 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
         return inner
 
     space = asset.payoff.space
-    r1 = _rho_one(spec, asset)
+    f = _f_of_minus_payoff(spec, asset)
+    r1 = _r1_at(asset.price, f)
     if asset.risk_free:
         # W = 1 - s / s and W' = s - s vanish; in floats fl(1 / s) * s may not be 1
         w = w_inv = RandVar.constant(space, 0.0)
     else:
-        unit_r1 = _rho_one(spec, EligibleAsset(1.0, asset.payoff))
+        unit_r1 = _r1_at(1.0, f)
         with np.errstate(over="ignore"):
             w = 1.0 + unit_r1 * asset.payoff.values
         if np.count_nonzero(np.isfinite(w)) != w.size:
@@ -601,8 +610,9 @@ def _pair_blocks(b: int, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 #: Frozen expected values of the quantities that the worked examples compare.
 #: ``run_replication_suite`` recomputes each one and compares it against
-#: these; overriding an entry is the supported way to run a tampering
-#: negative control.  The examples' inputs are fixed in their runners.
+#: these, read at call time, so patching an entry (``monkeypatch.setitem``)
+#: is how a test runs a tampering negative control.  The examples' inputs
+#: are fixed in their runners.
 REFERENCE_VALUES: dict[str, dict[str, Any]] = {
     "svar-superadditivity": {
         "rho_x": 1.5,
@@ -633,26 +643,6 @@ REFERENCE_VALUES: dict[str, dict[str, Any]] = {
 }
 
 
-def _merge_expected(overrides: dict | None) -> dict:
-    """``REFERENCE_VALUES`` patched by ``overrides``.
-
-    An unknown fixture, or a key that is not one of its compared quantities,
-    is a ``KeyError`` whose arguments are the path and a message.
-    """
-    if not overrides:
-        return REFERENCE_VALUES
-    merged = {k: dict(v) for k, v in REFERENCE_VALUES.items()}
-    for fixture, patch in overrides.items():
-        if fixture not in merged:
-            raise KeyError(fixture, "unknown replication fixture")
-        for key in patch:
-            if key not in merged[fixture]:
-                compared = ", ".join(merged[fixture])
-                raise KeyError(f"{fixture}.{key}", f"not a compared quantity; expected one of {compared}")
-        merged[fixture].update(patch)
-    return merged
-
-
 def _verdict(statement: str, mismatches: list[str], values: dict) -> TheoremVerdict:
     ok = not mismatches
     return TheoremVerdict(
@@ -662,18 +652,13 @@ def _verdict(statement: str, mismatches: list[str], values: dict) -> TheoremVerd
 
 
 def _matches(want, got) -> bool:
-    if not isinstance(got, float):
-        return got == want
-    is_number = isinstance(want, (int, float)) and not isinstance(want, bool)
-    return is_number and abs(want) <= sys.float_info.max and abs(got - want) <= 1e-12
+    return abs(got - want) <= 1e-12 if isinstance(got, float) else got == want
 
 
 def _mismatches(expected: dict, got: dict) -> list[str]:
     """One message per computed value that misses its expected value.
 
-    Floats match a finite expected number within 1e-12; any other expected
-    value (a string, null, a bool) is a mismatch.  Every other value matches
-    by equality.
+    Floats match within 1e-12, every other value by equality.
     """
     return [
         f"{k}: expected {expected[k]!r}, computed {v!r}"
@@ -759,15 +744,14 @@ def _replicate_distortion_expectation(exp: dict) -> TheoremVerdict:
     return _verdict("replicate-distortion-expectation", _mismatches(exp, got), got)
 
 
-def run_replication_suite(overrides: dict | None = None) -> list[TheoremVerdict]:
+def run_replication_suite() -> list[TheoremVerdict]:
     """Recompute every worked reference example and compare to the frozen values.
 
-    Deterministic: two runs produce identical verdict lists.  ``overrides``
-    patches expected values per fixture (used as a tampering negative
-    control); a mismatch yields a failing verdict naming the fixture and the
-    offending quantity.
+    Deterministic: two runs produce identical verdict lists.  The expected
+    values are :data:`REFERENCE_VALUES` as it stands at the call; a mismatch
+    yields a failing verdict naming the fixture and the offending quantity.
     """
-    expected = _merge_expected(overrides)
+    expected = REFERENCE_VALUES
     return [
         _replicate_superadditivity(expected["svar-superadditivity"]),
         _replicate_near_risk_free(expected["svar-near-risk-free"]),

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eligirisk import acceptance, cli, comonotone, engine, theorems
+import eligirisk
+from eligirisk import acceptance, cli, comonotone, engine, measures, reporting, spaces, theorems
 from eligirisk.cli import STATEMENTS, main
 from eligirisk.theorems import BY_CONSTRUCTION, decide_by_construction
 
@@ -852,42 +853,15 @@ class TestReplicate:
         assert len(report["results"]) == 5
         assert "seed" not in report
 
-    def test_tampered_expected_fails_naming_fixture(self, tmp_path, capsys):
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps({"svar-superadditivity": {"rho_sum": 6.1}}))
-        code, out, _ = run_cli(["replicate", "--expected", str(tampered)], capsys)
+    def test_tampered_expected_fails_naming_fixture(self, monkeypatch, capsys):
+        monkeypatch.setitem(theorems.REFERENCE_VALUES["svar-superadditivity"], "rho_sum", 6.1)
+        code, out, _ = run_cli(["replicate"], capsys)
         assert code == 1
         report = json.loads(out)
         failing = [r for r in report["results"] if r["verdict"] == "fail"]
         assert len(failing) == 1
         assert failing[0]["statement"] == "replicate-svar-superadditivity"
         assert "rho_sum" in failing[0]["note"]
-
-    @pytest.mark.parametrize(
-        "expected,fieldpath",
-        [([{"svar-superadditivity": {}}], "expected"),
-         ({"es-pointedness": 5}, "expected.es-pointedness"),
-         ({"svar-superadditivity": {"rho_summ": 6.1}}, "expected.svar-superadditivity.rho_summ"),
-         ({"svar-superadditivity": {"probs": "a"}}, "expected.svar-superadditivity.probs")],
-        ids=["top-level-list", "entry-not-an-object", "misspelled-quantity", "input-not-compared"],
-    )
-    def test_malformed_expected_exits_2_naming_the_field(self, tmp_path, capsys, expected,
-                                                         fieldpath):
-        path = tmp_path / "expected.json"
-        path.write_text(json.dumps(expected))
-        code, out, err = run_cli(["replicate", "--expected", str(path)], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"scenario error: {fieldpath}: ")
-
-    @pytest.mark.parametrize("value", ["a", None], ids=["string", "null"])
-    def test_non_number_expected_quantity_fails_naming_it(self, tmp_path, capsys, value):
-        path = tmp_path / "expected.json"
-        path.write_text(json.dumps({"svar-superadditivity": {"rho_x": value}}))
-        code, out, err = run_cli(["replicate", "--expected", str(path)], capsys)
-        assert (code, err) == (1, "")
-        failing = [r for r in json.loads(out)["results"] if r["verdict"] == "fail"]
-        assert [r["statement"] for r in failing] == ["replicate-svar-superadditivity"]
-        assert failing[0]["note"].startswith(f"rho_x: expected {value!r}, computed ")
 
     def test_same_invocation_byte_identical(self, tmp_path):
         out_a = tmp_path / "a.json"
@@ -1189,10 +1163,21 @@ class TestMalformedScenarios:
         assert (code, out) == (2, "")
         assert err.startswith(f"scenario error: scenario: cannot read {missing}: ")
 
-    def test_unreadable_expected_exits_2(self, tmp_path, capsys):
-        code, out, err = run_cli(["replicate", "--expected", str(tmp_path / "missing.json")], capsys)
+    def test_non_utf8_scenario_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(["eval", "--scenario", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("scenario error: expected: cannot load expected values: ")
+        assert err.startswith(f"scenario error: scenario: invalid JSON in {path}: ")
+
+
+class TestPackageSurface:
+    def test_package_exports_each_layers_all(self):
+        layers = (spaces, measures, acceptance, engine, comonotone, reporting, theorems)
+        assert eligirisk.__all__ == ["__version__", *(n for m in layers for n in m.__all__)]
+        for name in eligirisk.__all__[1:]:
+            owner = next(m for m in layers if name in m.__all__)
+            assert getattr(eligirisk, name) is getattr(owner, name)
 
 
 class TestInProcessReuse:
@@ -1263,7 +1248,7 @@ class TestUsage:
             "eval": sorted(every + ["--scenario", "--tol", "--position"]),
             "check": sorted(every + ["--scenario", "--seed", "--statement", "--trials"]),
             "search": sorted(every + ["--scenario", "--seed", "--budget"]),
-            "replicate": sorted(every + ["--expected"]),
+            "replicate": sorted(every),
         }
 
     def test_unwritable_out_exits_2_naming_the_path(self, tmp_path, capsys):

@@ -40,6 +40,7 @@ from eligirisk import engine, spaces
 from eligirisk.engine import MAX_NEWTON_STEPS, default_tol
 
 import sampling as smp
+from forced_bisection import rho_bisection
 from identity_audits import (
     S_ADDITIVITY_LAMBDAS,
     _audit_positions,
@@ -138,10 +139,6 @@ class TestRhoBisection:
         with pytest.raises(ValueError, match="finite"):
             rho(a_var05, asset3, RandVar.constant(space3, 1.0), tol=math.inf)
 
-    def test_rejects_unknown_method(self, space3, asset3, a_var05):
-        with pytest.raises(ValueError):
-            rho(a_var05, asset3, RandVar.constant(space3, 1.0), method="newton")
-
     @pytest.mark.parametrize(
         "functional, message",
         [
@@ -167,7 +164,7 @@ class TestRhoBisection:
             x = RandVar(sp, rng.integers(-256, 257, n) / 64)
             tol = 1e-10
             exact = rho(spec, asset, x, tol=tol).value
-            numeric = rho(spec, asset, x, tol=tol, method="bisection")
+            numeric = rho_bisection(spec, asset, x, tol)
             assert numeric.method == "bisection"
             assert abs(numeric.value - exact) <= tol
 
@@ -266,7 +263,7 @@ class TestNewton:
         assert 0.0 < width <= tol
         assert accepts(spec, shift(hi))
         assert not accepts(spec, shift(hi - width))
-        assert abs(hi - rho(spec, asset, x, method="bisection").value) <= tol
+        assert abs(hi - rho_bisection(spec, asset, x).value) <= tol
         # Newton lands on the root up to the rounding of its steps, which move
         # the position by at most max|X| * max S1 / eps
         scale = x.max_abs * float(np.max(payoff.values)) / asset.eps
@@ -642,9 +639,9 @@ class TestFloatRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"bracket scale S0 \* max\|X\| / eps leaves"):
-                rho(spec, asset, x, method="bisection")
+                rho_bisection(spec, asset, x)
             with pytest.raises(ValueError, match="leaves the float range at m = inf"):
-                rho(spec, asset, x, tol=1e-9, method="bisection")
+                rho_bisection(spec, asset, x, tol=1e-9)
             with pytest.raises(ValueError, match="bracket scale"):
                 default_tol(asset, x)
 
@@ -899,9 +896,9 @@ class TestIdentityChecks:
         # x = 0 and fails at x = 1.
         quote = engine.rho
 
-        def off(spec, asset, y, tol=None, method="auto"):
-            q = quote(spec, asset, y, tol, method)
-            if method == "auto" and np.count_nonzero(y.values):
+        def off(spec, asset, y, tol=None):
+            q = quote(spec, asset, y, tol)
+            if np.count_nonzero(y.values):
                 q = dataclasses.replace(q, value=q.value + 1e-3)
             return q
 

@@ -1176,9 +1176,9 @@ def count_quotes(monkeypatch) -> list[tuple[bytes, float | None]]:
     calls = []
     quote = engine.rho
 
-    def counted(spec, asset, x, tol=None, method="auto"):
+    def counted(spec, asset, x, tol=None):
         calls.append((x.values.tobytes(), tol))
-        return quote(spec, asset, x, tol, method)
+        return quote(spec, asset, x, tol)
 
     monkeypatch.setattr(engine, "rho", counted)
     return calls
@@ -1316,9 +1316,9 @@ class TestFindAdditivityViolation:
         calls = []
         quote = engine.rho
 
-        def recorded(spec, asset, x, tol=None, method="auto"):
+        def recorded(spec, asset, x, tol=None):
             calls.append((x.values.tobytes(), tol))
-            return quote(spec, asset, x, tol, method)
+            return quote(spec, asset, x, tol)
 
         def outcome(search):
             calls.clear()
@@ -1465,19 +1465,10 @@ class TestReplicationSuite:
         second = [v.to_jsonable() for v in run_replication_suite()]
         assert first == second
 
-    def test_tampered_value_fails_naming_fixture(self):
-        verdicts = run_replication_suite({"svar-superadditivity": {"rho_sum": 6.1}})
+    def test_tampered_value_fails_naming_fixture(self, monkeypatch):
+        monkeypatch.setitem(theorems.REFERENCE_VALUES["svar-superadditivity"], "rho_sum", 6.1)
+        verdicts = run_replication_suite()
         failed = [v for v in verdicts if not v.passed]
         assert len(failed) == 1
         assert failed[0].statement == "replicate-svar-superadditivity"
         assert "rho_sum" in failed[0].note
-
-    def test_unknown_fixture_rejected(self):
-        with pytest.raises(KeyError):
-            run_replication_suite({"no-such-fixture": {}})
-
-    @pytest.mark.parametrize("key", ["rho_summ", "probs"])
-    def test_only_compared_quantities_may_be_overridden(self, key):
-        with pytest.raises(KeyError) as info:
-            run_replication_suite({"svar-superadditivity": {key: 6.1}})
-        assert info.value.args[0] == f"svar-superadditivity.{key}"
