@@ -751,11 +751,10 @@ def run_replication_suite() -> list[TheoremVerdict]:
     values are :data:`REFERENCE_VALUES` as it stands at the call; a mismatch
     yields a failing verdict naming the fixture and the offending quantity.
     """
-    expected = REFERENCE_VALUES
     return [
-        _replicate_superadditivity(expected["svar-superadditivity"]),
-        _replicate_near_risk_free(expected["svar-near-risk-free"]),
-        _replicate_indicators(expected["accept-var-indicators"]),
-        _replicate_es_pointedness(expected["es-pointedness"]),
-        _replicate_distortion_expectation(expected["distortion-expectation"]),
+        _replicate_superadditivity(REFERENCE_VALUES["svar-superadditivity"]),
+        _replicate_near_risk_free(REFERENCE_VALUES["svar-near-risk-free"]),
+        _replicate_indicators(REFERENCE_VALUES["accept-var-indicators"]),
+        _replicate_es_pointedness(REFERENCE_VALUES["es-pointedness"]),
+        _replicate_distortion_expectation(REFERENCE_VALUES["distortion-expectation"]),
     ]
