@@ -863,6 +863,13 @@ class TestReplicate:
         assert failing[0]["statement"] == "replicate-svar-superadditivity"
         assert "rho_sum" in failing[0]["note"]
 
+    def test_missing_reference_value_surfaces_as_key_error(self, monkeypatch, capsys):
+        # the frozen values are code, not input: a missing one is a bug, not exit 2
+        monkeypatch.delitem(theorems.REFERENCE_VALUES["svar-superadditivity"], "rho_sum")
+        with pytest.raises(KeyError, match="rho_sum"):
+            main(["replicate"])
+        assert capsys.readouterr().out == ""
+
     def test_same_invocation_byte_identical(self, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -1169,6 +1176,12 @@ class TestMalformedScenarios:
         code, out, err = run_cli(["eval", "--scenario", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"scenario error: scenario: invalid JSON in {path}: ")
+
+    def test_unreadable_expected_exits_2(self, tmp_path, capsys):
+        # replicate reads no expected-values file: the flag is a usage error
+        code, out, err = run_cli(["replicate", "--expected", str(tmp_path / "missing.json")], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --expected" in err
 
 
 class TestPackageSurface:

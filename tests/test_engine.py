@@ -139,6 +139,11 @@ class TestRhoBisection:
         with pytest.raises(ValueError, match="finite"):
             rho(a_var05, asset3, RandVar.constant(space3, 1.0), tol=math.inf)
 
+    def test_rejects_unknown_method(self, space3, asset3, a_var05):
+        # the solver follows from the criterion; forced bisection is an explicit spec
+        with pytest.raises(TypeError, match="method"):
+            rho(a_var05, asset3, RandVar.constant(space3, 1.0), method="newton")
+
     @pytest.mark.parametrize(
         "functional, message",
         [

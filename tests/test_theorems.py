@@ -1472,3 +1472,27 @@ class TestReplicationSuite:
         assert len(failed) == 1
         assert failed[0].statement == "replicate-svar-superadditivity"
         assert "rho_sum" in failed[0].note
+
+    @pytest.mark.parametrize(
+        "fixture,key",
+        [(f, k) for f, values in theorems.REFERENCE_VALUES.items() for k in values],
+        ids=lambda v: v,
+    )
+    def test_every_reference_value_is_compared(self, monkeypatch, fixture, key):
+        # tampering with any one frozen value fails its own fixture and no other
+        value = theorems.REFERENCE_VALUES[fixture][key]
+        if isinstance(value, bool):
+            tampered = not value
+        elif isinstance(value, str):
+            tampered = "fail" if value == "pass" else "pass"
+        elif isinstance(value, list):
+            tampered = [value[0] + 1.0, *value[1:]]
+        else:
+            tampered = value + 0.5
+        monkeypatch.setitem(theorems.REFERENCE_VALUES[fixture], key, tampered)
+        verdicts = run_replication_suite()
+        failed = [i for i, v in enumerate(verdicts) if not v.passed]
+        assert failed == [list(theorems.REFERENCE_VALUES).index(fixture)]
+        assert verdicts[failed[0]].note == (
+            f"{key}: expected {tampered!r}, computed {value!r}"
+        )
