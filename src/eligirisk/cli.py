@@ -204,7 +204,8 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError("scenario", f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer past the digit limit
+    # bad JSON, non-UTF-8 bytes, an integer past the digit limit, nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError("scenario", f"invalid JSON in {path}: {exc}") from exc
     return parse_scenario(doc)
 

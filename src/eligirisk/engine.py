@@ -341,9 +341,7 @@ def change_numeraire(x: RandVar, asset: EligibleAsset) -> RandVar:
     _check_space(x, asset)
     with np.errstate(over="ignore"):
         values = x.values / asset.payoff.values
-    if np.count_nonzero(np.isfinite(values)) != values.size:
-        raise ValueError("the discounted position X / S1 leaves the float range")
-    return RandVar._fresh(x.space, values)
+    return RandVar._fresh(x.space, values, "the discounted position X / S1")
 
 
 def discounted_acceptance(spec: AcceptanceSpec, asset: EligibleAsset) -> AcceptanceSpec:

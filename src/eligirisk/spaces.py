@@ -289,10 +289,10 @@ def _lower_tail(
     return _walk(space, values.tolist(), values.argsort().tolist(), level)
 
 
-def _sealed(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only, once every value is checked finite."""
+def _sealed(arr: np.ndarray, name: str | None = None) -> np.ndarray:
+    """``arr`` made read-only, once every value is checked finite (:meth:`RandVar._fresh`)."""
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        raise ValueError("values must be finite")
+        raise ValueError(f"{name} leaves the float range" if name else "values must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -322,16 +322,18 @@ class RandVar:
         object.__setattr__(self, "values", _sealed(arr))
 
     @classmethod
-    def _fresh(cls, space: FiniteSpace, arr: np.ndarray) -> "RandVar":
+    def _fresh(cls, space: FiniteSpace, arr: np.ndarray, name: str | None = None) -> "RandVar":
         """Adopt ``arr`` without a copy or the shape checks.
 
         ``arr`` must be a one-dimensional float64 array of ``space.n_atoms``
         values that no one else holds: one that numpy has just allocated for
-        an operation on values of ``space``.  It is still checked finite.
+        an operation on values of ``space``.  It is still checked finite: a
+        non-finite value is a ``ValueError``, "<name> leaves the float range"
+        when the caller names the quantity it computed with overflow ignored.
         """
         x = object.__new__(cls)
         object.__setattr__(x, "space", space)
-        object.__setattr__(x, "values", _sealed(arr))
+        object.__setattr__(x, "values", _sealed(arr, name))
         return x
 
     @classmethod
@@ -401,42 +403,22 @@ class RandVar:
         return self.values.tolist()
 
 
-#: Veltkamp's splitter 2**27 + 1: ``c - (c - a)`` with ``c = SPLIT * a`` holds
-#: the high 26 bits of ``a``, and ``a`` minus it the rest, both exactly.
-SPLIT = 134217729.0
-
-
 def _mean(space: FiniteSpace, values: np.ndarray) -> float:
     """sum(p * v) over the stored probabilities, correctly rounded: the one mean.
 
     It is the exact dot of :attr:`FiniteSpace.int_probs` and ``values``,
-    rounded once, on every CPU; a zero mean is +0.0.  Dekker's TwoProduct
-    writes each p * v as ``x + e`` exactly (split at 2**27 + 1), and
-    ``math.fsum`` rounds the sum of all x and e once (Ogita, Rump and Oishi,
-    "Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005).
-    That holds while no split overflows, |v| <= 2**995, and no error term
-    underflows, |p * v| >= 2**-960 for every nonzero v; outside that guard
-    the numerators are summed as exact rationals instead.  A Python loop:
-    on 3-16 atoms it takes 1.3-5.7 us, where the same steps in numpy took
-    11-15 (2 shared vCPUs, Python 3.11, numpy 2.4).
+    rounded once, on every CPU; a zero mean is +0.0.  Each value is ``n / d``
+    exactly, ``d`` a power of two, so over the largest ``d``, ``2**(k - 1)``,
+    the dot is a Python integer, and ``int / int`` rounds it once.  On
+    3/8/16/2000 atoms it takes 1.2/1.9/3.0/330 us on a 1/64 grid and
+    1.7/3.1/5.9/720 on exponents within +-900 (2 shared vCPUs, Python 3.11).
     """
-    terms: list[float] = []
-    for p, v in zip(space.probs.tolist(), values.tolist()):
-        x = p * v
-        if not (abs(v) <= 2.0**995 and (abs(x) >= 2.0**-960 or v == 0.0)):
-            break
-        c = SPLIT * p
-        p_high = c - (c - p)
-        c = SPLIT * v
-        v_high = c - (c - v)
-        p_low, v_low = p - p_high, v - v_high
-        terms += (x, ((p_high * v_high - x) + p_high * v_low + p_low * v_high) + p_low * v_low)
-    else:
-        return math.fsum(terms)
     nums, den = space.int_probs
-    total = sum(m * Fraction(v) for m, v in zip(nums, values.tolist()))
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    k = max(d for _, d in ratios).bit_length()
+    total = sum(m * (n << k - d.bit_length()) for m, (n, d) in zip(nums, ratios))
     try:
-        return float(total / den)
+        return total / (den << k - 1)
     except OverflowError:  # past the float range, the mean rounds to an infinity
         return math.inf if total > 0 else -math.inf
 

@@ -211,9 +211,7 @@ def check_theorem_condition_b(spec: AcceptanceSpec, asset: EligibleAsset) -> The
         unit_r1 = _r1_at(1.0, f)
         with np.errstate(over="ignore"):
             w = 1.0 + unit_r1 * asset.payoff.values
-        if np.count_nonzero(np.isfinite(w)) != w.size:
-            raise ValueError("the leveraged payoff W = 1 + (r1 / S0) * S1 leaves the float range")
-        w = RandVar._fresh(space, w)
+        w = RandVar._fresh(space, w, "the leveraged payoff W = 1 + (r1 / S0) * S1")
         w_inv = asset.payoff + asset.price / r1
     invariant_ok = accepts(spec, w_inv) and accepts(spec, -w_inv)
     values = {"rho_one": r1, "w": w, "invariant_candidate_ok": invariant_ok}
@@ -343,9 +341,9 @@ def check_lemma_equality(
     with np.errstate(over="ignore", invalid="ignore"):
         unit_r = asset_r.payoff.values / asset_r.price
         gap = asset_s.payoff.values / asset_s.price - unit_r
-    if np.count_nonzero(np.isfinite(gap)) != gap.size:  # a quotient overflowed
-        raise ValueError("the gap direction D = S1/S0 - R1/R0 leaves the float range")
-    unit_r, gap = (RandVar._fresh(asset_s.payoff.space, v) for v in (unit_r, gap))
+    # D first: an overflowing quotient makes D non-finite too, and D is what is reported
+    gap = RandVar._fresh(asset_s.payoff.space, gap, "the gap direction D = S1/S0 - R1/R0")
+    unit_r = RandVar._fresh(gap.space, unit_r)
     ejected = None if gap.max_abs == 0.0 else absorbs(spec, gap.space, gap)
     holds = ejected is None
     witness = None
@@ -550,10 +548,7 @@ def _sweep(
             samples += 1
             key = total.tobytes()
             if key not in sum_quotes:
-                try:
-                    x_plus_y = RandVar._fresh(space, total.copy())
-                except ValueError:
-                    raise ValueError("the comonotone sum X + Y leaves the float range") from None
+                x_plus_y = RandVar._fresh(space, total.copy(), "the comonotone sum X + Y")
                 sum_quotes[key] = rho_fn(x_plus_y)
             if quoted[i] is None:
                 quoted[i] = rho_fn(positions[i])

@@ -57,6 +57,18 @@ class TestEval:
         assert values == {"X": 1.5, "Y": 4.0, "X_plus_Y": 6.0}
         assert all(r["method"] == "closed_form" for r in report["results"])
 
+    def test_tol_flag_overrides_the_scenario_tol(self, capsys):
+        # the file's options.tol is 1e-12; the flag's 1e-9 is echoed and bounds the bracket
+        code, out, _ = run_cli(
+            ["eval", "--scenario", str(SCENARIOS / "es_bisection.json"), "--tol", "1e-9"], capsys
+        )
+        assert code == 0
+        assert '"tol": 1e-09' in out
+        report = json.loads(out)
+        assert report["tol"] == 1e-9
+        (quote,) = report["results"]
+        assert 1e-12 < quote["bracket_width"] <= 1e-9
+
     def test_constant_position_cash_var(self, tmp_path, capsys):
         doc = {
             "space": {"probs": [0.5, 0.5]},
@@ -1177,6 +1189,17 @@ class TestMalformedScenarios:
         assert (code, out) == (2, "")
         assert err.startswith(f"scenario error: scenario: invalid JSON in {path}: ")
 
+    def test_deeply_nested_scenario_exits_2_naming_the_file(self, tmp_path, capsys):
+        # json.load recurses once per array: past the recursion limit it raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(["eval", "--scenario", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"scenario error: scenario: invalid JSON in {path}: maximum recursion depth exceeded"
+        )
+        assert err.count("\n") == 1
+
     def test_unreadable_expected_exits_2(self, tmp_path, capsys):
         # replicate reads no expected-values file: the flag is a usage error
         code, out, err = run_cli(["replicate", "--expected", str(tmp_path / "missing.json")], capsys)
@@ -1433,6 +1456,23 @@ class TestErrorContract:
         code, out, err = run_cli(["search", "--scenario", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err == "error: every capital level is acceptable; criterion is not proper\n"
+
+    @pytest.mark.parametrize(
+        "command", [["check", "--statement", "theorem-b"], ["search"]], ids=["check-theorem-b", "search"]
+    )
+    def test_the_leveraged_payoff_overflow_exits_two(self, tmp_path, capsys, command):
+        # F(-S1) = 1e-300 at VaR 0.1, so W = 1 - 1e300 * S1 overflows at the second atom
+        doc = {
+            "space": {"probs": [0.9, 0.1]},
+            "positions": {"X": [0.0, 1.0]},
+            "asset": {"price": 1.0, "payoff": [1e-300, 1e300]},
+            "acceptance": {"kind": "var", "alpha": 0.1},
+        }
+        path = tmp_path / "w_overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command[0], "--scenario", str(path), *command[1:]], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: the leveraged payoff W = 1 + (r1 / S0) * S1 leaves the float range\n"
 
     def test_a_bare_runtime_error_still_surfaces(self, monkeypatch):
         def broken(args):

@@ -316,6 +316,30 @@ class TestNewton:
         assert accepts(spec, shift(quote.value))
         assert not accepts(spec, shift(quote.value - quote.bracket_width))
 
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_the_step_cap_hands_over_to_the_halving_loop(self, monkeypatch, cap):
+        # at a cap of 0-2 steps Newton often stops short of an accepted level:
+        # the halving loop then closes the bracket from what Newton left
+        monkeypatch.setattr(engine, "MAX_NEWTON_STEPS", cap)
+        rng = np.random.default_rng(cap)
+        for _ in range(100):
+            n = int(rng.integers(2, 10))
+            sp = FiniteSpace(rng.dirichlet(np.ones(n)))
+            x = RandVar(sp, rng.integers(-16, 17, n) / 4)
+            payoff = RandVar(sp, rng.integers(1, 9, n) / 4)
+            if payoff.is_constant or x.max_abs == 0.0:
+                continue  # a closed form applies
+            asset = EligibleAsset(float(rng.integers(1, 5)) / 2, payoff)
+            spec = NEWTON_SPECS[int(rng.integers(len(NEWTON_SPECS)))]
+            tol = default_tol(asset, x)
+            quote = rho(spec, asset, x)
+            hi, width = quote.value, quote.bracket_width
+            assert quote.method == "newton"
+            assert 0.0 < width <= max(tol, math.ulp(hi))
+            assert accepts(spec, x + (hi / asset.price) * payoff)
+            assert not accepts(spec, x + ((hi - width) / asset.price) * payoff)
+            assert abs(hi - rho_bisection(spec, asset, x).value) <= 2 * tol
+
     def test_step_that_leaves_the_position_unchanged_moves_by_its_rounding_scale(self):
         # near the root m ~ -27.5 the float spacing of m (3.6e-15) is far below
         # that of the position (|Y| ~ 1055, 2.3e-13): Newton's last step moved m

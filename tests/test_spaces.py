@@ -162,6 +162,15 @@ class TestRandVar:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="values must be finite"):
             op(big, tiny)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_named_array_reports_its_quantity(self, bad):
+        sp = FiniteSpace([0.5, 0.5])
+        with pytest.raises(ValueError, match="^the sum Z leaves the float range$"):
+            RandVar._fresh(sp, np.array([1.0, bad]), "the sum Z")
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            RandVar._fresh(sp, np.array([1.0, bad]))
+        assert RandVar._fresh(sp, np.array([1.0, 2.0]), "the sum Z").tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize(
         "op",
         [
@@ -445,7 +454,7 @@ def _around(v: float) -> list[float]:
     return [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
 
 
-#: Magnitudes at the TwoProduct guard (|v| <= 2**995, |p * v| >= 2**-960) and the float range's ends.
+#: Edge magnitudes: 2**995, 2**-960, 2**-900, the least normal, and the float range's ends.
 MEAN_EDGES = sorted(
     {e for v in (2.0**995, 2.0**-960, 2.0**-900, 2.0**-1022, 5e-324, 1.0, sys.float_info.max)
      for e in _around(v) if math.isfinite(e)}
