@@ -10,7 +10,7 @@ shortfall and the expectation floor as one-point mixtures; their set
 properties are decided by kind, with one sample and no seed.  VaR accepts
 X iff P(X < 0) <= alpha in exact rationals, the paper's set: the mass of
 {X < 0} is within the integer loss limit of :func:`var_loss_limit`, and
-every VaR walk stops by the same comparison.  So its monotonicity and conicity
+every VaR walk stops by the same integer comparison.  So its monotonicity and conicity
 are exact on floats and its convexity and risk invariants are decided from
 atom masses.  Distortion mixtures are decreasing, positively homogeneous
 and subadditive, so their exact sets are monotone convex cones
@@ -27,7 +27,7 @@ from typing import Callable
 
 from .measures import DistortionWeights, Level, distortion, var
 from .reporting import CheckReport
-from .spaces import FiniteSpace, RandVar
+from .spaces import FiniteSpace, RandVar, _level_floor
 
 __all__ = [
     "AcceptanceSpec",
@@ -130,8 +130,7 @@ def var_loss_limit(spec: AcceptanceSpec, space: FiniteSpace) -> int:
     criterion accepts X iff those numerators sum to at most this limit.
     """
     nums, den = space.int_probs
-    num, scale = spec.level.alpha.as_integer_ratio()
-    return min(num * den // scale, sum(nums) - 1)
+    return min(_level_floor(spec.level.alpha, den), sum(nums) - 1)
 
 
 def decide_convex(spec: AcceptanceSpec, space: FiniteSpace) -> CheckReport:

@@ -44,11 +44,4 @@ class CheckReport:
     data: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "trials": self.trials,
-            "witness": witness_to_jsonable(self.witness),
-            "note": self.note,
-            "data": witness_to_jsonable(self.data),
-        }
+        return witness_to_jsonable(vars(self))

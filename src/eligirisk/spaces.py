@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -49,8 +48,6 @@ __all__ = [
     "SpaceMismatchError",
     "expectation",
     "upper_quantile",
-    "essential_infimum",
-    "same_distribution",
 ]
 
 #: Largest tolerated deviation of the raw probability sum from 1.
@@ -175,8 +172,8 @@ class SortedProfile:
     ``cum[k]`` is the correctly rounded probability of the first ``k + 1``
     distinct values: an exact integer sum over :attr:`FiniteSpace.int_probs`,
     rounded once, hence independent of atom order.  ``cum[-1]`` equals 1
-    exactly.  It is the whole law, as :func:`same_distribution` compares it;
-    quantiles and shortfall read only the prefix of it up to their level.
+    exactly.  It is the whole law; quantiles and shortfall read only the
+    prefix of it up to their level.
     """
 
     values: np.ndarray
@@ -185,6 +182,12 @@ class SortedProfile:
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
         self.cum.setflags(write=False)
+
+
+def _level_floor(level: float, den: int) -> int:
+    """floor(``level`` * ``den``) in integers: a mass m has m / den <= level iff m is at most it."""
+    num, scale = level.as_integer_ratio()
+    return num * den // scale
 
 
 def _limb_runs(
@@ -206,7 +209,7 @@ def _limb_runs(
     cum = np.ldexp(hi * 2.0**32 + lo, -k)
     r = int(cum.searchsorted(level, side="right"))  # the first run with cum > level
     # a run whose cum rounds to the level itself ends the walk iff its exact sum exceeds it
-    while r and cum[r - 1] == level and Fraction(int(hi[r - 1]) * 2**32 + int(lo[r - 1]), 2**k) > level:
+    while r and cum[r - 1] == level and (int(hi[r - 1]) << 32) + int(lo[r - 1]) > _level_floor(level, 2**k):
         r -= 1
     if r == ends.size and not pinned:
         return None
@@ -254,7 +257,7 @@ def _walk(
         if v != last:  # the run of the previous value ends: round its sum once
             c = acc / den
             cum.append(c)
-            if c > level or c == level and Fraction(acc, den) > level:
+            if c > level or c == level and acc > _level_floor(level, den):
                 return distinct, cum
             last = v + 0.0
             distinct.append(last)
@@ -272,11 +275,11 @@ def _lower_tail(
     ``int_probs`` numerator to an integer and rounds the sum once, when a
     run of tied values ends.  Rounding is monotone, so a rounded cum above
     ``level`` is an exact one; only a run whose cum rounds to ``level``
-    itself is settled by comparing its exact sum, as a ``Fraction``.  So the
-    walk stops where P(X <= v) > level exactly, the paper's VaR set.  A run
-    is stored as its value plus 0.0, so a zero is +0.0 whichever sign its
-    atoms have; the tied atoms of a run are then interchangeable, and the
-    sort need not be stable.  The walk pins
+    itself is settled by comparing its exact sum with :func:`_level_floor`.
+    So the walk stops where P(X <= v) > level exactly, the paper's VaR set.
+    A run is stored as its value plus 0.0, so a zero is +0.0 whichever sign
+    its atoms have; the tied atoms of a run are then interchangeable, and
+    the sort need not be stable.  The walk pins
     the last run's ``cum`` to 1.0: the stored probabilities need not sum to
     exactly 1.  Every prefix is the same prefix of the full profile, bit for
     bit.  ``values`` may hold +-inf, which then only orders the atoms.  From
@@ -433,27 +436,10 @@ def upper_quantile(x: RandVar, beta: float) -> float:
 
     ``beta`` must lie in ``[0, 1)``.  The result is the first distinct value
     whose exact cumulative probability exceeds ``beta``, the last value of
-    the walk: P(X < v) is compared with ``beta`` in exact rationals, where a
-    cum rounds to ``beta`` itself, so VaR reads the paper's P(X < 0) <= alpha.
+    the walk: P(X < v) is compared with ``beta`` in integers where a cum rounds
+    to ``beta`` itself (:func:`_level_floor`), so VaR reads P(X < 0) <= alpha.
     """
     beta = float(beta)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     return _lower_tail(x.space, x.values, beta)[0][-1]
-
-
-def essential_infimum(x: RandVar) -> float:
-    """Smallest atom value (every atom has positive probability)."""
-    return float(x.values.min())
-
-
-def same_distribution(x: RandVar, y: RandVar) -> bool:
-    """True iff the sorted (value, cumulative probability) profiles coincide exactly."""
-    if not x.space.compatible(y.space):
-        raise SpaceMismatchError("random variables live on different spaces")
-    px, py = x.profile, y.profile
-    return (
-        px.values.size == py.values.size
-        and bool(np.all(px.values == py.values))
-        and bool(np.all(px.cum == py.cum))
-    )

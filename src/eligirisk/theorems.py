@@ -28,7 +28,7 @@ from .comonotone import _sorted_rows, is_comonotone
 from .engine import EligibleAsset, _check_space, _requirement, rho
 from .measures import Level, var
 from .reporting import CheckReport, witness_to_jsonable
-from .spaces import FiniteSpace, RandVar
+from .spaces import FiniteSpace, RandVar, _level_floor
 
 __all__ = [
     "TheoremVerdict",
@@ -72,14 +72,7 @@ class TheoremVerdict:
         return self.verdict == "pass"
 
     def to_jsonable(self) -> dict:
-        return {
-            "statement": self.statement,
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "witness": witness_to_jsonable(self.witness),
-            "condition_values": witness_to_jsonable(self.condition_values),
-            "note": self.note,
-        }
+        return witness_to_jsonable(vars(self))
 
 
 def _rho_one(spec: AcceptanceSpec, asset: EligibleAsset) -> float:
@@ -368,9 +361,9 @@ def check_var_necessary_condition(spec: AcceptanceSpec, asset: EligibleAsset) ->
     1 - 2 * alpha, where 1 / s* is the upper alpha-quantile of 1 / S1.  As
     -S1 orders the atoms as 1 / S1 does, s* = var(-S1) is read off S1's own
     levels, with no division that could merge two of them.  The mass of
-    {S1 = s*} is compared with 1 - 2 * alpha in integers; a fail certifies
-    non-comonotonicity.  The reported VaR of 1 / S1 is -1 / s*, and its
-    overflow is a ``ValueError``.
+    {S1 = s*} is at least 1 - 2 * alpha iff den - mass <= floor(2 * alpha * den)
+    (2 * alpha is exact); a fail certifies non-comonotonicity.  The reported
+    VaR of 1 / S1 is -1 / s*, and its overflow is a ``ValueError``.
     """
     if spec.kind != "var":
         raise ValueError("the concentration condition applies to the quantile criterion")
@@ -381,8 +374,7 @@ def check_var_necessary_condition(spec: AcceptanceSpec, asset: EligibleAsset) ->
         raise ValueError(f"the VaR of 1 / S1, -1 / {s_star!r}, overflows")
     event = np.flatnonzero(asset.payoff.values == s_star)
     nums, den = asset.payoff.space.int_probs
-    num_alpha, den_alpha = alpha.as_integer_ratio()
-    holds = sum(nums[i] for i in event) * den_alpha >= (den_alpha - 2 * num_alpha) * den
+    holds = den - sum(nums[i] for i in event) <= _level_floor(2.0 * alpha, den)
     return TheoremVerdict(
         "var-necessary", "pass" if holds else "fail", 1,
         condition_values={

@@ -30,6 +30,7 @@ from eligirisk import (
     var,
     var_loss_limit,
 )
+from eligirisk import acceptance
 
 import sampling as smp
 
@@ -568,3 +569,26 @@ class TestDecideRiskInvariant:
     def test_expectation_on_one_atom_has_no_invariant(self):
         sp = FiniteSpace([1.0])
         assert decide_risk_invariant(AcceptanceSpec.expectation_floor(), sp).passed
+
+
+class TestWitnessReVerification:
+    """A witness that ``accepts`` contradicts raises instead of being reported."""
+
+    @pytest.mark.parametrize(
+        "decide, spec, probs, verdict, message",
+        [
+            # the blend of two accepted single losses would be accepted
+            (decide_convex, AcceptanceSpec.var_level(0.1), [0.1, 0.1, 0.8], True, "convex witness"),
+            # the atom that may be lost alone, and its negation, would be rejected
+            (decide_risk_invariant, AcceptanceSpec.var_level(0.1), [0.1, 0.1, 0.8], False,
+             "risk-invariant witness"),
+            # the mean-zero two-atom position would be rejected
+            (decide_risk_invariant, AcceptanceSpec.expectation_floor(), [0.5, 0.5], False,
+             "risk-invariant witness"),
+        ],
+        ids=["convex-var", "risk-invariant-var", "risk-invariant-expectation"],
+    )
+    def test_a_contradicted_witness_raises(self, monkeypatch, decide, spec, probs, verdict, message):
+        monkeypatch.setattr(acceptance, "accepts", lambda spec, x: verdict)
+        with pytest.raises(ArithmeticError, match=f"^{message} failed re-verification through accepts$"):
+            decide(spec, FiniteSpace(probs))

@@ -1482,6 +1482,15 @@ class TestErrorContract:
         with pytest.raises(RuntimeError, match="a bug"):
             main(["search", "--scenario", str(SCENARIOS / "lemma_two_atom.json")])
 
+    def test_an_arithmetic_subclass_still_surfaces(self, monkeypatch):
+        # only a bare ArithmeticError is an input error; a ZeroDivisionError is a bug
+        def broken(scenario):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setitem(STATEMENTS, "convex", broken)
+        with pytest.raises(ZeroDivisionError, match="a bug"):
+            main(["check", "--scenario", str(SCENARIOS / "lemma_two_atom.json"), "--statement", "convex"])
+
     def test_a_failed_re_verification_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(
             theorems, "check_theorem_condition_b", lambda spec, asset: theorems.TheoremVerdict("theorem-b", "fail")

@@ -29,7 +29,6 @@ from eligirisk import (
     discounted_acceptance,
     es,
     es_choquet_oracle,
-    essential_infimum,
     expectation,
     find_additivity_violation,
     rho,
@@ -201,7 +200,7 @@ def choquet_oracle(spec, y):
     """The criterion by the Choquet sums of ``es_choquet_oracle`` (boundary levels closed form)."""
     return math.fsum(
         w * (
-            -essential_infimum(y) if a == 0.0 else -expectation(y) if a == 1.0
+            -float(y.values.min()) if a == 0.0 else -expectation(y) if a == 1.0
             else es_choquet_oracle(y, Level(a))
         )
         for a, w in spec.weights.points

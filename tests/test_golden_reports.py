@@ -49,6 +49,7 @@ def cases() -> list[list[str]]:
         ["replicate"],
         ["replicate", "--format", "text"],
         ["eval", "--scenario", "scenarios/superadditive_var.json", "--format", "text"],
+        ["search", "--scenario", "scenarios/superadditive_var.json", "--format", "text"],
         ["check", "--scenario", near, "--statement", "theorem-b"],
         ["check", "--scenario", near, "--statement", "theorem-b", "--trials", "0"],
         ["check", "--scenario", near, "--statement", "cash-reduction", "--trials", "0"],

@@ -17,14 +17,14 @@ from eligirisk import (
     SpaceMismatchError,
     distortion,
     es,
-    essential_infimum,
     expectation,
-    same_distribution,
     upper_quantile,
     var,
 )
 from eligirisk import spaces
 from eligirisk.spaces import _lower_tail
+
+from exact import same_distribution
 
 
 @pytest.fixture
@@ -282,14 +282,6 @@ class TestUpperQuantile:
             assert upper_quantile(x + c, beta) == pytest.approx(
                 upper_quantile(x, beta) + c, abs=1e-12
             )
-
-
-class TestEssentialInfimum:
-    def test_examples(self, x3, space3):
-        assert essential_infimum(x3) == -3.0
-        assert essential_infimum(RandVar.constant(space3, 4.0)) == 4.0
-        two = FiniteSpace([0.5, 0.5])
-        assert essential_infimum(RandVar(two, [0.0, 5.0])) == 0.0
 
 
 class TestSameDistribution:

@@ -1,5 +1,6 @@
 """Tests for the statement checkers and the reference-example replication suite."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -514,6 +515,13 @@ class TestAbsorbs:
             k: v.tolist() if isinstance(v, RandVar) else v for k, v in verdict.witness.items()
         }
 
+    def test_a_contradicted_witness_raises(self, monkeypatch, near_rf_space, a_var01):
+        # adding v = -1 on atoms 0 and 1 ejects x = 0, unless accepts took v in
+        monkeypatch.setattr(theorems, "accepts", lambda spec, x: True)
+        v = RandVar(near_rf_space, [-1.0, -1.0, 0.0])
+        with pytest.raises(ArithmeticError, match="^absorption witness failed re-verification through accepts$"):
+            absorbs(a_var01, near_rf_space, v)
+
     def test_var_keeps_the_enumeration_cap(self):
         space = FiniteSpace([1.0 / 22] * 22)
         v = RandVar(space, [-1.0] + [0.0] * 21)
@@ -946,6 +954,41 @@ class TestVarNecessaryCondition:
         assert verdict.verdict == "fail"
         assert verdict.condition_values["mass_at_constant"] == 0.5
         assert verdict.condition_values["threshold"] == 0.5
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.floats(0.01, 1.0), st.integers(1, 4).map(float)), min_size=1, max_size=8
+        ),
+        levels=st.lists(st.integers(1, 3), min_size=8, max_size=8),
+        alpha=st.one_of(st.floats(0.0, 1.0), st.floats(0.5, 1.0), st.sampled_from(["boundary"])),
+        pick=st.integers(0, 7),
+        nudge=st.sampled_from([-1.0, 0.0, 1.0]),
+    )
+    def test_matches_the_exact_threshold(self, weights, levels, alpha, pick, nudge):
+        # alpha drawn at random, from [1/2, 1), or where 1 - 2 * alpha is the mass of
+        # one payoff level exactly, or one ulp either side of it
+        sp = FiniteSpace([w / sum(weights) for w in weights])
+        n = sp.n_atoms
+        payoff = [float(k) for k in levels[:n]]
+        nums, den = sp.int_probs
+        mass_of = {s: sum(m for m, t in zip(nums, payoff) if t == s) for s in payoff}
+        if alpha == "boundary":
+            alpha = float((1 - Fraction(mass_of[payoff[pick % n]], den)) / 2)
+        alpha = math.nextafter(alpha, alpha + nudge) if nudge else alpha
+        if not 0.0 < alpha < 1.0:
+            return
+        # s* = var(-S1), the least payoff level s with P(S1 > s) <= alpha, in rationals
+        s_star = min(
+            s for s in mass_of
+            if Fraction(sum(m for s2, m in mass_of.items() if s2 > s), den) <= Fraction(alpha)
+        )
+        verdict = check_var_necessary_condition(
+            AcceptanceSpec.var_level(alpha), EligibleAsset(1.0, RandVar(sp, payoff))
+        )
+        assert verdict.condition_values["payoff_constant"] == s_star
+        holds = Fraction(mass_of[s_star], den) >= 1 - 2 * Fraction(alpha)
+        assert verdict.verdict == ("pass" if holds else "fail")
 
     def test_rejects_non_var_kind(self, near_rf_asset):
         with pytest.raises(ValueError):
@@ -1464,6 +1507,21 @@ class TestReplicationSuite:
         first = [v.to_jsonable() for v in run_replication_suite()]
         second = [v.to_jsonable() for v in run_replication_suite()]
         assert first == second
+
+    def test_an_additive_aggregate_fails_the_superadditivity_example(self, monkeypatch):
+        # X + Y = [-6, -12, 2] quoted at 0 misses its frozen 6.0, and 0 <= rho_x + rho_y
+        real = theorems.rho
+
+        def rho(spec, asset, x, **kwargs):
+            quote = real(spec, asset, x, **kwargs)
+            return dataclasses.replace(quote, value=0.0) if x.tolist() == [-6.0, -12.0, 2.0] else quote
+
+        monkeypatch.setattr(theorems, "rho", rho)
+        first = run_replication_suite()[0]
+        assert (first.statement, first.verdict) == ("replicate-svar-superadditivity", "fail")
+        assert first.note == (
+            "rho_sum: expected 6.0, computed 0.0; aggregated requirement is not strictly superadditive"
+        )
 
     def test_tampered_value_fails_naming_fixture(self, monkeypatch):
         monkeypatch.setitem(theorems.REFERENCE_VALUES["svar-superadditivity"], "rho_sum", 6.1)
